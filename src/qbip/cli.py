@@ -32,20 +32,9 @@ def _parse_rational(text: str) -> Fraction:
         raise UsageError(f"bad rational {text!r}: {exc}") from None
 
 
-def _format_rational(x: Fraction) -> str:
-    return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
-
-
-def _load_matched(path: str) -> treecore.MatchedTree:
+def _read_json(path: str):
     with open(path) as fh:
-        data = json.load(fh)
-    return treecore.load_tree_json(data)
-
-
-def _load_tree(path: str) -> treecore.Tree:
-    with open(path) as fh:
-        data = json.load(fh)
-    return treecore.Tree(data["edges"])
+        return json.load(fh)
 
 
 def _dump(obj: str, out_path: str | None) -> None:
@@ -77,16 +66,16 @@ def _emit(obj, fmt: str, at: Fraction | None, out_path: str | None) -> None:
         lines = []
         if isinstance(obj, Matrix):
             for row in obj.entries:
-                lines.append(",".join(_format_rational(e) for e in row))
+                lines.append(",".join(str(e) for e in row))
         elif isinstance(obj, Vector):
-            lines.append(",".join(_format_rational(e) for e in obj))
+            lines.append(",".join(str(e) for e in obj))
         else:
             raise UsageError("csv output applies to matrices and vectors")
         _dump("\n".join(lines), out_path)
         return
     # pretty
     if isinstance(obj, Matrix):
-        cells = [[_pretty_entry(e) for e in row] for row in obj.entries]
+        cells = [[str(e) for e in row] for row in obj.entries]
         widths = [max(len(r[j]) for r in cells) for j in range(obj.cols)]
         lines = [
             "[ " + "  ".join(c.rjust(w) for c, w in zip(row, widths)) + " ]"
@@ -94,17 +83,11 @@ def _emit(obj, fmt: str, at: Fraction | None, out_path: str | None) -> None:
         ]
         _dump("\n".join(lines), out_path)
     elif isinstance(obj, Vector):
-        _dump("( " + "  ".join(_pretty_entry(e) for e in obj) + " )", out_path)
+        _dump("( " + "  ".join(str(e) for e in obj) + " )", out_path)
     elif isinstance(obj, dict):
         _dump("\n".join(f"{k}: {v}" for k, v in obj.items()), out_path)
     else:
         _dump(str(obj), out_path)
-
-
-def _pretty_entry(e) -> str:
-    if isinstance(e, Fraction):
-        return _format_rational(e)
-    return str(e)
 
 
 # ---------------------------------------------------------------------------
@@ -118,10 +101,10 @@ def cmd_show(args) -> int:
     name = args.matrix
     at = _parse_rational(args.at[0]) if args.at else None
     if name in ("qD", "eD"):
-        tree = _load_tree(args.tree)
+        tree = treecore.Tree.from_json(_read_json(args.tree))
         obj = qmatrices.build_full_qD(tree) if name == "qD" else qmatrices.build_full_eD(tree)
     else:
-        mt = _load_matched(args.tree)
+        mt = treecore.load_tree_json(_read_json(args.tree))
         if name == "qB":
             obj = qmatrices.build_qB(mt)
         elif name == "E":
@@ -136,7 +119,10 @@ def cmd_show(args) -> int:
             _emit({"tau_l": tau_l, "tau_r": tau_r}, args.format, at, args.out)
             return 0
         elif name.startswith("mu:"):
-            v = int(name.split(":", 1)[1])
+            try:
+                v = int(name.split(":", 1)[1])
+            except ValueError:
+                raise UsageError(f"bad vertex in {name!r}") from None
             if not 0 <= v < mt.tree.n:
                 raise UsageError(f"vertex {v} out of range")
             obj = qmatrices.qsigned_degree_vector(mt, v)
@@ -150,12 +136,12 @@ def cmd_show(args) -> int:
 
 
 def cmd_invert(args) -> int:
-    mt = _load_matched(args.tree)
+    mt = treecore.load_tree_json(_read_json(args.tree))
     at = _parse_rational(args.at[0]) if args.at else None
     if args.matrix == "E":
         if at is not None and at in (0, 1, -1):
             raise UsageError(
-                f"q = {_format_rational(at)} excluded: the exponential matrix "
+                f"q = {at} excluded: the exponential matrix "
                 "is invertible only for q != 0, 1, -1"
             )
         inv = qmatrices.inverse_E_formula(mt)
@@ -163,13 +149,13 @@ def cmd_invert(args) -> int:
     elif args.matrix == "qB":
         if at is not None and at in (0, -1):
             raise UsageError(
-                f"q = {_format_rational(at)} excluded: the q-distance matrix "
+                f"q = {at} excluded: the q-distance matrix "
                 "inverse needs q != 0, -1"
             )
         bd = qmatrices.bdq_det(mt)
         if at is not None and bd.eval_at(at) == 0:
             raise UsageError(
-                f"q = {_format_rational(at)} excluded: the distance index "
+                f"q = {at} excluded: the distance index "
                 f"({bd}) vanishes there"
             )
         inv = qmatrices.inverse_qB_formula(mt)
@@ -193,9 +179,10 @@ def cmd_verify(args) -> int:
     if len(sources) != 1:
         raise UsageError("need exactly one of --tree, --enumerate-upto, --random")
     if args.tree is not None:
-        reports = [verify.run_suite(_load_matched(args.tree))]
+        mt = treecore.load_tree_json(_read_json(args.tree))
+        reports = [verify.run_suite(mt)]
     elif args.enumerate_upto is not None:
-        if args.enumerate_upto < 2:
+        if args.enumerate_upto < 2 or args.enumerate_upto % 2:
             raise UsageError("--enumerate-upto needs an even bound >= 2")
         if args.enumerate_upto // 2 > treecore.DEFAULT_ENUM_BOUND:
             raise UsageError(
@@ -258,7 +245,7 @@ def cmd_gen(args) -> int:
 
 
 def cmd_conjecture(args) -> int:
-    if args.upto is None or args.upto < 2:
+    if args.upto is None or args.upto < 2 or args.upto % 2:
         raise UsageError("conjecture needs --upto 2p with 2p >= 2")
     if args.upto // 2 > treecore.DEFAULT_ENUM_BOUND:
         raise UsageError(
@@ -269,8 +256,7 @@ def cmd_conjecture(args) -> int:
     for p in range(1, args.upto // 2 + 1):
         for mt in treecore.enumerate_nonsingular(p):
             lap = qmatrices.eval_matrix(qmatrices.build_qL(mt), Fraction(1))
-            ints = Matrix(((int(e) for e in row) for row in lap.entries),
-                          exactla.KIND_R, exactla.KIND_L)
+            ints = lap.map(int)
             evidence = exactla.conjecture_evidence(ints)
             row = {
                 "tree": treecore.canonical_code(mt.tree).hex(),

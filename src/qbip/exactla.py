@@ -13,6 +13,7 @@ transposing.
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import mul
 
 from .polyalg import ONE, ZERO, Poly, RatFun, divexact, poly_gcd
 
@@ -64,16 +65,13 @@ class Vector:
         return Vector((s * e for e in self.entries), self.kind)
 
     def sum(self):
-        total = self.entries[0]
-        for e in self.entries[1:]:
-            total = total + e
-        return total
+        return sum(self.entries[1:], self.entries[0])
 
     def to_json(self) -> dict:
         return {
             "length": len(self.entries),
             "kind": self.kind,
-            "entries": [_entry_json(e) for e in self.entries],
+            "entries": [entry_json(e) for e in self.entries],
         }
 
 
@@ -178,15 +176,14 @@ class Matrix:
             "cols": self.cols,
             "row_kind": self.row_kind,
             "col_kind": self.col_kind,
-            "entries": [[_entry_json(e) for e in row] for row in self.entries],
+            "entries": [[entry_json(e) for e in row] for row in self.entries],
         }
 
 
-def _entry_json(e):
+def entry_json(e):
+    """JSON form of one entry: coefficient lists for Poly/RatFun, else a string."""
     if isinstance(e, (Poly, RatFun)):
         return e.to_json()
-    if isinstance(e, Fraction):
-        return str(e)
     return str(e)
 
 
@@ -200,16 +197,11 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
             f"are {b.row_kind}-indexed"
         )
     bt = list(zip(*b.entries))
-    out = []
-    for row in a.entries:
-        out_row = []
-        for col in bt:
-            acc = row[0] * col[0]
-            for x, y in zip(row[1:], col[1:]):
-                acc = acc + x * y
-            out_row.append(acc)
-        out.append(out_row)
-    return Matrix(out, a.row_kind, b.col_kind)
+    return Matrix(
+        ([sum(map(mul, row, col)) for col in bt] for row in a.entries),
+        a.row_kind,
+        b.col_kind,
+    )
 
 
 def mat_vec(a: Matrix, v: Vector) -> Vector:
@@ -217,13 +209,7 @@ def mat_vec(a: Matrix, v: Vector) -> Vector:
         raise DimensionMismatch(f"{a!r} @ {v!r}")
     if a.col_kind != v.kind:
         raise IndexKindMismatch(f"{a!r} @ {v!r}")
-    out = []
-    for row in a.entries:
-        acc = row[0] * v[0]
-        for x, y in zip(row[1:], v.entries[1:]):
-            acc = acc + x * y
-        out.append(acc)
-    return Vector(out, a.row_kind)
+    return Vector((sum(map(mul, row, v.entries)) for row in a.entries), a.row_kind)
 
 
 def vec_mat(v: Vector, a: Matrix) -> Vector:
@@ -231,13 +217,8 @@ def vec_mat(v: Vector, a: Matrix) -> Vector:
         raise DimensionMismatch(f"{v!r} @ {a!r}")
     if a.row_kind != v.kind:
         raise IndexKindMismatch(f"{v!r} @ {a!r}")
-    out = []
-    for j in range(a.cols):
-        acc = v[0] * a.entries[0][j]
-        for i in range(1, a.rows):
-            acc = acc + v[i] * a.entries[i][j]
-        out.append(acc)
-    return Vector(out, a.col_kind)
+    return Vector((sum(map(mul, v.entries, col)) for col in zip(*a.entries)),
+                  a.col_kind)
 
 
 def outer(u: Vector, v: Vector) -> Matrix:
@@ -363,7 +344,7 @@ def adjugate_int(m: Matrix) -> Matrix:
 
 
 def rank_int(m: Matrix) -> int:
-    """Rank of an integer matrix by fraction-free elimination."""
+    """Rank of an integer matrix by Gauss-Jordan elimination over Fraction."""
     a = [[Fraction(e) for e in row] for row in m.entries]
     rows, cols = m.rows, m.cols
     rank = 0

@@ -13,12 +13,11 @@ from fractions import Fraction
 
 from . import exactla, treecore
 from .exactla import KIND_L, KIND_R, KIND_VERTEX, Matrix, Vector
-from .polyalg import ONE, Poly, PoleAtPoint, Q, RatFun, divexact, qdeg, qint
+from .polyalg import (
+    ONE, ONE_MINUS_Q2, ONE_PLUS_Q, Q, Q2, Q_ONE_PLUS_Q, Poly, PoleAtPoint, RatFun,
+    divexact, qdeg, qint,
+)
 from .treecore import MatchedTree, PathKind, Tree
-
-_Q2 = Poly((0, 0, 1))
-_ONE_MINUS_Q2 = Poly((1, 0, -1))
-_ONE_PLUS_Q = Poly((1, 1))
 
 
 class BdqZero(ArithmeticError):
@@ -70,12 +69,12 @@ def build_qL(mt: MatchedTree) -> Matrix:
         for j in range(p):
             l = mt.l_vertex(j)
             if i == j:
-                row.append(dr * qdeg(tree.degree(l)) - _Q2)
+                row.append(dr * qdeg(tree.degree(l)) - Q2)
             elif l in reach:
                 entry = dr * qdeg(tree.degree(l))
                 row.append(entry if reach[l] % 2 else -entry)
             elif l in adjacent:
-                row.append(-_Q2)
+                row.append(-Q2)
             else:
                 row.append(Poly())
         rows.append(row)
@@ -143,7 +142,7 @@ def bdq_det(mt: MatchedTree) -> Poly:
     """
     p = mt.p
     det = exactla.det_bareiss(build_qB(mt))
-    divisor = Q ** (p - 1) * _ONE_PLUS_Q ** (p - 1)
+    divisor = Q ** (p - 1) * ONE_PLUS_Q ** (p - 1)
     quotient = divexact(det, divisor)
     return -quotient if (p - 1) % 2 else quotient
 
@@ -158,13 +157,13 @@ def bdq_recursive(mt: MatchedTree) -> Poly:
     cur = mt
     while cur.p > 1:
         cur, site, _ = treecore.detach_p2(cur)
-        total = total + _ONE_PLUS_Q * (1 + treecore.diff(cur, site))
+        total = total + ONE_PLUS_Q * (1 + treecore.diff(cur, site))
     return total
 
 
 def inverse_E_formula(mt: MatchedTree) -> Matrix:
     """Closed-form inverse of the exponential matrix: qL / (q (1 - q^2))."""
-    den = Q * _ONE_MINUS_Q2
+    den = Q * ONE_MINUS_Q2
     return build_qL(mt).map(lambda e: RatFun(e, den))
 
 
@@ -178,7 +177,7 @@ def inverse_qB_formula(mt: MatchedTree) -> Matrix:
     if not bd:
         raise BdqZero("distance index is identically zero")
     tau_l, tau_r = qtau(mt)
-    laplacian_term = build_qL(mt).map(lambda e: RatFun(-e, Q * _ONE_PLUS_Q))
+    laplacian_term = build_qL(mt).map(lambda e: RatFun(-e, Q_ONE_PLUS_Q))
     qbd = Q * bd
     correction = exactla.outer(tau_r, tau_l).map(lambda e: RatFun(e, qbd))
     return laplacian_term + correction

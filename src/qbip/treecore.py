@@ -34,16 +34,21 @@ class Tree:
     __slots__ = ("n", "edges", "adj")
 
     def __init__(self, edges):
-        edges = [tuple(sorted(e)) for e in edges]
+        try:
+            edges = [tuple(sorted(e)) for e in edges]
+        except TypeError:
+            raise NotATree("edges must be a list of vertex-id pairs") from None
         if not edges:
             raise NotATree("a tree needs at least one edge here")
         seen = set()
         verts = set()
-        for u, v in edges:
+        for e in edges:
+            # type(), not isinstance(): a bool is not a vertex id
+            if len(e) != 2 or type(e[0]) is not int or type(e[1]) is not int or e[0] < 0:
+                raise NotATree(f"bad vertex ids in edge {e}")
+            u, v = e
             if u == v:
                 raise NotATree(f"self-loop at {u}")
-            if not (isinstance(u, int) and isinstance(v, int)) or u < 0:
-                raise NotATree(f"bad vertex ids in edge {(u, v)}")
             if (u, v) in seen:
                 raise NotATree(f"duplicate edge {(u, v)}")
             seen.add((u, v))
@@ -88,6 +93,12 @@ class Tree:
 
     def to_json(self) -> dict:
         return {"edges": [list(e) for e in self.edges]}
+
+    @classmethod
+    def from_json(cls, data) -> "Tree":
+        if not isinstance(data, dict) or "edges" not in data:
+            raise NotATree('tree JSON must be an object with an "edges" list')
+        return cls(data["edges"])
 
 
 def parse_tree(edge_list) -> Tree:
@@ -141,7 +152,9 @@ class MatchedTree:
     __slots__ = ("tree", "pairs", "side_of", "index_of")
 
     def __init__(self, tree: Tree, pairs):
-        pairs = tuple((int(l), int(r)) for l, r in pairs)
+        pairs = tuple((l, r) for l, r in pairs)
+        if any(type(l) is not int or type(r) is not int for l, r in pairs):
+            raise NotATree("matching pairs must hold integer vertex ids")
         if tree.n != 2 * len(pairs):
             raise NotNonsingular("pair list does not cover the tree")
         side = {}
@@ -211,13 +224,18 @@ class MatchedTree:
 
     @classmethod
     def from_json(cls, data) -> "MatchedTree":
-        tree = Tree(data["edges"])
-        ls = data["labels"]["L"]
-        rs = data["labels"]["R"]
+        tree = Tree.from_json(data)
+        try:
+            ls = list(data["labels"]["L"])
+            rs = list(data["labels"]["R"])
+            declared = tuple(sorted(tuple(sorted(e)) for e in data["matching"]))
+        except TypeError:
+            raise NotATree(
+                "labels must map L and R to vertex lists and matching must list pairs"
+            ) from None
         if len(ls) != len(rs):
             raise NotNonsingular("label sides have different lengths")
         mt = cls(tree, list(zip(ls, rs)))
-        declared = tuple(sorted(tuple(sorted(e)) for e in data["matching"]))
         if declared != mt.matching_edges():
             raise NotNonsingular("matching field disagrees with labels")
         return mt
@@ -563,6 +581,6 @@ def random_nonsingular(p: int, seed: int) -> MatchedTree:
 
 def load_tree_json(data) -> MatchedTree:
     """MatchedTree from tree JSON; labels are derived when absent."""
-    if "labels" in data:
+    if isinstance(data, dict) and "labels" in data:
         return MatchedTree.from_json(data)
-    return standard_labeling(Tree(data["edges"]))
+    return standard_labeling(Tree.from_json(data))

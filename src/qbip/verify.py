@@ -1,10 +1,19 @@
 """Named identity checks over matched trees, with pass/fail witnesses.
 
-Every check recomputes both sides of one matrix/vector identity from scratch
-and compares canonical forms; a failure carries the offending index and the
-nonzero residual so it can be replayed standalone.  The enumerated suite is
-fully symbolic; the random large-tree suite evaluates the product identities
-at exact rational points instead (still exact, never floating point).
+Every check recomputes both sides of one identity from scratch and compares
+them exactly; a failure carries the offending index and the nonzero residual
+so it can be replayed standalone.
+
+The five product identities (B_tau, row_col_sums, lemma_111, inverse_E,
+inverse_qB) are stated once each, in ``IDENTITIES``, as Z[q] matrix
+equations with every denominator cleared.  One engine checks them: it
+evaluates each factor at q = a/b as an integer matrix scaled by b^deg,
+multiplies with exactla's products and compares plain integers.  The
+enumerated suite runs it at the integer points 0..D, where D bounds the
+degree of every entry of both sides (read from the factors' entries), so a
+pass is a proof in Z[q]; the random large-tree suite runs the same engine at
+the user's rational points.  The other checks compare Z[q] canonical forms
+directly.  Nothing is ever approximate.
 """
 
 from __future__ import annotations
@@ -12,18 +21,16 @@ from __future__ import annotations
 import concurrent.futures
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from operator import mul
+from typing import Callable, NamedTuple
 
 from . import exactla, qmatrices, treecore
-from .exactla import KIND_L, KIND_R, Matrix, Vector
-from .polyalg import ONE, Poly, Q, RatFun, ZERO
-from .qmatrices import BdqZero
+from .exactla import KIND_L, KIND_R, Matrix, Vector, entry_json
+from .polyalg import (
+    ONE, ONE_MINUS_Q2, ONE_PLUS_Q, Q, Q2, Q_ONE_PLUS_Q, Poly, ZERO,
+)
 from .treecore import MatchedTree
-
-_Q2 = Poly((0, 0, 1))
-_ONE_MINUS_Q2 = Poly((1, 0, -1))
-_ONE_PLUS_Q = Poly((1, 1))
-_Q_ONE_PLUS_Q = Poly((0, 1, 1))
 
 
 @dataclass(frozen=True)
@@ -84,9 +91,11 @@ CHECKS = (
     IdentityCheck("lemma_111", "single-tree",
                   "-qL.qB + (1+q) tau_r ones^t = q(1+q) I"),
     IdentityCheck("inverse_E", "single-tree",
-                  "closed-form inverse of the exponential matrix (and oracle equality)"),
+                  "qL.E = q(1-q^2) I, so E^-1 = qL/(q(1-q^2)) (and oracle equality)"),
     IdentityCheck("inverse_qB", "single-tree",
-                  "closed-form inverse of the q-distance matrix (and oracle equality)"),
+                  "(-bd_q qL + (1+q) tau_r tau_l^t).qB = q(1+q) bd_q I, the "
+                  "closed-form inverse of qB with denominators cleared "
+                  "(and oracle equality)"),
     IdentityCheck("attach_update", "attachment-pair",
                   "block update formulas for qL and tau_r under pair attachment"),
     IdentityCheck("block_decomposition", "attachment-pair",
@@ -106,12 +115,6 @@ assert len(_names) == len(set(_names))
 # ---------------------------------------------------------------------------
 
 
-def _entry_repr(e):
-    if isinstance(e, (Poly, RatFun)):
-        return e.to_json()
-    return str(e)
-
-
 def _first_mismatch(got: Matrix, want: Matrix):
     for i in range(got.rows):
         for j in range(got.cols):
@@ -129,9 +132,9 @@ def _compare_matrices(name: str, label: str, got: Matrix, want: Matrix) -> Check
     return CheckResult(name, False, {
         "identity": label,
         "entry": [i, j],
-        "got": _entry_repr(got[i, j]),
-        "want": _entry_repr(want[i, j]),
-        "residual": _entry_repr(residual),
+        "got": entry_json(got[i, j]),
+        "want": entry_json(want[i, j]),
+        "residual": entry_json(residual),
     })
 
 
@@ -141,9 +144,9 @@ def _compare_vectors(name: str, label: str, got: Vector, want: Vector) -> CheckR
             return CheckResult(name, False, {
                 "identity": label,
                 "entry": [i],
-                "got": _entry_repr(a),
-                "want": _entry_repr(b),
-                "residual": _entry_repr(a - b),
+                "got": entry_json(a),
+                "want": entry_json(b),
+                "residual": entry_json(a - b),
             })
     return CheckResult(name, True)
 
@@ -153,14 +156,208 @@ def _scalar_result(name: str, label: str, got, want) -> CheckResult:
         return CheckResult(name, True)
     return CheckResult(name, False, {
         "identity": label,
-        "got": _entry_repr(got),
-        "want": _entry_repr(want),
-        "residual": _entry_repr(got - want),
+        "got": entry_json(got),
+        "want": entry_json(want),
+        "residual": entry_json(got - want),
     })
 
 
-def _ones(p: int, kind: str) -> Vector:
-    return Vector((ONE,) * p, kind)
+# ---------------------------------------------------------------------------
+# the product identities and their engine
+# ---------------------------------------------------------------------------
+
+# Each identity is a tuple of equations (label, lhs, rhs) over Z[q].  A side
+# is a sum of terms and a term a product of named factors (see _factors).
+# Scalar factors commute out; matrix and vector factors multiply in order, a
+# vector next to a vector being an outer product.  An inverse is checked on
+# one side only: for square X and Y, X.Y = cI with c != 0 gives Y.X = cI.
+IDENTITIES = {
+    "B_tau": (
+        ("qB tau_r = bd_q ones", [("qB", "tau_r")], [("bd", "ones_L")]),
+        ("tau_l^t qB = bd_q ones^t", [("tau_l", "qB")], [("bd", "ones_R")]),
+    ),
+    "row_col_sums": (
+        ("ones^t qL = (1-q^2) tau_l^t", [("ones_R", "qL")], [("1-q^2", "tau_l")]),
+        ("qL ones = (1-q^2) tau_r", [("qL", "ones_L")], [("1-q^2", "tau_r")]),
+    ),
+    "lemma_111": (
+        ("-qL.qB + (1+q) tau_r ones^t = q(1+q) I",
+         [("-1", "qL", "qB"), ("1+q", "tau_r", "ones_R")], [("q(1+q)", "I")]),
+    ),
+    "inverse_E": (
+        ("qL.E = q(1-q^2) I", [("qL", "E")], [("q(1-q^2)", "I")]),
+    ),
+    "inverse_qB": (
+        ("(-bd_q qL + (1+q) tau_r tau_l^t).qB = q(1+q) bd_q I",
+         [("-1", "bd", "qL", "qB"), ("1+q", "tau_r", "tau_l", "qB")],
+         [("q(1+q)", "bd", "I")]),
+    ),
+}
+# names of the evaluated checks, which carry the point after an "@"
+_POINT_NAMES = {"inverse_E": "inverse_E_product", "inverse_qB": "inverse_qB_product"}
+
+
+class _Factor(NamedTuple):
+    deg: int  # bounds the degree of every entry
+    at: Callable  # (a, b) -> b^deg * value at q = a/b, entrywise in integers
+
+
+def _poly_factor(x) -> _Factor:
+    """A Poly, or a Vector or Matrix of them; deg is its largest entry degree."""
+    if isinstance(x, Poly):
+        rows = ((x,),)
+    else:
+        rows = (x.entries,) if isinstance(x, Vector) else x.entries
+    deg = max(0, max(e.degree() for row in rows for e in row))
+
+    def at(a, b):
+        monomials = [a**i * b ** (deg - i) for i in range(deg + 1)]
+
+        def ev(e):
+            return sum(map(mul, e.coeffs, monomials))
+
+        return ev(x) if isinstance(x, Poly) else x.map(ev)
+
+    return _Factor(deg, at)
+
+
+def _distance_factors(mt: MatchedTree):
+    """qB = [dist] and E = q^dist over L x R, read straight from the distance table."""
+    dist = treecore.distances(mt.tree)
+    block = [[dist[l][r] for r in mt.r_vertices] for l in mt.l_vertices]
+    dmax = max(map(max, block))
+
+    def lookup(table):  # entry (i, j) is table[dist(l_i, r_j)]
+        return Matrix(([table[d] for d in row] for row in block), KIND_L, KIND_R)
+
+    def qB(a, b):  # [d] = 1 + q + ... + q^(d-1), times b^(dmax-1)
+        return lookup([0, *accumulate(a**i * b ** (dmax - 1 - i) for i in range(dmax))])
+
+    def E(a, b):  # q^d, times b^dmax
+        return lookup([a**d * b ** (dmax - d) for d in range(dmax + 1)])
+
+    return _Factor(dmax - 1, qB), _Factor(dmax, E)
+
+
+def _factors(mt: MatchedTree, bd: Poly | None = None) -> dict:
+    """Every factor of mt's product identities, by name; "bd" only when bd is given."""
+    p = mt.p
+    ones_L, ones_R = Vector((1,) * p, KIND_L), Vector((1,) * p, KIND_R)
+    eye = Matrix.identity(p, KIND_R, KIND_R, one=1, zero=0)
+    factors = {
+        "-1": _poly_factor(-ONE),
+        "1+q": _poly_factor(ONE_PLUS_Q),
+        "1-q^2": _poly_factor(ONE_MINUS_Q2),
+        "q(1+q)": _poly_factor(Q_ONE_PLUS_Q),
+        "q(1-q^2)": _poly_factor(Q * ONE_MINUS_Q2),
+        "ones_L": _Factor(0, lambda a, b: ones_L),
+        "ones_R": _Factor(0, lambda a, b: ones_R),
+        "I": _Factor(0, lambda a, b: eye),
+        "qL": _poly_factor(qmatrices.build_qL(mt)),
+    }
+    factors["tau_l"], factors["tau_r"] = map(_poly_factor, qmatrices.qtau(mt))
+    factors["qB"], factors["E"] = _distance_factors(mt)
+    if bd is not None:
+        factors["bd"] = _poly_factor(bd)
+    return factors
+
+
+def _degree(term, factors: dict) -> int:
+    return sum(factors[ref].deg for ref in term)
+
+
+class _Point(dict):
+    """One tree's factors and their products at q = x, as integers scaled by b^deg.
+
+    A product is keyed by the tuple of its factor names and folded right to
+    left; values are built on first use and live as long as the point.
+    """
+
+    def __init__(self, factors: dict, x: Fraction):
+        super().__init__()
+        self.factors, self.x = factors, x
+
+    def __missing__(self, ref):
+        if not isinstance(ref, tuple):
+            value = self.factors[ref].at(self.x.numerator, self.x.denominator)
+        elif len(ref) == 1:
+            value = self[ref[0]]
+        else:
+            value = _mul(self[ref[0]], self[ref[1:]])
+        self[ref] = value
+        return value
+
+
+def _mul(x, y):
+    """x.y; a vector times a vector is the outer product, kept as the pair."""
+    if isinstance(x, Matrix):
+        return exactla.mat_mul(x, y) if isinstance(y, Matrix) else exactla.mat_vec(x, y)
+    if isinstance(y, Matrix):
+        return exactla.vec_mat(x, y)
+    return x, y
+
+
+def _side(terms, point: _Point, scale: int):
+    """(coefficients, rows, is_vector) of a sum of terms, each term scaled to b^scale.
+
+    Scalar factors go into the coefficients, so only the products of matrix
+    and vector factors are ever materialised; an outer product yields its
+    rows one at a time.
+    """
+    coefs, rows = [], []
+    for term in terms:
+        coef = point.x.denominator ** (scale - _degree(term, point.factors))
+        for ref in term:
+            if isinstance(point[ref], int):
+                coef *= point[ref]
+        value = point[tuple(ref for ref in term if not isinstance(point[ref], int))]
+        coefs.append(coef)
+        if isinstance(value, Matrix):
+            rows.append(value.entries)
+        elif isinstance(value, Vector):
+            rows.append((value.entries,))
+        else:
+            u, v = value
+            rows.append([x * y for y in v.entries] for x in u.entries)
+    return coefs, zip(*rows), isinstance(value, Vector)
+
+
+def _mismatch(equations, point: _Point) -> dict | None:
+    """Witness for the first entry where an equation fails at the point, or None."""
+    for label, lhs, rhs in equations:
+        scale = max(_degree(term, point.factors) for term in lhs + rhs)
+        (lcoefs, lrows, is_vector), (rcoefs, rrows, _) = (
+            _side(terms, point, scale) for terms in (lhs, rhs)
+        )
+        for i, (lrow, rrow) in enumerate(zip(lrows, rrows)):
+            got = [sum(map(mul, lcoefs, cells)) for cells in zip(*lrow)]
+            want = [sum(map(mul, rcoefs, cells)) for cells in zip(*rrow)]
+            if got != want:
+                j = next(j for j, pair in enumerate(zip(got, want)) if pair[0] != pair[1])
+                unit = point.x.denominator**scale
+                got_j, want_j = Fraction(got[j], unit), Fraction(want[j], unit)
+                return {
+                    "identity": label,
+                    "entry": [j] if is_vector else [i, j],
+                    "point": str(point.x),
+                    "got": str(got_j),
+                    "want": str(want_j),
+                    "residual": str(got_j - want_j),
+                }
+    return None
+
+
+def _prove(name: str, factors: dict) -> CheckResult:
+    """Identity `name` in Z[q]: it holds at 1 + (its degree bound) integer points."""
+    equations = IDENTITIES[name]
+    bound = max(
+        _degree(term, factors) for _, lhs, rhs in equations for term in lhs + rhs
+    )
+    for x in range(bound + 1):
+        witness = _mismatch(equations, _Point(factors, Fraction(x)))
+        if witness is not None:
+            return CheckResult(name, False, witness)
+    return CheckResult(name, True)
 
 
 # ---------------------------------------------------------------------------
@@ -171,29 +368,25 @@ def _ones(p: int, kind: str) -> Vector:
 def check_det_E(mt: MatchedTree) -> CheckResult:
     p = mt.p
     det = exactla.det_bareiss(qmatrices.build_E(mt))
-    want = Q**p * _ONE_MINUS_Q2 ** (p - 1)
+    want = Q**p * ONE_MINUS_Q2 ** (p - 1)
     return _scalar_result("det_E", "det E = q^p (1-q^2)^(p-1)", det, want)
 
 
 def check_det_qL(mt: MatchedTree) -> CheckResult:
     det = exactla.det_bareiss(qmatrices.build_qL(mt))
-    return _scalar_result("det_qL", "det qL = 1-q^2", det, _ONE_MINUS_Q2)
+    return _scalar_result("det_qL", "det qL = 1-q^2", det, ONE_MINUS_Q2)
 
 
 def check_bdq(mt: MatchedTree) -> CheckResult:
     p = mt.p
     via_det = qmatrices.bdq_det(mt)
-    via_rec = qmatrices.bdq_recursive(mt)
-    if via_det != via_rec:
-        return CheckResult("bdq", False, {
-            "identity": "bd_q determinant route equals recursion",
-            "got": _entry_repr(via_det),
-            "want": _entry_repr(via_rec),
-            "residual": _entry_repr(via_det - via_rec),
-        })
+    res = _scalar_result("bdq", "bd_q determinant route equals recursion",
+                         via_det, qmatrices.bdq_recursive(mt))
+    if not res.passed:
+        return res
     det = exactla.det_bareiss(qmatrices.build_qB(mt))
     sign = -1 if (p - 1) % 2 else 1
-    want = sign * Q ** (p - 1) * _ONE_PLUS_Q ** (p - 1) * via_det
+    want = sign * Q ** (p - 1) * ONE_PLUS_Q ** (p - 1) * via_det
     return _scalar_result(
         "bdq", "det qB = (-1)^(p-1) q^(p-1) (1+q)^(p-1) bd_q", det, want
     )
@@ -203,110 +396,50 @@ def check_sum_mu(mt: MatchedTree) -> CheckResult:
     for v in range(mt.tree.n):
         mu = qmatrices.qsigned_degree_vector(mt, v)
         f = treecore.diff(mt, v)
-        want = Poly((-f, 0, f + 1))
-        got = mu.sum()
-        if got != want:
-            return CheckResult("sum_mu", False, {
-                "identity": "ones^t mu_v = (diff+1)q^2 - diff",
-                "vertex": v,
-                "got": _entry_repr(got),
-                "want": _entry_repr(want),
-                "residual": _entry_repr(got - want),
-            })
+        res = _scalar_result("sum_mu", "ones^t mu_v = (diff+1)q^2 - diff",
+                             mu.sum(), Poly((-f, 0, f + 1)))
+        if not res.passed:
+            return CheckResult("sum_mu", False, dict(res.witness, vertex=v))
     return CheckResult("sum_mu", True)
 
 
 def check_row_col_sums(mt: MatchedTree) -> CheckResult:
-    qL = qmatrices.build_qL(mt)
-    tau_l, tau_r = qmatrices.qtau(mt)
-    col_sums = exactla.vec_mat(_ones(mt.p, KIND_R), qL)
-    res = _compare_vectors(
-        "row_col_sums", "ones^t qL = (1-q^2) tau_l^t",
-        col_sums, tau_l.scale(_ONE_MINUS_Q2),
-    )
-    if not res.passed:
-        return res
-    row_sums = exactla.mat_vec(qL, _ones(mt.p, KIND_L))
-    return _compare_vectors(
-        "row_col_sums", "qL ones = (1-q^2) tau_r",
-        row_sums, tau_r.scale(_ONE_MINUS_Q2),
-    )
+    return _prove("row_col_sums", _factors(mt))
 
 
 def check_B_tau(mt: MatchedTree) -> CheckResult:
-    qB = qmatrices.build_qB(mt)
-    tau_l, tau_r = qmatrices.qtau(mt)
-    bd = qmatrices.bdq_det(mt)
-    res = _compare_vectors(
-        "B_tau", "qB tau_r = bd_q ones",
-        exactla.mat_vec(qB, tau_r), _ones(mt.p, KIND_L).scale(bd),
-    )
-    if not res.passed:
-        return res
-    return _compare_vectors(
-        "B_tau", "tau_l^t qB = bd_q ones^t",
-        exactla.vec_mat(tau_l, qB), _ones(mt.p, KIND_R).scale(bd),
-    )
+    return _prove("B_tau", _factors(mt, qmatrices.bdq_det(mt)))
 
 
 def check_lemma_111(mt: MatchedTree) -> CheckResult:
-    qL = qmatrices.build_qL(mt)
-    qB = qmatrices.build_qB(mt)
-    _, tau_r = qmatrices.qtau(mt)
-    got = (-(qL @ qB)) + exactla.outer(tau_r, _ones(mt.p, KIND_R)).scale(_ONE_PLUS_Q)
-    want = Matrix.identity(mt.p, KIND_R, KIND_R).scale(_Q_ONE_PLUS_Q)
-    return _compare_matrices(
-        "lemma_111", "-qL.qB + (1+q) tau_r ones^t = q(1+q) I", got, want
-    )
-
-
-def _rf_identity(p: int, row_kind: str, col_kind: str) -> Matrix:
-    return Matrix.identity(p, row_kind, col_kind, one=RatFun(ONE), zero=RatFun(ZERO))
+    return _prove("lemma_111", _factors(mt))
 
 
 def check_inverse_E(mt: MatchedTree, oracle: bool = False) -> CheckResult:
-    E = qmatrices.build_E(mt)
-    inv = qmatrices.inverse_E_formula(mt)
-    res = _compare_matrices(
-        "inverse_E", "E . inverse = I", E @ inv, _rf_identity(mt.p, KIND_L, KIND_L)
-    )
-    if not res.passed:
-        return res
-    res = _compare_matrices(
-        "inverse_E", "inverse . E = I", inv @ E, _rf_identity(mt.p, KIND_R, KIND_R)
-    )
+    res = _prove("inverse_E", _factors(mt))
     if not res.passed or not oracle:
         return res
     return _compare_matrices(
         "inverse_E", "formula inverse equals elimination oracle",
-        inv, exactla.inverse_gauss(E),
+        qmatrices.inverse_E_formula(mt), exactla.inverse_gauss(qmatrices.build_E(mt)),
     )
 
 
 def check_inverse_qB(mt: MatchedTree, oracle: bool = False) -> CheckResult:
-    qB = qmatrices.build_qB(mt)
-    try:
-        inv = qmatrices.inverse_qB_formula(mt)
-    except BdqZero:
+    bd = qmatrices.bdq_det(mt)
+    if not bd:
         return CheckResult("inverse_qB", False, {
             "identity": "closed-form inverse of qB",
             "got": "bd_q is identically zero",
             "want": "nonzero bd_q",
             "residual": "0",
         })
-    res = _compare_matrices(
-        "inverse_qB", "qB . inverse = I", qB @ inv, _rf_identity(mt.p, KIND_L, KIND_L)
-    )
-    if not res.passed:
-        return res
-    res = _compare_matrices(
-        "inverse_qB", "inverse . qB = I", inv @ qB, _rf_identity(mt.p, KIND_R, KIND_R)
-    )
+    res = _prove("inverse_qB", _factors(mt, bd))
     if not res.passed or not oracle:
         return res
     return _compare_matrices(
         "inverse_qB", "formula inverse equals elimination oracle",
-        inv, exactla.inverse_gauss(qB),
+        qmatrices.inverse_qB_formula(mt), exactla.inverse_gauss(qmatrices.build_qB(mt)),
     )
 
 
@@ -320,19 +453,19 @@ def predicted_attach_qL(mt: MatchedTree, v: int) -> Matrix:
     if mt.side_of[v] == "L":
         for i in range(p):
             row = list(qL.row(i))
-            row[k] = row[k] + _Q2 * mu[i]
+            row[k] = row[k] + Q2 * mu[i]
             row.append(-mu[i])
             rows.append(row)
         last = [ZERO] * (p + 1)
-        last[k] = -_Q2
+        last[k] = -Q2
         last[p] = ONE
         rows.append(last)
     else:
         for i in range(p):
             row = list(qL.row(i))
             if i == k:
-                row = [e + _Q2 * m for e, m in zip(row, mu)]
-            row.append(-_Q2 if i == k else ZERO)
+                row = [e + Q2 * m for e, m in zip(row, mu)]
+            row.append(-Q2 if i == k else ZERO)
             rows.append(row)
         rows.append([-m for m in mu] + [ONE])
     return Matrix(rows, KIND_R, KIND_L)
@@ -350,7 +483,7 @@ def predicted_attach_tau_r(mt: MatchedTree, v: int) -> Vector:
     if mt.side_of[v] == "R":
         scale = 1 + treecore.diff(mt, v)
         entries = [
-            t - scale * _Q2 if i == k else t for i, t in enumerate(tau_r)
+            t - scale * Q2 if i == k else t for i, t in enumerate(tau_r)
         ]
         entries.append(Poly((scale,)))
     else:
@@ -437,19 +570,19 @@ def predicted_block_qL(mt: MatchedTree, k1: int):
     e_k1 = Vector(
         (ONE if j == k1_pos else ZERO for j in range(len(block_orders[0]))), KIND_L
     )
-    blocks[0][0] = top_left + exactla.outer(mu1, e_k1).scale(_Q2 * (s - 1))
+    blocks[0][0] = top_left + exactla.outer(mu1, e_k1).scale(Q2 * (s - 1))
     for b, w in enumerate(branch_roots, start=1):
         order = block_orders[b]
         sub_b, map_b = treecore.sub_matched_tree(mt, order)
         mu_b = qmatrices.qsigned_degree_vector(sub_b, map_b[w])
         blocks[0][b] = exactla.outer(mu1, mu_b).scale(-1)
         corner = [[ZERO] * len(block_orders[0]) for _ in order]
-        corner[0][k1_pos] = -_Q2
+        corner[0][k1_pos] = -Q2
         blocks[b][0] = Matrix(corner, KIND_R, KIND_L)
         e_first = Vector((ONE,) + (ZERO,) * (len(order) - 1), KIND_R)
         blocks[b][b] = qmatrices.build_qL(sub_b) + exactla.outer(
             e_first, mu_b
-        ).scale(_Q2)
+        ).scale(Q2)
         for other in range(1, s):
             if other != b:
                 blocks[b][other] = Matrix(
@@ -553,7 +686,7 @@ def check_full_dq_ed(tree: treecore.Tree) -> CheckResult:
     n = tree.n
     det_qd = exactla.det_bareiss(qmatrices.build_full_qD(tree))
     sign = -1 if (n - 1) % 2 else 1
-    want_qd = (sign * (n - 1)) * _ONE_PLUS_Q ** (n - 2)
+    want_qd = (sign * (n - 1)) * ONE_PLUS_Q ** (n - 2)
     res = _scalar_result(
         "full_dq_ed", "det qD = (-1)^(n-1) (n-1) (1+q)^(n-2)", det_qd, want_qd
     )
@@ -561,7 +694,7 @@ def check_full_dq_ed(tree: treecore.Tree) -> CheckResult:
         return res
     det_ed = exactla.det_bareiss(qmatrices.build_full_eD(tree))
     return _scalar_result(
-        "full_dq_ed", "det eD = (1-q^2)^(n-1)", det_ed, _ONE_MINUS_Q2 ** (n - 1)
+        "full_dq_ed", "det eD = (1-q^2)^(n-1)", det_ed, ONE_MINUS_Q2 ** (n - 1)
     )
 
 
@@ -634,180 +767,48 @@ DEFAULT_Q_POINTS = (
 )
 
 
-def _imatmul(a, b):
-    bt = list(zip(*b))
-    return [[sum(map(mul, row, col)) for col in bt] for row in a]
+def _rational_points(q_points) -> list[Fraction]:
+    points = [Fraction(x) for x in q_points]
+    if not points:
+        raise ValueError("no evaluation points")
+    for x in points:
+        if x in EXCLUDED_POINTS:
+            raise ValueError(f"q = {x} is an excluded evaluation point")
+    return points
 
 
-def _poly_int_eval(poly: Poly, a: int, b: int, scale_deg: int) -> int:
-    # poly(a/b) * b^scale_deg, exact; needs scale_deg >= deg poly
-    return sum(c * a**i * b ** (scale_deg - i) for i, c in enumerate(poly.coeffs))
+def evaluate_identities_at(mt: MatchedTree, *q_points) -> list[CheckResult]:
+    """The five product identities at each exact rational point, point by point.
 
-
-def evaluate_identities_at(mt: MatchedTree, q0: Fraction) -> list[CheckResult]:
-    """The five product identities at one exact rational point.
-
-    Matrices are cleared to integers against powers of the denominator so the
-    two big matrix products run over plain integers; comparisons reintroduce
-    the exact scale factors.  Nothing here is approximate.
+    The tree's factors are built once; each point's evaluated matrices are
+    dropped before the next point is evaluated.
     """
-    q0 = Fraction(q0)
-    if q0 in EXCLUDED_POINTS:
-        raise ValueError(f"q = {q0} is an excluded evaluation point")
-    a, b = q0.numerator, q0.denominator
-    p = mt.p
-    tag = f"@{q0}"
-    tree = mt.tree
-    dist = treecore.distances(tree)
-    dmax = max(max(row) for row in dist)
-
-    apow = [1] * (dmax + 1)
-    bpow = [1] * (dmax + 1)
-    for i in range(1, dmax + 1):
-        apow[i] = apow[i - 1] * a
-        bpow[i] = bpow[i - 1] * b
-    # [d] at a/b, scaled by b^(dmax-1)
-    qint_s = [0] * (dmax + 1)
-    for d in range(1, dmax + 1):
-        qint_s[d] = qint_s[d - 1] + apow[d - 1] * bpow[dmax - d]
-    sB = Fraction(1, bpow[dmax - 1])
-    sE = Fraction(1, bpow[dmax])
-
-    ls, rs = mt.l_vertices, mt.r_vertices
-    qB = [[qint_s[dist[l][r]] for r in rs] for l in ls]
-    E = [[apow[dist[l][r]] * bpow[dmax - dist[l][r]] for r in rs] for l in ls]
-
-    qL_poly = qmatrices.build_qL(mt)
-    qL = [[_poly_int_eval(e, a, b, 4) for e in row] for row in qL_poly.entries]
-    sL = Fraction(1, b**4)
-
-    tau_l_poly, tau_r_poly = qmatrices.qtau(mt)
-    tau_l = [_poly_int_eval(e, a, b, 2) for e in tau_l_poly]
-    tau_r = [_poly_int_eval(e, a, b, 2) for e in tau_r_poly]
-    sT = Fraction(1, b**2)
-
-    bd_poly = qmatrices.bdq_recursive(mt)
-    bd_val = bd_poly.eval_at(q0)
-
+    points = _rational_points(q_points)
+    factors = _factors(mt, qmatrices.bdq_recursive(mt))
     results = []
-
-    def record(name, label, bad, skipped=None):
-        witness = None
-        if bad is not None:
-            index, got, want = bad
-            witness = {
-                "identity": label,
-                "entry": list(index),
-                "got": str(got),
-                "want": str(want),
-                "residual": str(got - want),
-            }
-        results.append(CheckResult(name + tag, bad is None, witness, skipped=skipped))
-
-    # 1: qB tau_r = bd ones, tau_l^t qB = bd ones^t
-    def btau_mismatch():
-        for i, row in enumerate(qB):
-            got = sum(map(mul, row, tau_r)) * sB * sT
-            if got != bd_val:
-                return (i,), got, bd_val
-        for j, col in enumerate(zip(*qB)):
-            got = sum(map(mul, col, tau_l)) * sB * sT
-            if got != bd_val:
-                return (j,), got, bd_val
-        return None
-
-    record("B_tau", "qB tau = bd_q ones at a point", btau_mismatch())
-
-    # 2: row/col sums of qL against (1-q0^2) tau
-    factor = 1 - q0 * q0
-
-    def sums_mismatch():
-        for i, (row, t) in enumerate(zip(qL, tau_r)):
-            got, want = sum(row) * sL, factor * t * sT
-            if got != want:
-                return (i,), got, want
-        for j, (col, t) in enumerate(zip(zip(*qL), tau_l)):
-            got, want = sum(col) * sL, factor * t * sT
-            if got != want:
-                return (j,), got, want
-        return None
-
-    record("row_col_sums", "qL sums vs tau at a point", sums_mismatch())
-
-    # 3: -qL.qB + (1+q) tau_r ones^t = q(1+q) I
-    prod_LB = _imatmul(qL, qB)
-    sLB = sL * sB
-    one_plus = 1 + q0
-
-    def lemma_mismatch():
-        diag = q0 * one_plus
-        for i in range(p):
-            ti = one_plus * tau_r[i] * sT
-            rowi = prod_LB[i]
-            for j in range(p):
-                got = -(rowi[j] * sLB) + ti
-                want = diag if i == j else 0
-                if got != want:
-                    return (i, j), got, want
-        return None
-
-    record("lemma_111", "lemma 111 at a point", lemma_mismatch())
-
-    # 4: inverse of E as qL/(q(1-q^2)):  qL.E = q(1-q^2) I
-    prod_LE = _imatmul(qL, E)
-    sLE = sL * sE
-
-    def inv_e_mismatch():
-        diag = q0 * (1 - q0 * q0)
-        for i in range(p):
-            for j in range(p):
-                got = prod_LE[i][j] * sLE
-                want = diag if i == j else 0
-                if got != want:
-                    return (i, j), got, want
-        return None
-
-    record("inverse_E_product", "qL.E = q(1-q^2) I at a point", inv_e_mismatch())
-
-    # 5: inverse of qB: (-qL/(q(1+q)) + tau_r tau_l^t/(q bd)) . qB = I
-    if bd_val == 0:
-        record("inverse_qB_product", "inverse_qB product at a point", None,
-               skipped="bd_q vanishes at this point")
-    else:
-        w = [sum(map(mul, col, tau_l)) for col in zip(*qB)]
-        c1 = Fraction(-1) / (q0 * one_plus)
-        c2 = Fraction(1) / (q0 * bd_val)
-
-        def inv_b_mismatch():
-            for i in range(p):
-                ti = tau_r[i] * sT
-                rowi = prod_LB[i]
-                for j in range(p):
-                    got = c1 * (rowi[j] * sLB) + c2 * (ti * (w[j] * sT * sB))
-                    want = 1 if i == j else 0
-                    if got != want:
-                        return (i, j), got, want
-            return None
-
-        record("inverse_qB_product", "inverse_qB product at a point",
-               inv_b_mismatch())
-
+    for x in points:
+        point = _Point(factors, x)  # frees the previous point's matrices
+        for name, equations in IDENTITIES.items():
+            label = f"{_POINT_NAMES.get(name, name)}@{x}"
+            if name == "inverse_qB" and point["bd"] == 0:
+                results.append(CheckResult(label, True,
+                                           skipped="bd_q vanishes at this point"))
+            else:
+                witness = _mismatch(equations, point)
+                results.append(CheckResult(label, witness is None, witness))
     return results
 
 
 def run_random(p: int, trials: int, seed: int, q_points=DEFAULT_Q_POINTS):
-    """Evaluated suite on random trees; one report per (trial, all points)."""
-    points = [Fraction(x) for x in q_points]
-    for x in points:
-        if x in EXCLUDED_POINTS:
-            raise ValueError(f"q = {x} is an excluded evaluation point")
+    """Evaluated suite on random trees; one report per tree, all points in it."""
+    if trials < 1:
+        raise ValueError("need at least one random trial")
+    points = _rational_points(q_points)
     reports = []
     for t in range(trials):
         mt = treecore.random_nonsingular(p, seed + t)
-        results = []
-        for x in points:
-            results.extend(evaluate_identities_at(mt, x))
         reports.append(VerificationReport(
-            treecore.canonical_code(mt.tree), mt.p, tuple(results)
+            treecore.canonical_code(mt.tree), mt.p,
+            tuple(evaluate_identities_at(mt, *points)),
         ))
     return reports

@@ -195,6 +195,23 @@ def test_verify_bound(capsys):
     assert code == 2 and "capped" in err
 
 
+def test_verify_random_without_trials_is_usage_error(capsys):
+    # a run that checks nothing is not a pass
+    code, out, err = run_cli(capsys, "verify", "--random", "5,0")
+    assert code == 2 and "trial" in err
+    assert "TREES" not in out
+
+
+def test_verify_odd_enumeration_bound_is_usage_error(capsys, tmp_path):
+    # 7 used to run the 2p <= 6 suite silently
+    out_path = tmp_path / "report.json"
+    code, out, err = run_cli(
+        capsys, "verify", "--enumerate-upto", "7", "--out", str(out_path)
+    )
+    assert code == 2 and "even" in err
+    assert "TREES" not in out and not out_path.exists()
+
+
 # -- enum / gen ------------------------------------------------------------------
 
 
@@ -284,3 +301,21 @@ def test_missing_file(capsys):
 
 def test_unknown_subcommand_is_usage_error(capsys):
     assert main(["frobnicate"]) == 2
+
+
+@pytest.mark.parametrize("text, argv", [
+    ('{"edges": [["a", 1]]}', ["verify"]),
+    ("[]", ["verify"]),
+    ("[]", ["show", "--matrix", "qD"]),
+    ('{"edges": [[true, 0]]}', ["verify"]),
+    ('{"edges": [[0, 1], [1, 2], [2, 3]]}', ["show", "--matrix", "mu:x"]),
+])
+def test_malformed_input_is_usage_error(capsys, tmp_path, text, argv):
+    # exit 1 means "a check failed"; bad input must never read that way
+    path = tmp_path / "tree.json"
+    path.write_text(text)
+    code, out, err = run_cli(capsys, argv[0], "--tree", str(path), *argv[1:])
+    assert code == 2 and err.startswith("error:") and out == ""
+    if argv == ["verify"]:
+        with pytest.raises(treecore.NotATree):
+            treecore.load_tree_json(json.loads(text))

@@ -5,7 +5,7 @@ import pytest
 
 from qbip import qmatrices, treecore, verify
 from qbip.exactla import KIND_L, KIND_R, Matrix
-from qbip.polyalg import ONE, Poly, ZERO
+from qbip.polyalg import ONE, Poly, Q, ZERO
 from qbip.verify import (
     CHECKS,
     CheckResult,
@@ -162,3 +162,121 @@ def test_attach_tau_r_update_needs_q2_on_existing_entry(p4_path):
     naive[k] = naive[k] - Poly((scale,))
     naive.append(Poly((scale,)))
     assert tuple(naive) != tuple(tau_r)
+
+
+# -- mutation tests for the product-identity engine ---------------------------------
+
+PRODUCT_CHECKS = {
+    "B_tau": verify.check_B_tau,
+    "row_col_sums": verify.check_row_col_sums,
+    "lemma_111": verify.check_lemma_111,
+    "inverse_E": verify.check_inverse_E,
+    "inverse_qB": verify.check_inverse_qB,
+}
+# the identities that read each input
+DEPENDS_ON = {
+    "qL": {"row_col_sums", "lemma_111", "inverse_E", "inverse_qB"},
+    "qB": {"B_tau", "lemma_111", "inverse_qB"},
+    "E": {"inverse_E"},
+    "bd": {"B_tau", "inverse_qB"},
+}
+WITNESS_KEYS = {"identity", "entry", "point", "got", "want", "residual"}
+
+
+@pytest.fixture
+def p5_random():
+    return treecore.random_nonsingular(5, 1)
+
+
+def _bump(m, i, j, delta):
+    rows = [list(row) for row in m.entries]
+    rows[i][j] = rows[i][j] + delta
+    return Matrix(rows, m.row_kind, m.col_kind)
+
+
+def _perturb(monkeypatch, target, delta):
+    """Add delta to one entry of qL, qB or E, or to bd_q, wherever verify reads it."""
+    if target == "qL":
+        build_qL = qmatrices.build_qL
+        monkeypatch.setattr(qmatrices, "build_qL",
+                            lambda mt: _bump(build_qL(mt), 1, 0, delta))
+    elif target == "bd":
+        for name in ("bdq_det", "bdq_recursive"):
+            monkeypatch.setattr(qmatrices, name,
+                                lambda mt, f=getattr(qmatrices, name): f(mt) + delta)
+    else:
+        distance_factors = verify._distance_factors
+
+        def perturbed(mt):
+            qB, E = distance_factors(mt)
+            if target == "qB":
+                return verify._poly_factor(_bump(qmatrices.build_qB(mt), 0, 0, delta)), E
+            return qB, verify._poly_factor(_bump(qmatrices.build_E(mt), 0, 0, delta))
+
+        monkeypatch.setattr(verify, "_distance_factors", perturbed)
+
+
+def _assert_witness(res):
+    w = res.witness
+    assert WITNESS_KEYS <= set(w)
+    got, want = Fraction(w["got"]), Fraction(w["want"])
+    assert got - want == Fraction(w["residual"]) != 0
+
+
+@pytest.mark.parametrize("target", sorted(DEPENDS_ON))
+def test_perturbed_input_fails_exactly_the_dependent_identities(
+    monkeypatch, p5_random, target
+):
+    assert all(check(p5_random).passed for check in PRODUCT_CHECKS.values())
+    _perturb(monkeypatch, target, Q)
+    symbolic = {name: check(p5_random) for name, check in PRODUCT_CHECKS.items()}
+    assert {n for n, r in symbolic.items() if not r.passed} == DEPENDS_ON[target]
+    point = {r.name.split("@")[0].replace("_product", ""): r
+             for r in evaluate_identities_at(p5_random, Fraction(5, 3))}
+    assert {n for n, r in point.items() if not r.passed} == DEPENDS_ON[target]
+    for name in DEPENDS_ON[target]:
+        _assert_witness(symbolic[name])
+        _assert_witness(point[name])
+        assert point[name].witness["point"] == "5/3"
+
+
+def test_point_witness_replays_with_fractions(monkeypatch, p5_random):
+    # lemma_111 at 5/3 recomputed entrywise from the evaluated matrices
+    _perturb(monkeypatch, "qL", ONE)
+    (res,) = [r for r in evaluate_identities_at(p5_random, Fraction(5, 3))
+              if r.name == "lemma_111@5/3"]
+    i, j = res.witness["entry"]
+    x = Fraction(5, 3)
+    qL = qmatrices.eval_matrix(qmatrices.build_qL(p5_random), x)
+    qB = qmatrices.eval_matrix(qmatrices.build_qB(p5_random), x)
+    tau_r = qmatrices.qtau(p5_random)[1][i].eval_at(x)
+    got = -sum(qL[i, k] * qB[k, j] for k in range(p5_random.p)) + (1 + x) * tau_r
+    want = x * (1 + x) if i == j else 0
+    assert (Fraction(res.witness["got"]), Fraction(res.witness["want"])) == (got, want)
+    assert got != want
+
+
+def test_degree_bound_is_read_from_the_entries(monkeypatch, p5_random):
+    # a perturbation vanishing at 0..K-1, K past the nominal degree of qL.E,
+    # slips past any fixed point set 0..K-1; the bound from the entries grows
+    # with it and catches it
+    dist = treecore.distances(p5_random.tree)
+    dmax = max(dist[l][r] for l in p5_random.l_vertices for r in p5_random.r_vertices)
+    nominal = max(e.degree() for row in qmatrices.build_qL(p5_random).entries
+                  for e in row) + dmax
+    K = nominal + 3
+    vanishing = ONE
+    for x in range(K):
+        vanishing = vanishing * Poly((-x, 1))
+    assert all(vanishing.eval_at(x) == 0 for x in range(K))
+    _perturb(monkeypatch, "qL", vanishing)
+    res = verify.check_inverse_E(p5_random)
+    assert not res.passed
+    assert int(res.witness["point"]) >= K
+    _assert_witness(res)
+
+
+def test_identically_zero_bd_is_reported(monkeypatch, p5_random):
+    monkeypatch.setattr(qmatrices, "bdq_det", lambda mt: ZERO)
+    res = verify.check_inverse_qB(p5_random)
+    assert not res.passed and "identically zero" in res.witness["got"]
