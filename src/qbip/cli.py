@@ -104,15 +104,11 @@ def cmd_show(args) -> int:
         tree = treecore.Tree.from_json(_read_json(args.tree))
         obj = qmatrices.build_full_qD(tree) if name == "qD" else qmatrices.build_full_eD(tree)
     else:
-        mt = treecore.load_tree_json(_read_json(args.tree))
-        if name == "qB":
-            obj = qmatrices.build_qB(mt)
-        elif name == "E":
-            obj = qmatrices.build_E(mt)
-        elif name == "qL":
-            obj = qmatrices.build_qL(mt)
+        td = qmatrices.TreeData(treecore.load_tree_json(_read_json(args.tree)))
+        if name in ("qB", "E", "qL"):
+            obj = getattr(td, name)
         elif name == "tau":
-            tau_l, tau_r = qmatrices.qtau(mt)
+            tau_l, tau_r = td.tau
             if at is not None:
                 tau_l = qmatrices.eval_vector(tau_l, at)
                 tau_r = qmatrices.eval_vector(tau_r, at)
@@ -123,9 +119,9 @@ def cmd_show(args) -> int:
                 v = int(name.split(":", 1)[1])
             except ValueError:
                 raise UsageError(f"bad vertex in {name!r}") from None
-            if not 0 <= v < mt.tree.n:
+            if not 0 <= v < td.mt.tree.n:
                 raise UsageError(f"vertex {v} out of range")
-            obj = qmatrices.qsigned_degree_vector(mt, v)
+            obj = td.mu(v)
         else:
             raise UsageError(f"unknown matrix {name!r}")
     if at is not None and isinstance(obj, (Matrix, Vector)):
@@ -136,7 +132,7 @@ def cmd_show(args) -> int:
 
 
 def cmd_invert(args) -> int:
-    mt = treecore.load_tree_json(_read_json(args.tree))
+    td = qmatrices.TreeData(treecore.load_tree_json(_read_json(args.tree)))
     at = _parse_rational(args.at[0]) if args.at else None
     if args.matrix == "E":
         if at is not None and at in (0, 1, -1):
@@ -144,27 +140,24 @@ def cmd_invert(args) -> int:
                 f"q = {at} excluded: the exponential matrix "
                 "is invertible only for q != 0, 1, -1"
             )
-        inv = qmatrices.inverse_E_formula(mt)
-        direct = qmatrices.build_E(mt)
+        inv = qmatrices.inverse_E_formula(td)
     elif args.matrix == "qB":
         if at is not None and at in (0, -1):
             raise UsageError(
                 f"q = {at} excluded: the q-distance matrix "
                 "inverse needs q != 0, -1"
             )
-        bd = qmatrices.bdq_det(mt)
-        if at is not None and bd.eval_at(at) == 0:
+        if at is not None and td.bd.eval_at(at) == 0:
             raise UsageError(
                 f"q = {at} excluded: the distance index "
-                f"({bd}) vanishes there"
+                f"({td.bd}) vanishes there"
             )
-        inv = qmatrices.inverse_qB_formula(mt)
-        direct = qmatrices.build_qB(mt)
+        inv = qmatrices.inverse_qB_formula(td)
     else:
         raise UsageError("invert supports --matrix E or qB")
     payload = inv if at is None else qmatrices.eval_matrix(inv, at)
     if args.oracle:
-        oracle = exactla.inverse_gauss(direct)
+        oracle = exactla.inverse_gauss(getattr(td, args.matrix))
         equal = verify._first_mismatch(inv, oracle) is None
         out = {"inverse": payload, "oracle": oracle if at is None
                else qmatrices.eval_matrix(oracle, at), "equal": equal}
@@ -188,6 +181,8 @@ def cmd_verify(args) -> int:
             raise UsageError(
                 f"--enumerate-upto is capped at {2 * treecore.DEFAULT_ENUM_BOUND} vertices"
             )
+        if args.threads < 1:
+            raise UsageError("--threads needs at least 1")
         reports = verify.run_enumerated(args.enumerate_upto, threads=args.threads)
     else:
         try:
@@ -328,7 +323,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver.add_argument("--random", metavar="p,trials",
                        help="random trees evaluated at exact rational points")
     p_ver.add_argument("--seed", type=int, default=1)
-    p_ver.add_argument("--threads", type=int, default=1)
+    p_ver.add_argument("--threads", type=int, default=1, help="worker processes")
     p_ver.set_defaults(fn=cmd_verify)
 
     p_enum = sub.add_parser("enum", help="enumerate nonsingular trees, one JSON per line")

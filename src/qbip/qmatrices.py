@@ -10,6 +10,7 @@ transposing.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cached_property
 
 from . import exactla, treecore
 from .exactla import KIND_L, KIND_R, KIND_VERTEX, Matrix, Vector
@@ -24,30 +25,59 @@ class BdqZero(ArithmeticError):
     """The distance index vanished, so the closed-form inverse is undefined."""
 
 
-def build_qB(mt: MatchedTree) -> Matrix:
+class TreeData:
+    """The per-tree quantities of one MatchedTree, each built on first use and kept.
+
+    A field calls its module-level builder, looked up by name when first read.
+    Functions that take a tree accept either kind and wrap it with ``of``.
+    Lifetime: one suite run, one point evaluation or one CLI command.  Nothing
+    is kept on the MatchedTree, at module level or across trees: enumeration
+    and conjecture hold every tree of a level at once, so such a cache would
+    grow with the level.
+    """
+
+    def __init__(self, mt: MatchedTree):
+        self.mt = mt
+        self._mu = {}
+
+    @classmethod
+    def of(cls, x) -> "TreeData":
+        return x if isinstance(x, cls) else cls(x)
+
+    # each body names its builder, so the name is looked up at the first read;
+    # cached_property(build_qL) would bind it once and hide a replaced builder
+    dist = cached_property(lambda self: treecore.distances(self.mt.tree))
+    qB = cached_property(lambda self: build_qB(self))
+    E = cached_property(lambda self: build_E(self))
+    qL = cached_property(lambda self: build_qL(self.mt))
+    tau = cached_property(lambda self: qtau(self.mt))
+    bd = cached_property(lambda self: bdq_det(self))
+
+    def mu(self, v: int) -> Vector:
+        if v not in self._mu:
+            self._mu[v] = qsigned_degree_vector(self.mt, v)
+        return self._mu[v]
+
+
+def distance_block(mt: MatchedTree | TreeData, entry=int) -> Matrix:
+    """L x R matrix with entry (i,j) = entry(dist(l_i, r_j))."""
+    d = TreeData.of(mt)
+    rows = ((entry(d.dist[l][r]) for r in d.mt.r_vertices) for l in d.mt.l_vertices)
+    return Matrix(rows, KIND_L, KIND_R)
+
+
+def _monomial(d: int) -> Poly:
+    return Poly((0,) * d + (1,))
+
+
+def build_qB(mt: MatchedTree | TreeData) -> Matrix:
     """L x R matrix of q-integers of distances: entry (i,j) = [dist(l_i, r_j)]."""
-    dist = treecore.distances(mt.tree)
-    return Matrix(
-        (
-            (qint(dist[l][r]) for r in mt.r_vertices)
-            for l in mt.l_vertices
-        ),
-        KIND_L,
-        KIND_R,
-    )
+    return distance_block(mt, qint)
 
 
-def build_E(mt: MatchedTree) -> Matrix:
+def build_E(mt: MatchedTree | TreeData) -> Matrix:
     """L x R matrix of distance monomials: entry (i,j) = q^dist(l_i, r_j)."""
-    dist = treecore.distances(mt.tree)
-    return Matrix(
-        (
-            (Poly((0,) * dist[l][r] + (1,)) for r in mt.r_vertices)
-            for l in mt.l_vertices
-        ),
-        KIND_L,
-        KIND_R,
-    )
+    return distance_block(mt, _monomial)
 
 
 def build_qL(mt: MatchedTree) -> Matrix:
@@ -55,48 +85,28 @@ def build_qL(mt: MatchedTree) -> Matrix:
 
     Entry (i,j): d(r_i)_q d(l_i)_q - q^2 on the diagonal; +/- d(r_i)_q d(l_j)_q
     when the r_i-l_j path is odd/even alternating; -q^2 when r_i is adjacent
-    to l_j off the matching; 0 otherwise.  The cases are mutually exclusive.
+    to l_j off the matching; 0 otherwise.  The cases are mutually exclusive,
+    so row i is d(r_i)_q times r_i's signed degree vector, minus q^2 at each
+    neighbour of r_i (the partner included).
     """
-    tree = mt.tree
-    p = mt.p
     rows = []
-    for i in range(p):
-        r = mt.r_vertex(i)
-        dr = qdeg(tree.degree(r))
-        reach = treecore.alternating_reach(mt, r)
-        adjacent = set(tree.adj[r])
-        row = []
-        for j in range(p):
-            l = mt.l_vertex(j)
-            if i == j:
-                row.append(dr * qdeg(tree.degree(l)) - Q2)
-            elif l in reach:
-                entry = dr * qdeg(tree.degree(l))
-                row.append(entry if reach[l] % 2 else -entry)
-            elif l in adjacent:
-                row.append(-Q2)
-            else:
-                row.append(Poly())
+    for r in mt.r_vertices:
+        dr = qdeg(mt.tree.degree(r))
+        row = [dr * m if m else m for m in _signed_degrees(mt, r)]
+        for l in mt.tree.adj[r]:
+            row[mt.index_of[l]] = row[mt.index_of[l]] - Q2
         rows.append(row)
     return Matrix(rows, KIND_R, KIND_L)
 
 
 def build_full_qD(tree: Tree) -> Matrix:
     """Vertex x Vertex q-distance matrix [dist(i,j)]_q of any tree."""
-    dist = treecore.distances(tree)
-    return Matrix(
-        ((qint(d) for d in row) for row in dist), KIND_VERTEX, KIND_VERTEX
-    )
+    return Matrix(treecore.distances(tree), KIND_VERTEX, KIND_VERTEX).map(qint)
 
 
 def build_full_eD(tree: Tree) -> Matrix:
     """Vertex x Vertex exponential distance matrix q^dist(i,j) of any tree."""
-    dist = treecore.distances(tree)
-    return Matrix(
-        ((Poly((0,) * d + (1,)) for d in row) for row in dist),
-        KIND_VERTEX,
-        KIND_VERTEX,
-    )
+    return Matrix(treecore.distances(tree), KIND_VERTEX, KIND_VERTEX).map(_monomial)
 
 
 def qsigned_degree_vector(mt: MatchedTree, v: int) -> Vector:
@@ -105,18 +115,19 @@ def qsigned_degree_vector(mt: MatchedTree, v: int) -> Vector:
     Entry i is +d(w_i)_q / -d(w_i)_q when the v-w_i path is odd/even
     alternating (w_i running over the opposite side), else 0.
     """
-    tree = mt.tree
-    opposite = mt.r_vertices if mt.side_of[v] == "L" else mt.l_vertices
-    kind = KIND_R if mt.side_of[v] == "L" else KIND_L
+    return Vector(_signed_degrees(mt, v), KIND_R if mt.side_of[v] == "L" else KIND_L)
+
+
+def _signed_degrees(mt: MatchedTree, v: int) -> list[Poly]:
     reach = treecore.alternating_reach(mt, v)
     entries = []
-    for w in opposite:
+    for w in mt.r_vertices if mt.side_of[v] == "L" else mt.l_vertices:
         if w in reach:
-            val = qdeg(tree.degree(w))
+            val = qdeg(mt.tree.degree(w))
             entries.append(val if reach[w] % 2 else -val)
         else:
             entries.append(Poly())
-    return Vector(entries, kind)
+    return entries
 
 
 def tau_at(mt: MatchedTree, v: int) -> Poly:
@@ -133,15 +144,16 @@ def qtau(mt: MatchedTree):
     return tau_l, tau_r
 
 
-def bdq_det(mt: MatchedTree) -> Poly:
+def bdq_det(mt: MatchedTree | TreeData) -> Poly:
     """Distance index extracted from det of the q-bipartite distance matrix.
 
     det always carries the factor q^(p-1) (1+q)^(p-1); the index is the
     cofactor times (-1)^(p-1).  A failed division is a broken build, not a
     recoverable condition.
     """
-    p = mt.p
-    det = exactla.det_bareiss(build_qB(mt))
+    d = TreeData.of(mt)
+    p = d.mt.p
+    det = exactla.det_bareiss(d.qB)
     divisor = Q ** (p - 1) * ONE_PLUS_Q ** (p - 1)
     quotient = divexact(det, divisor)
     return -quotient if (p - 1) % 2 else quotient
@@ -161,37 +173,36 @@ def bdq_recursive(mt: MatchedTree) -> Poly:
     return total
 
 
-def inverse_E_formula(mt: MatchedTree) -> Matrix:
+def inverse_E_formula(mt: MatchedTree | TreeData) -> Matrix:
     """Closed-form inverse of the exponential matrix: qL / (q (1 - q^2))."""
     den = Q * ONE_MINUS_Q2
-    return build_qL(mt).map(lambda e: RatFun(e, den))
+    return TreeData.of(mt).qL.map(lambda e: RatFun(e, den))
 
 
-def inverse_qB_formula(mt: MatchedTree) -> Matrix:
+def inverse_qB_formula(mt: MatchedTree | TreeData) -> Matrix:
     """Closed-form inverse of the q-bipartite distance matrix.
 
     -qL / (q (1+q)) plus the rank-one correction tau_r tau_l^t / (q bd_q).
     Defined whenever bd_q is not the zero polynomial.
     """
-    bd = bdq_det(mt)
-    if not bd:
+    d = TreeData.of(mt)
+    if not d.bd:
         raise BdqZero("distance index is identically zero")
-    tau_l, tau_r = qtau(mt)
-    laplacian_term = build_qL(mt).map(lambda e: RatFun(-e, Q_ONE_PLUS_Q))
-    qbd = Q * bd
+    tau_l, tau_r = d.tau
+    laplacian_term = d.qL.map(lambda e: RatFun(-e, Q_ONE_PLUS_Q))
+    qbd = Q * d.bd
     correction = exactla.outer(tau_r, tau_l).map(lambda e: RatFun(e, qbd))
     return laplacian_term + correction
 
 
-def inverse_B_q1(mt: MatchedTree) -> Matrix:
+def inverse_B_q1(mt: MatchedTree | TreeData) -> Matrix:
     """Inverse of the plain bipartite distance matrix (everything at q = 1)."""
-    bd1 = bdq_det(mt).eval_at(1)
+    d = TreeData.of(mt)
+    bd1 = d.bd.eval_at(1)
     if bd1 == 0:
         raise BdqZero("distance index vanishes at q = 1")
-    lap = eval_matrix(build_qL(mt), Fraction(1))
-    tau_l, tau_r = qtau(mt)
-    tau_l1 = tau_l.map(lambda e: e.eval_at(1))
-    tau_r1 = tau_r.map(lambda e: e.eval_at(1))
+    lap = eval_matrix(d.qL, Fraction(1))
+    tau_l1, tau_r1 = (eval_vector(t, 1) for t in d.tau)
     correction = exactla.outer(tau_r1, tau_l1).map(lambda e: e / bd1)
     return lap.scale(Fraction(-1, 2)) + correction
 

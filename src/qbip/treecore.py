@@ -160,7 +160,8 @@ class MatchedTree:
         side = {}
         index = {}
         for i, (l, r) in enumerate(pairs):
-            if tuple(sorted((l, r))) not in tree.edges:
+            # range guard first: adj[-1] would wrap and adj[n] would raise
+            if not (0 <= min(l, r) and max(l, r) < tree.n and r in tree.adj[l]):
                 raise NotNonsingular(f"pair {(l, r)} is not an edge")
             side[l] = "L"
             side[r] = "R"

@@ -1,8 +1,11 @@
 """Named identity checks over matched trees, with pass/fail witnesses.
 
-Every check recomputes both sides of one identity from scratch and compares
-them exactly; a failure carries the offending index and the nonzero residual
-so it can be replayed standalone.
+Every check compares both sides of one identity exactly; a failure carries
+the offending index and the nonzero residual so it can be replayed
+standalone.  A suite run wraps its tree once in a ``qmatrices.TreeData`` and
+every check reads the distances, qL, qB, E, tau, mu and bd_q from it, so
+each is built once per tree; only the trees grown or split by the attachment
+checks get their own builds.
 
 The five product identities (B_tau, row_col_sums, lemma_111, inverse_E,
 inverse_qB) are stated once each, in ``IDENTITIES``, as Z[q] matrix
@@ -19,6 +22,7 @@ directly.  Nothing is ever approximate.
 from __future__ import annotations
 
 import concurrent.futures
+import os
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
@@ -30,6 +34,7 @@ from .exactla import KIND_L, KIND_R, Matrix, Vector, entry_json
 from .polyalg import (
     ONE, ONE_MINUS_Q2, ONE_PLUS_Q, Q, Q2, Q_ONE_PLUS_Q, Poly, ZERO,
 )
+from .qmatrices import TreeData
 from .treecore import MatchedTree
 
 
@@ -221,27 +226,25 @@ def _poly_factor(x) -> _Factor:
     return _Factor(deg, at)
 
 
-def _distance_factors(mt: MatchedTree):
+def _distance_factors(mt: MatchedTree | TreeData):
     """qB = [dist] and E = q^dist over L x R, read straight from the distance table."""
-    dist = treecore.distances(mt.tree)
-    block = [[dist[l][r] for r in mt.r_vertices] for l in mt.l_vertices]
-    dmax = max(map(max, block))
-
-    def lookup(table):  # entry (i, j) is table[dist(l_i, r_j)]
-        return Matrix(([table[d] for d in row] for row in block), KIND_L, KIND_R)
+    td = TreeData.of(mt)
+    dmax = max(map(max, qmatrices.distance_block(td).entries))
 
     def qB(a, b):  # [d] = 1 + q + ... + q^(d-1), times b^(dmax-1)
-        return lookup([0, *accumulate(a**i * b ** (dmax - 1 - i) for i in range(dmax))])
+        table = [0, *accumulate(a**i * b ** (dmax - 1 - i) for i in range(dmax))]
+        return qmatrices.distance_block(td, table.__getitem__)
 
     def E(a, b):  # q^d, times b^dmax
-        return lookup([a**d * b ** (dmax - d) for d in range(dmax + 1)])
+        table = [a**d * b ** (dmax - d) for d in range(dmax + 1)]
+        return qmatrices.distance_block(td, table.__getitem__)
 
     return _Factor(dmax - 1, qB), _Factor(dmax, E)
 
 
-def _factors(mt: MatchedTree, bd: Poly | None = None) -> dict:
-    """Every factor of mt's product identities, by name; "bd" only when bd is given."""
-    p = mt.p
+def _factors(td: TreeData, bd: Poly | None = None) -> dict:
+    """Every factor of the tree's product identities, by name; "bd" only when bd is given."""
+    p = td.mt.p
     ones_L, ones_R = Vector((1,) * p, KIND_L), Vector((1,) * p, KIND_R)
     eye = Matrix.identity(p, KIND_R, KIND_R, one=1, zero=0)
     factors = {
@@ -253,10 +256,10 @@ def _factors(mt: MatchedTree, bd: Poly | None = None) -> dict:
         "ones_L": _Factor(0, lambda a, b: ones_L),
         "ones_R": _Factor(0, lambda a, b: ones_R),
         "I": _Factor(0, lambda a, b: eye),
-        "qL": _poly_factor(qmatrices.build_qL(mt)),
+        "qL": _poly_factor(td.qL),
     }
-    factors["tau_l"], factors["tau_r"] = map(_poly_factor, qmatrices.qtau(mt))
-    factors["qB"], factors["E"] = _distance_factors(mt)
+    factors["tau_l"], factors["tau_r"] = map(_poly_factor, td.tau)
+    factors["qB"], factors["E"] = _distance_factors(td)
     if bd is not None:
         factors["bd"] = _poly_factor(bd)
     return factors
@@ -365,68 +368,65 @@ def _prove(name: str, factors: dict) -> CheckResult:
 # ---------------------------------------------------------------------------
 
 
-def check_det_E(mt: MatchedTree) -> CheckResult:
-    p = mt.p
-    det = exactla.det_bareiss(qmatrices.build_E(mt))
+def check_det_E(mt: MatchedTree | TreeData) -> CheckResult:
+    td = TreeData.of(mt)
+    p = td.mt.p
+    det = exactla.det_bareiss(td.E)
     want = Q**p * ONE_MINUS_Q2 ** (p - 1)
     return _scalar_result("det_E", "det E = q^p (1-q^2)^(p-1)", det, want)
 
 
-def check_det_qL(mt: MatchedTree) -> CheckResult:
-    det = exactla.det_bareiss(qmatrices.build_qL(mt))
+def check_det_qL(mt: MatchedTree | TreeData) -> CheckResult:
+    det = exactla.det_bareiss(TreeData.of(mt).qL)
     return _scalar_result("det_qL", "det qL = 1-q^2", det, ONE_MINUS_Q2)
 
 
-def check_bdq(mt: MatchedTree) -> CheckResult:
-    p = mt.p
-    via_det = qmatrices.bdq_det(mt)
-    res = _scalar_result("bdq", "bd_q determinant route equals recursion",
-                         via_det, qmatrices.bdq_recursive(mt))
-    if not res.passed:
-        return res
-    det = exactla.det_bareiss(qmatrices.build_qB(mt))
-    sign = -1 if (p - 1) % 2 else 1
-    want = sign * Q ** (p - 1) * ONE_PLUS_Q ** (p - 1) * via_det
-    return _scalar_result(
-        "bdq", "det qB = (-1)^(p-1) q^(p-1) (1+q)^(p-1) bd_q", det, want
-    )
+def check_bdq(mt: MatchedTree | TreeData) -> CheckResult:
+    # det qB = (-1)^(p-1) q^(p-1) (1+q)^(p-1) bd_q holds by construction once
+    # bdq_det's exact division succeeds, so only the two routes are compared
+    td = TreeData.of(mt)
+    return _scalar_result("bdq", "bd_q determinant route equals recursion",
+                          td.bd, qmatrices.bdq_recursive(td.mt))
 
 
-def check_sum_mu(mt: MatchedTree) -> CheckResult:
-    for v in range(mt.tree.n):
-        mu = qmatrices.qsigned_degree_vector(mt, v)
-        f = treecore.diff(mt, v)
+def check_sum_mu(mt: MatchedTree | TreeData) -> CheckResult:
+    td = TreeData.of(mt)
+    for v in range(td.mt.tree.n):
+        f = treecore.diff(td.mt, v)
         res = _scalar_result("sum_mu", "ones^t mu_v = (diff+1)q^2 - diff",
-                             mu.sum(), Poly((-f, 0, f + 1)))
+                             td.mu(v).sum(), Poly((-f, 0, f + 1)))
         if not res.passed:
             return CheckResult("sum_mu", False, dict(res.witness, vertex=v))
     return CheckResult("sum_mu", True)
 
 
-def check_row_col_sums(mt: MatchedTree) -> CheckResult:
-    return _prove("row_col_sums", _factors(mt))
+def check_row_col_sums(mt: MatchedTree | TreeData) -> CheckResult:
+    return _prove("row_col_sums", _factors(TreeData.of(mt)))
 
 
-def check_B_tau(mt: MatchedTree) -> CheckResult:
-    return _prove("B_tau", _factors(mt, qmatrices.bdq_det(mt)))
+def check_B_tau(mt: MatchedTree | TreeData) -> CheckResult:
+    td = TreeData.of(mt)
+    return _prove("B_tau", _factors(td, td.bd))
 
 
-def check_lemma_111(mt: MatchedTree) -> CheckResult:
-    return _prove("lemma_111", _factors(mt))
+def check_lemma_111(mt: MatchedTree | TreeData) -> CheckResult:
+    return _prove("lemma_111", _factors(TreeData.of(mt)))
 
 
-def check_inverse_E(mt: MatchedTree, oracle: bool = False) -> CheckResult:
-    res = _prove("inverse_E", _factors(mt))
+def check_inverse_E(mt: MatchedTree | TreeData, oracle: bool = False) -> CheckResult:
+    td = TreeData.of(mt)
+    res = _prove("inverse_E", _factors(td))
     if not res.passed or not oracle:
         return res
     return _compare_matrices(
         "inverse_E", "formula inverse equals elimination oracle",
-        qmatrices.inverse_E_formula(mt), exactla.inverse_gauss(qmatrices.build_E(mt)),
+        qmatrices.inverse_E_formula(td), exactla.inverse_gauss(td.E),
     )
 
 
-def check_inverse_qB(mt: MatchedTree, oracle: bool = False) -> CheckResult:
-    bd = qmatrices.bdq_det(mt)
+def check_inverse_qB(mt: MatchedTree | TreeData, oracle: bool = False) -> CheckResult:
+    td = TreeData.of(mt)
+    bd = td.bd
     if not bd:
         return CheckResult("inverse_qB", False, {
             "identity": "closed-form inverse of qB",
@@ -434,23 +434,23 @@ def check_inverse_qB(mt: MatchedTree, oracle: bool = False) -> CheckResult:
             "want": "nonzero bd_q",
             "residual": "0",
         })
-    res = _prove("inverse_qB", _factors(mt, bd))
+    res = _prove("inverse_qB", _factors(td, bd))
     if not res.passed or not oracle:
         return res
     return _compare_matrices(
         "inverse_qB", "formula inverse equals elimination oracle",
-        qmatrices.inverse_qB_formula(mt), exactla.inverse_gauss(qmatrices.build_qB(mt)),
+        qmatrices.inverse_qB_formula(td), exactla.inverse_gauss(td.qB),
     )
 
 
-def predicted_attach_qL(mt: MatchedTree, v: int) -> Matrix:
+def predicted_attach_qL(mt: MatchedTree | TreeData, v: int) -> Matrix:
     """qL of attach_p2(mt, v) assembled from mt's data by the block update."""
-    p = mt.p
-    k = mt.index_of[v]
-    qL = qmatrices.build_qL(mt)
-    mu = qmatrices.qsigned_degree_vector(mt, v)
+    td = TreeData.of(mt)
+    p = td.mt.p
+    k = td.mt.index_of[v]
+    qL, mu = td.qL, td.mu(v)
     rows = []
-    if mt.side_of[v] == "L":
+    if td.mt.side_of[v] == "L":
         for i in range(p):
             row = list(qL.row(i))
             row[k] = row[k] + Q2 * mu[i]
@@ -471,41 +471,42 @@ def predicted_attach_qL(mt: MatchedTree, v: int) -> Matrix:
     return Matrix(rows, KIND_R, KIND_L)
 
 
-def predicted_attach_tau_r(mt: MatchedTree, v: int) -> Vector:
+def predicted_attach_tau_r(mt: MatchedTree | TreeData, v: int) -> Vector:
     """tau_r of attach_p2(mt, v) from mt's tau_r and signed degree data.
 
     For an R-side attachment the correction on the existing entry carries a
     q^2 factor (forced by the row-sum identity; checked against the direct
     computation on every enumerated tree).
     """
-    _, tau_r = qmatrices.qtau(mt)
-    k = mt.index_of[v]
-    if mt.side_of[v] == "R":
-        scale = 1 + treecore.diff(mt, v)
+    td = TreeData.of(mt)
+    _, tau_r = td.tau
+    k = td.mt.index_of[v]
+    if td.mt.side_of[v] == "R":
+        scale = 1 + treecore.diff(td.mt, v)
         entries = [
             t - scale * Q2 if i == k else t for i, t in enumerate(tau_r)
         ]
         entries.append(Poly((scale,)))
     else:
-        mu = qmatrices.qsigned_degree_vector(mt, v)
-        entries = [t - m for t, m in zip(tau_r, mu)]
+        entries = [t - m for t, m in zip(tau_r, td.mu(v))]
         entries.append(ONE)
     return Vector(entries, KIND_R)
 
 
-def check_attach_update(mt: MatchedTree) -> CheckResult:
-    for v in range(mt.tree.n):
-        grown = treecore.attach_p2(mt, v)
+def check_attach_update(mt: MatchedTree | TreeData) -> CheckResult:
+    td = TreeData.of(mt)
+    for v in range(td.mt.tree.n):
+        grown = treecore.attach_p2(td.mt, v)
         res = _compare_matrices(
             "attach_update", f"qL block update at vertex {v}",
-            qmatrices.build_qL(grown), predicted_attach_qL(mt, v),
+            qmatrices.build_qL(grown), predicted_attach_qL(td, v),
         )
         if not res.passed:
             return CheckResult("attach_update", False, dict(res.witness, vertex=v))
         _, tau_r = qmatrices.qtau(grown)
         res = _compare_vectors(
             "attach_update", f"tau_r update at vertex {v}",
-            tau_r, predicted_attach_tau_r(mt, v),
+            tau_r, predicted_attach_tau_r(td, v),
         )
         if not res.passed:
             return CheckResult("attach_update", False, dict(res.witness, vertex=v))
@@ -602,12 +603,14 @@ def predicted_block_qL(mt: MatchedTree, k1: int):
     return perm, Matrix(rows, KIND_R, KIND_L), mu1, len(block_orders[0])
 
 
-def check_block_decomposition(mt: MatchedTree) -> CheckResult:
+def check_block_decomposition(mt: MatchedTree | TreeData) -> CheckResult:
+    td = TreeData.of(mt)
+    mt = td.mt
     splits = block_split_vertices(mt)
     if not splits:
         return CheckResult("block_decomposition", True,
                            skipped="no L-vertex of degree >= 2")
-    qL = qmatrices.build_qL(mt)
+    qL = td.qL
     for k1 in splits:
         perm, predicted, mu1, width = predicted_block_qL(mt, k1)
         permuted = Matrix(
@@ -623,7 +626,7 @@ def check_block_decomposition(mt: MatchedTree) -> CheckResult:
             return CheckResult(
                 "block_decomposition", False, dict(res.witness, split_pair=k1)
             )
-        mu_full = qmatrices.qsigned_degree_vector(mt, mt.l_vertex(k1))
+        mu_full = td.mu(mt.l_vertex(k1))
         restricted = Vector(
             (
                 mu1[i] if i < width else ZERO
@@ -643,12 +646,10 @@ def check_block_decomposition(mt: MatchedTree) -> CheckResult:
     return CheckResult("block_decomposition", True)
 
 
-def check_q1_properties(mt: MatchedTree) -> CheckResult:
-    p = mt.p
-    lap = qmatrices.eval_matrix(qmatrices.build_qL(mt), Fraction(1))
-    ints = Matrix(
-        ((int(e) for e in row) for row in lap.entries), KIND_R, KIND_L
-    )
+def check_q1_properties(mt: MatchedTree | TreeData) -> CheckResult:
+    td = TreeData.of(mt)
+    p = td.mt.p
+    ints = qmatrices.eval_matrix(td.qL, Fraction(1)).map(int)
 
     def fail(label, got, want):
         return CheckResult("q1_properties", False, {
@@ -668,17 +669,13 @@ def check_q1_properties(mt: MatchedTree) -> CheckResult:
     if rank != p - 1:
         return fail("rank of the q=1 Laplacian", rank, p - 1)
     symmetric = ints.entries == ints.transpose().entries
-    corona = qmatrices.is_corona(mt)
+    corona = qmatrices.is_corona(td.mt)
     if symmetric != corona:
         return fail("symmetry iff corona", symmetric, corona)
-    B1 = qmatrices.eval_matrix(qmatrices.build_qB(mt), Fraction(1))
-    inv = qmatrices.inverse_B_q1(mt)
-    eye_L = Matrix.identity(p, KIND_L, KIND_L, one=Fraction(1), zero=Fraction(0))
-    eye_R = Matrix.identity(p, KIND_R, KIND_R, one=Fraction(1), zero=Fraction(0))
-    if B1 @ inv != eye_L:
-        return fail("B . inverse_B = I at q=1", (B1 @ inv).entries, "identity")
-    if inv @ B1 != eye_R:
-        return fail("inverse_B . B = I at q=1", (inv @ B1).entries, "identity")
+    # one side suffices: for square matrices over Q, B.X = I gives X.B = I
+    product = qmatrices.eval_matrix(td.qB, Fraction(1)) @ qmatrices.inverse_B_q1(td)
+    if product != Matrix.identity(p, KIND_L, KIND_L, one=Fraction(1), zero=Fraction(0)):
+        return fail("B . inverse_B = I at q=1", product.entries, "identity")
     return CheckResult("q1_properties", True)
 
 
@@ -705,48 +702,42 @@ def check_full_dq_ed(tree: treecore.Tree) -> CheckResult:
 ORACLE_MAX_P = 5
 
 
-def run_suite(mt: MatchedTree, oracle: bool | None = None) -> VerificationReport:
+def run_suite(mt: MatchedTree | TreeData, oracle: bool | None = None) -> VerificationReport:
     """Every applicable symbolic check on one tree, in registry order."""
+    td = TreeData.of(mt)
     if oracle is None:
-        oracle = mt.p <= ORACLE_MAX_P
+        oracle = td.mt.p <= ORACLE_MAX_P
     results = (
-        check_det_E(mt),
-        check_det_qL(mt),
-        check_bdq(mt),
-        check_sum_mu(mt),
-        check_row_col_sums(mt),
-        check_B_tau(mt),
-        check_lemma_111(mt),
-        check_inverse_E(mt, oracle=oracle),
-        check_inverse_qB(mt, oracle=oracle),
-        check_attach_update(mt),
-        check_block_decomposition(mt),
-        check_q1_properties(mt),
-        check_full_dq_ed(mt.tree),
+        check_det_E(td),
+        check_det_qL(td),
+        check_bdq(td),
+        check_sum_mu(td),
+        check_row_col_sums(td),
+        check_B_tau(td),
+        check_lemma_111(td),
+        check_inverse_E(td, oracle=oracle),
+        check_inverse_qB(td, oracle=oracle),
+        check_attach_update(td),
+        check_block_decomposition(td),
+        check_q1_properties(td),
+        check_full_dq_ed(td.mt.tree),
     )
     return VerificationReport(
-        treecore.canonical_code(mt.tree), mt.p, results
+        treecore.canonical_code(td.mt.tree), td.mt.p, results
     )
 
 
-def _suite_worker(payload):
-    data, oracle = payload
-    report = run_suite(MatchedTree.from_json(data), oracle=oracle)
-    return report
-
-
-def run_enumerated(max_vertices: int, threads: int = 1,
-                   oracle_max_p: int = ORACLE_MAX_P):
+def run_enumerated(max_vertices: int, threads: int = 1):
     """Symbolic suite over every nonsingular tree with 2p <= max_vertices."""
     trees = []
     for p in range(1, max_vertices // 2 + 1):
         trees.extend(treecore.enumerate_nonsingular(p))
-    if threads > 1:
-        payloads = [(t.to_json(), t.p <= oracle_max_p) for t in trees]
-        with concurrent.futures.ProcessPoolExecutor(max_workers=threads) as pool:
-            reports = list(pool.map(_suite_worker, payloads, chunksize=4))
+    workers = min(threads, os.cpu_count() or 1, len(trees))
+    if workers > 1:
+        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
+            reports = list(pool.map(run_suite, trees, chunksize=4))
     else:
-        reports = [run_suite(t, oracle=t.p <= oracle_max_p) for t in trees]
+        reports = [run_suite(t) for t in trees]
     reports.sort(key=lambda r: (r.p, r.tree_code))
     return reports
 
@@ -777,14 +768,15 @@ def _rational_points(q_points) -> list[Fraction]:
     return points
 
 
-def evaluate_identities_at(mt: MatchedTree, *q_points) -> list[CheckResult]:
+def evaluate_identities_at(mt: MatchedTree | TreeData, *q_points) -> list[CheckResult]:
     """The five product identities at each exact rational point, point by point.
 
-    The tree's factors are built once; each point's evaluated matrices are
-    dropped before the next point is evaluated.
+    The tree's factors are built once, bd_q by the recursion; each point's
+    evaluated matrices are dropped before the next point is evaluated.
     """
     points = _rational_points(q_points)
-    factors = _factors(mt, qmatrices.bdq_recursive(mt))
+    td = TreeData.of(mt)
+    factors = _factors(td, qmatrices.bdq_recursive(td.mt))
     results = []
     for x in points:
         point = _Point(factors, x)  # frees the previous point's matrices

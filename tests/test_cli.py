@@ -195,6 +195,15 @@ def test_verify_bound(capsys):
     assert code == 2 and "capped" in err
 
 
+@pytest.mark.parametrize("threads", ["0", "-3"])
+def test_verify_threads_below_one_is_usage_error(capsys, threads):
+    code, out, err = run_cli(
+        capsys, "verify", "--enumerate-upto", "4", "--threads", threads
+    )
+    assert code == 2 and "--threads" in err
+    assert "TREES" not in out
+
+
 def test_verify_random_without_trials_is_usage_error(capsys):
     # a run that checks nothing is not a pass
     code, out, err = run_cli(capsys, "verify", "--random", "5,0")

@@ -126,6 +126,16 @@ def test_matched_tree_rejects_bad_pairs():
         MatchedTree(t, [(0, 1), (3, 2)])  # sides don't 2-color (3 next to 2)
 
 
+@pytest.mark.parametrize("pairs", [
+    [(0, 2), (1, 3)],  # not an edge
+    [(0, 1), (-1, 2)],  # -1 would index the last vertex's neighbours
+    [(0, 1), (4, 3)],  # n is past the last vertex
+])
+def test_matched_tree_rejects_pairs_that_are_not_edges(pairs):
+    with pytest.raises(NotNonsingular):
+        MatchedTree(parse_tree([[0, 1], [1, 2], [2, 3]]), pairs)
+
+
 # -- distances --------------------------------------------------------------------
 
 

@@ -1,4 +1,5 @@
 import json
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -92,6 +93,70 @@ def test_run_enumerated_thread_determinism():
     sequential = [r.to_json() for r in run_enumerated(6, threads=1)]
     parallel = [r.to_json() for r in run_enumerated(6, threads=2)]
     assert sequential == parallel
+
+
+@pytest.mark.parametrize("threads, cpus, workers", [
+    (10**6, 8, 4),  # capped by the 4 trees with 2p <= 6
+    (3, 8, 3),
+    (10**6, 2, 2),  # capped by the CPU count
+    (10**6, None, None),  # unknown CPU count: serial
+    (1, 8, None),
+])
+def test_run_enumerated_caps_workers(monkeypatch, threads, cpus, workers):
+    expected = [r.to_json() for r in run_enumerated(6)]
+    made = []
+
+    class SerialPool:  # records max_workers and maps in-process
+        def __init__(self, max_workers):
+            made.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items, chunksize=1):
+            return map(fn, items)
+
+    monkeypatch.setattr(verify.concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(verify.os, "cpu_count", lambda: cpus)
+    assert [r.to_json() for r in run_enumerated(6, threads=threads)] == expected
+    assert made == ([] if workers is None else [workers])
+
+
+def _count_calls(monkeypatch, module, names):
+    calls = Counter()
+    for name in names:
+        def counted(*args, _fn=getattr(module, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_run_suite_builds_each_quantity_once(monkeypatch):
+    mt = treecore.random_nonsingular(6, 1)
+    built = _count_calls(monkeypatch, qmatrices, (
+        "build_qL", "build_qB", "build_E", "bdq_det", "qtau", "qsigned_degree_vector",
+    ))
+    made = _count_calls(monkeypatch, treecore, ("attach_p2", "sub_matched_tree"))
+    assert run_suite(mt).passed
+    grown, split = made["attach_p2"], made["sub_matched_tree"]
+    assert grown == mt.tree.n and split > 0
+    assert built["bdq_det"] == built["build_qB"] == built["build_E"] == 1
+    assert built["build_qL"] == 1 + grown + split
+    assert built["qtau"] == 1 + grown
+    assert built["qsigned_degree_vector"] == mt.tree.n + split
+
+
+def test_evaluation_builds_no_symbolic_distance_matrix(monkeypatch):
+    # the point engine reads qB and E off the distance table and bd_q off the
+    # recursion; a Poly determinant at large p would dominate the run
+    built = _count_calls(monkeypatch, qmatrices, ("build_qB", "build_E", "bdq_det"))
+    mt = treecore.random_nonsingular(5, 1)
+    assert all(r.passed for r in evaluate_identities_at(mt, Fraction(2), Fraction(5, 3)))
+    assert not built
 
 
 # -- evaluated identities -------------------------------------------------------------
