@@ -251,15 +251,14 @@ def cmd_conjecture(args) -> int:
     for p in range(1, args.upto // 2 + 1):
         for mt in treecore.enumerate_nonsingular(p):
             lap = qmatrices.eval_matrix(qmatrices.build_qL(mt), Fraction(1))
-            ints = lap.map(int)
-            evidence = exactla.conjecture_evidence(ints)
+            evidence = exactla.conjecture_evidence(lap.map(int))
             row = {
                 "tree": treecore.canonical_code(mt.tree).hex(),
                 "p": p,
                 "diagonalizable": evidence["diagonalizable"],
                 "all_eigen_nonneg": evidence["all_eigen_nonneg"],
                 "real_root_count": evidence["real_root_count"],
-                "charpoly": exactla.charpoly_exact(ints).format("x"),
+                "charpoly": evidence["charpoly"].format("x"),
             }
             rows.append(row)
             if not (evidence["diagonalizable"] and evidence["all_eigen_nonneg"]):

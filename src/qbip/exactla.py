@@ -1,9 +1,10 @@
 """Exact dense linear algebra over Z[q], its fraction field, Q, and Z.
 
 This module is the referee for the closed-form constructions elsewhere in the
-package: it only knows generic elimination algorithms (fraction-free Bareiss,
-Gauss-Jordan over the fraction field, Sturm sequences) and never builds any of
-the structured matrices itself.
+package: it only knows generic exact algorithms (fraction-free Bareiss over Z[q]
+or Z, Gauss-Jordan over the fraction field, characteristic polynomials by
+evaluation/interpolation of integer determinants, Sturm sequences) and never
+builds any of the structured matrices itself.
 
 Matrices and vectors carry index-kind metadata ("L", "R", "Vertex") so that a
 product with mismatched row/column semantics fails loudly instead of silently
@@ -13,9 +14,10 @@ transposing.
 from __future__ import annotations
 
 from fractions import Fraction
-from operator import mul
+from math import factorial
+from operator import floordiv, mul
 
-from .polyalg import ONE, ZERO, Poly, RatFun, divexact, poly_gcd
+from .polyalg import ONE, ZERO, NotDivisible, Poly, RatFun, divexact, poly_gcd
 
 KIND_L = "L"
 KIND_R = "R"
@@ -236,14 +238,20 @@ def det_bareiss(m: Matrix) -> Poly:
     """Determinant by fraction-free Bareiss elimination over Z[q].
 
     Every interior division is exact (a classical property of the Bareiss
-    recurrence), so all intermediate values stay in the polynomial ring.
+    recurrence), so all intermediate values stay in the ring.  A matrix of
+    plain ints is eliminated over Z with ``//``; any other entries are lifted
+    to Poly and divided with ``divexact``.  The result is a Poly either way.
     """
     if not m.is_square():
         raise DimensionMismatch("determinant of a non-square matrix")
     n = m.rows
-    a = [[_as_ring_poly(e) for e in row] for row in m.entries]
+    if {type(e) for row in m.entries for e in row} == {int}:
+        a = [list(row) for row in m.entries]
+        div, prev = floordiv, 1
+    else:
+        a = [[_as_ring_poly(e) for e in row] for row in m.entries]
+        div, prev = divexact, ONE
     sign = 1
-    prev = ONE
     for k in range(n - 1):
         if not a[k][k]:
             for i in range(k + 1, n):
@@ -253,13 +261,14 @@ def det_bareiss(m: Matrix) -> Poly:
                     break
             else:
                 return ZERO
-        pivot = a[k][k]
-        for i in range(k + 1, n):
+        ak = a[k]
+        pivot = ak[k]
+        for ai in a[k + 1:]:
+            f = ai[k]
             for j in range(k + 1, n):
-                a[i][j] = divexact(pivot * a[i][j] - a[i][k] * a[k][j], prev)
-            a[i][k] = ZERO
+                ai[j] = div(pivot * ai[j] - f * ak[j], prev)
         prev = pivot
-    det = a[n - 1][n - 1]
+    det = _as_ring_poly(a[n - 1][n - 1])
     return -det if sign < 0 else det
 
 
@@ -372,23 +381,47 @@ def rank_int(m: Matrix) -> int:
 def charpoly_exact(m: Matrix) -> Poly:
     """Characteristic polynomial det(xI - m) of an integer matrix.
 
+    Evaluation/interpolation over Z: the polynomial is monic of degree n, so
+    its values at x = 0..n, each an integer ``det_bareiss``, determine it.
     Returned as a Poly in the spectral variable (coefficients ascending).
     """
     if not m.is_square():
         raise DimensionMismatch("characteristic polynomial of a non-square matrix")
-    lam = Poly((0, 1))
-    shifted = Matrix(
-        (
-            (
-                lam - _as_int(e) if i == j else Poly((-_as_int(e),))
-                for j, e in enumerate(row)
-            )
-            for i, row in enumerate(m.entries)
-        ),
-        m.row_kind,
-        m.col_kind,
-    )
-    return det_bareiss(shifted)
+    n = m.rows
+    neg = [[-_as_int(e) for e in row] for row in m.entries]
+    values = []
+    for x in range(n + 1):
+        shifted = [row[:i] + [x + row[i]] + row[i + 1:]
+                   for i, row in enumerate(neg)]
+        values.append(det_bareiss(Matrix(shifted, m.row_kind, m.col_kind))[0])
+    return interpolate_int(values)
+
+
+def interpolate_int(values) -> Poly:
+    """The polynomial of degree < N + 1 = len(values) with p(x) = values[x].
+
+    Newton's forward-difference form, p(x) = sum over k of
+    D^k p(0) * x(x-1)...(x-k+1) / k!, is expanded over the common denominator
+    N!, and the one division by N! at the end must be exact: NotDivisible is
+    raised when p does not have integer coefficients.
+    """
+    diffs = []
+    while values:
+        diffs.append(values[0])
+        values = [b - a for a, b in zip(values, values[1:])]
+    top = factorial(len(diffs) - 1)
+    scaled = [0] * len(diffs)  # top * p, ascending coefficients
+    falling = [1]  # x(x-1)...(x-k+1), ascending coefficients
+    k_fact = 1
+    for k, d in enumerate(diffs):
+        f = d * (top // k_fact)
+        for i, c in enumerate(falling):
+            scaled[i] += f * c
+        falling = [lo - k * hi for lo, hi in zip([0] + falling, falling + [0])]
+        k_fact *= k + 1
+    if any(c % top for c in scaled):
+        raise NotDivisible("the values do not interpolate an integer polynomial")
+    return Poly(c // top for c in scaled)
 
 
 # ---------------------------------------------------------------------------
@@ -411,19 +444,13 @@ def annihilates(m: Matrix, p: Poly) -> bool:
     if not m.is_square():
         raise DimensionMismatch("polynomial of a non-square matrix")
     n = m.rows
+    cols = list(zip(*([_as_int(e) for e in row] for row in m.entries)))
     acc = [[0] * n for _ in range(n)]
-    ints = [[_as_int(e) for e in row] for row in m.entries]
     for c in reversed(p.coeffs):
-        nxt = [
-            [
-                sum(acc[i][k] * ints[k][j] for k in range(n))
-                + (c if i == j else 0)
-                for j in range(n)
-            ]
-            for i in range(n)
-        ]
-        acc = nxt
-    return all(all(e == 0 for e in row) for row in acc)
+        acc = [[sum(map(mul, row, col)) for col in cols] for row in acc]
+        for i in range(n):
+            acc[i][i] += c
+    return not any(map(any, acc))
 
 
 def sturm_chain(p: Poly) -> list[Poly]:
@@ -521,7 +548,8 @@ def conjecture_evidence(m: Matrix) -> dict:
     annihilates the matrix.  all_eigen_nonneg: every eigenvalue is real
     (the squarefree part has as many distinct real roots as its degree)
     and none lies in (-oo, 0).  Both tests are exact; no roots are isolated
-    numerically.
+    numerically.  The characteristic polynomial itself is returned under
+    "charpoly".
     """
     cp = charpoly_exact(m)
     sf = squarefree_part(cp)
@@ -530,6 +558,7 @@ def conjecture_evidence(m: Matrix) -> dict:
     all_real = real_roots == sf.degree()
     negative = count_real_roots(sf, hi=0, include_hi=False)
     return {
+        "charpoly": cp,
         "diagonalizable": diag,
         "all_eigen_nonneg": all_real and negative == 0,
         "real_root_count": real_roots,

@@ -54,8 +54,10 @@ class Tree:
             seen.add((u, v))
             verts.add(u)
             verts.add(v)
+        # distinct nonnegative ids cover 0..n-1 exactly when there are n of
+        # them; counting allocates nothing however large the largest id is
         n = max(verts) + 1
-        if verts != set(range(n)):
+        if len(verts) != n:
             raise NotATree("vertex ids must cover 0..n-1")
         if len(edges) != n - 1:
             raise NotATree(f"{len(edges)} edges on {n} vertices")

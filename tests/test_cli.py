@@ -1,10 +1,15 @@
+import contextlib
+import io
 import json
+import resource
 import subprocess
 import sys
+import tempfile
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from qbip import treecore
+from qbip import exactla, treecore
 from qbip.cli import main
 
 
@@ -293,6 +298,19 @@ def test_conjecture_bound(capsys):
     assert run_cli(capsys, "conjecture")[0] == 2
 
 
+def test_conjecture_computes_one_charpoly_per_tree(capsys, monkeypatch):
+    calls = []
+
+    def counted(m, _fn=exactla.charpoly_exact):
+        calls.append(m)
+        return _fn(m)
+
+    monkeypatch.setattr(exactla, "charpoly_exact", counted)
+    code, out, _ = run_cli(capsys, "conjecture", "--upto", "8")
+    assert code == 0
+    assert len(out.strip().splitlines()) == len(calls) == 9
+
+
 # -- general -----------------------------------------------------------------------
 
 
@@ -328,3 +346,100 @@ def test_malformed_input_is_usage_error(capsys, tmp_path, text, argv):
     if argv == ["verify"]:
         with pytest.raises(treecore.NotATree):
             treecore.load_tree_json(json.loads(text))
+
+
+def test_huge_vertex_id_is_usage_error(tmp_path):
+    # the ids are counted, never enumerated; under the address-space cap any
+    # allocation that grows with the largest id fails instead of exhausting memory
+    path = tmp_path / "tree.json"
+    path.write_text(json.dumps({"edges": [[0, 10**12]]}))
+    cap = 1 << 29
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+
+    proc = subprocess.run(
+        [sys.executable, "-m", "qbip.cli", "verify", "--tree", str(path)],
+        capture_output=True, text=True, preexec_fn=limit, timeout=60,
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("error:") and proc.stdout == ""
+
+
+# -- random malformed tree JSON ------------------------------------------------------
+
+_BAD_IDS = st.sampled_from([-1, 10**12, True, False, 0.0, 1.5, "0", None, [0]])
+_IDS = st.integers(0, 7) | _BAD_IDS
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 10**12) | st.text(max_size=3)
+    | st.floats(allow_nan=False, allow_infinity=False),
+    lambda kids: st.lists(kids, max_size=4)
+    | st.dictionaries(st.sampled_from(["edges", "labels", "matching", "L", "R"]),
+                      kids, max_size=3),
+    max_leaves=10,
+)
+
+
+@st.composite
+def _near_miss_trees(draw):
+    """A random tree on 2..7 vertices, often with one edge or the labels spoilt."""
+    n = draw(st.sampled_from([2, 3, 4, 4, 5, 6, 6, 7]))
+    perm = draw(st.permutations(range(n)))
+    edges = [[perm[draw(st.integers(0, i - 1))], perm[i]] for i in range(1, n)]
+    spoil = draw(st.sampled_from(["none", "none", "pair", "drop", "extra"]))
+    i = draw(st.integers(0, n - 2))
+    if spoil == "pair":
+        edges[i] = draw(st.lists(_IDS, max_size=3))  # ragged or bad ids
+    elif spoil == "drop":
+        del edges[i]
+    elif spoil == "extra":
+        edges.append(draw(st.lists(_IDS, min_size=2, max_size=2)))
+    data = {"edges": edges}
+    if draw(st.integers(0, 2)) == 0:
+        data["labels"] = draw(_JSON | st.fixed_dictionaries(
+            {"L": st.lists(_IDS, max_size=4), "R": st.lists(_IDS, max_size=4)}))
+        data["matching"] = draw(_JSON | st.lists(st.lists(_IDS, max_size=3), max_size=4))
+    return data
+
+
+def _is_tree(data) -> bool:
+    """Independent check that data["edges"] is a tree on the ids 0..n-1."""
+    edges = data.get("edges") if isinstance(data, dict) else None
+    if not isinstance(edges, list) or not edges:
+        return False
+    if not all(isinstance(e, list) and len(e) == 2
+               and all(type(v) is int for v in e) for e in edges):
+        return False
+    n = len(edges) + 1
+    if {v for e in edges for v in e} != set(range(n)):
+        return False
+    root = list(range(n))
+
+    def find(v):
+        while root[v] != v:
+            v = root[v]
+        return v
+
+    for u, v in edges:
+        ru, rv = find(u), find(v)
+        if ru == rv:
+            return False  # a cycle or a self-loop
+        root[ru] = rv
+    return True
+
+
+@settings(max_examples=300, deadline=None)
+@given(_JSON | _near_miss_trees())
+def test_random_tree_json_exits_2_unless_it_is_a_tree(data):
+    # 0 and 1 are verdicts about a tree's mathematics; anything else is input error
+    with tempfile.TemporaryDirectory() as tmp:
+        path = f"{tmp}/tree.json"
+        with open(path, "w") as fh:
+            json.dump(data, fh)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["verify", "--tree", path])
+    if code == 2:
+        assert err.getvalue().startswith("error:") and out.getvalue() == ""
+    else:
+        assert code in (0, 1) and _is_tree(data), (code, data)

@@ -19,13 +19,14 @@ from qbip.exactla import (
     conjecture_evidence,
     count_real_roots,
     det_bareiss,
+    interpolate_int,
     inverse_gauss,
     adjugate_int,
     mat_mul,
     rank_int,
     squarefree_part,
 )
-from qbip.polyalg import ONE, Poly, RatFun, ZERO, Q
+from qbip.polyalg import ONE, NotDivisible, Poly, RatFun, ZERO, Q
 
 
 def poly_m(rows, rk=KIND_VERTEX, ck=KIND_VERTEX):
@@ -103,6 +104,31 @@ def test_det_agrees_with_cofactor_expansion():
             ]
             m = Matrix(rows, KIND_VERTEX, KIND_VERTEX)
             assert det_bareiss(m) == det_cofactor([list(r) for r in rows])
+
+
+def _int_matrices(seed, sizes=range(1, 9), per_size=6):
+    """Random integer matrices with zero leading pivots and singular cases."""
+    rng = random.Random(seed)
+    for n in sizes:
+        for t in range(per_size):
+            rows = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(n)]
+            if t % 3 == 1:
+                rows[0][0] = 0  # the first pivot needs a row swap
+            elif t % 3 == 2 and n > 1:
+                rows[-1] = [2 * a - b for a, b in zip(rows[0], rows[1 % (n - 1)])]
+            yield rows
+
+
+def test_integer_det_matches_poly_det():
+    for rows in _int_matrices(5):
+        ints = Matrix(rows, KIND_R, KIND_L)
+        assert det_bareiss(ints) == det_bareiss(poly_m(rows, KIND_R, KIND_L))
+
+
+def test_integer_det_of_singular_and_pivotless_matrices():
+    assert det_bareiss(Matrix([[0, 1], [0, 2]], KIND_R, KIND_L)) == ZERO
+    assert det_bareiss(Matrix([[0, 1], [1, 0]], KIND_R, KIND_L)) == Poly((-1,))
+    assert det_bareiss(Matrix([[1, 2, 3], [2, 4, 6], [0, 0, 1]], KIND_R, KIND_L)) == ZERO
 
 
 # -- inverses ----------------------------------------------------------------------
@@ -197,6 +223,50 @@ def test_charpoly_at_zero_is_signed_det():
         assert cp.eval_at(0) == (-1) ** n * d
 
 
+def _charpoly_reference(m: Matrix) -> Poly:
+    """det(xI - m) as a Bareiss determinant over Z[x]."""
+    lam = Poly((0, 1))
+    shifted = [
+        [lam - e if i == j else Poly((-e,)) for j, e in enumerate(row)]
+        for i, row in enumerate(m.entries)
+    ]
+    return det_bareiss(Matrix(shifted, m.row_kind, m.col_kind))
+
+
+def _block_diag(*blocks):
+    n = sum(len(b) for b in blocks)
+    rows, at = [], 0
+    for b in blocks:
+        for row in b:
+            rows.append([0] * at + list(row) + [0] * (n - at - len(row)))
+        at += len(b)
+    return rows
+
+
+def test_charpoly_matches_poly_reference():
+    jordan = [[2, 1, 0], [0, 2, 1], [0, 0, 2]]
+    block = [[1, -1], [3, 0]]
+    special = [
+        jordan,
+        _block_diag(jordan, jordan, [[2, 5], [0, 2]]),  # one eigenvalue, order 8
+        _block_diag(block, block, block),  # repeated complex pairs
+        _block_diag(block, [[0]], block),  # repeated pairs and a zero eigenvalue
+        [[0] * 5 for _ in range(5)],
+    ]
+    for rows in [*_int_matrices(17), *special]:
+        m = Matrix(rows, KIND_R, KIND_L)
+        cp = charpoly_exact(m)
+        assert cp == _charpoly_reference(m), rows
+        assert cp.degree() == m.rows and cp.leading() == 1
+
+
+def test_interpolation_division_is_exact_or_raises():
+    assert interpolate_int([5]) == Poly((5,))
+    assert interpolate_int([1, 0, 11, 46]) == Poly((1, -3, 0, 2))  # 2x^3 - 3x + 1
+    with pytest.raises(NotDivisible):
+        interpolate_int([0, 0, 1])  # x(x-1)/2: integer values, rational coefficients
+
+
 # -- squarefree parts and annihilation ----------------------------------------------------
 
 
@@ -209,6 +279,18 @@ def test_annihilates_identity():
     eye = Matrix([[1, 0], [0, 1]], KIND_R, KIND_L)
     assert annihilates(eye, Poly((-1, 1)))
     assert not annihilates(eye, Q)
+
+
+def test_annihilates_by_cayley_hamilton():
+    for rows in _int_matrices(29, sizes=range(1, 6), per_size=3):
+        m = Matrix(rows, KIND_R, KIND_L)
+        cp = charpoly_exact(m)
+        assert annihilates(m, cp)
+        assert not annihilates(m, cp + ONE)  # cp(m) + I = I
+    jordan = Matrix([[2, 1, 0], [0, 2, 1], [0, 0, 2]], KIND_R, KIND_L)
+    assert not annihilates(jordan, Poly((-2, 1)) ** 2)
+    assert annihilates(jordan, Poly((-2, 1)) ** 3)
+    assert not annihilates(Matrix([[0, 0], [1, 0]], KIND_R, KIND_L), Q)  # row 0 vanishes
 
 
 def test_annihilates_q1_laplacian_squarefree_charpoly():
@@ -256,6 +338,7 @@ def test_count_rejects_zero():
 def test_evidence_p2():
     got = conjecture_evidence(Matrix([[0]], KIND_R, KIND_L))
     assert got == {
+        "charpoly": Q,
         "diagonalizable": True,
         "all_eigen_nonneg": True,
         "real_root_count": 1,
@@ -266,6 +349,7 @@ def test_evidence_p4():
     lap = Matrix([[1, -1], [-1, 1]], KIND_R, KIND_L)
     got = conjecture_evidence(lap)
     assert got == {
+        "charpoly": Poly((0, -2, 1)),
         "diagonalizable": True,
         "all_eigen_nonneg": True,
         "real_root_count": 2,
