@@ -14,8 +14,9 @@ transposing.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import compress, repeat
 from math import factorial
-from operator import floordiv, mul
+from operator import add, floordiv, mul
 
 from .polyalg import ONE, ZERO, NotDivisible, Poly, RatFun, divexact, poly_gcd
 
@@ -198,12 +199,27 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
             f"columns of {a!r} are {a.col_kind}-indexed but rows of {b!r} "
             f"are {b.row_kind}-indexed"
         )
-    bt = list(zip(*b.entries))
     return Matrix(
-        ([sum(map(mul, row, col)) for col in bt] for row in a.entries),
+        (combine_rows(row, b.entries) for row in a.entries),
         a.row_kind,
         b.col_kind,
     )
+
+
+def combine_rows(coefs, rows) -> list:
+    """Entrywise sum of c * row over the pairs of coefs and rows with c != 0.
+
+    Row i of a product A.B is combine_rows(A[i], B's rows), so it costs one
+    pass over a row of B for each nonzero of A[i], not one for each entry.
+    When every c is zero the first pair alone is taken, so the zeros are typed
+    as the dense sum's are (a zero Poly row gives Poly zeros, not the int 0).
+    """
+    pairs = zip(filter(None, coefs), compress(rows, coefs))
+    c, row = next(pairs, (coefs[0], rows[0]))
+    acc = list(map(mul, repeat(c), row))
+    for c, row in pairs:
+        acc = list(map(add, acc, map(mul, repeat(c), row)))
+    return acc
 
 
 def mat_vec(a: Matrix, v: Vector) -> Vector:

@@ -99,14 +99,19 @@ def build_qL(mt: MatchedTree) -> Matrix:
     return Matrix(rows, KIND_R, KIND_L)
 
 
-def build_full_qD(tree: Tree) -> Matrix:
-    """Vertex x Vertex q-distance matrix [dist(i,j)]_q of any tree."""
-    return Matrix(treecore.distances(tree), KIND_VERTEX, KIND_VERTEX).map(qint)
+def build_full_qD(tree: Tree | list) -> Matrix:
+    """Vertex x Vertex matrix [dist(i,j)]_q of any tree or of its distance table."""
+    return _vertex_distances(tree).map(qint)
 
 
-def build_full_eD(tree: Tree) -> Matrix:
-    """Vertex x Vertex exponential distance matrix q^dist(i,j) of any tree."""
-    return Matrix(treecore.distances(tree), KIND_VERTEX, KIND_VERTEX).map(_monomial)
+def build_full_eD(tree: Tree | list) -> Matrix:
+    """Vertex x Vertex matrix q^dist(i,j) of any tree or of its distance table."""
+    return _vertex_distances(tree).map(_monomial)
+
+
+def _vertex_distances(tree: Tree | list) -> Matrix:
+    dist = treecore.distances(tree) if isinstance(tree, Tree) else tree
+    return Matrix(dist, KIND_VERTEX, KIND_VERTEX)
 
 
 def qsigned_degree_vector(mt: MatchedTree, v: int) -> Vector:

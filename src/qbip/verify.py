@@ -25,12 +25,12 @@ import concurrent.futures
 import os
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, repeat
 from operator import mul
 from typing import Callable, NamedTuple
 
 from . import exactla, qmatrices, treecore
-from .exactla import KIND_L, KIND_R, Matrix, Vector, entry_json
+from .exactla import KIND_L, KIND_R, Matrix, Vector, combine_rows, entry_json
 from .polyalg import (
     ONE, ONE_MINUS_Q2, ONE_PLUS_Q, Q, Q2, Q_ONE_PLUS_Q, Poly, ZERO,
 )
@@ -219,7 +219,7 @@ def _poly_factor(x) -> _Factor:
         monomials = [a**i * b ** (deg - i) for i in range(deg + 1)]
 
         def ev(e):
-            return sum(map(mul, e.coeffs, monomials))
+            return sum(map(mul, e.coeffs, monomials)) if e.coeffs else 0
 
         return ev(x) if isinstance(x, Poly) else x.map(ev)
 
@@ -227,17 +227,22 @@ def _poly_factor(x) -> _Factor:
 
 
 def _distance_factors(mt: MatchedTree | TreeData):
-    """qB = [dist] and E = q^dist over L x R, read straight from the distance table."""
-    td = TreeData.of(mt)
-    dmax = max(map(max, qmatrices.distance_block(td).entries))
+    """qB = [dist] and E = q^dist over L x R, read straight from the distance table.
+
+    The integer L x R block is read once; at a point each entry d is looked up
+    in a table of the values at d = 0..dmax.
+    """
+    block = qmatrices.distance_block(TreeData.of(mt)).entries
+    dmax = max(map(max, block))
+
+    def lookup(table):
+        return Matrix((map(table.__getitem__, row) for row in block), KIND_L, KIND_R)
 
     def qB(a, b):  # [d] = 1 + q + ... + q^(d-1), times b^(dmax-1)
-        table = [0, *accumulate(a**i * b ** (dmax - 1 - i) for i in range(dmax))]
-        return qmatrices.distance_block(td, table.__getitem__)
+        return lookup([0, *accumulate(a**i * b ** (dmax - 1 - i) for i in range(dmax))])
 
     def E(a, b):  # q^d, times b^dmax
-        table = [a**d * b ** (dmax - d) for d in range(dmax + 1)]
-        return qmatrices.distance_block(td, table.__getitem__)
+        return lookup([a**d * b ** (dmax - d) for d in range(dmax + 1)])
 
     return _Factor(dmax - 1, qB), _Factor(dmax, E)
 
@@ -301,40 +306,39 @@ def _mul(x, y):
 
 
 def _side(terms, point: _Point, scale: int):
-    """(coefficients, rows, is_vector) of a sum of terms, each term scaled to b^scale.
+    """(rows, is_vector) of a sum of terms, each term scaled to b^scale.
 
-    Scalar factors go into the coefficients, so only the products of matrix
-    and vector factors are ever materialised; an outer product yields its
-    rows one at a time.
+    Row i is the pair (coefficients, rows) of the terms' row i, ready for
+    exactla.combine_rows.  Scalar factors go into the coefficients, so only
+    the products of matrix and vector factors are ever materialised; row i of
+    an outer product u v^t is v, with u_i folded into the coefficient.
     """
-    coefs, rows = [], []
+    columns = []
     for term in terms:
         coef = point.x.denominator ** (scale - _degree(term, point.factors))
         for ref in term:
             if isinstance(point[ref], int):
                 coef *= point[ref]
         value = point[tuple(ref for ref in term if not isinstance(point[ref], int))]
-        coefs.append(coef)
         if isinstance(value, Matrix):
-            rows.append(value.entries)
+            columns.append(zip(repeat(coef), value.entries))
         elif isinstance(value, Vector):
-            rows.append((value.entries,))
+            columns.append(((coef, value.entries),))
         else:
             u, v = value
-            rows.append([x * y for y in v.entries] for x in u.entries)
-    return coefs, zip(*rows), isinstance(value, Vector)
+            columns.append(((coef * x, v.entries) for x in u.entries))
+    return (tuple(zip(*pairs)) for pairs in zip(*columns)), isinstance(value, Vector)
 
 
 def _mismatch(equations, point: _Point) -> dict | None:
     """Witness for the first entry where an equation fails at the point, or None."""
     for label, lhs, rhs in equations:
         scale = max(_degree(term, point.factors) for term in lhs + rhs)
-        (lcoefs, lrows, is_vector), (rcoefs, rrows, _) = (
+        (lrows, is_vector), (rrows, _) = (
             _side(terms, point, scale) for terms in (lhs, rhs)
         )
         for i, (lrow, rrow) in enumerate(zip(lrows, rrows)):
-            got = [sum(map(mul, lcoefs, cells)) for cells in zip(*lrow)]
-            want = [sum(map(mul, rcoefs, cells)) for cells in zip(*rrow)]
+            got, want = combine_rows(*lrow), combine_rows(*rrow)
             if got != want:
                 j = next(j for j, pair in enumerate(zip(got, want)) if pair[0] != pair[1])
                 unit = point.x.denominator**scale
@@ -679,9 +683,15 @@ def check_q1_properties(mt: MatchedTree | TreeData) -> CheckResult:
     return CheckResult("q1_properties", True)
 
 
-def check_full_dq_ed(tree: treecore.Tree) -> CheckResult:
-    n = tree.n
-    det_qd = exactla.det_bareiss(qmatrices.build_full_qD(tree))
+def check_full_dq_ed(tree: treecore.Tree | TreeData) -> CheckResult:
+    """qD and eD of the whole tree, both from one distance table.
+
+    A TreeData lends its table; a bare Tree (which needs no perfect matching)
+    gets one distances call.
+    """
+    dist = tree.dist if isinstance(tree, TreeData) else treecore.distances(tree)
+    n = len(dist)
+    det_qd = exactla.det_bareiss(qmatrices.build_full_qD(dist))
     sign = -1 if (n - 1) % 2 else 1
     want_qd = (sign * (n - 1)) * ONE_PLUS_Q ** (n - 2)
     res = _scalar_result(
@@ -689,7 +699,7 @@ def check_full_dq_ed(tree: treecore.Tree) -> CheckResult:
     )
     if not res.passed:
         return res
-    det_ed = exactla.det_bareiss(qmatrices.build_full_eD(tree))
+    det_ed = exactla.det_bareiss(qmatrices.build_full_eD(dist))
     return _scalar_result(
         "full_dq_ed", "det eD = (1-q^2)^(n-1)", det_ed, ONE_MINUS_Q2 ** (n - 1)
     )
@@ -720,7 +730,7 @@ def run_suite(mt: MatchedTree | TreeData, oracle: bool | None = None) -> Verific
         check_attach_update(td),
         check_block_decomposition(td),
         check_q1_properties(td),
-        check_full_dq_ed(td.mt.tree),
+        check_full_dq_ed(td),
     )
     return VerificationReport(
         treecore.canonical_code(td.mt.tree), td.mt.p, results

@@ -66,6 +66,83 @@ def test_product_checks_kinds(p4_attach):
         mat_mul(qB, Matrix.identity(3, KIND_R, KIND_L))
 
 
+def _dense_product(a, b):
+    """Triple-loop reference: entry (i, j) is sum(a[i][k] * b[k][j] for k)."""
+    return [
+        [sum(a[i][k] * b[k][j] for k in range(len(b))) for j in range(len(b[0]))]
+        for i in range(len(a))
+    ]
+
+
+_ENTRY_MAKERS = {
+    "int": lambda rng: rng.randint(-5, 5),
+    "Fraction": lambda rng: Fraction(rng.randint(-5, 5), rng.randint(1, 4)),
+    "Poly": lambda rng: Poly([rng.randint(-3, 3) for _ in range(rng.randint(0, 3))]),
+    "RatFun": lambda rng: RatFun(Poly([rng.randint(-2, 2), rng.randint(0, 2)]),
+                                 Poly([rng.randint(1, 2), 1])),
+}
+
+
+def _sparse_rows(rng, rows, cols, make, density):
+    return [[make(rng) if rng.random() < density else make(rng) * 0 for _ in range(cols)]
+            for _ in range(rows)]
+
+
+@pytest.mark.parametrize("kind", sorted(_ENTRY_MAKERS))
+def test_product_matches_dense_reference_in_value_and_type(kind):
+    rng = random.Random(2024)
+    make = _ENTRY_MAKERS[kind]
+    cases = [(1, 1, 1), (3, 4, 2), (5, 5, 5), (6, 3, 7)]
+    for n, m, k in cases:
+        for density in (0.0, 0.3, 1.0):
+            a = _sparse_rows(rng, n, m, make, density)
+            b = _sparse_rows(rng, m, k, make, 0.6)
+            a[rng.randrange(n)] = [make(rng) * 0] * m  # an all-zero row
+            got = mat_mul(Matrix(a, KIND_R, KIND_L), Matrix(b, KIND_L, KIND_R))
+            want = _dense_product(a, b)
+            assert [list(row) for row in got.entries] == want
+            assert [[type(e) for e in row] for row in got.entries] == [
+                [type(e) for e in row] for row in want
+            ]
+            assert (got.row_kind, got.col_kind) == (KIND_R, KIND_R)
+
+
+def test_product_of_an_all_zero_factor_keeps_the_entry_type():
+    zero_polys = Matrix([[ZERO, ZERO], [ZERO, ZERO]], KIND_R, KIND_L)
+    got = mat_mul(zero_polys, Matrix([[ONE, Q], [Q, ONE]], KIND_L, KIND_R))
+    assert got.entries == ((ZERO, ZERO), (ZERO, ZERO))
+    assert all(type(e) is Poly for row in got.entries for e in row)
+    # zero Poly serialises as [], the int 0 as "0": a type change would show
+    assert got.to_json()["entries"] == [[[], []], [[], []]]
+    one_by_one = Matrix([[Fraction(3, 2)]], KIND_L, KIND_R)
+    ints = mat_mul(Matrix([[0]], KIND_R, KIND_L), one_by_one)
+    assert ints.entries == ((Fraction(0),),) and type(ints[0, 0]) is Fraction
+
+
+class _CountedInt(int):
+    """An int that counts the products taken with it on the right."""
+
+    calls = 0
+
+    def __rmul__(self, other):
+        _CountedInt.calls += 1
+        return int(other) * int(self)
+
+
+def test_product_multiplies_only_the_nonzeros_of_the_left_factor():
+    mt = treecore.random_nonsingular(60, 3)
+    qL = qmatrices.eval_matrix(qmatrices.build_qL(mt), 2).map(int)
+    nnz = sum(1 for row in qL.entries for e in row if e)
+    rng = random.Random(7)
+    dense = [[rng.randint(1, 9) for _ in range(mt.p)] for _ in range(mt.p)]
+    counted = Matrix([[_CountedInt(e) for e in row] for row in dense], KIND_L, KIND_R)
+    _CountedInt.calls = 0
+    got = mat_mul(qL, counted)
+    # one product per nonzero of qL and column of the right factor; dense is p^3
+    assert _CountedInt.calls == nnz * mt.p < mt.p**3
+    assert [list(row) for row in got.entries] == _dense_product(qL.entries, dense)
+
+
 def test_vector_kind_checks(p4_attach):
     qB = qmatrices.build_qB(p4_attach)
     with pytest.raises(IndexKindMismatch):

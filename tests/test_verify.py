@@ -150,6 +150,15 @@ def test_run_suite_builds_each_quantity_once(monkeypatch):
     assert built["qsigned_degree_vector"] == mt.tree.n + split
 
 
+def test_full_dq_ed_reads_one_distance_table(monkeypatch):
+    walked = _count_calls(monkeypatch, treecore, ("distances",))
+    assert run_suite(treecore.random_nonsingular(6, 1)).passed
+    assert walked["distances"] == 1  # the suite's TreeData lends its table
+    star = treecore.Tree([(0, 1), (0, 2), (0, 3)])  # no perfect matching
+    assert verify.check_full_dq_ed(star).passed
+    assert walked["distances"] == 2
+
+
 def test_evaluation_builds_no_symbolic_distance_matrix(monkeypatch):
     # the point engine reads qB and E off the distance table and bd_q off the
     # recursion; a Poly determinant at large p would dominate the run
@@ -259,12 +268,15 @@ def _bump(m, i, j, delta):
     return Matrix(rows, m.row_kind, m.col_kind)
 
 
-def _perturb(monkeypatch, target, delta):
-    """Add delta to one entry of qL, qB or E, or to bd_q, wherever verify reads it."""
+def _perturb(monkeypatch, target, delta, entry=(1, 0)):
+    """Add delta to entry (i, j) of qL, to one entry of qB or E, or to bd_q.
+
+    The change is made wherever verify reads the quantity.
+    """
     if target == "qL":
         build_qL = qmatrices.build_qL
         monkeypatch.setattr(qmatrices, "build_qL",
-                            lambda mt: _bump(build_qL(mt), 1, 0, delta))
+                            lambda mt: _bump(build_qL(mt), *entry, delta))
     elif target == "bd":
         for name in ("bdq_det", "bdq_recursive"):
             monkeypatch.setattr(qmatrices, name,
@@ -288,12 +300,7 @@ def _assert_witness(res):
     assert got - want == Fraction(w["residual"]) != 0
 
 
-@pytest.mark.parametrize("target", sorted(DEPENDS_ON))
-def test_perturbed_input_fails_exactly_the_dependent_identities(
-    monkeypatch, p5_random, target
-):
-    assert all(check(p5_random).passed for check in PRODUCT_CHECKS.values())
-    _perturb(monkeypatch, target, Q)
+def _assert_fails_exactly_the_dependent_identities(p5_random, target):
     symbolic = {name: check(p5_random) for name, check in PRODUCT_CHECKS.items()}
     assert {n for n, r in symbolic.items() if not r.passed} == DEPENDS_ON[target]
     point = {r.name.split("@")[0].replace("_product", ""): r
@@ -303,6 +310,34 @@ def test_perturbed_input_fails_exactly_the_dependent_identities(
         _assert_witness(symbolic[name])
         _assert_witness(point[name])
         assert point[name].witness["point"] == "5/3"
+
+
+@pytest.mark.parametrize("target", sorted(DEPENDS_ON))
+def test_perturbed_input_fails_exactly_the_dependent_identities(
+    monkeypatch, p5_random, target
+):
+    assert all(check(p5_random).passed for check in PRODUCT_CHECKS.values())
+    _perturb(monkeypatch, target, Q)
+    _assert_fails_exactly_the_dependent_identities(p5_random, target)
+
+
+@pytest.mark.parametrize("change", ["zero_entry_bumped", "nonzero_entry_zeroed"])
+def test_qL_perturbation_off_its_nonzeros_fails_the_dependent_identities(
+    monkeypatch, p5_random, change
+):
+    # the point products skip the zeros of qL, so a bump where qL is zero, and
+    # an entry that drops to zero, must still reach every identity that reads qL
+    qL = qmatrices.build_qL(p5_random)
+    if change == "zero_entry_bumped":
+        entry, delta = (1, 2), Q
+        assert qL[entry] == ZERO
+    else:
+        entry, delta = (1, 0), -qL[1, 0]
+        assert qL[entry] != ZERO
+    _perturb(monkeypatch, "qL", delta, entry)
+    bumped = qmatrices.build_qL(p5_random)[entry]
+    assert bumped == qL[entry] + delta and (bumped == ZERO) == (qL[entry] != ZERO)
+    _assert_fails_exactly_the_dependent_identities(p5_random, "qL")
 
 
 def test_point_witness_replays_with_fractions(monkeypatch, p5_random):
