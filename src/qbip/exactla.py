@@ -1,10 +1,11 @@
 """Exact dense linear algebra over Z[q], its fraction field, Q, and Z.
 
 This module is the referee for the closed-form constructions elsewhere in the
-package: it only knows generic exact algorithms (fraction-free Bareiss over Z[q]
-or Z, Gauss-Jordan over the fraction field, characteristic polynomials by
-evaluation/interpolation of integer determinants, Sturm sequences) and never
-builds any of the structured matrices itself.
+package: it only knows generic exact algorithms (one fraction-free Bareiss loop
+over Z, which takes Z[q] determinants by Kronecker substitution; Gauss-Jordan
+over the fraction field; characteristic polynomials and adjugates from one such
+determinant; Sturm sequences) and never builds any of the structured matrices
+itself.
 
 Matrices and vectors carry index-kind metadata ("L", "R", "Vertex") so that a
 product with mismatched row/column semantics fails loudly instead of silently
@@ -15,10 +16,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import compress, repeat
-from math import factorial
-from operator import add, floordiv, mul
+from math import prod
+from operator import add, mul
 
-from .polyalg import ONE, ZERO, NotDivisible, Poly, RatFun, divexact, poly_gcd
+from .polyalg import ONE, ZERO, Poly, RatFun, divexact, poly_gcd
 
 KIND_L = "L"
 KIND_R = "R"
@@ -251,23 +252,30 @@ def outer(u: Vector, v: Vector) -> Matrix:
 
 
 def det_bareiss(m: Matrix) -> Poly:
-    """Determinant by fraction-free Bareiss elimination over Z[q].
+    """Determinant over Z[q] by one fraction-free Bareiss elimination over Z.
 
-    Every interior division is exact (a classical property of the Bareiss
-    recurrence), so all intermediate values stay in the ring.  A matrix of
-    plain ints is eliminated over Z with ``//``; any other entries are lifted
-    to Poly and divided with ``divexact``.  The result is a Poly either way.
+    Entries are Poly or int (or an integral Fraction).  The matrix is mapped
+    to Z by Kronecker substitution.  Let C be the product over the rows of the
+    sum of the coefficient 1-norms of the row's entries.  Expanding det over
+    permutations, the 1-norm of det is at most the permanent of the matrix of
+    entry 1-norms, which is at most C; so every coefficient of det lies in
+    [-C, C].  Such a polynomial is fixed by its value at q = B = 2C + 1: its
+    coefficients are the balanced base-B digits of that integer.  The entries
+    are evaluated at B, the integer determinant is taken by Bareiss elimination
+    (every interior division is exact, so ``//`` is), and the digits are read
+    back.  C = 0 means a zero row, and the determinant is ZERO.
     """
     if not m.is_square():
         raise DimensionMismatch("determinant of a non-square matrix")
     n = m.rows
-    if {type(e) for row in m.entries for e in row} == {int}:
-        a = [list(row) for row in m.entries]
-        div, prev = floordiv, 1
-    else:
-        a = [[_as_ring_poly(e) for e in row] for row in m.entries]
-        div, prev = divexact, ONE
-    sign = 1
+    coeffs = [[_ring_coeffs(e) for e in row] for row in m.entries]
+    bound = prod(sum(sum(map(abs, c)) for c in row) for row in coeffs)
+    if not bound:
+        return ZERO
+    base = 2 * bound + 1
+    powers = [base**i for i in range(max(len(c) for row in coeffs for c in row))]
+    a = [[sum(map(mul, c, powers)) for c in row] for row in coeffs]
+    sign, prev = 1, 1
     for k in range(n - 1):
         if not a[k][k]:
             for i in range(k + 1, n):
@@ -282,18 +290,28 @@ def det_bareiss(m: Matrix) -> Poly:
         for ai in a[k + 1:]:
             f = ai[k]
             for j in range(k + 1, n):
-                ai[j] = div(pivot * ai[j] - f * ak[j], prev)
+                ai[j] = (pivot * ai[j] - f * ak[j]) // prev
         prev = pivot
-    det = _as_ring_poly(a[n - 1][n - 1])
-    return -det if sign < 0 else det
+    return _balanced_digits(sign * a[n - 1][n - 1], base)
 
 
-def _as_ring_poly(e):
+def _ring_coeffs(e) -> tuple:
     if isinstance(e, Poly):
-        return e
+        return e.coeffs
     if isinstance(e, (int, Fraction)):
-        return Poly((_as_int(e),))
+        return (_as_int(e),)
     raise TypeError(f"ring elimination needs Poly or int entries, got {type(e)}")
+
+
+def _balanced_digits(v: int, base: int) -> Poly:
+    """The Poly with digits in [-(base // 2), base // 2] whose value at base is v."""
+    digits = []
+    while v:
+        v, d = divmod(v, base)
+        if d > base // 2:
+            v, d = v + 1, d - base
+        digits.append(d)
+    return Poly(digits)
 
 
 def _as_int(e) -> int:
@@ -348,24 +366,18 @@ def _as_field(e):
 
 
 def adjugate_int(m: Matrix) -> Matrix:
-    """Exact adjugate of an integer matrix via cofactor determinants."""
+    """Exact adjugate of an integer matrix by Cayley-Hamilton.
+
+    With det(xI - m) = x^n + c_(n-1) x^(n-1) + ... + c_1 x + c_0, the identity
+    m (m^(n-1) + c_(n-1) m^(n-2) + ... + c_1 I) = -c_0 I = (-1)^(n-1) det(m) I
+    holds for every m, singular or not, so
+    adj(m) = (-1)^(n-1) (m^(n-1) + c_(n-1) m^(n-2) + ... + c_1 I).
+    """
     if not m.is_square():
         raise DimensionMismatch("adjugate of a non-square matrix")
-    n = m.rows
-    if n == 1:
-        return Matrix([[1]], m.col_kind, m.row_kind)
-    out = [[0] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            minor = [
-                [m.entries[r][c] for c in range(n) if c != j]
-                for r in range(n)
-                if r != i
-            ]
-            d = det_bareiss(Matrix(minor, m.row_kind, m.col_kind))
-            cof = d[0] if (i + j) % 2 == 0 else -d[0]
-            out[j][i] = cof
-    return Matrix(out, m.col_kind, m.row_kind)
+    sign = (-1) ** (m.rows - 1)
+    adj = _matrix_poly(m, [sign * c for c in charpoly_exact(m).coeffs[1:]])
+    return Matrix(adj, m.col_kind, m.row_kind)
 
 
 def rank_int(m: Matrix) -> int:
@@ -397,47 +409,16 @@ def rank_int(m: Matrix) -> int:
 def charpoly_exact(m: Matrix) -> Poly:
     """Characteristic polynomial det(xI - m) of an integer matrix.
 
-    Evaluation/interpolation over Z: the polynomial is monic of degree n, so
-    its values at x = 0..n, each an integer ``det_bareiss``, determine it.
-    Returned as a Poly in the spectral variable (coefficients ascending).
+    One ``det_bareiss`` of the Z[x] matrix xI - m.  Returned as a Poly in the
+    spectral variable (coefficients ascending).
     """
     if not m.is_square():
         raise DimensionMismatch("characteristic polynomial of a non-square matrix")
-    n = m.rows
-    neg = [[-_as_int(e) for e in row] for row in m.entries]
-    values = []
-    for x in range(n + 1):
-        shifted = [row[:i] + [x + row[i]] + row[i + 1:]
-                   for i, row in enumerate(neg)]
-        values.append(det_bareiss(Matrix(shifted, m.row_kind, m.col_kind))[0])
-    return interpolate_int(values)
-
-
-def interpolate_int(values) -> Poly:
-    """The polynomial of degree < N + 1 = len(values) with p(x) = values[x].
-
-    Newton's forward-difference form, p(x) = sum over k of
-    D^k p(0) * x(x-1)...(x-k+1) / k!, is expanded over the common denominator
-    N!, and the one division by N! at the end must be exact: NotDivisible is
-    raised when p does not have integer coefficients.
-    """
-    diffs = []
-    while values:
-        diffs.append(values[0])
-        values = [b - a for a, b in zip(values, values[1:])]
-    top = factorial(len(diffs) - 1)
-    scaled = [0] * len(diffs)  # top * p, ascending coefficients
-    falling = [1]  # x(x-1)...(x-k+1), ascending coefficients
-    k_fact = 1
-    for k, d in enumerate(diffs):
-        f = d * (top // k_fact)
-        for i, c in enumerate(falling):
-            scaled[i] += f * c
-        falling = [lo - k * hi for lo, hi in zip([0] + falling, falling + [0])]
-        k_fact *= k + 1
-    if any(c % top for c in scaled):
-        raise NotDivisible("the values do not interpolate an integer polynomial")
-    return Poly(c // top for c in scaled)
+    shifted = [
+        [Poly((-_as_int(e), 1)) if i == j else -_as_int(e) for j, e in enumerate(row)]
+        for i, row in enumerate(m.entries)
+    ]
+    return det_bareiss(Matrix(shifted, m.row_kind, m.col_kind))
 
 
 # ---------------------------------------------------------------------------
@@ -456,17 +437,22 @@ def squarefree_part(p: Poly) -> Poly:
 
 
 def annihilates(m: Matrix, p: Poly) -> bool:
-    """Exact test of p(m) == 0 by Horner iteration with integer matrices."""
+    """Exact test of p(m) == 0 with integer matrices."""
     if not m.is_square():
         raise DimensionMismatch("polynomial of a non-square matrix")
+    return not any(map(any, _matrix_poly(m, p.coeffs)))
+
+
+def _matrix_poly(m: Matrix, coeffs) -> list:
+    """Rows of sum c_k m^k over the ascending coeffs, by Horner with integers."""
     n = m.rows
     cols = list(zip(*([_as_int(e) for e in row] for row in m.entries)))
     acc = [[0] * n for _ in range(n)]
-    for c in reversed(p.coeffs):
+    for c in reversed(coeffs):
         acc = [[sum(map(mul, row, col)) for col in cols] for row in acc]
         for i in range(n):
             acc[i][i] += c
-    return not any(map(any, acc))
+    return acc
 
 
 def sturm_chain(p: Poly) -> list[Poly]:

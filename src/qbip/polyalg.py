@@ -33,6 +33,8 @@ class Poly:
 
     def __init__(self, coeffs=()):
         coeffs = tuple(coeffs)
+        if type(sum(coeffs)) is not int:  # one C-level pass; a Fraction or float spreads
+            raise TypeError(f"Poly needs integer coefficients, got {coeffs!r}")
         while coeffs and coeffs[-1] == 0:
             coeffs = coeffs[:-1]
         self.coeffs = coeffs
@@ -141,11 +143,18 @@ class Poly:
         return Poly(i * c for i, c in enumerate(self.coeffs) if i > 0)
 
     def eval_at(self, x) -> Fraction:
-        """Exact Horner evaluation at a rational point."""
-        acc = Fraction(0)
+        """Exact value at a rational point x = a/b.
+
+        Horner over the integers gives sum c_i a^i b^(d-i), d the degree, and
+        one Fraction divides it by b^d.
+        """
+        x = Fraction(x)
+        a, b = x.numerator, x.denominator
+        num, scale = 0, 1
         for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
+            num = num * a + c * scale
+            scale *= b
+        return Fraction(num * b, scale)  # scale = b^(d+1)
 
     # -- presentation --------------------------------------------------------
 

@@ -19,14 +19,14 @@ from qbip.exactla import (
     conjecture_evidence,
     count_real_roots,
     det_bareiss,
-    interpolate_int,
     inverse_gauss,
     adjugate_int,
     mat_mul,
     rank_int,
     squarefree_part,
 )
-from qbip.polyalg import ONE, NotDivisible, Poly, RatFun, ZERO, Q
+from qbip import exactla, polyalg
+from qbip.polyalg import ONE, Poly, RatFun, ZERO, Q
 
 
 def poly_m(rows, rk=KIND_VERTEX, ck=KIND_VERTEX):
@@ -183,6 +183,74 @@ def test_det_agrees_with_cofactor_expansion():
             assert det_bareiss(m) == det_cofactor([list(r) for r in rows])
 
 
+def _zq_matrices(seed):
+    """Random Z[q] matrices with negative coefficients, int and degree-0
+    entries, 1x1 cases and zero rows."""
+    rng = random.Random(seed)
+    for n in (1, 1, 2, 3, 4, 5):
+        for t in range(8):
+            rows = [
+                [
+                    rng.randint(-6, 6) if rng.random() < 0.2
+                    else Poly([rng.randint(-4, 4) for _ in range(rng.randint(0, 4))])
+                    for _ in range(n)
+                ]
+                for _ in range(n)
+            ]
+            if t % 4 == 3:
+                rows[rng.randrange(n)] = [ZERO] * n
+            yield rows
+
+
+def _cofactor_det(rows):
+    return det_cofactor([[Poly((e,)) if isinstance(e, int) else e for e in row]
+                         for row in rows])
+
+
+def test_det_matches_cofactor_expansion_on_random_zq_matrices():
+    for rows in _zq_matrices(41):
+        got = det_bareiss(Matrix(rows, KIND_VERTEX, KIND_VERTEX))
+        assert type(got) is Poly
+        assert got == _cofactor_det(rows), rows
+
+
+@pytest.mark.parametrize("rows, want", [
+    ([[Poly((0, 0, -3))]], Poly((0, 0, -3))),  # C = 3, det = -C q^2
+    ([[Poly((0, 0, 3))]], Poly((0, 0, 3))),
+    ([[Poly((0, 2)), 0, 0], [0, -3, 0], [0, 0, Poly((0, 0, 1))]], Poly((0, 0, 0, -6))),
+    ([[Poly((0, -2)), 0], [0, Poly((0, 0, -5))]], Poly((0, 0, 0, 10))),
+    ([[Poly((-1, 1)), 0], [0, Poly((1, 1))]], Poly((-1, 0, 1))),  # C = 4, digits below C
+    ([[Poly((1, -1)), 0], [0, Poly((-1, 0, 1))]], Poly((-1, 1, 1, -1))),
+])
+def test_det_coefficients_at_the_kronecker_bound(rows, want):
+    """Coefficients equal to +-C: an even base 2C or an unbalanced decode fails."""
+    m = Matrix(rows, KIND_VERTEX, KIND_VERTEX)
+    assert det_bareiss(m) == want == _cofactor_det(rows)
+
+
+def test_full_qD_det_takes_no_polynomial_division(monkeypatch):
+    calls = []
+
+    def counted(a, b, _fn=polyalg.divexact):
+        calls.append(1)
+        return _fn(a, b)
+
+    monkeypatch.setattr(exactla, "divexact", counted)
+    monkeypatch.setattr(polyalg, "divexact", counted)
+    mt = next(iter(treecore.enumerate_nonsingular(4)))
+    det = det_bareiss(qmatrices.build_full_qD(mt.tree))
+    assert det == -7 * Poly((1, 1)) ** 6  # (-1)^(n-1) (n-1) (1+q)^(n-2), n = 8
+    assert calls == []
+
+
+def test_det_rejects_inexact_and_field_entries():
+    with pytest.raises(TypeError):
+        det_bareiss(Matrix([[Fraction(1, 2)]], KIND_R, KIND_L))
+    with pytest.raises(TypeError):
+        det_bareiss(Matrix([[RatFun(ONE)]], KIND_R, KIND_L))
+    assert det_bareiss(Matrix([[Fraction(4, 2)]], KIND_R, KIND_L)) == Poly((2,))
+
+
 def _int_matrices(seed, sizes=range(1, 9), per_size=6):
     """Random integer matrices with zero leading pivots and singular cases."""
     rng = random.Random(seed)
@@ -335,13 +403,11 @@ def test_charpoly_matches_poly_reference():
         cp = charpoly_exact(m)
         assert cp == _charpoly_reference(m), rows
         assert cp.degree() == m.rows and cp.leading() == 1
-
-
-def test_interpolation_division_is_exact_or_raises():
-    assert interpolate_int([5]) == Poly((5,))
-    assert interpolate_int([1, 0, 11, 46]) == Poly((1, -3, 0, 2))  # 2x^3 - 3x + 1
-    with pytest.raises(NotDivisible):
-        interpolate_int([0, 0, 1])  # x(x-1)/2: integer values, rational coefficients
+        # n + 1 values fix a degree-n polynomial; integer determinants need no decode
+        for x in range(m.rows + 1):
+            shifted = [[x * (i == j) - e for j, e in enumerate(row)]
+                       for i, row in enumerate(rows)]
+            assert cp.eval_at(x) == det_bareiss(Matrix(shifted, KIND_R, KIND_L))[0]
 
 
 # -- squarefree parts and annihilation ----------------------------------------------------

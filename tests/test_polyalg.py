@@ -230,6 +230,23 @@ def test_poly_eval_examples():
     assert Poly((1, 2)).eval_at(Fraction(1, 2)) == 2
 
 
+@given(small_polys, st.integers(-5, 5) | st.fractions(max_denominator=12))
+def test_poly_eval_matches_fraction_horner(p, x):
+    want = Fraction(0)
+    for c in reversed(p.coeffs):
+        want = want * x + c
+    got = p.eval_at(x)
+    assert got == want and type(got) is Fraction
+
+
+@pytest.mark.parametrize("coeffs", [
+    (Fraction(1, 2), 1), (Fraction(2),), (1, Fraction(2)), (0.5,), (1, 0.5, 2),
+])
+def test_poly_rejects_inexact_coefficients(coeffs):
+    with pytest.raises(TypeError):
+        Poly(coeffs)
+
+
 def test_rf_eval_pole():
     f = RatFun(ONE, Poly((1, -1)))
     with pytest.raises(PoleAtPoint):
