@@ -356,7 +356,7 @@ def main(argv=None) -> int:
     try:
         return args.fn(args)
     except (UsageError, NotATree, NotNonsingular, PoleAtPoint, BdqZero,
-            NotDivisible, SingularMatrix, FileNotFoundError,
+            NotDivisible, SingularMatrix, OSError, UnicodeDecodeError,
             json.JSONDecodeError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

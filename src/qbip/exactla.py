@@ -2,10 +2,10 @@
 
 This module is the referee for the closed-form constructions elsewhere in the
 package: it only knows generic exact algorithms (one fraction-free Bareiss loop
-over Z, which takes Z[q] determinants by Kronecker substitution; Gauss-Jordan
-over the fraction field; characteristic polynomials and adjugates from one such
-determinant; Sturm sequences) and never builds any of the structured matrices
-itself.
+over Z, which gives integer ranks and, by Kronecker substitution, Z[q]
+determinants; Gauss-Jordan over the fraction field; characteristic polynomials
+and adjugates from one such determinant; Sturm sequences on polyalg's
+pseudo-remainder) and never builds any of the structured matrices itself.
 
 Matrices and vectors carry index-kind metadata ("L", "R", "Vertex") so that a
 product with mismatched row/column semantics fails loudly instead of silently
@@ -17,9 +17,9 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import compress, repeat
 from math import prod
-from operator import add, mul
+from operator import add, mul, ne
 
-from .polyalg import ONE, ZERO, Poly, RatFun, divexact, poly_gcd
+from .polyalg import ONE, ZERO, Poly, RatFun, divexact, poly_gcd, prem
 
 KIND_L = "L"
 KIND_R = "R"
@@ -274,25 +274,47 @@ def det_bareiss(m: Matrix) -> Poly:
         return ZERO
     base = 2 * bound + 1
     powers = [base**i for i in range(max(len(c) for row in coeffs for c in row))]
-    a = [[sum(map(mul, c, powers)) for c in row] for row in coeffs]
-    sign, prev = 1, 1
-    for k in range(n - 1):
-        if not a[k][k]:
-            for i in range(k + 1, n):
-                if a[i][k]:
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
-            else:
-                return ZERO
-        ak = a[k]
-        pivot = ak[k]
-        for ai in a[k + 1:]:
-            f = ai[k]
-            for j in range(k + 1, n):
+    rank, sign, pivot = _echelon(
+        [[sum(map(mul, c, powers)) for c in row] for row in coeffs])
+    return _balanced_digits(sign * pivot, base) if rank == n else ZERO
+
+
+def _echelon(a: list) -> tuple:
+    """Bareiss fraction-free row echelon of the integer rows a, in place.
+
+    Returns (rank, sign, pivot): the number of pivots, the sign of the row
+    swaps made, and the last pivot (1 if there is none).  A square matrix of
+    full rank has determinant sign * pivot.
+
+    Once k pivots are taken, each entry of a later row in a later column is
+    the (k+1)-minor of the row-swapped input on the pivot rows and columns
+    plus its own row and column, and the k-th pivot is the k-minor on the
+    pivot rows and columns.  By Sylvester's identity each update, a 2x2
+    determinant of (k+1)-minors, is the (k+2)-minor times the k-minor it is
+    divided by, so every ``//`` is exact.  A column with no nonzero at or
+    below the next pivot row is skipped rather than ending the loop: the
+    minors above involve the pivot columns only, so the same identity holds
+    with the pivot columns in place of the leading ones, and every column
+    after the skipped one is still searched for a pivot.
+    """
+    rows, cols = len(a), len(a[0])
+    rank, sign, prev = 0, 1, 1
+    for c in range(cols):
+        piv = next((i for i in range(rank, rows) if a[i][c]), None)
+        if piv is None:
+            continue
+        if piv != rank:
+            a[rank], a[piv] = a[piv], a[rank]
+            sign = -sign
+        ak = a[rank]
+        pivot = ak[c]
+        for ai in a[rank + 1:]:
+            f = ai[c]
+            for j in range(c + 1, cols):
                 ai[j] = (pivot * ai[j] - f * ak[j]) // prev
         prev = pivot
-    return _balanced_digits(sign * a[n - 1][n - 1], base)
+        rank += 1
+    return rank, sign, prev
 
 
 def _ring_coeffs(e) -> tuple:
@@ -381,29 +403,8 @@ def adjugate_int(m: Matrix) -> Matrix:
 
 
 def rank_int(m: Matrix) -> int:
-    """Rank of an integer matrix by Gauss-Jordan elimination over Fraction."""
-    a = [[Fraction(e) for e in row] for row in m.entries]
-    rows, cols = m.rows, m.cols
-    rank = 0
-    for col in range(cols):
-        piv = None
-        for i in range(rank, rows):
-            if a[i][col]:
-                piv = i
-                break
-        if piv is None:
-            continue
-        a[rank], a[piv] = a[piv], a[rank]
-        inv = 1 / a[rank][col]
-        a[rank] = [e * inv for e in a[rank]]
-        for i in range(rows):
-            if i != rank and a[i][col]:
-                f = a[i][col]
-                a[i] = [x - f * y for x, y in zip(a[i], a[rank])]
-        rank += 1
-        if rank == rows:
-            break
-    return rank
+    """Rank of an integer matrix: the pivots of one ``_echelon`` over Z."""
+    return _echelon([[_as_int(e) for e in row] for row in m.entries])[0]
 
 
 def charpoly_exact(m: Matrix) -> Poly:
@@ -456,91 +457,45 @@ def _matrix_poly(m: Matrix, coeffs) -> list:
 
 
 def sturm_chain(p: Poly) -> list[Poly]:
-    """Sturm sequence of a squarefree polynomial.
+    """Sturm sequence p, p', -rem(p, p'), ... of a squarefree polynomial.
 
-    Remainders are computed by positively-scaled pseudo-division and stripped
-    to their (sign-preserving) primitive form; positive scaling leaves sign
-    variations untouched.
+    Each remainder comes from ``prem(a, b)``, which is
+    lead(b)^(deg a - deg b + 1) rem(a, b): it is negated when that scale is
+    negative, divided by its content, and negated once more.  Positive
+    scaling leaves every sign variation as it is.
     """
     chain = [p, p.derivative()]
     while chain[-1]:
-        r = _neg_rem_positive(chain[-2], chain[-1])
+        a, b = chain[-2:]
+        r = prem(a, b)
+        if r:
+            g = r.content()
+            if b.leading() < 0 and (a.degree() - b.degree()) % 2 == 0:
+                g = -g
+            r = Poly(-c // g for c in r.coeffs)
         chain.append(r)
     chain.pop()
     return chain
 
 
-def _neg_rem_positive(a: Poly, b: Poly) -> Poly:
-    if a.degree() < b.degree():
-        return -a
-    lead = abs(b.leading())
-    rem = list(a.coeffs)
-    db = b.degree()
-    sign = 1 if b.leading() > 0 else -1
-    for i in range(len(a.coeffs) - len(b.coeffs), -1, -1):
-        c = rem[i + db]
-        for j in range(len(rem)):
-            rem[j] *= lead
-        for j, bc in enumerate(b.coeffs):
-            rem[i + j] -= sign * c * bc
-    r = Poly(rem[:db] if db > 0 else [])
-    if not r:
-        return r
-    content = r.content()
-    return -Poly(c // content for c in r.coeffs)
+def count_real_roots(p: Poly, lo=None, hi=None) -> int:
+    """Distinct real roots of a squarefree polynomial in (lo, hi].
 
-
-def _sign_at(p: Poly, x) -> int:
-    if x is _NEG_INF:
-        s = p.leading()
-        if p.degree() % 2:
-            s = -s
-    elif x is _POS_INF:
-        s = p.leading()
-    else:
-        s = p.eval_at(x)
-    return (s > 0) - (s < 0)
-
-
-def _variations(chain, x) -> int:
-    signs = [s for s in (_sign_at(p, x) for p in chain) if s != 0]
-    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
-
-
-class _Inf:
-    pass
-
-
-_NEG_INF = _Inf()
-_POS_INF = _Inf()
-
-
-def count_real_roots(
-    p: Poly,
-    lo=None,
-    hi=None,
-    *,
-    include_lo: bool = False,
-    include_hi: bool = True,
-) -> int:
-    """Distinct real roots of a squarefree polynomial in an interval.
-
-    The base convention is the half-open interval (lo, hi]; ``None`` bounds
-    mean -oo / +oo, and the include flags adjust the finite endpoints.
+    ``None`` bounds mean -oo and +oo.  There each member f of the Sturm chain
+    has the sign of lead(f), times (-1)^deg(f) at -oo.
     """
     if not p:
         raise ValueError("root counting needs a nonzero polynomial")
-    if p.degree() == 0:
-        return 0
     chain = sturm_chain(p)
-    a = _NEG_INF if lo is None else Fraction(lo)
-    b = _POS_INF if hi is None else Fraction(hi)
-    count = _variations(chain, a) - _variations(chain, b)
-    if lo is not None and include_lo and p.eval_at(lo) == 0:
-        count += 1
-    if hi is not None and not include_hi and p.eval_at(hi) == 0:
-        count -= 1
-    return count
+
+    def variations(x, end: int) -> int:
+        # end is the sign of the infinite bound that x = None stands for
+        values = [end ** f.degree() * f.leading() if x is None else f.eval_at(x)
+                  for f in chain]
+        signs = [v > 0 for v in values if v]
+        return sum(map(ne, signs, signs[1:]))
+
+    return variations(lo, -1) - variations(hi, 1)
 
 
 def conjecture_evidence(m: Matrix) -> dict:
@@ -558,7 +513,7 @@ def conjecture_evidence(m: Matrix) -> dict:
     diag = annihilates(m, sf)
     real_roots = count_real_roots(sf)
     all_real = real_roots == sf.degree()
-    negative = count_real_roots(sf, hi=0, include_hi=False)
+    negative = count_real_roots(sf, hi=0) - (sf[0] == 0)
     return {
         "charpoly": cp,
         "diagonalizable": diag,

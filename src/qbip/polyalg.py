@@ -265,12 +265,12 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
     if a.degree() < b.degree():
         a, b = b, a
     while b:
-        a, b = b, _prem(a, b).primitive_part()
+        a, b = b, prem(a, b).primitive_part()
     return a
 
 
-def _prem(a: Poly, b: Poly) -> Poly:
-    # pseudo-remainder: rem(lead(b)^(deg a - deg b + 1) * a, b), exact in Z[q]
+def prem(a: Poly, b: Poly) -> Poly:
+    """Pseudo-remainder rem(lead(b)^(deg a - deg b + 1) a, b), exact in Z[q]."""
     rem = list(a.coeffs)
     lead = b.leading()
     db = b.degree()

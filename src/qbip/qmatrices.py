@@ -18,7 +18,7 @@ from .polyalg import (
     ONE, ONE_MINUS_Q2, ONE_PLUS_Q, Q, Q2, Q_ONE_PLUS_Q, Poly, PoleAtPoint, RatFun,
     divexact, qdeg, qint,
 )
-from .treecore import MatchedTree, PathKind, Tree
+from .treecore import MatchedTree, Tree
 
 
 class BdqZero(ArithmeticError):

@@ -3,7 +3,8 @@
 Nothing here shares algorithmic code with the package: matchings are found by
 brute force over edge subsets, isomorphism classes are keyed by a
 min-over-all-rootings encoding (the package roots at centroids), labeled trees
-come from Prufer sequences, and determinants expand by cofactors.
+come from Prufer sequences, determinants expand by cofactors, and ranks are
+read off those determinants of minors.
 """
 
 import heapq
@@ -93,6 +94,17 @@ def det_cofactor(rows):
             term = -term
         total = term if total is None else total + term
     return total
+
+
+def rank_minors(rows):
+    """Rank as the largest k with a nonzero k x k minor (0 for a zero matrix)."""
+    m, n = len(rows), len(rows[0])
+    for k in range(min(m, n), 0, -1):
+        for r in itertools.combinations(range(m), k):
+            for c in itertools.combinations(range(n), k):
+                if det_cofactor([[rows[i][j] for j in c] for i in r]):
+                    return k
+    return 0
 
 
 def poly_of(*coeffs):

@@ -326,6 +326,22 @@ def test_missing_file(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["verify", "--tree", "DIR"],
+    ["show", "--matrix", "qB", "--tree", "BYTES"],
+    ["verify", "--tree", "TREE", "--out", "DIR"],
+    ["show", "--matrix", "qB", "--tree", "TREE", "--out", "DIR"],
+    ["gen", "--p", "3", "--out", "DIR"],
+])
+def test_unreadable_or_unwritable_file_is_usage_error(capsys, tmp_path, p4_file, argv):
+    # a directory or undecodable bytes where a file belongs is bad input, not a failed check
+    raw = tmp_path / "raw.json"
+    raw.write_bytes(b'\xff{"edges": [[0, 1]]}')
+    paths = {"DIR": str(tmp_path), "BYTES": str(raw), "TREE": p4_file}
+    code, out, err = run_cli(capsys, *(paths.get(a, a) for a in argv))
+    assert code == 2 and err.startswith("error:") and out == ""
+
+
 def test_unknown_subcommand_is_usage_error(capsys):
     assert main(["frobnicate"]) == 2
 

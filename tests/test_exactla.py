@@ -1,9 +1,10 @@
 import random
 from fractions import Fraction
+from operator import mul
 
 import pytest
 
-from oracles import det_cofactor
+from oracles import det_cofactor, rank_minors
 from qbip import qmatrices, treecore
 from qbip.exactla import (
     KIND_L,
@@ -320,6 +321,24 @@ def test_rank_of_q1_laplacian():
     assert rank_int(lap) == 1
 
 
+def test_rank_matches_minor_oracle():
+    # low-rank products A.B, some with zero leading columns, so that columns
+    # without a pivot turn up first, in the middle and last
+    rng = random.Random(41)
+    cases = [[[0] * 4 for _ in range(3)], [[1, 2, 3], [2, 4, 5]]]
+    for _ in range(300):
+        m, n = rng.randint(1, 6), rng.randint(1, 6)
+        r = rng.randint(1, min(m, n))
+        a = [[rng.randint(-2, 2) for _ in range(r)] for _ in range(m)]
+        b = [[rng.randint(-2, 2) for _ in range(n)] for _ in range(r)]
+        zeros = rng.randint(0, n // 2)
+        for row in b:
+            row[:zeros] = [0] * zeros
+        cases.append([[sum(map(mul, row, col)) for col in zip(*b)] for row in a])
+    for rows in cases:
+        assert rank_int(Matrix(rows, KIND_R, KIND_L)) == rank_minors(rows), rows
+
+
 def test_adjugate_identity():
     eye = Matrix([[1, 0], [0, 1]], KIND_R, KIND_L)
     assert adjugate_int(eye).entries == ((1, 0), (0, 1))
@@ -446,8 +465,6 @@ def test_annihilates_q1_laplacian_squarefree_charpoly():
 
 def test_count_examples():
     p = Poly((0, -2, 1))  # x^2 - 2x, roots 0 and 2
-    assert count_real_roots(p, hi=0, include_hi=False) == 0
-    assert count_real_roots(p, lo=0, include_lo=True) == 2
     assert count_real_roots(Poly((1, 0, 1))) == 0
     assert count_real_roots(Poly((-1, 1)), lo=0, hi=2) == 1
 
@@ -457,8 +474,6 @@ def test_count_half_open_convention():
     assert count_real_roots(p, hi=0) == 1          # (-oo, 0] catches the root 0
     assert count_real_roots(p, lo=0) == 1          # (0, +oo) catches only 2
     assert count_real_roots(p, lo=0, hi=2) == 1
-    assert count_real_roots(p, lo=0, hi=2, include_lo=True) == 2
-    assert count_real_roots(p, lo=0, hi=2, include_hi=False) == 0
     assert count_real_roots(p, lo=Fraction(-1, 2), hi=Fraction(1, 2)) == 1
 
 
@@ -468,6 +483,23 @@ def test_count_invariant_under_positive_scaling():
         scaled = Poly(s * c for c in p.coeffs)
         assert count_real_roots(scaled) == 2
         assert count_real_roots(scaled, hi=0) == 1
+
+
+def test_sturm_counts_match_sympy():
+    # sparse polynomials give remainder sequences that skip degrees, and
+    # chain members with negative leading coefficients
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    rng = random.Random(43)
+    for _ in range(300):
+        deg = rng.randint(1, 7)
+        coeffs = [rng.choice((0, 0, 0, -3, -2, -1, 1, 2, 3)) for _ in range(deg)]
+        p = Poly(coeffs + [rng.choice((-3, -2, -1, 1, 2, 3))])
+        sf = squarefree_part(p)
+        want = sympy.Poly(list(reversed(sf.coeffs)), x)
+        for f in (sf, -sf):
+            assert count_real_roots(f) == want.count_roots(), p
+            assert count_real_roots(f, hi=0) == want.count_roots(sup=0), p
 
 
 def test_count_rejects_zero():
@@ -503,6 +535,12 @@ def test_evidence_flags_negative_eigenvalue():
     got = conjecture_evidence(Matrix([[-1, 0], [0, 2]], KIND_R, KIND_L))
     assert got["diagonalizable"]
     assert not got["all_eigen_nonneg"]
+
+
+def test_evidence_counts_a_negative_beside_a_zero_eigenvalue():
+    got = conjecture_evidence(Matrix([[-1, 0, 0], [0, 0, 0], [0, 0, 2]], KIND_R, KIND_L))
+    assert not got["all_eigen_nonneg"]
+    assert got["real_root_count"] == 3
 
 
 def test_evidence_flags_non_diagonalizable():
