@@ -12,7 +12,6 @@ from .polyalg import (
     PoleAtPoint,
     Q,
     RatFun,
-    Rational,
     divexact,
     poly_gcd,
     qdeg,
@@ -28,7 +27,6 @@ from .treecore import (
     detach_p2,
     diff,
     enumerate_nonsingular,
-    parse_tree,
     perfect_matching,
     random_nonsingular,
     standard_labeling,

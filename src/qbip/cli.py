@@ -1,13 +1,22 @@
 """Command-line front end.
 
+``--tree`` reads tree JSON: an object with ``edges``, a list of [u, v]
+vertex-id pairs on the ids 0..n-1.  It may add ``labels`` ({"L": [...],
+"R": [...]}, the pair order) with ``matching`` (the same pairs as edges)
+beside it, as ``gen`` and ``enum`` write; without ``labels`` the standard
+labeling is derived.  ``show --matrix qD|eD`` takes any tree; every other
+use needs a perfect matching.
+
 Exit codes: 0 = success / all checks pass, 1 = a mathematical check failed
-(witness emitted), 2 = usage or input error.
+(witness emitted), 2 = usage or input error.  A reader that closes stdout
+early does not change the exit code.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from fractions import Fraction
 
@@ -23,13 +32,20 @@ class UsageError(Exception):
 
 
 def _parse_rational(text: str) -> Fraction:
+    """An argparse type: an exact rational "a" or "a/b"."""
     try:
-        if "/" in text:
-            num, den = text.split("/", 1)
-            return Fraction(int(num), int(den))
-        return Fraction(int(text))
+        num, slash, den = text.partition("/")
+        return Fraction(int(num), int(den) if slash else 1)
     except (ValueError, ZeroDivisionError) as exc:
-        raise UsageError(f"bad rational {text!r}: {exc}") from None
+        raise argparse.ArgumentTypeError(f"bad rational {text!r}: {exc}") from None
+
+
+def _vertex_bound(text: str) -> int:
+    """An argparse type: an even vertex bound within the enumeration cap."""
+    try:
+        return treecore.check_vertex_bound(int(text))
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _read_json(path: str):
@@ -37,41 +53,52 @@ def _read_json(path: str):
         return json.load(fh)
 
 
-def _dump(obj: str, out_path: str | None) -> None:
+def _json(obj) -> str:
+    """The compact JSON of every data output; other objects encode via to_json."""
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"),
+                      default=lambda x: x.to_json())
+
+
+def _dump(text: str, out_path: str | None = None) -> None:
+    """Write text and a newline to out_path, or to stdout.
+
+    A reader that closes stdout early ends the output, not the command: fd 1
+    is pointed at os.devnull and the command goes on to its verdict.
+    """
     if out_path:
         with open(out_path, "w") as fh:
-            fh.write(obj)
-            if not obj.endswith("\n"):
-                fh.write("\n")
-    else:
-        print(obj)
+            print(text, file=fh)
+        return
+    try:
+        print(text, flush=True)
+    except BrokenPipeError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
 
 
-def _to_jsonable(x):
-    if isinstance(x, (Matrix, Vector)):
-        return x.to_json()
-    if isinstance(x, dict):
-        return {k: _to_jsonable(v) for k, v in x.items()}
-    return x
+def _evaluated(obj, at: Fraction | None):
+    """obj with every matrix and vector in it evaluated at q = at (if given)."""
+    if isinstance(obj, dict):
+        return {k: _evaluated(v, at) for k, v in obj.items()}
+    if at is None or not isinstance(obj, (Matrix, Vector)):
+        return obj
+    return (qmatrices.eval_matrix if isinstance(obj, Matrix) else qmatrices.eval_vector)(obj, at)
 
 
 def _emit(obj, fmt: str, at: Fraction | None, out_path: str | None) -> None:
+    """Write obj, evaluated at q = at when given, as json, csv or pretty."""
+    obj = _evaluated(obj, at)
     if fmt == "json":
-        _dump(json.dumps(_to_jsonable(obj), sort_keys=True, separators=(",", ":")),
-              out_path)
+        _dump(_json(obj), out_path)
         return
     if fmt == "csv":
         if at is None:
             raise UsageError("csv output needs --at (cells are exact rationals)")
-        lines = []
-        if isinstance(obj, Matrix):
-            for row in obj.entries:
-                lines.append(",".join(str(e) for e in row))
-        elif isinstance(obj, Vector):
-            lines.append(",".join(str(e) for e in obj))
-        else:
+        if not isinstance(obj, (Matrix, Vector)):
             raise UsageError("csv output applies to matrices and vectors")
-        _dump("\n".join(lines), out_path)
+        rows = obj.entries if isinstance(obj, Matrix) else [obj]
+        _dump("\n".join(",".join(str(e) for e in row) for row in rows), out_path)
         return
     # pretty
     if isinstance(obj, Matrix):
@@ -90,30 +117,30 @@ def _emit(obj, fmt: str, at: Fraction | None, out_path: str | None) -> None:
         _dump(str(obj), out_path)
 
 
+def _one_point(args) -> Fraction | None:
+    """The evaluation point of show and invert: --at at most once."""
+    if args.at and len(args.at) > 1:
+        raise UsageError(f"{args.command} takes --at at most once")
+    return args.at[0] if args.at else None
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
 
-MATRIX_CHOICES = ("qB", "E", "qL", "qD", "eD", "tau")
-
 
 def cmd_show(args) -> int:
     name = args.matrix
-    at = _parse_rational(args.at[0]) if args.at else None
+    at = _one_point(args)
     if name in ("qD", "eD"):
         tree = treecore.Tree.from_json(_read_json(args.tree))
         obj = qmatrices.build_full_qD(tree) if name == "qD" else qmatrices.build_full_eD(tree)
     else:
-        td = qmatrices.TreeData(treecore.load_tree_json(_read_json(args.tree)))
+        td = qmatrices.TreeData(treecore.MatchedTree.from_json(_read_json(args.tree)))
         if name in ("qB", "E", "qL"):
             obj = getattr(td, name)
         elif name == "tau":
-            tau_l, tau_r = td.tau
-            if at is not None:
-                tau_l = qmatrices.eval_vector(tau_l, at)
-                tau_r = qmatrices.eval_vector(tau_r, at)
-            _emit({"tau_l": tau_l, "tau_r": tau_r}, args.format, at, args.out)
-            return 0
+            obj = dict(zip(("tau_l", "tau_r"), td.tau))
         elif name.startswith("mu:"):
             try:
                 v = int(name.split(":", 1)[1])
@@ -124,16 +151,13 @@ def cmd_show(args) -> int:
             obj = td.mu(v)
         else:
             raise UsageError(f"unknown matrix {name!r}")
-    if at is not None and isinstance(obj, (Matrix, Vector)):
-        obj = (qmatrices.eval_matrix(obj, at) if isinstance(obj, Matrix)
-               else qmatrices.eval_vector(obj, at))
     _emit(obj, args.format, at, args.out)
     return 0
 
 
 def cmd_invert(args) -> int:
-    td = qmatrices.TreeData(treecore.load_tree_json(_read_json(args.tree)))
-    at = _parse_rational(args.at[0]) if args.at else None
+    td = qmatrices.TreeData(treecore.MatchedTree.from_json(_read_json(args.tree)))
+    at = _one_point(args)
     if args.matrix == "E":
         if at is not None and at in (0, 1, -1):
             raise UsageError(
@@ -141,7 +165,7 @@ def cmd_invert(args) -> int:
                 "is invertible only for q != 0, 1, -1"
             )
         inv = qmatrices.inverse_E_formula(td)
-    elif args.matrix == "qB":
+    else:
         if at is not None and at in (0, -1):
             raise UsageError(
                 f"q = {at} excluded: the q-distance matrix "
@@ -153,59 +177,40 @@ def cmd_invert(args) -> int:
                 f"({td.bd}) vanishes there"
             )
         inv = qmatrices.inverse_qB_formula(td)
-    else:
-        raise UsageError("invert supports --matrix E or qB")
-    payload = inv if at is None else qmatrices.eval_matrix(inv, at)
-    if args.oracle:
-        oracle = exactla.inverse_gauss(getattr(td, args.matrix))
-        equal = verify._first_mismatch(inv, oracle) is None
-        out = {"inverse": payload, "oracle": oracle if at is None
-               else qmatrices.eval_matrix(oracle, at), "equal": equal}
-        _emit(out, args.format, at, args.out)
-        return 0 if equal else 1
-    _emit(payload, args.format, at, args.out)
-    return 0
+    if not args.oracle:
+        _emit(inv, args.format, at, args.out)
+        return 0
+    oracle = exactla.inverse_gauss(getattr(td, args.matrix))
+    equal = verify._first_mismatch(inv, oracle) is None
+    _emit({"inverse": inv, "oracle": oracle, "equal": equal}, args.format, at, args.out)
+    return 0 if equal else 1
 
 
 def cmd_verify(args) -> int:
-    sources = [s for s in (args.tree, args.enumerate_upto, args.random) if s is not None]
-    if len(sources) != 1:
-        raise UsageError("need exactly one of --tree, --enumerate-upto, --random")
     if args.tree is not None:
-        mt = treecore.load_tree_json(_read_json(args.tree))
+        mt = treecore.MatchedTree.from_json(_read_json(args.tree))
         reports = [verify.run_suite(mt)]
     elif args.enumerate_upto is not None:
-        if args.enumerate_upto < 2 or args.enumerate_upto % 2:
-            raise UsageError("--enumerate-upto needs an even bound >= 2")
-        if args.enumerate_upto // 2 > treecore.DEFAULT_ENUM_BOUND:
-            raise UsageError(
-                f"--enumerate-upto is capped at {2 * treecore.DEFAULT_ENUM_BOUND} vertices"
-            )
         if args.threads < 1:
             raise UsageError("--threads needs at least 1")
         reports = verify.run_enumerated(args.enumerate_upto, threads=args.threads)
     else:
         try:
-            p_str, trials_str = args.random.split(",", 1)
-            p, trials = int(p_str), int(trials_str)
+            p, trials = map(int, args.random.split(","))
         except ValueError:
             raise UsageError("--random wants 'p,trials'") from None
-        points = ([_parse_rational(x) for x in args.at]
-                  if args.at else verify.DEFAULT_Q_POINTS)
         try:
-            reports = verify.run_random(p, trials, args.seed, points)
+            reports = verify.run_random(p, trials, args.seed,
+                                        args.at or verify.DEFAULT_Q_POINTS)
         except ValueError as exc:
             raise UsageError(str(exc)) from None
     if args.out:
-        body = json.dumps([r.to_json() for r in reports],
-                          sort_keys=True, separators=(",", ":"))
-        with open(args.out, "w") as fh:
-            fh.write(body + "\n")
-    print(verify.summary_line(reports))
+        _dump(_json(reports), args.out)
+    _dump(verify.summary_line(reports))
     for report in reports:
         bad = report.first_failure()
         if bad is not None:
-            print(json.dumps({
+            _dump(json.dumps({
                 "tree": report.tree_code.hex(),
                 "check": bad.name,
                 "witness": bad.witness,
@@ -215,55 +220,35 @@ def cmd_verify(args) -> int:
 
 
 def cmd_enum(args) -> int:
-    if args.p is None:
-        raise UsageError("enum needs --p")
-    try:
-        trees = treecore.enumerate_nonsingular(args.p)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
-    lines = [
-        json.dumps(t.to_json(), sort_keys=True, separators=(",", ":"))
-        for t in trees
-    ]
-    _dump("\n".join(lines), args.out)
+    _dump("\n".join(map(_json, treecore.enumerate_nonsingular(args.p))), args.out)
     return 0
 
 
 def cmd_gen(args) -> int:
-    if args.p is None:
-        raise UsageError("gen needs --p")
     if args.p < 1:
         raise UsageError("--p must be >= 1")
-    mt = treecore.random_nonsingular(args.p, args.seed)
-    _dump(json.dumps(mt.to_json(), sort_keys=True, separators=(",", ":")), args.out)
+    _dump(_json(treecore.random_nonsingular(args.p, args.seed)), args.out)
     return 0
 
 
 def cmd_conjecture(args) -> int:
-    if args.upto is None or args.upto < 2 or args.upto % 2:
-        raise UsageError("conjecture needs --upto 2p with 2p >= 2")
-    if args.upto // 2 > treecore.DEFAULT_ENUM_BOUND:
-        raise UsageError(
-            f"--upto is capped at {2 * treecore.DEFAULT_ENUM_BOUND} vertices"
-        )
     rows = []
     counterexample = None
-    for p in range(1, args.upto // 2 + 1):
-        for mt in treecore.enumerate_nonsingular(p):
-            lap = qmatrices.eval_matrix(qmatrices.build_qL(mt), Fraction(1))
-            evidence = exactla.conjecture_evidence(lap.map(int))
-            row = {
-                "tree": treecore.canonical_code(mt.tree).hex(),
-                "p": p,
-                "diagonalizable": evidence["diagonalizable"],
-                "all_eigen_nonneg": evidence["all_eigen_nonneg"],
-                "real_root_count": evidence["real_root_count"],
-                "charpoly": evidence["charpoly"].format("x"),
-            }
-            rows.append(row)
-            if not (evidence["diagonalizable"] and evidence["all_eigen_nonneg"]):
-                row["witness_tree"] = mt.to_json()
-                counterexample = row
+    for mt in treecore.enumerate_upto(args.upto):
+        lap = qmatrices.eval_matrix(qmatrices.build_qL(mt), Fraction(1))
+        evidence = exactla.conjecture_evidence(lap.map(int))
+        row = {
+            "tree": treecore.canonical_code(mt.tree).hex(),
+            "p": mt.p,
+            "diagonalizable": evidence["diagonalizable"],
+            "all_eigen_nonneg": evidence["all_eigen_nonneg"],
+            "real_root_count": evidence["real_root_count"],
+            "charpoly": evidence["charpoly"].format("x"),
+        }
+        rows.append(row)
+        if not (evidence["diagonalizable"] and evidence["all_eigen_nonneg"]):
+            row["witness_tree"] = mt.to_json()
+            counterexample = row
     if args.format == "pretty":
         body = "\n".join(
             f"p={r['p']} {r['tree'][:24]:<26} diag={r['diagonalizable']} "
@@ -271,9 +256,7 @@ def cmd_conjecture(args) -> int:
             for r in rows
         )
     else:
-        body = "\n".join(
-            json.dumps(r, sort_keys=True, separators=(",", ":")) for r in rows
-        )
+        body = "\n".join(_json(r) for r in rows)
     _dump(body, args.out)
     if counterexample is not None:
         print(json.dumps(counterexample, sort_keys=True), file=sys.stderr)
@@ -291,54 +274,63 @@ def build_parser() -> argparse.ArgumentParser:
         prog="qbip",
         description="Exact q-analogue bipartite distance matrices of matched "
                     "trees: builders, inverses, identity verification.",
+        epilog='Tree JSON (--tree): {"edges": [[u, v], ...]} on the vertex ids '
+               '0..n-1, optionally with "labels" {"L": [...], "R": [...]} and '
+               '"matching" [[l, r], ...] beside it.  Exit codes: 0 = pass, '
+               "1 = a check failed (witness emitted), 2 = usage or input error; "
+               "a closed stdout leaves the code unchanged.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, tree_required=False):
-        p.add_argument("--tree", required=tree_required,
-                       help="path to a tree JSON file")
-        p.add_argument("--at", action="append", metavar="a/b",
-                       help="rational evaluation point (repeatable where it makes sense)")
-        p.add_argument("--format", choices=("json", "csv", "pretty"), default="json")
+    def common(p, sources=None, formats=("json", "csv", "pretty")):
+        (sources or p).add_argument("--tree", required=sources is None,
+                                    help="path to a tree JSON file")
+        p.add_argument("--at", action="append", metavar="a/b", type=_parse_rational,
+                       help="rational evaluation point (repeatable for verify --random)")
+        if formats:
+            p.add_argument("--format", choices=formats, default="json")
         p.add_argument("--out", help="write output to this path instead of stdout")
 
     p_show = sub.add_parser("show", help="emit a matrix or vector of a tree")
-    common(p_show, tree_required=True)
+    common(p_show)
     p_show.add_argument("--matrix", required=True,
                         help="one of qB, E, qL, qD, eD, tau, mu:<vertex>")
     p_show.set_defaults(fn=cmd_show)
 
     p_inv = sub.add_parser("invert", help="emit a closed-form inverse")
-    common(p_inv, tree_required=True)
+    common(p_inv)
     p_inv.add_argument("--matrix", required=True, choices=("qB", "E"))
     p_inv.add_argument("--oracle", action="store_true",
                        help="also run the elimination oracle and compare")
     p_inv.set_defaults(fn=cmd_invert)
 
     p_ver = sub.add_parser("verify", help="run the identity suite")
-    common(p_ver)
-    p_ver.add_argument("--enumerate-upto", type=int, metavar="N",
+    sources = p_ver.add_mutually_exclusive_group(required=True)
+    common(p_ver, sources, formats=())
+    sources.add_argument("--enumerate-upto", type=_vertex_bound, metavar="N",
                        help="all nonsingular trees with at most N vertices")
-    p_ver.add_argument("--random", metavar="p,trials",
+    sources.add_argument("--random", metavar="p,trials",
                        help="random trees evaluated at exact rational points")
     p_ver.add_argument("--seed", type=int, default=1)
     p_ver.add_argument("--threads", type=int, default=1, help="worker processes")
     p_ver.set_defaults(fn=cmd_verify)
 
     p_enum = sub.add_parser("enum", help="enumerate nonsingular trees, one JSON per line")
-    p_enum.add_argument("--p", type=int, help="number of matching pairs")
+    p_enum.add_argument("--p", type=int, required=True, metavar="P",
+                        choices=range(1, treecore.DEFAULT_ENUM_BOUND + 1),
+                        help="number of matching pairs")
     p_enum.add_argument("--out")
     p_enum.set_defaults(fn=cmd_enum)
 
     p_gen = sub.add_parser("gen", help="generate one random nonsingular tree")
-    p_gen.add_argument("--p", type=int, help="number of matching pairs")
+    p_gen.add_argument("--p", type=int, required=True, help="number of matching pairs")
     p_gen.add_argument("--seed", type=int, default=1)
     p_gen.add_argument("--out")
     p_gen.set_defaults(fn=cmd_gen)
 
     p_con = sub.add_parser("conjecture",
                            help="exact spectral evidence for the q=1 Laplacian")
-    p_con.add_argument("--upto", type=int, metavar="N",
+    p_con.add_argument("--upto", type=_vertex_bound, required=True, metavar="N",
                        help="all nonsingular trees with at most N vertices")
     p_con.add_argument("--format", choices=("json", "pretty"), default="json")
     p_con.add_argument("--out")
@@ -357,7 +349,7 @@ def main(argv=None) -> int:
         return args.fn(args)
     except (UsageError, NotATree, NotNonsingular, PoleAtPoint, BdqZero,
             NotDivisible, SingularMatrix, OSError, UnicodeDecodeError,
-            json.JSONDecodeError, KeyError) as exc:
+            json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -15,8 +15,6 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-Rational = Fraction
-
 
 class NotDivisible(ArithmeticError):
     """Exact polynomial division left a remainder or a fractional quotient."""

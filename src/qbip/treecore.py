@@ -103,11 +103,6 @@ class Tree:
         return cls(data["edges"])
 
 
-def parse_tree(edge_list) -> Tree:
-    """Validate an edge list into a Tree."""
-    return Tree(edge_list)
-
-
 def perfect_matching(tree: Tree):
     """The unique perfect matching, by leaf stripping.
 
@@ -227,20 +222,33 @@ class MatchedTree:
 
     @classmethod
     def from_json(cls, data) -> "MatchedTree":
+        """MatchedTree from tree JSON, the shape ``to_json`` writes.
+
+        ``edges`` is required.  ``labels`` ({"L": [...], "R": [...]}) fixes
+        the pair order and needs ``matching`` beside it; without ``labels``
+        the standard labeling is derived, and a ``matching`` given alone must
+        be the tree's perfect matching.  Any other shape raises NotATree or
+        NotNonsingular naming the field.
+        """
         tree = Tree.from_json(data)
-        try:
-            ls = list(data["labels"]["L"])
-            rs = list(data["labels"]["R"])
-            declared = tuple(sorted(tuple(sorted(e)) for e in data["matching"]))
-        except TypeError:
-            raise NotATree(
-                "labels must map L and R to vertex lists and matching must list pairs"
-            ) from None
-        if len(ls) != len(rs):
-            raise NotNonsingular("label sides have different lengths")
-        mt = cls(tree, list(zip(ls, rs)))
-        if declared != mt.matching_edges():
-            raise NotNonsingular("matching field disagrees with labels")
+        matching = data.get("matching", [])
+        if not (isinstance(matching, list) and all(
+                isinstance(e, list) and all(type(v) is int for v in e) for e in matching)):
+            raise NotATree('"matching" must be a list of vertex-id pairs')
+        if "labels" not in data:
+            mt = standard_labeling(tree)
+        elif "matching" not in data:
+            raise NotATree('"labels" needs a "matching" list beside it')
+        else:
+            labels = data["labels"]
+            if not (isinstance(labels, dict) and isinstance(labels.get("L"), list)
+                    and isinstance(labels.get("R"), list)
+                    and len(labels["L"]) == len(labels["R"])):
+                raise NotATree('"labels" must map "L" and "R" to vertex lists of one length')
+            mt = cls(tree, zip(labels["L"], labels["R"]))
+        declared = tuple(sorted(tuple(sorted(e)) for e in matching))
+        if "matching" in data and declared != mt.matching_edges():
+            raise NotNonsingular('"matching" is not the tree\'s perfect matching')
         return mt
 
 
@@ -543,15 +551,15 @@ def _ahu_encode(tree: Tree, root: int) -> bytes:
 DEFAULT_ENUM_BOUND = 8
 
 
-def enumerate_nonsingular(p: int, bound: int = DEFAULT_ENUM_BOUND):
+def enumerate_nonsingular(p: int):
     """All isomorphism classes of nonsingular trees on 2p vertices.
 
     Level k+1 is generated by attaching a pair at every vertex of every
     level-k tree (complete, because detach_p2 inverts some attachment), then
     deduplicated by canonical code.  Deterministic order: sorted by code.
     """
-    if not 1 <= p <= bound:
-        raise ValueError(f"p must be within 1..{bound}")
+    if not 1 <= p <= DEFAULT_ENUM_BOUND:
+        raise ValueError(f"p must be within 1..{DEFAULT_ENUM_BOUND}")
     level = {canonical_code(_P2.tree): _P2}
     for _ in range(p - 1):
         nxt = {}
@@ -563,6 +571,24 @@ def enumerate_nonsingular(p: int, bound: int = DEFAULT_ENUM_BOUND):
                     nxt[code] = cand
         level = nxt
     return [t for _, t in sorted(level.items())]
+
+
+def check_vertex_bound(max_vertices: int) -> int:
+    """The vertex bound of enumerate_upto: even, >= 2, at most 2 * DEFAULT_ENUM_BOUND."""
+    if max_vertices < 2 or max_vertices % 2:
+        raise ValueError(f"the vertex bound must be even and >= 2, not {max_vertices}")
+    if max_vertices > 2 * DEFAULT_ENUM_BOUND:
+        raise ValueError(f"the vertex bound is capped at {2 * DEFAULT_ENUM_BOUND} vertices")
+    return max_vertices
+
+
+def enumerate_upto(max_vertices: int):
+    """Every nonsingular tree on at most max_vertices vertices, by p then code.
+
+    The bound is checked at the call; levels are built one at a time.
+    """
+    levels = range(1, check_vertex_bound(max_vertices) // 2 + 1)
+    return (t for p in levels for t in enumerate_nonsingular(p))
 
 
 _P2 = MatchedTree(Tree([(0, 1)]), [(0, 1)])
@@ -581,9 +607,3 @@ def random_nonsingular(p: int, seed: int) -> MatchedTree:
         t = attach_p2(t, rng.randrange(t.tree.n))
     return t
 
-
-def load_tree_json(data) -> MatchedTree:
-    """MatchedTree from tree JSON; labels are derived when absent."""
-    if isinstance(data, dict) and "labels" in data:
-        return MatchedTree.from_json(data)
-    return standard_labeling(Tree.from_json(data))

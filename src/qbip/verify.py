@@ -654,33 +654,26 @@ def check_q1_properties(mt: MatchedTree | TreeData) -> CheckResult:
     td = TreeData.of(mt)
     p = td.mt.p
     ints = qmatrices.eval_matrix(td.qL, Fraction(1)).map(int)
-
-    def fail(label, got, want):
-        return CheckResult("q1_properties", False, {
-            "identity": label, "got": str(got), "want": str(want),
-            "residual": "see got/want",
-        })
-
-    for i in range(p):
-        if sum(ints.row(i)) != 0:
-            return fail(f"row sum {i} of the q=1 Laplacian", sum(ints.row(i)), 0)
-        if sum(ints.column(i)) != 0:
-            return fail(f"column sum {i} of the q=1 Laplacian", sum(ints.column(i)), 0)
     adj = exactla.adjugate_int(ints)
-    if any(e != 1 for row in adj.entries for e in row):
-        return fail("adjugate is all-ones", adj.entries, "ones")
-    rank = exactla.rank_int(ints)
-    if rank != p - 1:
-        return fail("rank of the q=1 Laplacian", rank, p - 1)
-    symmetric = ints.entries == ints.transpose().entries
-    corona = qmatrices.is_corona(td.mt)
-    if symmetric != corona:
-        return fail("symmetry iff corona", symmetric, corona)
     # one side suffices: for square matrices over Q, B.X = I gives X.B = I
     product = qmatrices.eval_matrix(td.qB, Fraction(1)) @ qmatrices.inverse_B_q1(td)
-    if product != Matrix.identity(p, KIND_L, KIND_L, one=Fraction(1), zero=Fraction(0)):
-        return fail("B . inverse_B = I at q=1", product.entries, "identity")
-    return CheckResult("q1_properties", True)
+    name = "q1_properties"
+    results = (
+        _compare_vectors(name, "row sums of the q=1 Laplacian",
+                         Vector(map(sum, ints.entries), KIND_R), Vector([0] * p, KIND_R)),
+        _compare_vectors(name, "column sums of the q=1 Laplacian",
+                         Vector(map(sum, zip(*ints.entries)), KIND_L),
+                         Vector([0] * p, KIND_L)),
+        _compare_matrices(name, "adjugate is all-ones", adj,
+                          Matrix([[1] * p] * p, adj.row_kind, adj.col_kind)),
+        _scalar_result(name, "rank of the q=1 Laplacian", exactla.rank_int(ints), p - 1),
+        _scalar_result(name, "symmetry iff corona",
+                       ints.entries == ints.transpose().entries,
+                       qmatrices.is_corona(td.mt)),
+        _compare_matrices(name, "B . inverse_B = I at q=1", product, Matrix.identity(
+            p, KIND_L, KIND_L, one=Fraction(1), zero=Fraction(0))),
+    )
+    return next((r for r in results if not r.passed), CheckResult(name, True))
 
 
 def check_full_dq_ed(tree: treecore.Tree | TreeData) -> CheckResult:
@@ -739,9 +732,7 @@ def run_suite(mt: MatchedTree | TreeData, oracle: bool | None = None) -> Verific
 
 def run_enumerated(max_vertices: int, threads: int = 1):
     """Symbolic suite over every nonsingular tree with 2p <= max_vertices."""
-    trees = []
-    for p in range(1, max_vertices // 2 + 1):
-        trees.extend(treecore.enumerate_nonsingular(p))
+    trees = list(treecore.enumerate_upto(max_vertices))
     workers = min(threads, os.cpu_count() or 1, len(trees))
     if workers > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:

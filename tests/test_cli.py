@@ -9,7 +9,7 @@ import tempfile
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qbip import exactla, treecore
+from qbip import exactla, treecore, verify
 from qbip.cli import main
 
 
@@ -314,6 +314,55 @@ def test_conjecture_computes_one_charpoly_per_tree(capsys, monkeypatch):
 # -- general -----------------------------------------------------------------------
 
 
+@pytest.mark.parametrize("command", ["show", "invert"])
+def test_second_at_is_usage_error(capsys, p4_file, command):
+    # a second point used to be dropped without a word
+    code, out, err = run_cli(
+        capsys, command, "--tree", p4_file, "--matrix", "qB", "--at", "2", "--at", "3"
+    )
+    assert code == 2 and "--at" in err and out == ""
+
+
+_P4 = [[0, 1], [1, 2], [2, 3]]
+
+
+@pytest.mark.parametrize("data, field", [
+    ({"edges": _P4, "labels": {"L": [0, 2]}, "matching": [[0, 1], [2, 3]]}, '"R"'),
+    ({"edges": _P4, "labels": {"L": [0, 2], "R": [1, 3]}}, '"matching"'),
+    ({"edges": _P4, "matching": [[0, 3]]}, '"matching"'),
+])
+def test_malformed_tree_field_is_named(capsys, tmp_path, data, field):
+    path = tmp_path / "tree.json"
+    path.write_text(json.dumps(data))
+    code, out, err = run_cli(capsys, "verify", "--tree", str(path))
+    assert code == 2 and err.startswith("error:") and field in err and out == ""
+
+
+def test_key_error_inside_a_command_is_not_an_input_error(monkeypatch, p4_file):
+    # a KeyError from a bug must surface, not read as "bad input"
+    def broken(mt):
+        raise KeyError("bug")
+
+    monkeypatch.setattr(verify, "run_suite", broken)
+    with pytest.raises(KeyError):
+        main(["verify", "--tree", p4_file])
+
+
+@pytest.mark.parametrize("upto, read_first", [("4", 0), ("16", 10)])
+def test_closed_stdout_keeps_the_verdict(upto, read_first):
+    # the reader going away is neither bad input nor a failed check
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "qbip.cli", "conjecture", "--upto", upto],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+    )
+    assert len(proc.stdout.read(read_first)) == read_first
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == 0 and err == b""
+
+
+
 def test_bad_rational(capsys, p4_file):
     code, _, err = run_cli(
         capsys, "show", "--tree", p4_file, "--matrix", "qB", "--at", "x/y"
@@ -361,7 +410,7 @@ def test_malformed_input_is_usage_error(capsys, tmp_path, text, argv):
     assert code == 2 and err.startswith("error:") and out == ""
     if argv == ["verify"]:
         with pytest.raises(treecore.NotATree):
-            treecore.load_tree_json(json.loads(text))
+            treecore.MatchedTree.from_json(json.loads(text))
 
 
 def test_huge_vertex_id_is_usage_error(tmp_path):

@@ -1,9 +1,13 @@
-"""Source hygiene: every name a package module imports is used in it."""
+"""Source hygiene: every import is used, every CLI option is read."""
 
+import argparse
 import ast
+import json
 from pathlib import Path
 
 import pytest
+
+from qbip import cli
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "qbip"
 
@@ -23,3 +27,46 @@ def test_every_import_is_used(path):
             imported.update(a.asname or a.name for a in node.names)
     used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
     assert sorted(imported - used) == []
+
+
+class _ReadLog(argparse.Namespace):
+    """A namespace that records every attribute read from it."""
+
+    def __init__(self):
+        object.__setattr__(self, "reads", set())
+        super().__init__()
+
+    def __getattribute__(self, name):
+        object.__getattribute__(self, "reads").add(name)
+        return object.__getattribute__(self, name)
+
+
+def test_every_option_is_read_by_its_command(tmp_path, capsys):
+    tree = tmp_path / "p4.json"
+    tree.write_text(json.dumps({"edges": [[0, 1], [1, 2], [2, 3]]}))
+    t, out = str(tree), str(tmp_path / "out.txt")
+    runs = [
+        ["show", "--tree", t, "--matrix", "qB", "--at", "2", "--format", "csv", "--out", out],
+        ["invert", "--tree", t, "--matrix", "qB", "--oracle", "--at", "2",
+         "--format", "pretty", "--out", out],
+        ["verify", "--tree", t, "--out", out],
+        ["verify", "--enumerate-upto", "4", "--threads", "1"],
+        ["verify", "--random", "4,1", "--seed", "2", "--at", "2"],
+        ["enum", "--p", "2", "--out", out],
+        ["gen", "--p", "2", "--seed", "3", "--out", out],
+        ["conjecture", "--upto", "4", "--format", "pretty", "--out", out],
+    ]
+    parser = cli.build_parser()
+    commands = next(a for a in parser._actions
+                    if isinstance(a, argparse._SubParsersAction)).choices
+    read = {name: set() for name in commands}
+    for argv in runs:
+        args = parser.parse_args(argv, namespace=_ReadLog())
+        args.reads.clear()  # what argparse itself looked at does not count
+        assert args.fn(args) == 0, argv
+        read[argv[0]] |= args.reads
+    unread = {
+        name: sorted({a.dest for a in sub._actions if a.dest != "help"} - read[name])
+        for name, sub in commands.items()
+    }
+    assert unread == {name: [] for name in commands}

@@ -105,7 +105,7 @@ def test_qL_at_one_is_bipartite_laplacian(p4_attach):
 
 
 def test_qD_p3():
-    t = treecore.parse_tree([[0, 1], [1, 2]])
+    t = treecore.Tree([[0, 1], [1, 2]])
     m = build_full_qD(t)
     assert entries(m) == (
         (ZERO, ONE, P((1, 1))),
@@ -116,20 +116,20 @@ def test_qD_p3():
 
 
 def test_eD_p2():
-    t = treecore.parse_tree([[0, 1]])
+    t = treecore.Tree([[0, 1]])
     m = build_full_eD(t)
     assert entries(m) == ((ONE, Q), (Q, ONE))
     assert det_bareiss(m) == P((1, 0, -1))
 
 
 def test_eD_diagonal_is_ones():
-    t = treecore.parse_tree([[0, 1], [1, 2], [1, 3]])
+    t = treecore.Tree([[0, 1], [1, 2], [1, 3]])
     m = build_full_eD(t)
     assert all(m[i, i] == ONE for i in range(4))
 
 
 def test_full_builders_take_unmatched_trees():
-    star = treecore.parse_tree([[0, 1], [0, 2], [0, 3]])
+    star = treecore.Tree([[0, 1], [0, 2], [0, 3]])
     assert det_bareiss(build_full_qD(star)) == det_cofactor(
         [list(r) for r in build_full_qD(star).entries]
     )

@@ -20,7 +20,7 @@ from qbip.treecore import (
     diff,
     distances,
     enumerate_nonsingular,
-    parse_tree,
+    enumerate_upto,
     perfect_matching,
     permute_pairs,
     random_nonsingular,
@@ -37,13 +37,13 @@ NONSINGULAR_COUNTS = {1: 1, 2: 1, 3: 2, 4: 5, 5: 15, 6: 49}
 
 
 def test_parse_single_edge():
-    t = parse_tree([[0, 1]])
+    t = Tree([[0, 1]])
     assert t.n == 2
     assert t.edges == ((0, 1),)
 
 
 def test_parse_path():
-    t = parse_tree([[0, 1], [1, 2], [2, 3]])
+    t = Tree([[0, 1], [1, 2], [2, 3]])
     assert t.n == 4
     assert t.degree(1) == 2
 
@@ -61,32 +61,32 @@ def test_parse_path():
 )
 def test_parse_rejects_non_trees(edges):
     with pytest.raises(NotATree):
-        parse_tree(edges)
+        Tree(edges)
 
 
 # -- perfect matching ----------------------------------------------------------
 
 
 def test_matching_p2_forced():
-    assert perfect_matching(parse_tree([[0, 1]])) == ((0, 1),)
+    assert perfect_matching(Tree([[0, 1]])) == ((0, 1),)
 
 
 def test_matching_p4_unique_vs_bruteforce():
-    t = parse_tree([[0, 1], [1, 2], [2, 3]])
+    t = Tree([[0, 1], [1, 2], [2, 3]])
     assert perfect_matching(t) == ((0, 1), (2, 3))
     assert all_perfect_matchings(t.n, t.edges) == [((0, 1), (2, 3))]
 
 
 def test_matching_star_fails():
     with pytest.raises(NotNonsingular):
-        perfect_matching(parse_tree([[0, 1], [0, 2], [0, 3]]))
+        perfect_matching(Tree([[0, 1], [0, 2], [0, 3]]))
 
 
 def test_matching_agrees_with_bruteforce_up_to_ten_vertices():
     for n in range(2, 11):
         for g in nx.nonisomorphic_trees(n):
             edges = [tuple(sorted(e)) for e in g.edges()]
-            t = parse_tree(edges)
+            t = Tree(edges)
             brute = all_perfect_matchings(n, edges)
             assert len(brute) <= 1  # trees have at most one perfect matching
             try:
@@ -102,24 +102,24 @@ def test_matching_agrees_with_bruteforce_up_to_ten_vertices():
 
 
 def test_labeling_p2():
-    mt = standard_labeling(parse_tree([[0, 1]]))
+    mt = standard_labeling(Tree([[0, 1]]))
     assert mt.pairs == ((0, 1),)
     assert mt.side_of[0] == "L"
 
 
 def test_labeling_p4_path():
-    mt = standard_labeling(parse_tree([[0, 1], [1, 2], [2, 3]]))
+    mt = standard_labeling(Tree([[0, 1], [1, 2], [2, 3]]))
     assert mt.l_vertices == (0, 2)
     assert mt.r_vertices == (1, 3)
 
 
 def test_labeling_p6_path():
-    mt = standard_labeling(parse_tree([[i, i + 1] for i in range(5)]))
+    mt = standard_labeling(Tree([[i, i + 1] for i in range(5)]))
     assert mt.pairs == ((0, 1), (2, 3), (4, 5))
 
 
 def test_matched_tree_rejects_bad_pairs():
-    t = parse_tree([[0, 1], [1, 2], [2, 3]])
+    t = Tree([[0, 1], [1, 2], [2, 3]])
     with pytest.raises(NotNonsingular):
         MatchedTree(t, [(0, 1), (1, 2)])  # overlap
     with pytest.raises(NotNonsingular):
@@ -133,7 +133,7 @@ def test_matched_tree_rejects_bad_pairs():
 ])
 def test_matched_tree_rejects_pairs_that_are_not_edges(pairs):
     with pytest.raises(NotNonsingular):
-        MatchedTree(parse_tree([[0, 1], [1, 2], [2, 3]]), pairs)
+        MatchedTree(Tree([[0, 1], [1, 2], [2, 3]]), pairs)
 
 
 # -- distances --------------------------------------------------------------------
@@ -361,8 +361,8 @@ def test_random_large_is_valid():
 
 
 def test_code_isomorphism_invariance():
-    t1 = parse_tree([[0, 1], [1, 2], [2, 3]])
-    t2 = parse_tree([[3, 1], [1, 0], [0, 2]])  # same shape, shuffled names
+    t1 = Tree([[0, 1], [1, 2], [2, 3]])
+    t2 = Tree([[3, 1], [1, 0], [0, 2]])  # same shape, shuffled names
     assert canonical_code(t1) == canonical_code(t2)
 
 
@@ -374,7 +374,7 @@ def test_code_separates_the_six_vertex_classes():
 
 
 def test_code_stable_across_runs():
-    t = parse_tree([[i, i + 1] for i in range(5)])
+    t = Tree([[i, i + 1] for i in range(5)])
     assert canonical_code(t) == canonical_code(t)
 
 
@@ -385,7 +385,7 @@ def test_code_agrees_with_independent_canonical_form():
         by_oracle = {}
         for g in nx.nonisomorphic_trees(n):
             edges = [tuple(sorted(e)) for e in g.edges()]
-            by_pkg.setdefault(canonical_code(parse_tree(edges)), []).append(edges)
+            by_pkg.setdefault(canonical_code(Tree(edges)), []).append(edges)
             by_oracle.setdefault(min_rooting_code(n, edges), []).append(edges)
         assert len(by_pkg) == len(by_oracle)
         for group in by_pkg.values():
@@ -438,5 +438,12 @@ def test_json_rejects_inconsistent_matching(p4_attach):
 
 
 def test_tree_json_edges_sorted():
-    t = parse_tree([[2, 1], [0, 1], [2, 3]])
+    t = Tree([[2, 1], [0, 1], [2, 3]])
     assert t.to_json() == {"edges": [[0, 1], [1, 2], [2, 3]]}
+
+
+def test_enumerate_upto_is_every_level():
+    assert list(enumerate_upto(6)) == [t for p in (1, 2, 3) for t in enumerate_nonsingular(p)]
+    for bad in (0, 7, 18):
+        with pytest.raises(ValueError):
+            enumerate_upto(bad)

@@ -380,3 +380,24 @@ def test_identically_zero_bd_is_reported(monkeypatch, p5_random):
     monkeypatch.setattr(qmatrices, "bdq_det", lambda mt: ZERO)
     res = verify.check_inverse_qB(p5_random)
     assert not res.passed and "identically zero" in res.witness["got"]
+
+
+def test_q1_properties_witness_replays(monkeypatch, p6_attach):
+    real = qmatrices.inverse_B_q1
+
+    def perturbed(mt):
+        m = real(mt)
+        rows = [list(row) for row in m.entries]
+        rows[1][0] += 1
+        return Matrix(rows, m.row_kind, m.col_kind)
+
+    monkeypatch.setattr(qmatrices, "inverse_B_q1", perturbed)
+    res = verify.check_q1_properties(p6_attach)
+    assert not res.passed
+    w = res.witness
+    assert w["identity"] == "B . inverse_B = I at q=1"
+    i, j = w["entry"]
+    product = qmatrices.eval_matrix(qmatrices.build_qB(p6_attach), 1) @ perturbed(p6_attach)
+    want = Fraction(int(i == j))
+    assert (Fraction(w["got"]), Fraction(w["want"])) == (product[i, j], want)
+    assert Fraction(w["got"]) - Fraction(w["want"]) == Fraction(w["residual"]) != 0
