@@ -1,0 +1,8 @@
+"""``python -m qbip``: the qbip command line (see ``qbip.cli``)."""
+
+import sys
+
+from .cli import main
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -187,23 +187,22 @@ def cmd_invert(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    for option, mode in (("at", "random"), ("seed", "random"),
+                         ("threads", "enumerate_upto")):
+        if getattr(args, option) is not None and getattr(args, mode) is None:
+            raise UsageError(f"--{option} applies to --{mode.replace('_', '-')} only")
     if args.tree is not None:
         mt = treecore.MatchedTree.from_json(_read_json(args.tree))
         reports = [verify.run_suite(mt)]
     elif args.enumerate_upto is not None:
-        if args.threads < 1:
+        threads = 1 if args.threads is None else args.threads
+        if threads < 1:
             raise UsageError("--threads needs at least 1")
-        reports = verify.run_enumerated(args.enumerate_upto, threads=args.threads)
+        reports = verify.run_enumerated(args.enumerate_upto, threads=threads)
     else:
-        try:
-            p, trials = map(int, args.random.split(","))
-        except ValueError:
-            raise UsageError("--random wants 'p,trials'") from None
-        try:
-            reports = verify.run_random(p, trials, args.seed,
-                                        args.at or verify.DEFAULT_Q_POINTS)
-        except ValueError as exc:
-            raise UsageError(str(exc)) from None
+        p, trials, points = _random_spec(args)
+        seed = 1 if args.seed is None else args.seed
+        reports = verify.run_random(p, trials, seed, points)
     if args.out:
         _dump(_json(reports), args.out)
     _dump(verify.summary_line(reports))
@@ -217,6 +216,23 @@ def cmd_verify(args) -> int:
             }, sort_keys=True))
             return 1
     return 0
+
+
+def _random_spec(args) -> tuple:
+    """(p, trials, points) of verify --random, each checked before the run."""
+    try:
+        p, trials = map(int, args.random.split(","))
+    except ValueError:
+        raise UsageError("--random wants 'p,trials'") from None
+    if trials < 1:
+        raise UsageError("need at least one random trial")
+    try:
+        points = verify._rational_points(args.at or verify.DEFAULT_Q_POINTS)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
+    if p < 1:
+        raise UsageError("p must be >= 1")
+    return p, trials, points
 
 
 def cmd_enum(args) -> int:
@@ -286,7 +302,7 @@ def build_parser() -> argparse.ArgumentParser:
         (sources or p).add_argument("--tree", required=sources is None,
                                     help="path to a tree JSON file")
         p.add_argument("--at", action="append", metavar="a/b", type=_parse_rational,
-                       help="rational evaluation point (repeatable for verify --random)")
+                       help="rational evaluation point (verify: --random only, repeatable)")
         if formats:
             p.add_argument("--format", choices=formats, default="json")
         p.add_argument("--out", help="write output to this path instead of stdout")
@@ -311,8 +327,10 @@ def build_parser() -> argparse.ArgumentParser:
                        help="all nonsingular trees with at most N vertices")
     sources.add_argument("--random", metavar="p,trials",
                        help="random trees evaluated at exact rational points")
-    p_ver.add_argument("--seed", type=int, default=1)
-    p_ver.add_argument("--threads", type=int, default=1, help="worker processes")
+    p_ver.add_argument("--seed", type=int,
+                       help="first seed of --random (default 1)")
+    p_ver.add_argument("--threads", type=int,
+                       help="worker processes of --enumerate-upto (default 1)")
     p_ver.set_defaults(fn=cmd_verify)
 
     p_enum = sub.add_parser("enum", help="enumerate nonsingular trees, one JSON per line")

@@ -4,8 +4,10 @@ This module is the referee for the closed-form constructions elsewhere in the
 package: it only knows generic exact algorithms (one fraction-free Bareiss loop
 over Z, which gives integer ranks and, by Kronecker substitution, Z[q]
 determinants; Gauss-Jordan over the fraction field; characteristic polynomials
-and adjugates from one such determinant; Sturm sequences on polyalg's
-pseudo-remainder) and never builds any of the structured matrices itself.
+from one such determinant; polynomials of an integer matrix, for adjugates and
+annihilation tests, from one Horner loop on a Kronecker-packed vector; Sturm
+sequences on polyalg's pseudo-remainder) and never builds any of the
+structured matrices itself.
 
 Matrices and vectors carry index-kind metadata ("L", "R", "Vertex") so that a
 product with mismatched row/column semantics fails loudly instead of silently
@@ -394,6 +396,10 @@ def adjugate_int(m: Matrix) -> Matrix:
     m (m^(n-1) + c_(n-1) m^(n-2) + ... + c_1 I) = -c_0 I = (-1)^(n-1) det(m) I
     holds for every m, singular or not, so
     adj(m) = (-1)^(n-1) (m^(n-1) + c_(n-1) m^(n-2) + ... + c_1 I).
+    That matrix polynomial is read from one packed Horner loop
+    (``_matrix_poly``): with N the largest absolute row sum of m and c_n = 1,
+    its entries lie in [-C, C] for C = sum over k >= 1 of |c_k| N^(k-1), so
+    each is one balanced digit in base B = 2C + 1.
     """
     if not m.is_square():
         raise DimensionMismatch("adjugate of a non-square matrix")
@@ -438,22 +444,49 @@ def squarefree_part(p: Poly) -> Poly:
 
 
 def annihilates(m: Matrix, p: Poly) -> bool:
-    """Exact test of p(m) == 0 with integer matrices."""
+    """Exact test of p(m) == 0 with integer matrices.
+
+    p(m) is zero exactly when its packed image ``_packed_horner(m, p)`` is,
+    since each row of p(m) is the balanced base-B digits of one packed
+    entry; nothing is decoded.
+    """
     if not m.is_square():
         raise DimensionMismatch("polynomial of a non-square matrix")
-    return not any(map(any, _matrix_poly(m, p.coeffs)))
+    return not any(_packed_horner(m, p.coeffs)[0])
 
 
 def _matrix_poly(m: Matrix, coeffs) -> list:
-    """Rows of sum c_k m^k over the ascending coeffs, by Horner with integers."""
+    """Rows of sum c_k m^k over the ascending coeffs, from one packed Horner.
+
+    Row i is the balanced base-B digits of entry i of ``_packed_horner``,
+    padded with zeros to the width of m.
+    """
     n = m.rows
-    cols = list(zip(*([_as_int(e) for e in row] for row in m.entries)))
-    acc = [[0] * n for _ in range(n)]
+    w, base = _packed_horner(m, coeffs)
+    rows = [list(_balanced_digits(x, base).coeffs) for x in w]
+    return [row + [0] * (n - len(row)) for row in rows]
+
+
+def _packed_horner(m: Matrix, coeffs) -> tuple:
+    """(w, B) with w = p(m) v, v = (B^0, ..., B^(n-1)), p = sum c_k x^k.
+
+    Let N be the largest absolute row sum of the integer matrix m.  Then
+    |(m^k)_ij| <= N^k, so every entry of p(m) lies in [-C, C] with
+    C = sum |c_k| N^k.  With B = 2C + 1 each such entry is one balanced
+    base-B digit, so w_i = sum_j p(m)_ij B^j holds row i of p(m) as its
+    digits (Kronecker substitution, as in ``det_bareiss``).  w comes from
+    Horner on one vector, w <- m w + c_k v: n dot products per step, where
+    Horner on the whole matrix takes n^2.  C = 0 means p(m) = 0, and then
+    w = 0 whatever B is.
+    """
+    rows = [[_as_int(e) for e in row] for row in m.entries]
+    norm = max(sum(map(abs, row)) for row in rows)
+    base = 2 * sum(abs(c) * norm**k for k, c in enumerate(coeffs)) + 1
+    v = [base**j for j in range(m.rows)]
+    w = [0] * m.rows
     for c in reversed(coeffs):
-        acc = [[sum(map(mul, row, col)) for col in cols] for row in acc]
-        for i in range(n):
-            acc[i][i] += c
-    return acc
+        w = [sum(map(mul, row, w)) + c * b for row, b in zip(rows, v)]
+    return w, base
 
 
 def sturm_chain(p: Poly) -> list[Poly]:

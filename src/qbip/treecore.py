@@ -15,6 +15,7 @@ opposite sides.  Odd/even refers to the parity of k.
 
 from __future__ import annotations
 
+import functools
 import random
 from enum import Enum
 from typing import NamedTuple
@@ -551,26 +552,30 @@ def _ahu_encode(tree: Tree, root: int) -> bytes:
 DEFAULT_ENUM_BOUND = 8
 
 
-def enumerate_nonsingular(p: int):
+@functools.lru_cache(maxsize=1)
+def enumerate_nonsingular(p: int) -> tuple:
     """All isomorphism classes of nonsingular trees on 2p vertices.
 
-    Level k+1 is generated by attaching a pair at every vertex of every
-    level-k tree (complete, because detach_p2 inverts some attachment), then
-    deduplicated by canonical code.  Deterministic order: sorted by code.
+    Level p is grown from level p-1 (``enumerate_nonsingular(p - 1)``) by
+    attaching a pair at every vertex of every tree there (complete, because
+    detach_p2 inverts some attachment), then deduplicated by canonical code,
+    the first tree of each code kept.  Deterministic order: sorted by code.
+
+    The last level built is memoised, so the ascending calls of
+    enumerate_upto build each level once; no other level is kept.  The
+    result is therefore a tuple shared between callers, and its trees must
+    not be changed.
     """
     if not 1 <= p <= DEFAULT_ENUM_BOUND:
         raise ValueError(f"p must be within 1..{DEFAULT_ENUM_BOUND}")
-    level = {canonical_code(_P2.tree): _P2}
-    for _ in range(p - 1):
-        nxt = {}
-        for _, t in sorted(level.items()):
-            for v in range(t.tree.n):
-                cand = attach_p2(t, v)
-                code = canonical_code(cand.tree)
-                if code not in nxt:
-                    nxt[code] = cand
-        level = nxt
-    return [t for _, t in sorted(level.items())]
+    if p == 1:
+        return (_P2,)
+    level = {}
+    for t in enumerate_nonsingular(p - 1):
+        for v in range(t.tree.n):
+            cand = attach_p2(t, v)
+            level.setdefault(canonical_code(cand.tree), cand)
+    return tuple(t for _, t in sorted(level.items()))
 
 
 def check_vertex_bound(max_vertices: int) -> int:
@@ -585,7 +590,8 @@ def check_vertex_bound(max_vertices: int) -> int:
 def enumerate_upto(max_vertices: int):
     """Every nonsingular tree on at most max_vertices vertices, by p then code.
 
-    The bound is checked at the call; levels are built one at a time.
+    The bound is checked at the call.  Levels are taken in ascending order, so
+    each is grown once from the memoised level before it.
     """
     levels = range(1, check_vertex_bound(max_vertices) // 2 + 1)
     return (t for p in levels for t in enumerate_nonsingular(p))

@@ -264,6 +264,15 @@ def test_gen_deterministic_bytes():
     assert mt.p == 5
 
 
+def test_python_dash_m_qbip_runs_the_cli():
+    argv = ["gen", "--p", "3", "--seed", "1"]
+    pkg = subprocess.run([sys.executable, "-m", "qbip", *argv],
+                         capture_output=True, check=True)
+    cli = subprocess.run([sys.executable, "-m", "qbip.cli", *argv],
+                         capture_output=True, check=True)
+    assert pkg.stdout == cli.stdout and pkg.stdout.startswith(b"{")
+
+
 def test_gen_needs_valid_p(capsys):
     assert run_cli(capsys, "gen", "--p", "0")[0] == 2
 
@@ -346,6 +355,41 @@ def test_key_error_inside_a_command_is_not_an_input_error(monkeypatch, p4_file):
     monkeypatch.setattr(verify, "run_suite", broken)
     with pytest.raises(KeyError):
         main(["verify", "--tree", p4_file])
+
+
+def test_value_error_inside_a_random_run_is_not_an_input_error(monkeypatch):
+    # --random's p, trials and points are checked before the run; a
+    # ValueError from the run itself is a bug and must surface
+    def broken(mt, *points):
+        raise ValueError("bug")
+
+    monkeypatch.setattr(verify, "evaluate_identities_at", broken)
+    with pytest.raises(ValueError, match="bug"):
+        main(["verify", "--random", "4,1"])
+
+
+@pytest.mark.parametrize("argv,option", [
+    (["--tree", "P4", "--at", "2", "--seed", "5"], "--at"),
+    (["--tree", "P4", "--seed", "5"], "--seed"),
+    (["--tree", "P4", "--threads", "1"], "--threads"),
+    (["--random", "4,1", "--threads", "3"], "--threads"),
+    (["--enumerate-upto", "4", "--at", "2"], "--at"),
+    (["--enumerate-upto", "4", "--seed", "1"], "--seed"),
+])
+def test_verify_option_of_another_mode_is_usage_error(capsys, p4_file, argv, option):
+    argv = [p4_file if a == "P4" else a for a in argv]
+    code, out, err = run_cli(capsys, "verify", *argv)
+    assert code == 2 and err.startswith(f"error: {option} applies to")
+    assert out == ""
+
+
+@pytest.mark.parametrize("spec,message", [
+    ("0,1", "p must be >= 1"), ("4,0", "trial"), ("x,1", "p,trials"),
+])
+def test_verify_random_spec_is_checked_before_the_run(capsys, monkeypatch, spec, message):
+    monkeypatch.setattr(verify, "run_random", None)
+    code, out, err = run_cli(capsys, "verify", "--random", spec)
+    assert code == 2 and message in err and out == ""
 
 
 @pytest.mark.parametrize("upto, read_first", [("4", 0), ("16", 10)])

@@ -460,6 +460,78 @@ def test_annihilates_q1_laplacian_squarefree_charpoly():
     assert annihilates(lap, squarefree_part(charpoly_exact(lap)))
 
 
+def test_annihilates_jordan_block_and_diagonal():
+    jordan = Matrix([[1, 1], [0, 1]], KIND_R, KIND_L)
+    assert not annihilates(jordan, Poly((-1, 1)))
+    diag = Matrix([[-1, 0, 0], [0, 0, 0], [0, 0, 2]], KIND_R, KIND_L)
+    sf = squarefree_part(charpoly_exact(diag))
+    assert sf == charpoly_exact(diag)
+    assert annihilates(diag, sf)
+
+
+# -- matrix polynomials ------------------------------------------------------------------
+
+
+def _matrix_poly_reference(rows, coeffs):
+    """sum c_k m^k by Horner, each product by the triple loop."""
+    n = len(rows)
+    acc = [[0] * n for _ in range(n)]
+    for c in reversed(coeffs):
+        acc = [[sum(acc[i][k] * rows[k][j] for k in range(n)) for j in range(n)]
+               for i in range(n)]
+        for i in range(n):
+            acc[i][i] += c
+    return acc
+
+
+def test_matrix_poly_matches_triple_loop_reference():
+    rng = random.Random(53)
+    cases = [([[0] * 3] * 3, [4, -1, 2]), ([[2, -1], [0, 5]], []), ([[0]], []),
+             ([[-4]], [3, 0, 0, -1]), ([[7]], [0, 0, 0, 0, 2])]
+    for n in range(1, 9):
+        for _ in range(8):
+            rows = [[rng.randint(-6, 6) for _ in range(n)] for _ in range(n)]
+            coeffs = [rng.randint(-9, 9) for _ in range(rng.randint(0, n + 1))]
+            cases.append((rows, coeffs))
+    for rows, coeffs in cases:
+        m = Matrix(rows, KIND_R, KIND_L)
+        assert exactla._matrix_poly(m, coeffs) == _matrix_poly_reference(rows, coeffs)
+
+
+@pytest.mark.parametrize("rows,coeffs,want", [
+    # N = 3, C = 1 + 2*3 = 7: the entry is -C
+    ([[3]], [-1, -2], [[-7]]),
+    ([[3]], [1, 2], [[7]]),
+    # N = 3, C = 1 + 2*3 + 9 = 16: diagonal entries -C and -4 (a row-sum
+    # bound N^k is reached by a diagonal matrix)
+    ([[3, 0], [0, -3]], [-1, -2, -1], [[-16, 0], [0, -4]]),
+    # m^2 = 9I: p(m) = -2I - 5m^2 has -47 = -C on the diagonal, and with
+    # the opposite signs 47 = C
+    ([[0, 3], [3, 0]], [-2, 0, -5], [[-47, 0], [0, -47]]),
+    ([[0, 3], [3, 0]], [2, 0, 5], [[47, 0], [0, 47]]),
+])
+def test_matrix_poly_entries_at_the_bound(rows, coeffs, want):
+    # each digit uses the whole balanced range [-C, C] of base B = 2C + 1
+    m = Matrix(rows, KIND_R, KIND_L)
+    assert exactla._matrix_poly(m, coeffs) == want
+    assert annihilates(m, Poly(coeffs)) is False
+
+
+def test_adjugate_matches_cofactor_oracle():
+    rng = random.Random(61)
+    for n in range(1, 7):
+        for _ in range(5):
+            rows = [[rng.randint(-5, 5) for _ in range(n)] for _ in range(n)]
+            want = [[1]] if n == 1 else [
+                [(-1) ** (i + j) * det_cofactor(
+                    [r[:i] + r[i + 1:] for k, r in enumerate(rows) if k != j])
+                 for j in range(n)]
+                for i in range(n)
+            ]
+            got = adjugate_int(Matrix(rows, KIND_R, KIND_L))
+            assert [list(r) for r in got.entries] == want, rows
+
+
 # -- Sturm counting ---------------------------------------------------------------------------
 
 

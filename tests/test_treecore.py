@@ -447,3 +447,29 @@ def test_enumerate_upto_is_every_level():
     for bad in (0, 7, 18):
         with pytest.raises(ValueError):
             enumerate_upto(bad)
+
+
+def test_enumerate_upto_builds_each_level_once(monkeypatch):
+    # level k is grown once, by 2k attachments per tree: sum over k = 1..7 of
+    # 2k * |level k| with levels 1, 1, 2, 5, 15, 49, 180 is 3316
+    calls = []
+
+    def counted(mt, v):
+        calls.append(v)
+        return attach_p2(mt, v)
+
+    monkeypatch.setattr(treecore, "attach_p2", counted)
+    # whichever level is memoised, the walk from level 1 up rebuilds each once
+    assert len(list(enumerate_upto(16))) == 954
+    assert len(calls) == 3316
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_enumeration_cold_equals_after_the_level_below(p):
+    enumerate_nonsingular.cache_clear()
+    cold = enumerate_nonsingular(p)
+    enumerate_nonsingular.cache_clear()
+    enumerate_nonsingular(p - 1)
+    warm = enumerate_nonsingular(p)
+    assert isinstance(cold, tuple) and warm is not cold
+    assert [t.to_json() for t in warm] == [t.to_json() for t in cold]
