@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 from fractions import Fraction
 
@@ -357,10 +358,26 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _glue_negative_points(argv: list[str]) -> list[str]:
+    """argv with each "--at -a/b" as "--at=-a/b", and so for its abbreviation "--a".
+
+    argparse reads "-2" as a value but "-1/2" as an unknown option, since the
+    only negative values it recognises are integers and decimals.
+    """
+    glued = []
+    for arg in argv:
+        if glued and glued[-1] in ("--a", "--at") and re.fullmatch(r"-\d+/\d+", arg):
+            glued[-1] = f"{glued[-1]}={arg}"
+        else:
+            glued.append(arg)
+    return glued
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(
+            _glue_negative_points(sys.argv[1:] if argv is None else argv))
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:

@@ -5,9 +5,11 @@ package: it only knows generic exact algorithms (one fraction-free Bareiss loop
 over Z, which gives integer ranks and, by Kronecker substitution, Z[q]
 determinants; Gauss-Jordan over the fraction field; characteristic polynomials
 from one such determinant; polynomials of an integer matrix, for adjugates and
-annihilation tests, from one Horner loop on a Kronecker-packed vector; Sturm
-sequences on polyalg's pseudo-remainder) and never builds any of the
-structured matrices itself.
+annihilation tests, from one Horner loop on a Kronecker-packed vector; integer
+rows packed into one integer each, so that verify compares a matrix product
+row by row with one big-integer operation per nonzero; Sturm sequences on
+polyalg's pseudo-remainder) and never builds any of the structured matrices
+itself.
 
 Matrices and vectors carry index-kind metadata ("L", "R", "Vertex") so that a
 product with mismatched row/column semantics fails loudly instead of silently
@@ -278,7 +280,7 @@ def det_bareiss(m: Matrix) -> Poly:
     powers = [base**i for i in range(max(len(c) for row in coeffs for c in row))]
     rank, sign, pivot = _echelon(
         [[sum(map(mul, c, powers)) for c in row] for row in coeffs])
-    return _balanced_digits(sign * pivot, base) if rank == n else ZERO
+    return balanced_digits(sign * pivot, base) if rank == n else ZERO
 
 
 def _echelon(a: list) -> tuple:
@@ -327,7 +329,7 @@ def _ring_coeffs(e) -> tuple:
     raise TypeError(f"ring elimination needs Poly or int entries, got {type(e)}")
 
 
-def _balanced_digits(v: int, base: int) -> Poly:
+def balanced_digits(v: int, base: int) -> Poly:
     """The Poly with digits in [-(base // 2), base // 2] whose value at base is v."""
     digits = []
     while v:
@@ -463,7 +465,7 @@ def _matrix_poly(m: Matrix, coeffs) -> list:
     """
     n = m.rows
     w, base = _packed_horner(m, coeffs)
-    rows = [list(_balanced_digits(x, base).coeffs) for x in w]
+    rows = [list(balanced_digits(x, base).coeffs) for x in w]
     return [row + [0] * (n - len(row)) for row in rows]
 
 
@@ -489,6 +491,34 @@ def _packed_horner(m: Matrix, coeffs) -> tuple:
     return w, base
 
 
+def pack_width(bound: int) -> int:
+    """Bytes per digit of ``pack_rows`` for rows whose entries lie in [-C, C].
+
+    The least w >= 1 with 4C < B = 2^(8w).  Two such rows differ entrywise by
+    at most 2C < B/2, so their packed integers are equal only if the rows
+    are, and the balanced base-B digits of a packed row read it back.
+    """
+    return max(1, -(-(4 * bound).bit_length() // 8))
+
+
+def pack_rows(rows, width: int) -> list:
+    """Each row x of a sequence of equal-length integer rows as sum_j x_j B^j.
+
+    B = 2^(8 width), and every entry must lie in [-B/2, B/2).  Offset by B/2,
+    each entry is one unsigned little-endian digit of width bytes; a row's
+    digits are joined and read as one integer, and the packed offset
+    sum_j (B/2) B^j is taken back off.
+    """
+    half = 1 << (8 * width - 1)
+    offset = int.from_bytes(half.to_bytes(width, "little") * len(rows[0]), "little")
+    halves, widths, order = repeat(half), repeat(width), repeat("little")
+    return [
+        int.from_bytes(b"".join(map(int.to_bytes, map(add, row, halves), widths, order)),
+                       "little") - offset
+        for row in rows
+    ]
+
+
 def sturm_chain(p: Poly) -> list[Poly]:
     """Sturm sequence p, p', -rem(p, p'), ... of a squarefree polynomial.
 
@@ -511,15 +541,17 @@ def sturm_chain(p: Poly) -> list[Poly]:
     return chain
 
 
-def count_real_roots(p: Poly, lo=None, hi=None) -> int:
+def count_real_roots(p: Poly, lo=None, hi=None, chain=None) -> int:
     """Distinct real roots of a squarefree polynomial in (lo, hi].
 
     ``None`` bounds mean -oo and +oo.  There each member f of the Sturm chain
-    has the sign of lead(f), times (-1)^deg(f) at -oo.
+    has the sign of lead(f), times (-1)^deg(f) at -oo.  A caller counting
+    over several intervals passes p's ``sturm_chain`` once as ``chain``.
     """
     if not p:
         raise ValueError("root counting needs a nonzero polynomial")
-    chain = sturm_chain(p)
+    if chain is None:
+        chain = sturm_chain(p)
 
     def variations(x, end: int) -> int:
         # end is the sign of the infinite bound that x = None stands for
@@ -537,16 +569,17 @@ def conjecture_evidence(m: Matrix) -> dict:
     diagonalizable: the squarefree part of the characteristic polynomial
     annihilates the matrix.  all_eigen_nonneg: every eigenvalue is real
     (the squarefree part has as many distinct real roots as its degree)
-    and none lies in (-oo, 0).  Both tests are exact; no roots are isolated
-    numerically.  The characteristic polynomial itself is returned under
-    "charpoly".
+    and none lies in (-oo, 0); both root counts read one Sturm chain.  Both
+    tests are exact; no roots are isolated numerically.  The characteristic
+    polynomial itself is returned under "charpoly".
     """
     cp = charpoly_exact(m)
     sf = squarefree_part(cp)
     diag = annihilates(m, sf)
-    real_roots = count_real_roots(sf)
+    chain = sturm_chain(sf)
+    real_roots = count_real_roots(sf, chain=chain)
     all_real = real_roots == sf.degree()
-    negative = count_real_roots(sf, hi=0) - (sf[0] == 0)
+    negative = count_real_roots(sf, hi=0, chain=chain) - (sf[0] == 0)
     return {
         "charpoly": cp,
         "diagonalizable": diag,

@@ -10,13 +10,19 @@ checks get their own builds.
 The five product identities (B_tau, row_col_sums, lemma_111, inverse_E,
 inverse_qB) are stated once each, in ``IDENTITIES``, as Z[q] matrix
 equations with every denominator cleared.  One engine checks them: it
-evaluates each factor at q = a/b as an integer matrix scaled by b^deg,
-multiplies with exactla's products and compares plain integers.  The
-enumerated suite runs it at the integer points 0..D, where D bounds the
-degree of every entry of both sides (read from the factors' entries), so a
-pass is a proof in Z[q]; the random large-tree suite runs the same engine at
-the user's rational points.  The other checks compare Z[q] canonical forms
-directly.  Nothing is ever approximate.
+evaluates each factor at q = a/b as an integer matrix scaled by b^deg and
+compares plain integers.  A vector side is compared entry by entry, after
+exactla's matrix-vector products.  A matrix side M is compared as M.v, with
+v = (1, B, ..., B^(n-1)): each row packs into one integer, so a product
+costs one big-integer operation per nonzero of its left factor.  B is
+chosen from a bound C on every entry so that 4C < B, which makes equal
+packed rows mean equal rows and lets a failing row be read back for its
+witness (see the comment on ``IDENTITIES``).  The enumerated suite runs the
+engine at the integer points 0..D, where D bounds the degree of every entry
+of both sides (read from the factors' entries), so a pass is a proof in
+Z[q]; the random large-tree suite runs the same engine at the user's
+rational points.  The other checks compare Z[q] canonical forms directly.
+Nothing is ever approximate.
 """
 
 from __future__ import annotations
@@ -25,12 +31,14 @@ import concurrent.futures
 import os
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, repeat
-from operator import mul
+from functools import cached_property
+from itertools import accumulate, compress, count, repeat
+from math import prod
+from operator import add, mul
 from typing import Callable, NamedTuple
 
 from . import exactla, qmatrices, treecore
-from .exactla import KIND_L, KIND_R, Matrix, Vector, combine_rows, entry_json
+from .exactla import KIND_L, KIND_R, Matrix, Vector, entry_json
 from .polyalg import (
     ONE, ONE_MINUS_Q2, ONE_PLUS_Q, Q, Q2, Q_ONE_PLUS_Q, Poly, ZERO,
 )
@@ -176,6 +184,19 @@ def _scalar_result(name: str, label: str, got, want) -> CheckResult:
 # Scalar factors commute out; matrix and vector factors multiply in order, a
 # vector next to a vector being an outer product.  An inverse is checked on
 # one side only: for square X and Y, X.Y = cI with c != 0 gives Y.X = cI.
+#
+# A side whose terms hold one vector each is a vector and is compared entry
+# by entry.  Every other side is a matrix M and is compared as M.v, with
+# v = (1, B, ..., B^(n-1)) and B = 2^(8w): row i packs into the one integer
+# sum_j M_ij B^j.  The packed rows of a product F.G are F times the packed
+# rows of G, one big-integer operation per nonzero of F.  For a term
+# c F_1 ... F_k, |c| ||F_1|| ... ||F_(k-1)|| max|F_k| bounds every entry,
+# ||.|| being the largest absolute row sum, and summing it over a side's
+# terms bounds the side.  With C the largest such bound over the matrix
+# sides checked at a point, w is the least width with 4C < B
+# (exactla.pack_width): the two sides' rows differ entrywise by at most
+# 2C < B/2, so their packed rows are equal only if the rows are, and each
+# packed row reads back as its balanced base-B digits.
 IDENTITIES = {
     "B_tau": (
         ("qB tau_r = bd_q ones", [("qB", "tau_r")], [("bd", "ones_L")]),
@@ -208,22 +229,33 @@ class _Factor(NamedTuple):
 
 
 def _poly_factor(x) -> _Factor:
-    """A Poly, or a Vector or Matrix of them; deg is its largest entry degree."""
+    """A Poly, or a Vector or Matrix of them; deg is its largest entry degree.
+
+    The nonzero entries are found once; at a point only they are evaluated.
+    """
     if isinstance(x, Poly):
-        rows = ((x,),)
-    else:
-        rows = (x.entries,) if isinstance(x, Vector) else x.entries
-    deg = max(0, max(e.degree() for row in rows for e in row))
+        deg = max(0, x.degree())
+        return _Factor(deg, lambda a, b: sum(map(mul, x.coeffs, _monomials(a, b, deg))))
+    rows = (x.entries,) if isinstance(x, Vector) else x.entries
+    support = [[(j, e.coeffs) for j, e in enumerate(row) if e.coeffs] for row in rows]
+    deg = max((len(c) - 1 for nonzeros in support for _, c in nonzeros), default=0)
 
     def at(a, b):
-        monomials = [a**i * b ** (deg - i) for i in range(deg + 1)]
-
-        def ev(e):
-            return sum(map(mul, e.coeffs, monomials)) if e.coeffs else 0
-
-        return ev(x) if isinstance(x, Poly) else x.map(ev)
+        monomials = _monomials(a, b, deg)
+        values = [[0] * len(rows[0]) for _ in rows]
+        for row, nonzeros in zip(values, support):
+            for j, coeffs in nonzeros:
+                row[j] = sum(map(mul, coeffs, monomials))
+        if isinstance(x, Vector):
+            return Vector(values[0], x.kind)
+        return Matrix(values, x.row_kind, x.col_kind)
 
     return _Factor(deg, at)
+
+
+def _monomials(a: int, b: int, deg: int) -> list:
+    """a^i b^(deg - i) for i = 0..deg: q^i at q = a/b, times b^deg."""
+    return [a**i * b ** (deg - i) for i in range(deg + 1)]
 
 
 def _distance_factors(mt: MatchedTree | TreeData):
@@ -275,15 +307,19 @@ def _degree(term, factors: dict) -> int:
 
 
 class _Point(dict):
-    """One tree's factors and their products at q = x, as integers scaled by b^deg.
+    """One tree's factors at q = x, as integers scaled by b^deg, and their products.
 
-    A product is keyed by the tuple of its factor names and folded right to
-    left; values are built on first use and live as long as the point.
+    A factor is keyed by its name and an exact product by the tuple of its
+    factor names, folded right to left.  The products on matrix sides are
+    kept as packed rows instead, all at one width fixed by the matrix sides
+    of ``equations``.  Values are built on first use and live as long as
+    the point.
     """
 
-    def __init__(self, factors: dict, x: Fraction):
+    def __init__(self, factors: dict, x: Fraction, equations):
         super().__init__()
-        self.factors, self.x = factors, x
+        self.factors, self.x, self.equations = factors, x, equations
+        self.shapes, self.splits, self.sizes, self.bounds, self.packs = {}, {}, {}, {}, {}
 
     def __missing__(self, ref):
         if not isinstance(ref, tuple):
@@ -295,73 +331,151 @@ class _Point(dict):
         self[ref] = value
         return value
 
+    def rows(self, refs) -> tuple:
+        """Integer rows of the factor refs[0] as it stands in the product refs.
+
+        A vector is a column when a vector follows it, else a row.
+        """
+        value = self[refs[0]]
+        if isinstance(value, Matrix):
+            return value.entries
+        return tuple(zip(value.entries)) if self._column(refs) else (value.entries,)
+
+    def _column(self, refs) -> bool:
+        return len(refs) > 1 and isinstance(self[refs[1]], Vector)
+
+    def size(self, refs, last: bool) -> int:
+        """Largest |entry| of rows(refs) if last, else its largest absolute row sum."""
+        value = self[refs[0]]
+        vector = isinstance(value, Vector)
+        top = last or vector and self._column(refs)  # a column's row sums are its entries
+        key = refs[0], top
+        if key not in self.sizes:
+            if vector:
+                v = value.entries
+                self.sizes[key] = max(max(v), -min(v)) if top else sum(map(abs, v))
+            else:
+                rows = value.entries
+                self.sizes[key] = (max(max(map(max, rows)), -min(map(min, rows))) if top
+                                   else max(map(sum, map(map, repeat(abs), rows))))
+        return self.sizes[key]
+
+    def split(self, term, scale: int) -> tuple:
+        """(coef, refs): the term's scalars times b^(scale - deg), and its other names."""
+        key = term, scale
+        if key not in self.splits:
+            coef = self.x.denominator ** (scale - _degree(term, self.factors))
+            refs = []
+            for ref in term:
+                if isinstance(self[ref], int):
+                    coef *= self[ref]
+                else:
+                    refs.append(ref)
+            self.splits[key] = coef, tuple(refs)
+        return self.splits[key]
+
+    def bound(self, term, scale: int) -> int:
+        """|coef| ||F_1|| ... ||F_(k-1)|| max|F_k| for split(term, scale): no
+        entry of the term exceeds it."""
+        key = term, scale
+        if key not in self.bounds:
+            coef, refs = self.split(term, scale)
+            self.bounds[key] = abs(coef) * prod(self.size(refs[i:], i == len(refs) - 1)
+                                                for i in range(len(refs)))
+        return self.bounds[key]
+
+    def packed(self, refs) -> list:
+        """Row i of the product of refs as the integer sum_j P_ij B^j."""
+        if refs not in self.packs:
+            rows = self.rows(refs)
+            if len(refs) == 1:
+                self.packs[refs] = exactla.pack_rows(rows, self.width)
+            else:
+                tail = self.packed(refs[1:])
+                self.packs[refs] = [sum(map(mul, filter(None, row), compress(tail, row)))
+                                    for row in rows]
+        return self.packs[refs]
+
+    def shape(self, equation) -> tuple:
+        """(scale, vector): the largest degree of the equation's terms, and
+        whether its sides are vectors (each term holds one vector)."""
+        label, lhs, rhs = equation
+        if label not in self.shapes:
+            vector = sum(isinstance(self[ref], Vector) for ref in lhs[0]) == 1
+            self.shapes[label] = max(_degree(term, self.factors) for term in lhs + rhs), vector
+        return self.shapes[label]
+
+    @cached_property
+    def width(self) -> int:
+        """Bytes per packed digit: 4C < 2^(8 width), C bounding every matrix side."""
+        bound = 0
+        for equation in self.equations:
+            scale, vector = self.shape(equation)
+            if not vector:
+                for terms in equation[1:]:
+                    bound = max(bound, sum(self.bound(term, scale) for term in terms))
+        return exactla.pack_width(bound)
+
 
 def _mul(x, y):
-    """x.y; a vector times a vector is the outer product, kept as the pair."""
+    """x.y, exact, on a vector side (outer products only arise on matrix sides)."""
     if isinstance(x, Matrix):
         return exactla.mat_mul(x, y) if isinstance(y, Matrix) else exactla.mat_vec(x, y)
-    if isinstance(y, Matrix):
-        return exactla.vec_mat(x, y)
-    return x, y
+    return exactla.vec_mat(x, y)
 
 
-def _side(terms, point: _Point, scale: int):
-    """(rows, is_vector) of a sum of terms, each term scaled to b^scale.
-
-    Row i is the pair (coefficients, rows) of the terms' row i, ready for
-    exactla.combine_rows.  Scalar factors go into the coefficients, so only
-    the products of matrix and vector factors are ever materialised; row i of
-    an outer product u v^t is v, with u_i folded into the coefficient.
-    """
-    columns = []
+def _side(terms, point: _Point, scale: int, vector: bool) -> list:
+    """A vector side's entries, or a matrix side's packed rows, at b^scale."""
+    total = None
     for term in terms:
-        coef = point.x.denominator ** (scale - _degree(term, point.factors))
-        for ref in term:
-            if isinstance(point[ref], int):
-                coef *= point[ref]
-        value = point[tuple(ref for ref in term if not isinstance(point[ref], int))]
-        if isinstance(value, Matrix):
-            columns.append(zip(repeat(coef), value.entries))
-        elif isinstance(value, Vector):
-            columns.append(((coef, value.entries),))
-        else:
-            u, v = value
-            columns.append(((coef * x, v.entries) for x in u.entries))
-    return (tuple(zip(*pairs)) for pairs in zip(*columns)), isinstance(value, Vector)
+        coef, refs = point.split(term, scale)
+        if vector:
+            rows = point[refs].entries
+        elif point.bound(term, scale):
+            rows = point.packed(refs)
+        else:  # a zero coefficient or a zero factor: nothing to pack
+            rows = [0] * len(point.rows(refs))
+        scaled = map(mul, repeat(coef), rows)
+        total = list(scaled) if total is None else list(map(add, total, scaled))
+    return total
 
 
 def _mismatch(equations, point: _Point) -> dict | None:
     """Witness for the first entry where an equation fails at the point, or None."""
-    for label, lhs, rhs in equations:
-        scale = max(_degree(term, point.factors) for term in lhs + rhs)
-        (lrows, is_vector), (rrows, _) = (
-            _side(terms, point, scale) for terms in (lhs, rhs)
-        )
-        for i, (lrow, rrow) in enumerate(zip(lrows, rrows)):
-            got, want = combine_rows(*lrow), combine_rows(*rrow)
-            if got != want:
-                j = next(j for j, pair in enumerate(zip(got, want)) if pair[0] != pair[1])
-                unit = point.x.denominator**scale
-                got_j, want_j = Fraction(got[j], unit), Fraction(want[j], unit)
-                return {
-                    "identity": label,
-                    "entry": [j] if is_vector else [i, j],
-                    "point": str(point.x),
-                    "got": str(got_j),
-                    "want": str(want_j),
-                    "residual": str(got_j - want_j),
-                }
+    for equation in equations:
+        label, lhs, rhs = equation
+        scale, vector = point.shape(equation)
+        got, want = (_side(terms, point, scale, vector) for terms in (lhs, rhs))
+        i = next((i for i, (g, w) in enumerate(zip(got, want)) if g != w), None)
+        if i is None:
+            continue
+        if vector:
+            entry, got_ij, want_ij = [i], got[i], want[i]
+        else:  # row i of each side from its balanced digits
+            base = 1 << 8 * point.width
+            got_row, want_row = (exactla.balanced_digits(v, base)
+                                 for v in (got[i], want[i]))
+            j = next(j for j in count() if got_row[j] != want_row[j])
+            entry, got_ij, want_ij = [i, j], got_row[j], want_row[j]
+        unit = point.x.denominator**scale
+        got_ij, want_ij = Fraction(got_ij, unit), Fraction(want_ij, unit)
+        return {
+            "identity": label,
+            "entry": entry,
+            "point": str(point.x),
+            "got": str(got_ij),
+            "want": str(want_ij),
+            "residual": str(got_ij - want_ij),
+        }
     return None
 
 
 def _prove(name: str, factors: dict) -> CheckResult:
     """Identity `name` in Z[q]: it holds at 1 + (its degree bound) integer points."""
     equations = IDENTITIES[name]
-    bound = max(
-        _degree(term, factors) for _, lhs, rhs in equations for term in lhs + rhs
-    )
+    bound = max(_degree(term, factors) for _, lhs, rhs in equations for term in lhs + rhs)
     for x in range(bound + 1):
-        witness = _mismatch(equations, _Point(factors, Fraction(x)))
+        witness = _mismatch(equations, _Point(factors, Fraction(x), equations))
         if witness is not None:
             return CheckResult(name, False, witness)
     return CheckResult(name, True)
@@ -778,16 +892,17 @@ def evaluate_identities_at(mt: MatchedTree | TreeData, *q_points) -> list[CheckR
     points = _rational_points(q_points)
     td = TreeData.of(mt)
     factors = _factors(td, qmatrices.bdq_recursive(td.mt))
+    equations = [eq for eqs in IDENTITIES.values() for eq in eqs]
     results = []
     for x in points:
-        point = _Point(factors, x)  # frees the previous point's matrices
-        for name, equations in IDENTITIES.items():
+        point = _Point(factors, x, equations)  # frees the previous point's matrices
+        for name, identity in IDENTITIES.items():
             label = f"{_POINT_NAMES.get(name, name)}@{x}"
             if name == "inverse_qB" and point["bd"] == 0:
                 results.append(CheckResult(label, True,
                                            skipped="bd_q vanishes at this point"))
             else:
-                witness = _mismatch(equations, point)
+                witness = _mismatch(identity, point)
                 results.append(CheckResult(label, witness is None, witness))
     return results
 

@@ -320,7 +320,37 @@ def test_conjecture_computes_one_charpoly_per_tree(capsys, monkeypatch):
     assert len(out.strip().splitlines()) == len(calls) == 9
 
 
+def test_conjecture_builds_one_sturm_chain_per_tree(capsys, monkeypatch):
+    # both root counts of a tree (all real roots, then those <= 0) read one chain
+    calls = []
+
+    def counted(p, _fn=exactla.sturm_chain):
+        calls.append(p)
+        return _fn(p)
+
+    monkeypatch.setattr(exactla, "sturm_chain", counted)
+    code, out, _ = run_cli(capsys, "conjecture", "--upto", "8")
+    assert code == 0
+    assert len(out.strip().splitlines()) == len(calls) == 9
+
+
 # -- general -----------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("command, argv", [
+    ("verify", ["--random", "3,1"]),
+    ("show", ["--matrix", "qB"]),
+    ("invert", ["--matrix", "qB"]),
+])
+def test_negative_fraction_after_at(capsys, p4_file, command, argv):
+    # argparse takes "-1/2" for an option string unless it is glued to --at
+    if command != "verify":
+        argv = ["--tree", p4_file, *argv]
+    glued = run_cli(capsys, command, *argv, "--at=-1/2")
+    assert glued[0] == 0 and glued[1]
+    assert run_cli(capsys, command, *argv, "--at", "-1/2") == glued
+    assert run_cli(capsys, command, *argv, "--a", "-1/2") == glued
+    assert run_cli(capsys, command, *argv, "--at", "-1/0")[0] == 2
 
 
 @pytest.mark.parametrize("command", ["show", "invert"])

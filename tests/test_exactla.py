@@ -517,6 +517,23 @@ def test_matrix_poly_entries_at_the_bound(rows, coeffs, want):
     assert annihilates(m, Poly(coeffs)) is False
 
 
+@pytest.mark.parametrize("width", [1, 2, 5])
+def test_pack_rows_reads_back_at_the_digit_limits(width):
+    # entries may fill [-B/2, B/2); each packed row is sum_j x_j B^j
+    base = 256**width
+    lo, hi = -base // 2, base // 2 - 1
+    rng = random.Random(width)
+    rows = [[lo, hi, 0], [hi, lo, -1], [rng.randrange(lo, hi + 1) for _ in range(3)]]
+    packed = exactla.pack_rows(rows, width)
+    assert packed == [sum(x * base**j for j, x in enumerate(row)) for row in rows]
+    # digits within [-C, C], 4C < B, read back as balanced digits
+    c = (base - 1) // 4
+    assert exactla.pack_width(c) == width
+    for row in ([c, -c, c], [-c, 0, c], [0, 0, 0]):
+        (v,) = exactla.pack_rows([row], width)
+        assert [exactla.balanced_digits(v, base)[j] for j in range(3)] == row
+
+
 def test_adjugate_matches_cofactor_oracle():
     rng = random.Random(61)
     for n in range(1, 7):

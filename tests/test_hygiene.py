@@ -1,8 +1,9 @@
-"""Source hygiene: every import is used, every CLI option is read."""
+"""Source hygiene: imports are used, definitions referenced, CLI options read."""
 
 import argparse
 import ast
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -27,6 +28,45 @@ def test_every_import_is_used(path):
             imported.update(a.asname or a.name for a in node.names)
     used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
     assert sorted(imported - used) == []
+
+
+_DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+
+
+def _references(node) -> set:
+    """Names read, attributes taken and words in string constants under node.
+
+    Strings count because the benchmark's tracer names its targets in them.
+    """
+    refs = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            refs.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            refs.add(sub.attr)
+        elif isinstance(sub, ast.Constant) and isinstance(sub.value, str):
+            refs.update(re.findall(r"\w+", sub.value))
+    return refs
+
+
+def test_every_definition_is_referenced():
+    # a helper the code stopped using is deleted, not left behind; a
+    # definition's references to itself do not count
+    root = SRC.parent.parent
+    regions = []  # (file, top-level definition or None, names referenced in it)
+    for folder in (SRC, root / "tests", root / "bench"):
+        for path in sorted(folder.glob("*.py")):
+            for node in ast.parse(path.read_text(encoding="utf-8")).body:
+                name = node.name if isinstance(node, _DEFINITIONS) else None
+                regions.append((path, name, _references(node)))
+    unused = [
+        f"{path.name}: {name}"
+        for path, name, _ in regions
+        if path.parent == SRC and name is not None
+        and not any(name in refs for other, owner, refs in regions
+                    if (other, owner) != (path, name))
+    ]
+    assert unused == []
 
 
 class _ReadLog(argparse.Namespace):

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from qbip import qmatrices, treecore, verify
+from qbip import exactla, qmatrices, treecore, verify
 from qbip.exactla import KIND_L, KIND_R, Matrix
 from qbip.polyalg import ONE, Poly, Q, ZERO
 from qbip.verify import (
@@ -255,6 +255,9 @@ DEPENDS_ON = {
     "bd": {"B_tau", "inverse_qB"},
 }
 WITNESS_KEYS = {"identity", "entry", "point", "got", "want", "residual"}
+# two fractions and a negative integer: the point engine's scales b^deg and
+# its packed digits then take both signs and denominators other than 1
+MUTATION_POINTS = (Fraction(5, 3), Fraction(1, 2), Fraction(-3))
 
 
 @pytest.fixture
@@ -303,13 +306,15 @@ def _assert_witness(res):
 def _assert_fails_exactly_the_dependent_identities(p5_random, target):
     symbolic = {name: check(p5_random) for name, check in PRODUCT_CHECKS.items()}
     assert {n for n, r in symbolic.items() if not r.passed} == DEPENDS_ON[target]
-    point = {r.name.split("@")[0].replace("_product", ""): r
-             for r in evaluate_identities_at(p5_random, Fraction(5, 3))}
-    assert {n for n, r in point.items() if not r.passed} == DEPENDS_ON[target]
     for name in DEPENDS_ON[target]:
         _assert_witness(symbolic[name])
-        _assert_witness(point[name])
-        assert point[name].witness["point"] == "5/3"
+    for x in MUTATION_POINTS:
+        point = {r.name.split("@")[0].replace("_product", ""): r
+                 for r in evaluate_identities_at(p5_random, x)}
+        assert {n for n, r in point.items() if not r.passed} == DEPENDS_ON[target], x
+        for name in DEPENDS_ON[target]:
+            _assert_witness(point[name])
+            assert point[name].witness["point"] == str(x)
 
 
 @pytest.mark.parametrize("target", sorted(DEPENDS_ON))
@@ -341,19 +346,19 @@ def test_qL_perturbation_off_its_nonzeros_fails_the_dependent_identities(
 
 
 def test_point_witness_replays_with_fractions(monkeypatch, p5_random):
-    # lemma_111 at 5/3 recomputed entrywise from the evaluated matrices
+    # lemma_111 at each point recomputed entrywise from the evaluated matrices
     _perturb(monkeypatch, "qL", ONE)
-    (res,) = [r for r in evaluate_identities_at(p5_random, Fraction(5, 3))
-              if r.name == "lemma_111@5/3"]
-    i, j = res.witness["entry"]
-    x = Fraction(5, 3)
-    qL = qmatrices.eval_matrix(qmatrices.build_qL(p5_random), x)
-    qB = qmatrices.eval_matrix(qmatrices.build_qB(p5_random), x)
-    tau_r = qmatrices.qtau(p5_random)[1][i].eval_at(x)
-    got = -sum(qL[i, k] * qB[k, j] for k in range(p5_random.p)) + (1 + x) * tau_r
-    want = x * (1 + x) if i == j else 0
-    assert (Fraction(res.witness["got"]), Fraction(res.witness["want"])) == (got, want)
-    assert got != want
+    for x in MUTATION_POINTS:
+        (res,) = [r for r in evaluate_identities_at(p5_random, x)
+                  if r.name == f"lemma_111@{x}"]
+        i, j = res.witness["entry"]
+        qL = qmatrices.eval_matrix(qmatrices.build_qL(p5_random), x)
+        qB = qmatrices.eval_matrix(qmatrices.build_qB(p5_random), x)
+        tau_r = qmatrices.qtau(p5_random)[1][i].eval_at(x)
+        got = -sum(qL[i, k] * qB[k, j] for k in range(p5_random.p)) + (1 + x) * tau_r
+        want = x * (1 + x) if i == j else 0
+        witnessed = Fraction(res.witness["got"]), Fraction(res.witness["want"])
+        assert witnessed == (got, want) and got != want
 
 
 def test_degree_bound_is_read_from_the_entries(monkeypatch, p5_random):
@@ -401,3 +406,42 @@ def test_q1_properties_witness_replays(monkeypatch, p6_attach):
     want = Fraction(int(i == j))
     assert (Fraction(w["got"]), Fraction(w["want"])) == (product[i, j], want)
     assert Fraction(w["got"]) - Fraction(w["want"]) == Fraction(w["residual"]) != 0
+
+
+# -- the packed rows of matrix sides --------------------------------------------------
+
+
+def _constant(rows):
+    m = Matrix(rows, KIND_R, KIND_R)
+    return verify._Factor(0, lambda a, b: m)
+
+
+def test_packed_width_holds_entries_at_the_bound():
+    # A.M = N with ||A|| max|M| = max|N| = C: entries of both sides reach +-C,
+    # and 4C = 2^16 - 8 fits two-byte digits, the least width for it
+    h = 2**13 - 1
+    factors = {
+        "A": _constant([[1, 1], [0, 1]]),
+        "M": _constant([[h, -h], [h, -h]]),
+        "N": _constant([[2 * h, -2 * h], [h, -h]]),
+        "N00": _constant([[-2 * h, -2 * h], [h, -h]]),
+        "N01": _constant([[2 * h, 2 * h], [h, -h]]),
+    }
+    equations = [(f"A.M = {n}", [("A", "M")], [(n,)]) for n in ("N", "N00", "N01")]
+    point = verify._Point(factors, Fraction(1), equations)
+    assert point.width == exactla.pack_width(2 * h) == 2
+    assert exactla.pack_width(2**14) == 3
+    assert verify._mismatch(equations[:1], point) is None
+    witnesses = [verify._mismatch([eq], point) for eq in equations[1:]]
+    assert [(w["entry"], w["got"], w["want"], w["residual"]) for w in witnesses] == [
+        ([0, 0], str(2 * h), str(-2 * h), str(4 * h)),
+        ([0, 1], str(-2 * h), str(2 * h), str(-4 * h)),
+    ]
+
+
+def test_point_engine_multiplies_no_dense_matrices(monkeypatch):
+    # qL.qB and qL.E are taken on packed rows, never as exactla.mat_mul products
+    mt = treecore.random_nonsingular(60, 1)
+    calls = _count_calls(monkeypatch, exactla, ("mat_mul",))
+    assert all(r.passed for r in evaluate_identities_at(mt, *verify.DEFAULT_Q_POINTS))
+    assert calls["mat_mul"] == 0
