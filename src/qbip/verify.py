@@ -18,11 +18,11 @@ costs one big-integer operation per nonzero of its left factor.  B is
 chosen from a bound C on every entry so that 4C < B, which makes equal
 packed rows mean equal rows and lets a failing row be read back for its
 witness (see the comment on ``IDENTITIES``).  The enumerated suite runs the
-engine at the integer points 0..D, where D bounds the degree of every entry
-of both sides (read from the factors' entries), so a pass is a proof in
-Z[q]; the random large-tree suite runs the same engine at the user's
-rational points.  The other checks compare Z[q] canonical forms directly.
-Nothing is ever approximate.
+engine at one integer point q = 2^k per identity, k read from the factors'
+coefficients so that the sides are equal in Z[q] iff they are equal there:
+a pass is a proof in Z[q]; the random large-tree suite runs the same engine
+at the user's rational points.  The other checks compare Z[q] canonical
+forms directly.  Nothing is ever approximate.
 """
 
 from __future__ import annotations
@@ -128,51 +128,31 @@ assert len(_names) == len(set(_names))
 # ---------------------------------------------------------------------------
 
 
-def _first_mismatch(got: Matrix, want: Matrix):
-    for i in range(got.rows):
-        for j in range(got.cols):
-            if not got[i, j] == want[i, j]:
-                return i, j
-    return None
+def _compare(name: str, label: str, got, want, **where) -> CheckResult:
+    """Pass, or fail with a witness at the first entry where got and want differ.
 
-
-def _compare_matrices(name: str, label: str, got: Matrix, want: Matrix) -> CheckResult:
-    spot = _first_mismatch(got, want)
-    if spot is None:
-        return CheckResult(name, True)
-    i, j = spot
-    residual = got[i, j] - want[i, j]
-    return CheckResult(name, False, {
-        "identity": label,
-        "entry": [i, j],
-        "got": entry_json(got[i, j]),
-        "want": entry_json(want[i, j]),
-        "residual": entry_json(residual),
-    })
-
-
-def _compare_vectors(name: str, label: str, got: Vector, want: Vector) -> CheckResult:
-    for i, (a, b) in enumerate(zip(got, want)):
+    got and want are two scalars, two Vectors or two Matrices; the witness
+    holds the entry's index (none for scalars), both values and their
+    difference, then the keywords ``where`` (vertex=, split_pair=).
+    """
+    if isinstance(got, Matrix):
+        pairs = (((i, j), got[i, j], want[i, j])
+                 for i in range(got.rows) for j in range(got.cols))
+    elif isinstance(got, Vector):
+        pairs = (((i,), a, b) for i, (a, b) in enumerate(zip(got, want)))
+    else:
+        pairs = (((), got, want),)
+    for index, a, b in pairs:
         if not a == b:
             return CheckResult(name, False, {
                 "identity": label,
-                "entry": [i],
+                **({"entry": list(index)} if index else {}),
                 "got": entry_json(a),
                 "want": entry_json(b),
                 "residual": entry_json(a - b),
+                **where,
             })
     return CheckResult(name, True)
-
-
-def _scalar_result(name: str, label: str, got, want) -> CheckResult:
-    if got == want:
-        return CheckResult(name, True)
-    return CheckResult(name, False, {
-        "identity": label,
-        "got": entry_json(got),
-        "want": entry_json(want),
-        "residual": entry_json(got - want),
-    })
 
 
 # ---------------------------------------------------------------------------
@@ -197,6 +177,13 @@ def _scalar_result(name: str, label: str, got, want) -> CheckResult:
 # (exactla.pack_width): the two sides' rows differ entrywise by at most
 # 2C < B/2, so their packed rows are equal only if the rows are, and each
 # packed row reads back as its balanced base-B digits.
+#
+# The same bound, run at q = 1 on each factor's norm (the sum of
+# |coefficients| of each entry), bounds the coefficient 1-norm of every entry
+# of a side by C, as that norm is submultiplicative.  With C_L and C_R for
+# the two sides, an entry of lhs - rhs has coefficients in [-(C_L + C_R),
+# C_L + C_R], so at q = 2^k > 2(C_L + C_R) it is 0 only if it is 0 in Z[q]
+# (Kronecker substitution), and else it reads back as its base-2^k digits.
 IDENTITIES = {
     "B_tau": (
         ("qB tau_r = bd_q ones", [("qB", "tau_r")], [("bd", "ones_L")]),
@@ -226,6 +213,7 @@ _POINT_NAMES = {"inverse_E": "inverse_E_product", "inverse_qB": "inverse_qB_prod
 class _Factor(NamedTuple):
     deg: int  # bounds the degree of every entry
     at: Callable  # (a, b) -> b^deg * value at q = a/b, entrywise in integers
+    norm: Callable = None  # () -> the sum of |coefficients| of each entry
 
 
 def _poly_factor(x) -> _Factor:
@@ -235,7 +223,8 @@ def _poly_factor(x) -> _Factor:
     """
     if isinstance(x, Poly):
         deg = max(0, x.degree())
-        return _Factor(deg, lambda a, b: sum(map(mul, x.coeffs, _monomials(a, b, deg))))
+        return _Factor(deg, lambda a, b: sum(map(mul, x.coeffs, _monomials(a, b, deg))),
+                       lambda: sum(map(abs, x.coeffs)))
     rows = (x.entries,) if isinstance(x, Vector) else x.entries
     support = [[(j, e.coeffs) for j, e in enumerate(row) if e.coeffs] for row in rows]
     deg = max((len(c) - 1 for nonzeros in support for _, c in nonzeros), default=0)
@@ -250,7 +239,12 @@ def _poly_factor(x) -> _Factor:
             return Vector(values[0], x.kind)
         return Matrix(values, x.row_kind, x.col_kind)
 
-    return _Factor(deg, at)
+    # the norm: the value at q = 1 with every coefficient made nonnegative
+    return _Factor(deg, at, lambda: _poly_factor(x.map(_abs_coeffs)).at(1, 1))
+
+
+def _abs_coeffs(e: Poly) -> Poly:
+    return Poly(map(abs, e.coeffs))
 
 
 def _monomials(a: int, b: int, deg: int) -> list:
@@ -276,7 +270,9 @@ def _distance_factors(mt: MatchedTree | TreeData):
     def E(a, b):  # q^d, times b^dmax
         return lookup([a**d * b ** (dmax - d) for d in range(dmax + 1)])
 
-    return _Factor(dmax - 1, qB), _Factor(dmax, E)
+    # norms: [d] has d unit coefficients, q^d one
+    return (_Factor(dmax - 1, qB, lambda: lookup(range(dmax + 1))),
+            _Factor(dmax, E, lambda: lookup([1] * (dmax + 1))))
 
 
 def _factors(td: TreeData, bd: Poly | None = None) -> dict:
@@ -290,9 +286,9 @@ def _factors(td: TreeData, bd: Poly | None = None) -> dict:
         "1-q^2": _poly_factor(ONE_MINUS_Q2),
         "q(1+q)": _poly_factor(Q_ONE_PLUS_Q),
         "q(1-q^2)": _poly_factor(Q * ONE_MINUS_Q2),
-        "ones_L": _Factor(0, lambda a, b: ones_L),
-        "ones_R": _Factor(0, lambda a, b: ones_R),
-        "I": _Factor(0, lambda a, b: eye),
+        "ones_L": _Factor(0, lambda a, b: ones_L, lambda: ones_L),
+        "ones_R": _Factor(0, lambda a, b: ones_R, lambda: ones_R),
+        "I": _Factor(0, lambda a, b: eye, lambda: eye),
         "qL": _poly_factor(td.qL),
     }
     factors["tau_l"], factors["tau_r"] = map(_poly_factor, td.tau)
@@ -471,14 +467,21 @@ def _mismatch(equations, point: _Point) -> dict | None:
 
 
 def _prove(name: str, factors: dict) -> CheckResult:
-    """Identity `name` in Z[q]: it holds at 1 + (its degree bound) integer points."""
+    """Identity `name` in Z[q], decided at the one point q = B = 2^k > 2(C_L + C_R).
+
+    See the comment on ``IDENTITIES``.  A failure's witness adds the residual
+    in Z[q], ``residual_poly``: the balanced base-B digits of its value at B.
+    """
     equations = IDENTITIES[name]
-    bound = max(_degree(term, factors) for _, lhs, rhs in equations for term in lhs + rhs)
-    for x in range(bound + 1):
-        witness = _mismatch(equations, _Point(factors, Fraction(x), equations))
-        if witness is not None:
-            return CheckResult(name, False, witness)
-    return CheckResult(name, True)
+    norms = {ref: _Factor(0, lambda a, b, f=f: f.norm()) for ref, f in factors.items()}
+    at_one = _Point(norms, Fraction(1), equations)
+    bound = max(sum(at_one.bound(term, 0) for term in lhs + rhs) for _, lhs, rhs in equations)
+    point = _Point(factors, Fraction(1 << (2 * bound).bit_length()), equations)
+    witness = _mismatch(equations, point)
+    if witness is None:
+        return CheckResult(name, True)
+    residual = exactla.balanced_digits(int(witness["residual"]), int(point.x))
+    return CheckResult(name, False, dict(witness, residual_poly=entry_json(residual)))
 
 
 # ---------------------------------------------------------------------------
@@ -491,30 +494,30 @@ def check_det_E(mt: MatchedTree | TreeData) -> CheckResult:
     p = td.mt.p
     det = exactla.det_bareiss(td.E)
     want = Q**p * ONE_MINUS_Q2 ** (p - 1)
-    return _scalar_result("det_E", "det E = q^p (1-q^2)^(p-1)", det, want)
+    return _compare("det_E", "det E = q^p (1-q^2)^(p-1)", det, want)
 
 
 def check_det_qL(mt: MatchedTree | TreeData) -> CheckResult:
     det = exactla.det_bareiss(TreeData.of(mt).qL)
-    return _scalar_result("det_qL", "det qL = 1-q^2", det, ONE_MINUS_Q2)
+    return _compare("det_qL", "det qL = 1-q^2", det, ONE_MINUS_Q2)
 
 
 def check_bdq(mt: MatchedTree | TreeData) -> CheckResult:
     # det qB = (-1)^(p-1) q^(p-1) (1+q)^(p-1) bd_q holds by construction once
     # bdq_det's exact division succeeds, so only the two routes are compared
     td = TreeData.of(mt)
-    return _scalar_result("bdq", "bd_q determinant route equals recursion",
-                          td.bd, qmatrices.bdq_recursive(td.mt))
+    return _compare("bdq", "bd_q determinant route equals recursion",
+                    td.bd, qmatrices.bdq_recursive(td.mt))
 
 
 def check_sum_mu(mt: MatchedTree | TreeData) -> CheckResult:
     td = TreeData.of(mt)
     for v in range(td.mt.tree.n):
         f = treecore.diff(td.mt, v)
-        res = _scalar_result("sum_mu", "ones^t mu_v = (diff+1)q^2 - diff",
-                             td.mu(v).sum(), Poly((-f, 0, f + 1)))
+        res = _compare("sum_mu", "ones^t mu_v = (diff+1)q^2 - diff",
+                       td.mu(v).sum(), Poly((-f, 0, f + 1)), vertex=v)
         if not res.passed:
-            return CheckResult("sum_mu", False, dict(res.witness, vertex=v))
+            return res
     return CheckResult("sum_mu", True)
 
 
@@ -536,7 +539,7 @@ def check_inverse_E(mt: MatchedTree | TreeData, oracle: bool = False) -> CheckRe
     res = _prove("inverse_E", _factors(td))
     if not res.passed or not oracle:
         return res
-    return _compare_matrices(
+    return _compare(
         "inverse_E", "formula inverse equals elimination oracle",
         qmatrices.inverse_E_formula(td), exactla.inverse_gauss(td.E),
     )
@@ -555,7 +558,7 @@ def check_inverse_qB(mt: MatchedTree | TreeData, oracle: bool = False) -> CheckR
     res = _prove("inverse_qB", _factors(td, bd))
     if not res.passed or not oracle:
         return res
-    return _compare_matrices(
+    return _compare(
         "inverse_qB", "formula inverse equals elimination oracle",
         qmatrices.inverse_qB_formula(td), exactla.inverse_gauss(td.qB),
     )
@@ -615,19 +618,19 @@ def check_attach_update(mt: MatchedTree | TreeData) -> CheckResult:
     td = TreeData.of(mt)
     for v in range(td.mt.tree.n):
         grown = treecore.attach_p2(td.mt, v)
-        res = _compare_matrices(
+        res = _compare(
             "attach_update", f"qL block update at vertex {v}",
-            qmatrices.build_qL(grown), predicted_attach_qL(td, v),
+            qmatrices.build_qL(grown), predicted_attach_qL(td, v), vertex=v,
         )
         if not res.passed:
-            return CheckResult("attach_update", False, dict(res.witness, vertex=v))
+            return res
         _, tau_r = qmatrices.qtau(grown)
-        res = _compare_vectors(
+        res = _compare(
             "attach_update", f"tau_r update at vertex {v}",
-            tau_r, predicted_attach_tau_r(td, v),
+            tau_r, predicted_attach_tau_r(td, v), vertex=v,
         )
         if not res.passed:
-            return CheckResult("attach_update", False, dict(res.witness, vertex=v))
+            return res
     return CheckResult("attach_update", True)
 
 
@@ -736,14 +739,12 @@ def check_block_decomposition(mt: MatchedTree | TreeData) -> CheckResult:
             KIND_R,
             KIND_L,
         )
-        res = _compare_matrices(
+        res = _compare(
             "block_decomposition", f"qL block reassembly at pair {k1}",
-            permuted, predicted,
+            permuted, predicted, split_pair=k1,
         )
         if not res.passed:
-            return CheckResult(
-                "block_decomposition", False, dict(res.witness, split_pair=k1)
-            )
+            return res
         mu_full = td.mu(mt.l_vertex(k1))
         restricted = Vector(
             (
@@ -753,14 +754,12 @@ def check_block_decomposition(mt: MatchedTree | TreeData) -> CheckResult:
             KIND_R,
         )
         permuted_mu = Vector((mu_full[perm[i]] for i in range(mt.p)), KIND_R)
-        res = _compare_vectors(
+        res = _compare(
             "block_decomposition", f"signed degree vector restriction at pair {k1}",
-            permuted_mu, restricted,
+            permuted_mu, restricted, split_pair=k1,
         )
         if not res.passed:
-            return CheckResult(
-                "block_decomposition", False, dict(res.witness, split_pair=k1)
-            )
+            return res
     return CheckResult("block_decomposition", True)
 
 
@@ -773,18 +772,16 @@ def check_q1_properties(mt: MatchedTree | TreeData) -> CheckResult:
     product = qmatrices.eval_matrix(td.qB, Fraction(1)) @ qmatrices.inverse_B_q1(td)
     name = "q1_properties"
     results = (
-        _compare_vectors(name, "row sums of the q=1 Laplacian",
-                         Vector(map(sum, ints.entries), KIND_R), Vector([0] * p, KIND_R)),
-        _compare_vectors(name, "column sums of the q=1 Laplacian",
-                         Vector(map(sum, zip(*ints.entries)), KIND_L),
-                         Vector([0] * p, KIND_L)),
-        _compare_matrices(name, "adjugate is all-ones", adj,
-                          Matrix([[1] * p] * p, adj.row_kind, adj.col_kind)),
-        _scalar_result(name, "rank of the q=1 Laplacian", exactla.rank_int(ints), p - 1),
-        _scalar_result(name, "symmetry iff corona",
-                       ints.entries == ints.transpose().entries,
-                       qmatrices.is_corona(td.mt)),
-        _compare_matrices(name, "B . inverse_B = I at q=1", product, Matrix.identity(
+        _compare(name, "row sums of the q=1 Laplacian",
+                 Vector(map(sum, ints.entries), KIND_R), Vector([0] * p, KIND_R)),
+        _compare(name, "column sums of the q=1 Laplacian",
+                 Vector(map(sum, zip(*ints.entries)), KIND_L), Vector([0] * p, KIND_L)),
+        _compare(name, "adjugate is all-ones", adj,
+                 Matrix([[1] * p] * p, adj.row_kind, adj.col_kind)),
+        _compare(name, "rank of the q=1 Laplacian", exactla.rank_int(ints), p - 1),
+        _compare(name, "symmetry iff corona", ints.entries == ints.transpose().entries,
+                 qmatrices.is_corona(td.mt)),
+        _compare(name, "B . inverse_B = I at q=1", product, Matrix.identity(
             p, KIND_L, KIND_L, one=Fraction(1), zero=Fraction(0))),
     )
     return next((r for r in results if not r.passed), CheckResult(name, True))
@@ -801,13 +798,13 @@ def check_full_dq_ed(tree: treecore.Tree | TreeData) -> CheckResult:
     det_qd = exactla.det_bareiss(qmatrices.build_full_qD(dist))
     sign = -1 if (n - 1) % 2 else 1
     want_qd = (sign * (n - 1)) * ONE_PLUS_Q ** (n - 2)
-    res = _scalar_result(
+    res = _compare(
         "full_dq_ed", "det qD = (-1)^(n-1) (n-1) (1+q)^(n-2)", det_qd, want_qd
     )
     if not res.passed:
         return res
     det_ed = exactla.det_bareiss(qmatrices.build_full_eD(dist))
-    return _scalar_result(
+    return _compare(
         "full_dq_ed", "det eD = (1-q^2)^(n-1)", det_ed, ONE_MINUS_Q2 ** (n - 1)
     )
 

@@ -9,7 +9,7 @@ import tempfile
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qbip import exactla, treecore, verify
+from qbip import exactla, qmatrices, treecore, verify
 from qbip.cli import main
 
 
@@ -130,6 +130,26 @@ def test_invert_with_oracle(capsys, p4_file):
     )
     assert code == 0
     assert json.loads(out)["equal"] is True
+
+
+def test_invert_with_failing_oracle(capsys, monkeypatch, p4_file):
+    # a closed form that disagrees with the elimination oracle in one entry
+    real = qmatrices.inverse_qB_formula
+
+    def perturbed(td):
+        m = real(td)
+        rows = [list(row) for row in m.entries]
+        rows[1][0] = rows[1][0] + 1
+        return exactla.Matrix(rows, m.row_kind, m.col_kind)
+
+    monkeypatch.setattr(qmatrices, "inverse_qB_formula", perturbed)
+    code, out, _ = run_cli(
+        capsys, "invert", "--tree", p4_file, "--matrix", "qB", "--oracle"
+    )
+    assert code == 1
+    data = json.loads(out)
+    assert data["equal"] is False
+    assert data["inverse"] != data["oracle"]
 
 
 def test_invert_evaluated(capsys, p4_file):

@@ -6,7 +6,7 @@ import pytest
 
 from qbip import exactla, qmatrices, treecore, verify
 from qbip.exactla import KIND_L, KIND_R, Matrix
-from qbip.polyalg import ONE, Poly, Q, ZERO
+from qbip.polyalg import ONE, ONE_MINUS_Q2, ONE_PLUS_Q, Poly, Q, Q_ONE_PLUS_Q, ZERO
 from qbip.verify import (
     CHECKS,
     CheckResult,
@@ -56,7 +56,7 @@ def test_report_json_shape(p2):
 def test_failures_carry_reproducible_witnesses():
     got = Matrix([[ONE, Poly((0, 1))], [ZERO, ONE]], KIND_R, KIND_L)
     want = Matrix([[ONE, ZERO], [ZERO, ONE]], KIND_R, KIND_L)
-    res = verify._compare_matrices("demo", "demo identity", got, want)
+    res = verify._compare("demo", "demo identity", got, want)
     assert not res.passed
     i, j = res.witness["entry"]
     assert (i, j) == (0, 1)
@@ -71,7 +71,7 @@ def test_vector_witness():
 
     got = Vector((ONE, ZERO), KIND_R)
     want = Vector((ONE, ONE), KIND_R)
-    res = verify._compare_vectors("demo", "demo identity", got, want)
+    res = verify._compare("demo", "demo identity", got, want)
     assert not res.passed and res.witness["entry"] == [1]
 
 
@@ -379,6 +379,64 @@ def test_degree_bound_is_read_from_the_entries(monkeypatch, p5_random):
     assert not res.passed
     assert int(res.witness["point"]) >= K
     _assert_witness(res)
+
+
+def _points_proved_at(monkeypatch) -> list:
+    """The points verify._mismatch is called at, in order, from now on."""
+    points = []
+    mismatch = verify._mismatch
+
+    def spy(equations, point):
+        points.append(point.x)
+        return mismatch(equations, point)
+
+    monkeypatch.setattr(verify, "_mismatch", spy)
+    return points
+
+
+@pytest.mark.parametrize("name", sorted(PRODUCT_CHECKS))
+def test_each_product_identity_is_decided_at_one_point(monkeypatch, p5_random, name):
+    points = _points_proved_at(monkeypatch)
+    assert PRODUCT_CHECKS[name](p5_random).passed
+    (x,) = points
+    assert x.denominator == 1 and x.numerator & (x.numerator - 1) == 0  # a power of 2
+
+
+def test_coefficient_bound_is_read_from_the_entries(monkeypatch, p5_random):
+    # q - B0 vanishes at the point B0 that proves the unperturbed qL.E; the
+    # coefficient bound grows with the perturbation, and the point with it
+    points = _points_proved_at(monkeypatch)
+    assert verify.check_inverse_E(p5_random).passed
+    (b0,) = points
+    _perturb(monkeypatch, "qL", Poly((-int(b0), 1)))
+    res = verify.check_inverse_E(p5_random)
+    assert not res.passed
+    assert points[1:] == [Fraction(res.witness["point"])] and points[1] > b0
+    _assert_witness(res)
+
+
+def test_symbolic_witness_carries_the_residual_polynomial(monkeypatch, p5_random):
+    # each identity's residual at its witness entry, recomputed in Z[q]
+    _perturb(monkeypatch, "qL", Q)
+    qL, qB, E = (build(p5_random) for build in (
+        qmatrices.build_qL, qmatrices.build_qB, qmatrices.build_E))
+    tau_l, tau_r = qmatrices.qtau(p5_random)
+    bd = qmatrices.bdq_det(p5_random)
+    ones = exactla.Vector((ONE,) * p5_random.p, KIND_R)
+    eye = Matrix.identity(p5_random.p, KIND_R, KIND_R)
+    residuals = {
+        "lemma_111": (exactla.outer(tau_r, ones).scale(ONE_PLUS_Q)
+                      - exactla.mat_mul(qL, qB) - eye.scale(Q_ONE_PLUS_Q)),
+        "inverse_E": exactla.mat_mul(qL, E) - eye.scale(Q * ONE_MINUS_Q2),
+        "inverse_qB": exactla.mat_mul(
+            exactla.outer(tau_r, tau_l).scale(ONE_PLUS_Q) - qL.scale(bd), qB
+        ) - eye.scale(Q_ONE_PLUS_Q * bd),
+    }
+    for name, residual in residuals.items():
+        w = PRODUCT_CHECKS[name](p5_random).witness
+        i, j = w["entry"]
+        assert Poly.from_json(w["residual_poly"]) == residual[i, j] != ZERO, name
+        assert residual[i, j].eval_at(int(w["point"])) == int(w["residual"]), name
 
 
 def test_identically_zero_bd_is_reported(monkeypatch, p5_random):
