@@ -101,21 +101,26 @@ def _emit(obj, fmt: str, at: Fraction | None, out_path: str | None) -> None:
         rows = obj.entries if isinstance(obj, Matrix) else [obj]
         _dump("\n".join(",".join(str(e) for e in row) for row in rows), out_path)
         return
-    # pretty
+    _dump(_pretty(obj), out_path)
+
+
+def _pretty(obj) -> str:
+    """A matrix as aligned rows, a vector on one line, a dict key by key."""
     if isinstance(obj, Matrix):
         cells = [[str(e) for e in row] for row in obj.entries]
         widths = [max(len(r[j]) for r in cells) for j in range(obj.cols)]
-        lines = [
+        return "\n".join(
             "[ " + "  ".join(c.rjust(w) for c, w in zip(row, widths)) + " ]"
             for row in cells
-        ]
-        _dump("\n".join(lines), out_path)
-    elif isinstance(obj, Vector):
-        _dump("( " + "  ".join(str(e) for e in obj) + " )", out_path)
-    elif isinstance(obj, dict):
-        _dump("\n".join(f"{k}: {v}" for k, v in obj.items()), out_path)
-    else:
-        _dump(str(obj), out_path)
+        )
+    if isinstance(obj, Vector):
+        return "( " + "  ".join(str(e) for e in obj) + " )"
+    if isinstance(obj, dict):  # a matrix's rows start on the line after its key
+        return "\n".join(
+            f"{k}:\n{_pretty(v)}" if isinstance(v, Matrix) else f"{k}: {_pretty(v)}"
+            for k, v in obj.items()
+        )
+    return str(obj)
 
 
 def _one_point(args) -> Fraction | None:

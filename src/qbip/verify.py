@@ -18,11 +18,12 @@ costs one big-integer operation per nonzero of its left factor.  B is
 chosen from a bound C on every entry so that 4C < B, which makes equal
 packed rows mean equal rows and lets a failing row be read back for its
 witness (see the comment on ``IDENTITIES``).  The enumerated suite runs the
-engine at one integer point q = 2^k per identity, k read from the factors'
-coefficients so that the sides are equal in Z[q] iff they are equal there:
-a pass is a proof in Z[q]; the random large-tree suite runs the same engine
-at the user's rational points.  The other checks compare Z[q] canonical
-forms directly.  Nothing is ever approximate.
+engine at one integer point q = 2^k per tree, shared by all five identities,
+k read from the factors' coefficients so that the sides of every equation
+are equal in Z[q] iff they are equal there: a pass is a proof in Z[q]; the
+random large-tree suite runs the same engine at the user's rational points.
+The other checks compare Z[q] canonical forms directly.  Nothing is ever
+approximate.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ import concurrent.futures
 import os
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import accumulate, compress, count, repeat
 from math import prod
 from operator import add, mul
@@ -184,6 +185,8 @@ def _compare(name: str, label: str, got, want, **where) -> CheckResult:
 # the two sides, an entry of lhs - rhs has coefficients in [-(C_L + C_R),
 # C_L + C_R], so at q = 2^k > 2(C_L + C_R) it is 0 only if it is 0 in Z[q]
 # (Kronecker substitution), and else it reads back as its base-2^k digits.
+# One such point, past 2(C_L + C_R) of every equation, proves all of a tree's
+# identities (_proof_point).
 IDENTITIES = {
     "B_tau": (
         ("qB tau_r = bd_q ones", [("qB", "tau_r")], [("bd", "ones_L")]),
@@ -206,6 +209,7 @@ IDENTITIES = {
          [("q(1+q)", "bd", "I")]),
     ),
 }
+_EQUATIONS = [eq for eqs in IDENTITIES.values() for eq in eqs]  # what a point serves
 # names of the evaluated checks, which carry the point after an "@"
 _POINT_NAMES = {"inverse_E": "inverse_E_product", "inverse_qB": "inverse_qB_product"}
 
@@ -219,7 +223,7 @@ class _Factor(NamedTuple):
 def _poly_factor(x) -> _Factor:
     """A Poly, or a Vector or Matrix of them; deg is its largest entry degree.
 
-    The nonzero entries are found once; at a point only they are evaluated.
+    The nonzero entries are found once; a point and the norm read only them.
     """
     if isinstance(x, Poly):
         deg = max(0, x.degree())
@@ -229,22 +233,20 @@ def _poly_factor(x) -> _Factor:
     support = [[(j, e.coeffs) for j, e in enumerate(row) if e.coeffs] for row in rows]
     deg = max((len(c) - 1 for nonzeros in support for _, c in nonzeros), default=0)
 
-    def at(a, b):
-        monomials = _monomials(a, b, deg)
+    def fill(value):  # value(coeffs) at each nonzero entry, 0 elsewhere
         values = [[0] * len(rows[0]) for _ in rows]
         for row, nonzeros in zip(values, support):
             for j, coeffs in nonzeros:
-                row[j] = sum(map(mul, coeffs, monomials))
+                row[j] = value(coeffs)
         if isinstance(x, Vector):
             return Vector(values[0], x.kind)
         return Matrix(values, x.row_kind, x.col_kind)
 
-    # the norm: the value at q = 1 with every coefficient made nonnegative
-    return _Factor(deg, at, lambda: _poly_factor(x.map(_abs_coeffs)).at(1, 1))
+    def at(a, b):
+        monomials = _monomials(a, b, deg)
+        return fill(lambda coeffs: sum(map(mul, coeffs, monomials)))
 
-
-def _abs_coeffs(e: Poly) -> Poly:
-    return Poly(map(abs, e.coeffs))
+    return _Factor(deg, at, lambda: fill(lambda coeffs: sum(map(abs, coeffs))))
 
 
 def _monomials(a: int, b: int, deg: int) -> list:
@@ -275,8 +277,8 @@ def _distance_factors(mt: MatchedTree | TreeData):
             _Factor(dmax, E, lambda: lookup([1] * (dmax + 1))))
 
 
-def _factors(td: TreeData, bd: Poly | None = None) -> dict:
-    """Every factor of the tree's product identities, by name; "bd" only when bd is given."""
+def _factors(td: TreeData, bd: Poly) -> dict:
+    """Every factor of the tree's product identities, by name, bd_q given."""
     p = td.mt.p
     ones_L, ones_R = Vector((1,) * p, KIND_L), Vector((1,) * p, KIND_R)
     eye = Matrix.identity(p, KIND_R, KIND_R, one=1, zero=0)
@@ -290,11 +292,10 @@ def _factors(td: TreeData, bd: Poly | None = None) -> dict:
         "ones_R": _Factor(0, lambda a, b: ones_R, lambda: ones_R),
         "I": _Factor(0, lambda a, b: eye, lambda: eye),
         "qL": _poly_factor(td.qL),
+        "bd": _poly_factor(bd),
     }
     factors["tau_l"], factors["tau_r"] = map(_poly_factor, td.tau)
     factors["qB"], factors["E"] = _distance_factors(td)
-    if bd is not None:
-        factors["bd"] = _poly_factor(bd)
     return factors
 
 
@@ -466,18 +467,24 @@ def _mismatch(equations, point: _Point) -> dict | None:
     return None
 
 
-def _prove(name: str, factors: dict) -> CheckResult:
-    """Identity `name` in Z[q], decided at the one point q = B = 2^k > 2(C_L + C_R).
+@lru_cache(maxsize=1)  # the last tree's: a suite run packs each factor once
+def _proof_point(td: TreeData) -> _Point:
+    """The tree's factors at q = B = 2^k, B > 2(C_L + C_R) for every equation."""
+    factors = _factors(td, td.bd)
+    norms = {ref: _Factor(0, lambda a, b, f=f: f.norm()) for ref, f in factors.items()}
+    at_one = _Point(norms, Fraction(1), _EQUATIONS)
+    bound = max(sum(at_one.bound(term, 0) for term in lhs + rhs) for _, lhs, rhs in _EQUATIONS)
+    return _Point(factors, Fraction(1 << (2 * bound).bit_length()), _EQUATIONS)
+
+
+def _prove(name: str, mt: MatchedTree | TreeData) -> CheckResult:
+    """Identity `name` in Z[q], decided at the tree's proof point q = B.
 
     See the comment on ``IDENTITIES``.  A failure's witness adds the residual
     in Z[q], ``residual_poly``: the balanced base-B digits of its value at B.
     """
-    equations = IDENTITIES[name]
-    norms = {ref: _Factor(0, lambda a, b, f=f: f.norm()) for ref, f in factors.items()}
-    at_one = _Point(norms, Fraction(1), equations)
-    bound = max(sum(at_one.bound(term, 0) for term in lhs + rhs) for _, lhs, rhs in equations)
-    point = _Point(factors, Fraction(1 << (2 * bound).bit_length()), equations)
-    witness = _mismatch(equations, point)
+    point = _proof_point(TreeData.of(mt))
+    witness = _mismatch(IDENTITIES[name], point)
     if witness is None:
         return CheckResult(name, True)
     residual = exactla.balanced_digits(int(witness["residual"]), int(point.x))
@@ -522,21 +529,20 @@ def check_sum_mu(mt: MatchedTree | TreeData) -> CheckResult:
 
 
 def check_row_col_sums(mt: MatchedTree | TreeData) -> CheckResult:
-    return _prove("row_col_sums", _factors(TreeData.of(mt)))
+    return _prove("row_col_sums", mt)
 
 
 def check_B_tau(mt: MatchedTree | TreeData) -> CheckResult:
-    td = TreeData.of(mt)
-    return _prove("B_tau", _factors(td, td.bd))
+    return _prove("B_tau", mt)
 
 
 def check_lemma_111(mt: MatchedTree | TreeData) -> CheckResult:
-    return _prove("lemma_111", _factors(TreeData.of(mt)))
+    return _prove("lemma_111", mt)
 
 
 def check_inverse_E(mt: MatchedTree | TreeData, oracle: bool = False) -> CheckResult:
     td = TreeData.of(mt)
-    res = _prove("inverse_E", _factors(td))
+    res = _prove("inverse_E", td)
     if not res.passed or not oracle:
         return res
     return _compare(
@@ -547,15 +553,14 @@ def check_inverse_E(mt: MatchedTree | TreeData, oracle: bool = False) -> CheckRe
 
 def check_inverse_qB(mt: MatchedTree | TreeData, oracle: bool = False) -> CheckResult:
     td = TreeData.of(mt)
-    bd = td.bd
-    if not bd:
+    if not td.bd:
         return CheckResult("inverse_qB", False, {
             "identity": "closed-form inverse of qB",
             "got": "bd_q is identically zero",
             "want": "nonzero bd_q",
             "residual": "0",
         })
-    res = _prove("inverse_qB", _factors(td, bd))
+    res = _prove("inverse_qB", td)
     if not res.passed or not oracle:
         return res
     return _compare(
@@ -705,21 +710,14 @@ def predicted_block_qL(mt: MatchedTree, k1: int):
         blocks[b][b] = qmatrices.build_qL(sub_b) + exactla.outer(
             e_first, mu_b
         ).scale(Q2)
-        for other in range(1, s):
-            if other != b:
-                blocks[b][other] = Matrix(
-                    [[ZERO] * len(block_orders[other]) for _ in order],
-                    KIND_R,
-                    KIND_L,
-                )
 
     perm = [k for order in block_orders for k in order]
     rows = []
     for bi in range(s):
         for i in range(len(block_orders[bi])):
             row = []
-            for bj in range(s):
-                row.extend(blocks[bi][bj].row(i))
+            for bj, block in enumerate(blocks[bi]):  # None: a zero block
+                row.extend([ZERO] * len(block_orders[bj]) if block is None else block.row(i))
             rows.append(row)
     return perm, Matrix(rows, KIND_R, KIND_L), mu1, len(block_orders[0])
 
@@ -766,7 +764,7 @@ def check_block_decomposition(mt: MatchedTree | TreeData) -> CheckResult:
 def check_q1_properties(mt: MatchedTree | TreeData) -> CheckResult:
     td = TreeData.of(mt)
     p = td.mt.p
-    ints = qmatrices.eval_matrix(td.qL, Fraction(1)).map(int)
+    ints = td.qL.map(lambda e: sum(e.coeffs))  # qL at q = 1
     adj = exactla.adjugate_int(ints)
     # one side suffices: for square matrices over Q, B.X = I gives X.B = I
     product = qmatrices.eval_matrix(td.qB, Fraction(1)) @ qmatrices.inverse_B_q1(td)
@@ -874,9 +872,11 @@ def _rational_points(q_points) -> list[Fraction]:
     points = [Fraction(x) for x in q_points]
     if not points:
         raise ValueError("no evaluation points")
-    for x in points:
+    for i, x in enumerate(points):
         if x in EXCLUDED_POINTS:
             raise ValueError(f"q = {x} is an excluded evaluation point")
+        if x in points[:i]:
+            raise ValueError(f"q = {x} is given more than once")
     return points
 
 
@@ -889,10 +889,9 @@ def evaluate_identities_at(mt: MatchedTree | TreeData, *q_points) -> list[CheckR
     points = _rational_points(q_points)
     td = TreeData.of(mt)
     factors = _factors(td, qmatrices.bdq_recursive(td.mt))
-    equations = [eq for eqs in IDENTITIES.values() for eq in eqs]
     results = []
     for x in points:
-        point = _Point(factors, x, equations)  # frees the previous point's matrices
+        point = _Point(factors, x, _EQUATIONS)  # frees the previous point's matrices
         for name, identity in IDENTITIES.items():
             label = f"{_POINT_NAMES.get(name, name)}@{x}"
             if name == "inverse_qB" and point["bd"] == 0:

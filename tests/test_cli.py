@@ -93,6 +93,22 @@ def test_show_pretty(capsys, p4_file):
     assert "1 + q + q^2" in out
 
 
+@pytest.mark.parametrize("at", [[], ["--at", "2"]])
+def test_show_tau_pretty_lays_out_each_vector(capsys, p4_file, p4_attach, at):
+    # each value of the dict is laid out as a lone vector, not as its repr
+    code, out, _ = run_cli(
+        capsys, "show", "--tree", p4_file, "--matrix", "tau", "--format", "pretty", *at
+    )
+    assert code == 0
+    tau = qmatrices.qtau(p4_attach)
+    if at:
+        tau = [qmatrices.eval_vector(t, 2) for t in tau]
+    assert out == "".join(
+        f"{name}: ( " + "  ".join(map(str, t)) + " )\n"
+        for name, t in zip(("tau_l", "tau_r"), tau)
+    )
+
+
 # -- invert -------------------------------------------------------------------
 
 
@@ -152,6 +168,17 @@ def test_invert_with_failing_oracle(capsys, monkeypatch, p4_file):
     assert data["inverse"] != data["oracle"]
 
 
+@pytest.mark.parametrize("at", [[], ["--at", "2"]])
+def test_invert_oracle_pretty_lays_out_each_matrix(capsys, p4_file, at):
+    # the inverse and the oracle each print as the lone inverse does
+    argv = ("invert", "--tree", p4_file, "--matrix", "qB", "--format", "pretty", *at)
+    code, lone, _ = run_cli(capsys, *argv)
+    assert code == 0 and lone.count("\n") == 2 and "Matrix(" not in lone
+    code, out, _ = run_cli(capsys, *argv, "--oracle")
+    assert code == 0
+    assert out == f"inverse:\n{lone}oracle:\n{lone}equal: True\n"
+
+
 def test_invert_evaluated(capsys, p4_file):
     code, out, _ = run_cli(
         capsys, "invert", "--tree", p4_file, "--matrix", "qB",
@@ -204,6 +231,16 @@ def test_verify_random(capsys):
 def test_verify_random_rejects_excluded(capsys):
     code, _, err = run_cli(capsys, "verify", "--random", "4,1", "--at", "1")
     assert code == 2
+
+
+@pytest.mark.parametrize("second", ["1/2", "2/4"])
+def test_verify_random_rejects_a_repeated_point(capsys, second):
+    # a repeated point would run twice, under duplicate check names
+    code, out, err = run_cli(
+        capsys, "verify", "--random", "2,1", "--at", "1/2", "--at", second
+    )
+    assert code == 2 and out == ""
+    assert "q = 1/2 is given more than once" in err
 
 
 def test_verify_needs_exactly_one_source(capsys, p4_file):

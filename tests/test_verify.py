@@ -187,6 +187,11 @@ def test_evaluation_rejects_excluded_points(p4_attach):
             evaluate_identities_at(p4_attach, Fraction(bad))
 
 
+def test_evaluation_rejects_a_repeated_point(p4_attach):
+    with pytest.raises(ValueError, match="more than once"):
+        evaluate_identities_at(p4_attach, Fraction(2), Fraction(1, 2), Fraction(2))
+
+
 def test_evaluation_skips_inverse_at_bdq_root(p6_attach):
     # bd_q(P6) = 2 + q vanishes at q = -2; the inverse check is skipped there
     assert qmatrices.bdq_det(p6_attach).eval_at(-2) == 0
@@ -415,28 +420,92 @@ def test_coefficient_bound_is_read_from_the_entries(monkeypatch, p5_random):
     _assert_witness(res)
 
 
-def test_symbolic_witness_carries_the_residual_polynomial(monkeypatch, p5_random):
-    # each identity's residual at its witness entry, recomputed in Z[q]
-    _perturb(monkeypatch, "qL", Q)
-    qL, qB, E = (build(p5_random) for build in (
+def _residuals(mt) -> dict:
+    """lhs - rhs of each product equation in Z[q], by label: a Matrix, or a
+    list for a vector equation."""
+    qL, qB, E = (build(mt) for build in (
         qmatrices.build_qL, qmatrices.build_qB, qmatrices.build_E))
-    tau_l, tau_r = qmatrices.qtau(p5_random)
-    bd = qmatrices.bdq_det(p5_random)
-    ones = exactla.Vector((ONE,) * p5_random.p, KIND_R)
-    eye = Matrix.identity(p5_random.p, KIND_R, KIND_R)
-    residuals = {
-        "lemma_111": (exactla.outer(tau_r, ones).scale(ONE_PLUS_Q)
-                      - exactla.mat_mul(qL, qB) - eye.scale(Q_ONE_PLUS_Q)),
-        "inverse_E": exactla.mat_mul(qL, E) - eye.scale(Q * ONE_MINUS_Q2),
-        "inverse_qB": exactla.mat_mul(
+    tau_l, tau_r = qmatrices.qtau(mt)
+    bd = qmatrices.bdq_det(mt)
+    ones_L, ones_R = (exactla.Vector((ONE,) * mt.p, kind) for kind in (KIND_L, KIND_R))
+    eye = Matrix.identity(mt.p, KIND_R, KIND_R)
+
+    def minus(got, want):
+        return [a - b for a, b in zip(got, want)]
+
+    return {
+        "qB tau_r = bd_q ones": minus(exactla.mat_vec(qB, tau_r), ones_L.scale(bd)),
+        "tau_l^t qB = bd_q ones^t": minus(exactla.vec_mat(tau_l, qB), ones_R.scale(bd)),
+        "ones^t qL = (1-q^2) tau_l^t": minus(exactla.vec_mat(ones_R, qL),
+                                             tau_l.scale(ONE_MINUS_Q2)),
+        "qL ones = (1-q^2) tau_r": minus(exactla.mat_vec(qL, ones_L),
+                                         tau_r.scale(ONE_MINUS_Q2)),
+        "-qL.qB + (1+q) tau_r ones^t = q(1+q) I": (
+            exactla.outer(tau_r, ones_R).scale(ONE_PLUS_Q)
+            - exactla.mat_mul(qL, qB) - eye.scale(Q_ONE_PLUS_Q)),
+        "qL.E = q(1-q^2) I": exactla.mat_mul(qL, E) - eye.scale(Q * ONE_MINUS_Q2),
+        "(-bd_q qL + (1+q) tau_r tau_l^t).qB = q(1+q) bd_q I": exactla.mat_mul(
             exactla.outer(tau_r, tau_l).scale(ONE_PLUS_Q) - qL.scale(bd), qB
         ) - eye.scale(Q_ONE_PLUS_Q * bd),
     }
-    for name, residual in residuals.items():
-        w = PRODUCT_CHECKS[name](p5_random).witness
-        i, j = w["entry"]
-        assert Poly.from_json(w["residual_poly"]) == residual[i, j] != ZERO, name
-        assert residual[i, j].eval_at(int(w["point"])) == int(w["residual"]), name
+
+
+def test_symbolic_witness_carries_the_residual_polynomial(monkeypatch, p5_random):
+    # each identity's residual at its witness entry, recomputed in Z[q]: a qL
+    # perturbation reaches the matrix identities and row_col_sums, a bd_q one
+    # reaches B_tau
+    assert sorted(DEPENDS_ON["qL"] | DEPENDS_ON["bd"]) == sorted(PRODUCT_CHECKS)
+    for target in ("qL", "bd"):
+        with monkeypatch.context() as patch:
+            _perturb(patch, target, Q)
+            residuals = _residuals(p5_random)
+            for name in sorted(DEPENDS_ON[target]):
+                w = PRODUCT_CHECKS[name](p5_random).witness
+                entry = w["entry"]
+                residual = residuals[w["identity"]][
+                    entry[0] if len(entry) == 1 else tuple(entry)]
+                assert Poly.from_json(w["residual_poly"]) == residual != ZERO, name
+                assert residual.eval_at(int(w["point"])) == int(w["residual"]), name
+
+
+def _calls_to_factors(monkeypatch) -> list:
+    """The trees verify._factors builds factors for, in order, from now on."""
+    built = []
+    factors = verify._factors
+
+    def spy(td, bd):
+        built.append(td)
+        return factors(td, bd)
+
+    monkeypatch.setattr(verify, "_factors", spy)
+    return built
+
+
+def test_suite_proves_the_five_identities_at_one_point(monkeypatch, p5_random):
+    # alone, the identities' points would be 64 (row_col_sums), 128 (B_tau),
+    # 128 (lemma_111), 32 (inverse_E) and 1024 (inverse_qB); shared, the
+    # point is the largest, and each factor is built for it once
+    built = _calls_to_factors(monkeypatch)
+    points = _points_proved_at(monkeypatch)
+    assert run_suite(p5_random).passed
+    assert len(built) == 1
+    assert points == [Fraction(1024)] * len(PRODUCT_CHECKS)
+
+
+def test_proof_point_is_never_shared_between_trees(monkeypatch, p5_random):
+    # a TreeData built after a perturbation is proved afresh, and fails
+    built = _calls_to_factors(monkeypatch)
+    before = qmatrices.TreeData(p5_random)
+    assert all(check(before).passed for check in PRODUCT_CHECKS.values())
+    assert built == [before]
+    _perturb(monkeypatch, "qL", Q)
+    after = qmatrices.TreeData(p5_random)
+    failed = {name for name, check in PRODUCT_CHECKS.items() if not check(after).passed}
+    assert failed == DEPENDS_ON["qL"]
+    assert built == [before, after]
+    # the first tree's qL was built before the perturbation: it still passes
+    assert all(check(before).passed for check in PRODUCT_CHECKS.values())
+    assert built == [before, after, before]
 
 
 def test_identically_zero_bd_is_reported(monkeypatch, p5_random):
