@@ -60,6 +60,19 @@ def _json(obj) -> str:
                       default=lambda x: x.to_json())
 
 
+def _check_out(path: str | None) -> None:
+    """Raise UsageError if --out names a path that cannot be written.
+
+    main calls it before the command runs, so a long run never ends on it.
+    """
+    if not path:
+        return
+    parent = os.path.dirname(os.path.abspath(path))
+    target = path if os.path.exists(path) else parent
+    if os.path.isdir(path) or not os.path.isdir(parent) or not os.access(target, os.W_OK):
+        raise UsageError(f"cannot write --out {path}")
+
+
 def _dump(text: str, out_path: str | None = None) -> None:
     """Write text and a newline to out_path, or to stdout.
 
@@ -386,6 +399,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
+        _check_out(args.out)
         return args.fn(args)
     except (UsageError, NotATree, NotNonsingular, PoleAtPoint, BdqZero,
             NotDivisible, SingularMatrix, OSError, UnicodeDecodeError,

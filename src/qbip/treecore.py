@@ -430,21 +430,10 @@ def detach_p2(mt: MatchedTree) -> DetachResult:
         if tree.degree(v) == 1 and tree.degree(mt.partner(v)) == 2
     )
     u = mt.partner(w)
-    site_old = next(x for x in tree.adj[u] if x != w)
+    site = next(x for x in tree.adj[u] if x != w)
     removed_index = mt.index_of[w]
-    keep = sorted(x for x in range(tree.n) if x not in (u, w))
-    relabel = {old: new for new, old in enumerate(keep)}
-    edges = [
-        (relabel[a], relabel[b])
-        for a, b in tree.edges
-        if a not in (u, w) and b not in (u, w)
-    ]
-    pairs = [
-        (relabel[l], relabel[r])
-        for i, (l, r) in enumerate(mt.pairs)
-        if i != removed_index
-    ]
-    return DetachResult(MatchedTree(Tree(edges), pairs), relabel[site_old], removed_index)
+    smaller, relabel = sub_matched_tree(mt, [i for i in range(mt.p) if i != removed_index])
+    return DetachResult(smaller, relabel[site], removed_index)
 
 
 # ---------------------------------------------------------------------------

@@ -33,9 +33,9 @@ import os
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from itertools import accumulate, compress, count, repeat
+from itertools import accumulate, compress, count, groupby, repeat
 from math import prod
-from operator import add, mul
+from operator import add, itemgetter, mul
 from typing import Callable, NamedTuple
 
 from . import exactla, qmatrices, treecore
@@ -569,32 +569,47 @@ def check_inverse_qB(mt: MatchedTree | TreeData, oracle: bool = False) -> CheckR
     )
 
 
+def joined_qL(pieces, size: int) -> Matrix:
+    """qL of matched trees joined by edges from one L-vertex a to R-vertices b.
+
+    Each piece is (qL, mu of its join vertex, k, start): the join vertex is
+    in the piece's pair k, and its pairs go to start, start+1, ... of the
+    result's size pairs.  pieces[0] holds a, every other piece one b.  The
+    result is the pieces' blocks plus, for the branches joined at a,
+    (#branches) q^2 mu_a on a's column of the home block; and for each b,
+    q^2 mu_b on b's row, -mu_a mu_b^t on the home rows x b's columns and
+    -q^2 at (b, a).
+    """
+    rows = [[ZERO] * size for _ in range(size)]
+    for qL, _, _, start in pieces:
+        for i, row in enumerate(qL.entries, start):
+            rows[i][start:start + len(row)] = row
+    (_, mu_a, k_a, home), *branches = pieces
+    a = home + k_a
+    for i, m in enumerate(mu_a, home):
+        rows[i][a] += len(branches) * Q2 * m
+    for _, mu_b, k_b, start in branches:
+        cols = slice(start, start + len(mu_b))
+        row_b = rows[start + k_b]
+        row_b[cols] = [e + Q2 * m for e, m in zip(row_b[cols], mu_b)]
+        row_b[a] -= Q2
+        for i, m in enumerate(mu_a, home):
+            rows[i][cols] = [-m * m_b for m_b in mu_b]
+    return Matrix(rows, KIND_R, KIND_L)
+
+
+# a lone matched pair: qL = [1 - q^2], and mu = (1) at either vertex
+_PAIR_QL = Matrix([[ONE_MINUS_Q2]], KIND_R, KIND_L)
+_PAIR_MU = (ONE,)
+
+
 def predicted_attach_qL(mt: MatchedTree | TreeData, v: int) -> Matrix:
-    """qL of attach_p2(mt, v) assembled from mt's data by the block update."""
+    """qL of attach_p2(mt, v): mt joined at v to a lone pair, pair last."""
     td = TreeData.of(mt)
     p = td.mt.p
-    k = td.mt.index_of[v]
-    qL, mu = td.qL, td.mu(v)
-    rows = []
-    if td.mt.side_of[v] == "L":
-        for i in range(p):
-            row = list(qL.row(i))
-            row[k] = row[k] + Q2 * mu[i]
-            row.append(-mu[i])
-            rows.append(row)
-        last = [ZERO] * (p + 1)
-        last[k] = -Q2
-        last[p] = ONE
-        rows.append(last)
-    else:
-        for i in range(p):
-            row = list(qL.row(i))
-            if i == k:
-                row = [e + Q2 * m for e, m in zip(row, mu)]
-            row.append(-Q2 if i == k else ZERO)
-            rows.append(row)
-        rows.append([-m for m in mu] + [ONE])
-    return Matrix(rows, KIND_R, KIND_L)
+    tree = (td.qL, td.mu(v), td.mt.index_of[v], 0)
+    pair = (_PAIR_QL, _PAIR_MU, 0, p)
+    return joined_qL((tree, pair) if td.mt.side_of[v] == "L" else (pair, tree), p + 1)
 
 
 def predicted_attach_tau_r(mt: MatchedTree | TreeData, v: int) -> Vector:
@@ -639,87 +654,43 @@ def check_attach_update(mt: MatchedTree | TreeData) -> CheckResult:
     return CheckResult("attach_update", True)
 
 
-class DegreeTooSmall(ValueError):
-    """Block decomposition needs a split vertex of degree at least 2."""
-
-
 def block_split_vertices(mt: MatchedTree):
     return [k for k in range(mt.p) if mt.tree.degree(mt.l_vertex(k)) >= 2]
 
 
 def predicted_block_qL(mt: MatchedTree, k1: int):
-    """Reassemble qL from the subtrees split off at the L-vertex of pair k1.
+    """qL reassembled by joined_qL from the subtrees split off at the L-vertex
+    v of pair k1 (degree >= 2).
 
-    Returns (permutation of pair indices, predicted matrix); the permutation
-    lists the pairs of the component containing the split vertex first (split
-    pair last within it), then each branch component with its attachment pair
-    first, branches ordered by attachment-vertex id.
+    Cutting v from its neighbours but its partner leaves the home component,
+    which holds pair k1, and one branch per cut neighbour w.  Returns (perm,
+    predicted, mu1): perm lists the pair indices home first, with k1 last,
+    then each branch with w's pair first, branches by ascending w; predicted
+    is qL with its rows and columns in perm's order; mu1 is v's signed degree
+    vector in the home subtree.
     """
-    tree = mt.tree
-    v = mt.l_vertex(k1)
-    partner = mt.r_vertex(k1)
-    branch_roots = sorted(w for w in tree.adj[v] if w != partner)
-    if not branch_roots:
-        raise DegreeTooSmall(f"vertex {v} has degree 1")
-    cut = {tuple(sorted((v, w))) for w in branch_roots}
-
-    def component(start):
-        seen = {start}
-        stack = [start]
-        while stack:
-            x = stack.pop()
-            for y in tree.adj[x]:
-                if tuple(sorted((x, y))) in cut or y in seen:
-                    continue
-                seen.add(y)
+    v, partner = mt.pairs[k1]
+    joins = [v, *sorted(w for w in mt.tree.adj[v] if w != partner)]  # of each piece
+    piece = {v: 0, partner: 0, **{w: b for b, w in enumerate(joins[1:], 1)}}
+    stack = [partner, *joins[1:]]
+    while stack:  # one walk from v gives each vertex its piece
+        x = stack.pop()
+        for y in mt.tree.adj[x]:
+            if y not in piece:
+                piece[y] = piece[x]
                 stack.append(y)
-        return seen
-
-    home = component(v)
-    block_orders = []
-    first = [k for k in range(mt.p) if mt.pairs[k][0] in home and k != k1]
-    first.append(k1)
-    block_orders.append(first)
-    for w in branch_roots:
-        comp = component(w)
-        kw = mt.index_of[w]
-        order = [kw] + [
-            k for k in range(mt.p) if mt.pairs[k][0] in comp and k != kw
-        ]
-        block_orders.append(order)
-
-    s = len(branch_roots) + 1
-    sub1, map1 = treecore.sub_matched_tree(mt, block_orders[0])
-    k1_pos = len(block_orders[0]) - 1
-    mu1 = qmatrices.qsigned_degree_vector(sub1, map1[v])
-    blocks = [[None] * s for _ in range(s)]
-    top_left = qmatrices.build_qL(sub1)
-    e_k1 = Vector(
-        (ONE if j == k1_pos else ZERO for j in range(len(block_orders[0]))), KIND_L
-    )
-    blocks[0][0] = top_left + exactla.outer(mu1, e_k1).scale(Q2 * (s - 1))
-    for b, w in enumerate(branch_roots, start=1):
-        order = block_orders[b]
-        sub_b, map_b = treecore.sub_matched_tree(mt, order)
-        mu_b = qmatrices.qsigned_degree_vector(sub_b, map_b[w])
-        blocks[0][b] = exactla.outer(mu1, mu_b).scale(-1)
-        corner = [[ZERO] * len(block_orders[0]) for _ in order]
-        corner[0][k1_pos] = -Q2
-        blocks[b][0] = Matrix(corner, KIND_R, KIND_L)
-        e_first = Vector((ONE,) + (ZERO,) * (len(order) - 1), KIND_R)
-        blocks[b][b] = qmatrices.build_qL(sub_b) + exactla.outer(
-            e_first, mu_b
-        ).scale(Q2)
-
-    perm = [k for order in block_orders for k in order]
-    rows = []
-    for bi in range(s):
-        for i in range(len(block_orders[bi])):
-            row = []
-            for bj, block in enumerate(blocks[bi]):  # None: a zero block
-                row.extend([ZERO] * len(block_orders[bj]) if block is None else block.row(i))
-            rows.append(row)
-    return perm, Matrix(rows, KIND_R, KIND_L), mu1, len(block_orders[0])
+    # home's join pair last, each branch's first
+    first = {k1: 1, **{mt.index_of[w]: -1 for w in joins[1:]}}
+    perm = sorted(range(mt.p), key=lambda k: (piece[mt.l_vertex(k)], first.get(k, 0), k))
+    pieces, start = [], 0
+    for join, (_, order) in zip(joins, groupby(perm, lambda k: piece[mt.l_vertex(k)])):
+        order = list(order)
+        sub, relabel = treecore.sub_matched_tree(mt, order)
+        pieces.append((qmatrices.build_qL(sub),
+                       qmatrices.qsigned_degree_vector(sub, relabel[join]),
+                       order.index(mt.index_of[join]), start))
+        start += len(order)
+    return perm, joined_qL(pieces, mt.p), pieces[0][1]
 
 
 def check_block_decomposition(mt: MatchedTree | TreeData) -> CheckResult:
@@ -729,32 +700,20 @@ def check_block_decomposition(mt: MatchedTree | TreeData) -> CheckResult:
     if not splits:
         return CheckResult("block_decomposition", True,
                            skipped="no L-vertex of degree >= 2")
-    qL = td.qL
     for k1 in splits:
-        perm, predicted, mu1, width = predicted_block_qL(mt, k1)
-        permuted = Matrix(
-            ((qL[perm[i], perm[j]] for j in range(mt.p)) for i in range(mt.p)),
-            KIND_R,
-            KIND_L,
-        )
+        perm, predicted, mu1 = predicted_block_qL(mt, k1)
+        pick = itemgetter(*perm)  # p >= 2 at a split: pick returns a tuple
         res = _compare(
             "block_decomposition", f"qL block reassembly at pair {k1}",
-            permuted, predicted, split_pair=k1,
+            Matrix(map(pick, pick(td.qL.entries)), KIND_R, KIND_L), predicted,
+            split_pair=k1,
         )
         if not res.passed:
             return res
-        mu_full = td.mu(mt.l_vertex(k1))
-        restricted = Vector(
-            (
-                mu1[i] if i < width else ZERO
-                for i in range(mt.p)
-            ),
-            KIND_R,
-        )
-        permuted_mu = Vector((mu_full[perm[i]] for i in range(mt.p)), KIND_R)
         res = _compare(
             "block_decomposition", f"signed degree vector restriction at pair {k1}",
-            permuted_mu, restricted, split_pair=k1,
+            Vector(pick(td.mu(mt.l_vertex(k1)).entries), KIND_R),
+            Vector((*mu1, *[ZERO] * (mt.p - len(mu1))), KIND_R), split_pair=k1,
         )
         if not res.passed:
             return res

@@ -273,6 +273,25 @@ def test_verify_random_without_trials_is_usage_error(capsys):
     assert "TREES" not in out
 
 
+@pytest.mark.parametrize("argv", [
+    ("verify", "--random", "3,1", "--at", "2"),
+    ("verify", "--enumerate-upto", "6"),
+    ("conjecture", "--upto", "6"),
+])
+def test_unwritable_out_fails_before_the_run(capsys, monkeypatch, tmp_path, argv):
+    def never(*args, **kwargs):
+        raise AssertionError("the run started")
+
+    for name in ("run_random", "run_enumerated"):
+        monkeypatch.setattr(verify, name, never)
+    monkeypatch.setattr(treecore, "enumerate_upto", never)
+    for out in (tmp_path / "missing" / "x", tmp_path):  # no parent; a directory
+        code, stdout, err = run_cli(capsys, *argv, "--out", str(out))
+        assert code == 2 and stdout == ""
+        assert f"cannot write --out {out}" in err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_verify_odd_enumeration_bound_is_usage_error(capsys, tmp_path):
     # 7 used to run the 2p <= 6 suite silently
     out_path = tmp_path / "report.json"

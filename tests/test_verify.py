@@ -140,9 +140,11 @@ def test_run_suite_builds_each_quantity_once(monkeypatch):
     built = _count_calls(monkeypatch, qmatrices, (
         "build_qL", "build_qB", "build_E", "bdq_det", "qtau", "qsigned_degree_vector",
     ))
-    made = _count_calls(monkeypatch, treecore, ("attach_p2", "sub_matched_tree"))
+    made = _count_calls(monkeypatch, treecore, ("attach_p2", "sub_matched_tree", "detach_p2"))
     assert run_suite(mt).passed
-    grown, split = made["attach_p2"], made["sub_matched_tree"]
+    # each detach_p2 (bd_q's recursion) cuts one sub_matched_tree but builds nothing
+    grown, split = made["attach_p2"], made["sub_matched_tree"] - made["detach_p2"]
+    assert made["detach_p2"] == mt.p - 1
     assert grown == mt.tree.n and split > 0
     assert built["bdq_det"] == built["build_qB"] == built["build_E"] == 1
     assert built["build_qL"] == 1 + grown + split
@@ -241,6 +243,48 @@ def test_attach_tau_r_update_needs_q2_on_existing_entry(p4_path):
     naive[k] = naive[k] - Poly((scale,))
     naive.append(Poly((scale,)))
     assert tuple(naive) != tuple(tau_r)
+
+
+# -- the attachment checks' witnesses -------------------------------------------------
+
+
+@pytest.mark.parametrize("side, vertex, got, want", [
+    ("L", 0, ["1", "0", "1", "0", "1"], ["1", "0", "1", "1", "1"]),
+    ("R", 1, ["1", "0", "1"], ["1", "0", "1", "1"]),
+])
+def test_attach_update_witness_on_each_side(monkeypatch, p4_path, side, vertex, got, want):
+    # mu entry 0 perturbed by q at the vertices of one side only: the first
+    # attachment there leaves the residual -q^3 at qL entry (0, 0)
+    mu = qmatrices.qsigned_degree_vector
+
+    def perturbed(mt, v):
+        vec = mu(mt, v)
+        if mt.side_of[v] != side:
+            return vec
+        return exactla.Vector((vec[0] + Q, *vec.entries[1:]), vec.kind)
+
+    monkeypatch.setattr(qmatrices, "qsigned_degree_vector", perturbed)
+    res = verify.check_attach_update(p4_path)
+    assert res.to_json() == {"name": "attach_update", "pass": False, "witness": {
+        "identity": f"qL block update at vertex {vertex}", "entry": [0, 0],
+        "got": got, "want": want, "residual": ["0", "0", "0", "-1"], "vertex": vertex,
+    }}
+
+
+def test_block_decomposition_witness_at_a_split_with_two_branches(monkeypatch):
+    # L-vertex 0 has partner 1 and the two branches at R-vertices 2 and 4;
+    # pair (6, 7) hangs off 1, so home holds pairs 3 and 0, in that order
+    mt = treecore.standard_labeling(treecore.Tree(
+        [(0, 1), (0, 2), (2, 3), (0, 4), (4, 5), (1, 6), (6, 7)]))
+    assert verify.predicted_block_qL(mt, 0)[0] == [3, 0, 1, 2]
+    build_qL = qmatrices.build_qL  # perturbed on the p = 4 tree, not on its subtrees
+    monkeypatch.setattr(qmatrices, "build_qL", lambda t: _bump(
+        build_qL(t), 2, 1, ONE) if t.p >= 4 else build_qL(t))
+    res = verify.check_block_decomposition(mt)
+    assert res.to_json() == {"name": "block_decomposition", "pass": False, "witness": {
+        "identity": "qL block reassembly at pair 0", "entry": [3, 2],
+        "got": ["1"], "want": [], "residual": ["1"], "split_pair": 0,
+    }}
 
 
 # -- mutation tests for the product-identity engine ---------------------------------
