@@ -3,13 +3,14 @@
 This module is the referee for the closed-form constructions elsewhere in the
 package: it only knows generic exact algorithms (one fraction-free Bareiss loop
 over Z, which gives integer ranks and, by Kronecker substitution, Z[q]
-determinants; Gauss-Jordan over the fraction field; characteristic polynomials
-from one such determinant; polynomials of an integer matrix, for adjugates and
-annihilation tests, from one Horner loop on a Kronecker-packed vector; integer
-rows packed into one integer each, so that verify compares a matrix product
-row by row with one big-integer operation per nonzero; Sturm sequences on
-polyalg's pseudo-remainder) and never builds any of the structured matrices
-itself.
+determinants; fraction-free Gauss-Jordan over Z at such a point, which gives
+inverses over the fraction field with one division there per entry;
+characteristic polynomials from one determinant; polynomials of an integer
+matrix, for adjugates and annihilation tests, from one Horner loop on a
+Kronecker-packed vector; integer rows packed into one integer each, so that
+verify compares a matrix product row by row with one big-integer operation per
+nonzero; Sturm sequences on polyalg's pseudo-remainder) and never builds any
+of the structured matrices itself.
 
 Matrices and vectors carry index-kind metadata ("L", "R", "Vertex") so that a
 product with mismatched row/column semantics fails loudly instead of silently
@@ -258,29 +259,33 @@ def outer(u: Vector, v: Vector) -> Matrix:
 def det_bareiss(m: Matrix) -> Poly:
     """Determinant over Z[q] by one fraction-free Bareiss elimination over Z.
 
-    Entries are Poly or int (or an integral Fraction).  The matrix is mapped
-    to Z by Kronecker substitution.  Let C be the product over the rows of the
-    sum of the coefficient 1-norms of the row's entries.  Expanding det over
-    permutations, the 1-norm of det is at most the permanent of the matrix of
-    entry 1-norms, which is at most C; so every coefficient of det lies in
-    [-C, C].  Such a polynomial is fixed by its value at q = B = 2C + 1: its
-    coefficients are the balanced base-B digits of that integer.  The entries
-    are evaluated at B, the integer determinant is taken by Bareiss elimination
-    (every interior division is exact, so ``//`` is), and the digits are read
-    back.  C = 0 means a zero row, and the determinant is ZERO.
+    The integer determinant of ``_kronecker_rows`` (every interior division
+    is exact, so ``//`` is) is read back by its balanced base-B digits.
     """
     if not m.is_square():
         raise DimensionMismatch("determinant of a non-square matrix")
-    n = m.rows
+    rows, base = _kronecker_rows(m)
+    rank, sign, pivot = _echelon(rows)
+    return balanced_digits(sign * pivot, base) if rank == m.rows else ZERO
+
+
+def _kronecker_rows(m: Matrix) -> tuple:
+    """(rows, B): m's Poly or int (or integral Fraction) entries at q = B.
+
+    B = 2C + 1, where C is the product over the rows of the sum of the
+    coefficient 1-norms of the row's entries.  Expanding over permutations,
+    the 1-norm of det m is at most the permanent of the entry 1-norms, so at
+    most C; an (n-1)-minor leaves out a row whose sum is at least 1 unless
+    C = 0.  So every coefficient of det m and of each entry of adj m lies in
+    [-C, C], and such a polynomial is the balanced base-B digits of its value
+    at B (Kronecker substitution).  C = 0 means a zero row, and m is singular
+    at every point.
+    """
     coeffs = [[_ring_coeffs(e) for e in row] for row in m.entries]
     bound = prod(sum(sum(map(abs, c)) for c in row) for row in coeffs)
-    if not bound:
-        return ZERO
     base = 2 * bound + 1
     powers = [base**i for i in range(max(len(c) for row in coeffs for c in row))]
-    rank, sign, pivot = _echelon(
-        [[sum(map(mul, c, powers)) for c in row] for row in coeffs])
-    return balanced_digits(sign * pivot, base) if rank == n else ZERO
+    return [[sum(map(mul, c, powers)) for c in row] for row in coeffs], base
 
 
 def _echelon(a: list) -> tuple:
@@ -349,46 +354,39 @@ def _as_int(e) -> int:
 
 
 def inverse_gauss(m: Matrix) -> Matrix:
-    """Inverse by Gauss-Jordan over the rational-function field.
+    """Inverse over Q(q) by one fraction-free Gauss-Jordan elimination over Z.
 
-    Pivots are chosen by lowest combined numerator/denominator degree; the
-    cost driver here is polynomial degree growth, not numerical error.
+    [M(B) | I], M(B) from ``_kronecker_rows``, is reduced by the Bareiss
+    update (pivot x - f y) // prev on every other row, above the pivot too.
+    Every entry stays an integer, so every ``//`` is exact: below the pivots
+    a minor as in ``_echelon``, on pivot row i the pivot minor with column i
+    replaced by the entry's column (Cramer).  The loop ends at [d I | X] with
+    d = +-det M(B) and X = d M(B)^-1 = +-adj M(B): d and each X_ij are read
+    back by their balanced base-B digits, and only the last step, scaling by
+    the pivot's inverse, is taken in Q(q): M^-1 = X / d.  No pivot at B means
+    det M(B) = 0, hence det M = 0 (a zero row has none at any point).
     """
     if not m.is_square():
         raise DimensionMismatch("inverse of a non-square matrix")
     n = m.rows
-    a = [
-        [_as_field(e) for e in row]
-        + [RatFun(ONE) if i == j else RatFun(ZERO) for j in range(n)]
-        for i, row in enumerate(m.entries)
-    ]
+    rows, base = _kronecker_rows(m)
+    a = [row + [int(i == j) for j in range(n)] for i, row in enumerate(rows)]
+    prev = 1
     for col in range(n):
-        best = None
-        for i in range(col, n):
-            e = a[i][col]
-            if e:
-                size = e.num.degree() + e.den.degree()
-                if best is None or size < best[0]:
-                    best = (size, i)
-        if best is None:
+        piv = next((i for i in range(col, n) if a[i][col]), None)
+        if piv is None:
             raise SingularMatrix(f"no pivot in column {col}")
-        _, piv = best
         a[col], a[piv] = a[piv], a[col]
-        inv = a[col][col].inverse()
-        a[col] = [e * inv for e in a[col]]
-        for i in range(n):
-            if i != col and a[i][col]:
-                f = a[i][col]
-                a[i] = [x - f * y for x, y in zip(a[i], a[col])]
-    return Matrix((row[n:] for row in a), m.col_kind, m.row_kind)
-
-
-def _as_field(e):
-    if isinstance(e, RatFun):
-        return e
-    if isinstance(e, (Poly, int)):
-        return RatFun(e)
-    raise TypeError(f"field elimination needs RatFun/Poly/int entries, got {type(e)}")
+        ak = a[col]
+        pivot = ak[col]
+        for i, ai in enumerate(a):
+            if i != col:
+                f = ai[col]
+                a[i] = [(pivot * x - f * y) // prev for x, y in zip(ai, ak)]
+        prev = pivot
+    inv = RatFun(balanced_digits(prev, base)).inverse()
+    entries = ([RatFun(balanced_digits(x, base)) * inv for x in row[n:]] for row in a)
+    return Matrix(entries, m.col_kind, m.row_kind)
 
 
 def adjugate_int(m: Matrix) -> Matrix:

@@ -644,7 +644,7 @@ def check_attach_update(mt: MatchedTree | TreeData) -> CheckResult:
         )
         if not res.passed:
             return res
-        _, tau_r = qmatrices.qtau(grown)
+        tau_r = Vector((qmatrices.tau_at(grown, r) for r in grown.r_vertices), KIND_R)
         res = _compare(
             "attach_update", f"tau_r update at vertex {v}",
             tau_r, predicted_attach_tau_r(td, v), vertex=v,

@@ -3,14 +3,17 @@
 Nothing here shares algorithmic code with the package: matchings are found by
 brute force over edge subsets, isomorphism classes are keyed by a
 min-over-all-rootings encoding (the package roots at centroids), labeled trees
-come from Prufer sequences, determinants expand by cofactors, and ranks are
-read off those determinants of minors.
+come from Prufer sequences, determinants expand by cofactors, ranks are
+read off those determinants of minors, and inverses come from Gauss-Jordan
+over the rational-function field, one RatFun operation at a time (the
+package eliminates over Z at one Kronecker point instead).
 """
 
 import heapq
 import itertools
 
-from qbip.polyalg import Poly
+from qbip.exactla import DimensionMismatch, Matrix, SingularMatrix
+from qbip.polyalg import ONE, ZERO, Poly, RatFun
 
 
 def prufer_to_edges(seq, n):
@@ -109,3 +112,46 @@ def rank_minors(rows):
 
 def poly_of(*coeffs):
     return Poly(coeffs)
+
+
+def inverse_gauss_jordan(m):
+    """Inverse by Gauss-Jordan over the rational-function field.
+
+    Pivots are chosen by lowest combined numerator/denominator degree; the
+    cost here comes from polynomial degree growth, not numerical error.
+    """
+    if not m.is_square():
+        raise DimensionMismatch("inverse of a non-square matrix")
+    n = m.rows
+    a = [
+        [_as_field(e) for e in row]
+        + [RatFun(ONE) if i == j else RatFun(ZERO) for j in range(n)]
+        for i, row in enumerate(m.entries)
+    ]
+    for col in range(n):
+        best = None
+        for i in range(col, n):
+            e = a[i][col]
+            if e:
+                size = e.num.degree() + e.den.degree()
+                if best is None or size < best[0]:
+                    best = (size, i)
+        if best is None:
+            raise SingularMatrix(f"no pivot in column {col}")
+        _, piv = best
+        a[col], a[piv] = a[piv], a[col]
+        inv = a[col][col].inverse()
+        a[col] = [e * inv for e in a[col]]
+        for i in range(n):
+            if i != col and a[i][col]:
+                f = a[i][col]
+                a[i] = [x - f * y for x, y in zip(a[i], a[col])]
+    return Matrix((row[n:] for row in a), m.col_kind, m.row_kind)
+
+
+def _as_field(e):
+    if isinstance(e, RatFun):
+        return e
+    if isinstance(e, (Poly, int)):
+        return RatFun(e)
+    raise TypeError(f"field elimination needs RatFun/Poly/int entries, got {type(e)}")

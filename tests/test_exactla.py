@@ -4,7 +4,7 @@ from operator import mul
 
 import pytest
 
-from oracles import det_cofactor, rank_minors
+from oracles import det_cofactor, inverse_gauss_jordan, rank_minors
 from qbip import qmatrices, treecore
 from qbip.exactla import (
     KIND_L,
@@ -215,18 +215,31 @@ def test_det_matches_cofactor_expansion_on_random_zq_matrices():
         assert got == _cofactor_det(rows), rows
 
 
-@pytest.mark.parametrize("rows, want", [
+_AT_THE_BOUND = [
     ([[Poly((0, 0, -3))]], Poly((0, 0, -3))),  # C = 3, det = -C q^2
     ([[Poly((0, 0, 3))]], Poly((0, 0, 3))),
     ([[Poly((0, 2)), 0, 0], [0, -3, 0], [0, 0, Poly((0, 0, 1))]], Poly((0, 0, 0, -6))),
     ([[Poly((0, -2)), 0], [0, Poly((0, 0, -5))]], Poly((0, 0, 0, 10))),
     ([[Poly((-1, 1)), 0], [0, Poly((1, 1))]], Poly((-1, 0, 1))),  # C = 4, digits below C
     ([[Poly((1, -1)), 0], [0, Poly((-1, 0, 1))]], Poly((-1, 1, 1, -1))),
-])
+    # C = 42 = det = adj[2][2], and the first pivot needs a row swap
+    ([[0, Poly((0, 0, 7)), 0], [Poly((0, -6)), 0, 0], [0, 0, 1]], Poly((0, 0, 0, 42))),
+]
+
+
+@pytest.mark.parametrize("rows, want", _AT_THE_BOUND)
 def test_det_coefficients_at_the_kronecker_bound(rows, want):
     """Coefficients equal to +-C: an even base 2C or an unbalanced decode fails."""
     m = Matrix(rows, KIND_VERTEX, KIND_VERTEX)
     assert det_bareiss(m) == want == _cofactor_det(rows)
+
+
+@pytest.mark.parametrize("rows, want", _AT_THE_BOUND)
+def test_inverse_coefficients_at_the_kronecker_bound(rows, want):
+    """``inverse_gauss`` reads det and the adjugate back from the same base;
+    in the last matrix both reach C, in the first +-C is det's alone."""
+    m = Matrix(rows, KIND_VERTEX, KIND_VERTEX)
+    assert inverse_gauss(m) == inverse_gauss_jordan(m)
 
 
 def test_full_qD_det_takes_no_polynomial_division(monkeypatch):
@@ -305,6 +318,74 @@ def test_inverse_gauss_times_matrix_is_identity():
             eye = Matrix.identity(p, KIND_L, KIND_L, one=RatFun(ONE), zero=RatFun(ZERO))
             assert mat_mul(qB, inv) == eye
             assert det_bareiss(qB)  # sanity: raised SingularMatrix otherwise
+
+
+def _inverse_or_singular(invert, m):
+    try:
+        return invert(m)
+    except SingularMatrix:
+        return SingularMatrix
+
+
+def test_inverse_gauss_matches_field_elimination_on_small_trees():
+    for p in range(1, 6):
+        for mt in treecore.enumerate_nonsingular(p):
+            for m in (qmatrices.build_E(mt), qmatrices.build_qB(mt)):
+                assert inverse_gauss(m) == inverse_gauss_jordan(m)
+
+
+def _ring_matrices(seed, count=300):
+    """Random Poly/int matrices, n = 1..5, with zero pivots and singular cases.
+
+    Cases come in four kinds, 75 each: plain; a zero first pivot, so the
+    first column needs a row swap; row 1 zero in the first two columns, so
+    for n >= 3 the second pivot needs one; the last row a Z[q] combination
+    of the others (a zero row when n = 1), so singular.
+    """
+    rng = random.Random(seed)
+    for t in range(count):
+        n = 1 + t % 5
+        make = [
+            lambda: rng.randint(-3, 3),
+            lambda: Poly([rng.randint(-2, 2) for _ in range(rng.randint(0, 3))]),
+            lambda: rng.choice((rng.randint(-3, 3), Poly((rng.randint(-2, 2), 1)))),
+        ][t % 3]
+        rows = [[make() for _ in range(n)] for _ in range(n)]
+        kind = t // 5 % 4
+        if kind == 1:
+            rows[0][0] = 0
+        elif kind == 2 and n > 1:
+            rows[0][0] = Poly((1, rng.randint(-2, 2)))
+            rows[1][0] = rows[1][1] = 0
+        elif kind == 3:
+            coefs = [Poly((rng.randint(-2, 2), rng.randint(-1, 1))) for _ in range(n - 1)]
+            rows[-1] = [sum((c * row[j] for c, row in zip(coefs, rows)), ZERO)
+                        for j in range(n)]
+        yield Matrix(rows, KIND_R, KIND_L)
+
+
+def test_inverse_gauss_matches_field_elimination_on_random_matrices():
+    singular = 0
+    for m in _ring_matrices(14):
+        got = _inverse_or_singular(inverse_gauss, m)
+        assert got == _inverse_or_singular(inverse_gauss_jordan, m), m.entries
+        singular += got is SingularMatrix
+    assert 75 < singular < 150  # the singular kind and some others; most invert
+
+
+def test_inverse_gauss_constructs_two_ratfuns_per_entry(monkeypatch):
+    calls = []
+    init = RatFun.__init__
+
+    def counted(self, *args):
+        calls.append(1)
+        init(self, *args)
+
+    monkeypatch.setattr(RatFun, "__init__", counted)
+    for mt in treecore.enumerate_nonsingular(5):
+        calls.clear()
+        inverse_gauss(qmatrices.build_qB(mt))
+        assert 0 < len(calls) <= 2 * 5**2 + 2
 
 
 # -- adjugate and rank -----------------------------------------------------------------

@@ -138,7 +138,8 @@ def _count_calls(monkeypatch, module, names):
 def test_run_suite_builds_each_quantity_once(monkeypatch):
     mt = treecore.random_nonsingular(6, 1)
     built = _count_calls(monkeypatch, qmatrices, (
-        "build_qL", "build_qB", "build_E", "bdq_det", "qtau", "qsigned_degree_vector",
+        "build_qL", "build_qB", "build_E", "bdq_det", "qtau", "tau_at",
+        "qsigned_degree_vector",
     ))
     made = _count_calls(monkeypatch, treecore, ("attach_p2", "sub_matched_tree", "detach_p2"))
     assert run_suite(mt).passed
@@ -148,7 +149,9 @@ def test_run_suite_builds_each_quantity_once(monkeypatch):
     assert grown == mt.tree.n and split > 0
     assert built["bdq_det"] == built["build_qB"] == built["build_E"] == 1
     assert built["build_qL"] == 1 + grown + split
-    assert built["qtau"] == 1 + grown
+    # each grown tree's check builds its tau_r, one weight per R-vertex, and no tau_l
+    assert built["qtau"] == 1
+    assert built["tau_at"] == mt.tree.n + grown * (mt.p + 1)
     assert built["qsigned_degree_vector"] == mt.tree.n + split
 
 
