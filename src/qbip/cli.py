@@ -228,11 +228,11 @@ def cmd_verify(args) -> int:
     for report in reports:
         bad = report.first_failure()
         if bad is not None:
-            _dump(json.dumps({
+            _dump(_json({
                 "tree": report.tree_code.hex(),
                 "check": bad.name,
                 "witness": bad.witness,
-            }, sort_keys=True))
+            }))
             return 1
     return 0
 
@@ -294,7 +294,7 @@ def cmd_conjecture(args) -> int:
         body = "\n".join(_json(r) for r in rows)
     _dump(body, args.out)
     if counterexample is not None:
-        print(json.dumps(counterexample, sort_keys=True), file=sys.stderr)
+        print(_json(counterexample), file=sys.stderr)
         return 1
     return 0
 

@@ -114,12 +114,6 @@ class Matrix:
         i, j = ij
         return self.entries[i][j]
 
-    def row(self, i):
-        return self.entries[i]
-
-    def column(self, j):
-        return tuple(row[j] for row in self.entries)
-
     def __eq__(self, other):
         if not isinstance(other, Matrix):
             return NotImplemented

@@ -16,7 +16,7 @@ from . import exactla, treecore
 from .exactla import KIND_L, KIND_R, KIND_VERTEX, Matrix, Vector
 from .polyalg import (
     ONE, ONE_MINUS_Q2, ONE_PLUS_Q, Q, Q2, Q_ONE_PLUS_Q, Poly, PoleAtPoint, RatFun,
-    divexact, qdeg, qint,
+    ZERO, divexact, qdeg, qint,
 )
 from .treecore import MatchedTree, Tree
 
@@ -124,14 +124,11 @@ def qsigned_degree_vector(mt: MatchedTree, v: int) -> Vector:
 
 
 def _signed_degrees(mt: MatchedTree, v: int) -> list[Poly]:
-    reach = treecore.alternating_reach(mt, v)
-    entries = []
-    for w in mt.r_vertices if mt.side_of[v] == "L" else mt.l_vertices:
-        if w in reach:
-            val = qdeg(mt.tree.degree(w))
-            entries.append(val if reach[w] % 2 else -val)
-        else:
-            entries.append(Poly())
+    # every alternating path from v ends on the side opposite v
+    entries = [ZERO] * mt.p
+    for w, k in treecore.alternating_reach(mt, v).items():
+        val = qdeg(mt.tree.degree(w))
+        entries[mt.index_of[w]] = val if k % 2 else -val
     return entries
 
 

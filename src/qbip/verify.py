@@ -28,14 +28,13 @@ approximate.
 
 from __future__ import annotations
 
-import concurrent.futures
 import os
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from itertools import accumulate, compress, count, groupby, repeat
+from itertools import accumulate, compress, count, repeat
 from math import prod
-from operator import add, itemgetter, mul
+from operator import add, mul
 from typing import Callable, NamedTuple
 
 from . import exactla, qmatrices, treecore
@@ -80,48 +79,6 @@ class VerificationReport:
             "p": self.p,
             "checks": [r.to_json() for r in self.results],
         }
-
-
-@dataclass(frozen=True)
-class IdentityCheck:
-    name: str
-    scope: str
-    description: str
-
-
-CHECKS = (
-    IdentityCheck("det_E", "single-tree",
-                  "det of the exponential matrix is q^p (1-q^2)^(p-1)"),
-    IdentityCheck("det_qL", "single-tree",
-                  "det of the bipartite q-Laplacian is 1-q^2"),
-    IdentityCheck("bdq", "single-tree",
-                  "determinant route and recursive route agree on the distance index"),
-    IdentityCheck("sum_mu", "per-vertex",
-                  "entries of the signed degree vector sum to (diff+1)q^2 - diff"),
-    IdentityCheck("row_col_sums", "single-tree",
-                  "row/column sums of the q-Laplacian are (1-q^2) times the tau vectors"),
-    IdentityCheck("B_tau", "single-tree",
-                  "the distance matrix sends tau_r (and tau_l^t) to the index times ones"),
-    IdentityCheck("lemma_111", "single-tree",
-                  "-qL.qB + (1+q) tau_r ones^t = q(1+q) I"),
-    IdentityCheck("inverse_E", "single-tree",
-                  "qL.E = q(1-q^2) I, so E^-1 = qL/(q(1-q^2)) (and oracle equality)"),
-    IdentityCheck("inverse_qB", "single-tree",
-                  "(-bd_q qL + (1+q) tau_r tau_l^t).qB = q(1+q) bd_q I, the "
-                  "closed-form inverse of qB with denominators cleared "
-                  "(and oracle equality)"),
-    IdentityCheck("attach_update", "attachment-pair",
-                  "block update formulas for qL and tau_r under pair attachment"),
-    IdentityCheck("block_decomposition", "attachment-pair",
-                  "qL reassembles from the split subtrees at any branching L-vertex"),
-    IdentityCheck("q1_properties", "single-tree",
-                  "specialization at q=1: sums, adjugate, rank, symmetry, inverse"),
-    IdentityCheck("full_dq_ed", "single-tree",
-                  "full-matrix determinants of the vertex-indexed distance analogues"),
-)
-
-_names = [c.name for c in CHECKS]
-assert len(_names) == len(set(_names))
 
 
 # ---------------------------------------------------------------------------
@@ -495,8 +452,12 @@ def _prove(name: str, mt: MatchedTree | TreeData) -> CheckResult:
 # the checks
 # ---------------------------------------------------------------------------
 
+# the inverse checks also compare with the elimination oracle up to this p
+ORACLE_MAX_P = 5
+
 
 def check_det_E(mt: MatchedTree | TreeData) -> CheckResult:
+    """det of the exponential matrix is q^p (1-q^2)^(p-1)."""
     td = TreeData.of(mt)
     p = td.mt.p
     det = exactla.det_bareiss(td.E)
@@ -505,11 +466,13 @@ def check_det_E(mt: MatchedTree | TreeData) -> CheckResult:
 
 
 def check_det_qL(mt: MatchedTree | TreeData) -> CheckResult:
+    """det of the bipartite q-Laplacian is 1-q^2."""
     det = exactla.det_bareiss(TreeData.of(mt).qL)
     return _compare("det_qL", "det qL = 1-q^2", det, ONE_MINUS_Q2)
 
 
 def check_bdq(mt: MatchedTree | TreeData) -> CheckResult:
+    """Determinant route and recursive route agree on the distance index."""
     # det qB = (-1)^(p-1) q^(p-1) (1+q)^(p-1) bd_q holds by construction once
     # bdq_det's exact division succeeds, so only the two routes are compared
     td = TreeData.of(mt)
@@ -518,6 +481,8 @@ def check_bdq(mt: MatchedTree | TreeData) -> CheckResult:
 
 
 def check_sum_mu(mt: MatchedTree | TreeData) -> CheckResult:
+    """At every vertex, the entries of the signed degree vector sum to
+    (diff+1)q^2 - diff."""
     td = TreeData.of(mt)
     for v in range(td.mt.tree.n):
         f = treecore.diff(td.mt, v)
@@ -529,21 +494,26 @@ def check_sum_mu(mt: MatchedTree | TreeData) -> CheckResult:
 
 
 def check_row_col_sums(mt: MatchedTree | TreeData) -> CheckResult:
+    """Row/column sums of the q-Laplacian are (1-q^2) times the tau vectors."""
     return _prove("row_col_sums", mt)
 
 
 def check_B_tau(mt: MatchedTree | TreeData) -> CheckResult:
+    """The distance matrix sends tau_r (and tau_l^t) to the index times ones."""
     return _prove("B_tau", mt)
 
 
 def check_lemma_111(mt: MatchedTree | TreeData) -> CheckResult:
+    """-qL.qB + (1+q) tau_r ones^t = q(1+q) I."""
     return _prove("lemma_111", mt)
 
 
-def check_inverse_E(mt: MatchedTree | TreeData, oracle: bool = False) -> CheckResult:
+def check_inverse_E(mt: MatchedTree | TreeData) -> CheckResult:
+    """qL.E = q(1-q^2) I, so E^-1 = qL/(q(1-q^2)); for p <= ORACLE_MAX_P the
+    formula inverse also equals the elimination oracle's."""
     td = TreeData.of(mt)
     res = _prove("inverse_E", td)
-    if not res.passed or not oracle:
+    if not res.passed or td.mt.p > ORACLE_MAX_P:
         return res
     return _compare(
         "inverse_E", "formula inverse equals elimination oracle",
@@ -551,7 +521,10 @@ def check_inverse_E(mt: MatchedTree | TreeData, oracle: bool = False) -> CheckRe
     )
 
 
-def check_inverse_qB(mt: MatchedTree | TreeData, oracle: bool = False) -> CheckResult:
+def check_inverse_qB(mt: MatchedTree | TreeData) -> CheckResult:
+    """(-bd_q qL + (1+q) tau_r tau_l^t).qB = q(1+q) bd_q I, the closed-form
+    inverse of qB with denominators cleared; for p <= ORACLE_MAX_P the
+    formula inverse also equals the elimination oracle's."""
     td = TreeData.of(mt)
     if not td.bd:
         return CheckResult("inverse_qB", False, {
@@ -561,7 +534,7 @@ def check_inverse_qB(mt: MatchedTree | TreeData, oracle: bool = False) -> CheckR
             "residual": "0",
         })
     res = _prove("inverse_qB", td)
-    if not res.passed or not oracle:
+    if not res.passed or td.mt.p > ORACLE_MAX_P:
         return res
     return _compare(
         "inverse_qB", "formula inverse equals elimination oracle",
@@ -572,29 +545,32 @@ def check_inverse_qB(mt: MatchedTree | TreeData, oracle: bool = False) -> CheckR
 def joined_qL(pieces, size: int) -> Matrix:
     """qL of matched trees joined by edges from one L-vertex a to R-vertices b.
 
-    Each piece is (qL, mu of its join vertex, k, start): the join vertex is
-    in the piece's pair k, and its pairs go to start, start+1, ... of the
-    result's size pairs.  pieces[0] holds a, every other piece one b.  The
-    result is the pieces' blocks plus, for the branches joined at a,
-    (#branches) q^2 mu_a on a's column of the home block; and for each b,
-    q^2 mu_b on b's row, -mu_a mu_b^t on the home rows x b's columns and
-    -q^2 at (b, a).
+    Each piece is (qL, mu of its join vertex, k, at): the join vertex is in
+    the piece's pair k, and its pair i is pair at[i] of the result's size
+    pairs.  pieces[0] holds a, every other piece one b.  The result is the
+    pieces' blocks plus, for the branches joined at a, (#branches) q^2 mu_a
+    on a's column of the home block; and for each b, q^2 mu_b on b's row,
+    -mu_a mu_b^t on the home rows x b's columns and -q^2 at (b, a).
     """
     rows = [[ZERO] * size for _ in range(size)]
-    for qL, _, _, start in pieces:
-        for i, row in enumerate(qL.entries, start):
-            rows[i][start:start + len(row)] = row
+    for qL, _, _, at in pieces:
+        for i, row in zip(at, qL.entries):
+            out = rows[i]
+            for j, e in zip(at, row):
+                out[j] = e
     (_, mu_a, k_a, home), *branches = pieces
-    a = home + k_a
-    for i, m in enumerate(mu_a, home):
+    a = home[k_a]
+    for i, m in zip(home, mu_a):
         rows[i][a] += len(branches) * Q2 * m
-    for _, mu_b, k_b, start in branches:
-        cols = slice(start, start + len(mu_b))
-        row_b = rows[start + k_b]
-        row_b[cols] = [e + Q2 * m for e, m in zip(row_b[cols], mu_b)]
+    for _, mu_b, k_b, at in branches:
+        row_b = rows[at[k_b]]
+        for j, m in zip(at, mu_b):
+            row_b[j] += Q2 * m
         row_b[a] -= Q2
-        for i, m in enumerate(mu_a, home):
-            rows[i][cols] = [-m * m_b for m_b in mu_b]
+        for i, m in zip(home, mu_a):
+            out = rows[i]
+            for j, m_b in zip(at, mu_b):
+                out[j] = -m * m_b
     return Matrix(rows, KIND_R, KIND_L)
 
 
@@ -607,8 +583,8 @@ def predicted_attach_qL(mt: MatchedTree | TreeData, v: int) -> Matrix:
     """qL of attach_p2(mt, v): mt joined at v to a lone pair, pair last."""
     td = TreeData.of(mt)
     p = td.mt.p
-    tree = (td.qL, td.mu(v), td.mt.index_of[v], 0)
-    pair = (_PAIR_QL, _PAIR_MU, 0, p)
+    tree = (td.qL, td.mu(v), td.mt.index_of[v], range(p))
+    pair = (_PAIR_QL, _PAIR_MU, 0, (p,))
     return joined_qL((tree, pair) if td.mt.side_of[v] == "L" else (pair, tree), p + 1)
 
 
@@ -635,6 +611,8 @@ def predicted_attach_tau_r(mt: MatchedTree | TreeData, v: int) -> Vector:
 
 
 def check_attach_update(mt: MatchedTree | TreeData) -> CheckResult:
+    """Block update formulas for qL and tau_r under pair attachment, at
+    every vertex."""
     td = TreeData.of(mt)
     for v in range(td.mt.tree.n):
         grown = treecore.attach_p2(td.mt, v)
@@ -663,11 +641,10 @@ def predicted_block_qL(mt: MatchedTree, k1: int):
     v of pair k1 (degree >= 2).
 
     Cutting v from its neighbours but its partner leaves the home component,
-    which holds pair k1, and one branch per cut neighbour w.  Returns (perm,
-    predicted, mu1): perm lists the pair indices home first, with k1 last,
-    then each branch with w's pair first, branches by ascending w; predicted
-    is qL with its rows and columns in perm's order; mu1 is v's signed degree
-    vector in the home subtree.
+    which holds pair k1, and one branch per cut neighbour w.  Returns
+    (predicted, home, mu1), all in mt's pair order: predicted is qL; home
+    lists the home component's pair indices, ascending; mu1 is v's signed
+    degree vector in the home subtree, at home's pairs and zero elsewhere.
     """
     v, partner = mt.pairs[k1]
     joins = [v, *sorted(w for w in mt.tree.adj[v] if w != partner)]  # of each piece
@@ -679,21 +656,24 @@ def predicted_block_qL(mt: MatchedTree, k1: int):
             if y not in piece:
                 piece[y] = piece[x]
                 stack.append(y)
-    # home's join pair last, each branch's first
-    first = {k1: 1, **{mt.index_of[w]: -1 for w in joins[1:]}}
-    perm = sorted(range(mt.p), key=lambda k: (piece[mt.l_vertex(k)], first.get(k, 0), k))
-    pieces, start = [], 0
-    for join, (_, order) in zip(joins, groupby(perm, lambda k: piece[mt.l_vertex(k)])):
-        order = list(order)
-        sub, relabel = treecore.sub_matched_tree(mt, order)
+    ats = [[] for _ in joins]
+    for k in range(mt.p):
+        ats[piece[mt.l_vertex(k)]].append(k)
+    pieces = []
+    for join, at in zip(joins, ats):
+        sub, relabel = treecore.sub_matched_tree(mt, at)
         pieces.append((qmatrices.build_qL(sub),
                        qmatrices.qsigned_degree_vector(sub, relabel[join]),
-                       order.index(mt.index_of[join]), start))
-        start += len(order)
-    return perm, joined_qL(pieces, mt.p), pieces[0][1]
+                       at.index(mt.index_of[join]), at))
+    _, mu_home, _, home = pieces[0]
+    mu1 = [ZERO] * mt.p
+    for k, m in zip(home, mu_home):
+        mu1[k] = m
+    return joined_qL(pieces, mt.p), home, Vector(mu1, KIND_R)
 
 
 def check_block_decomposition(mt: MatchedTree | TreeData) -> CheckResult:
+    """qL reassembles from the split subtrees at any branching L-vertex."""
     td = TreeData.of(mt)
     mt = td.mt
     splits = block_split_vertices(mt)
@@ -701,19 +681,16 @@ def check_block_decomposition(mt: MatchedTree | TreeData) -> CheckResult:
         return CheckResult("block_decomposition", True,
                            skipped="no L-vertex of degree >= 2")
     for k1 in splits:
-        perm, predicted, mu1 = predicted_block_qL(mt, k1)
-        pick = itemgetter(*perm)  # p >= 2 at a split: pick returns a tuple
+        predicted, _, mu1 = predicted_block_qL(mt, k1)
         res = _compare(
             "block_decomposition", f"qL block reassembly at pair {k1}",
-            Matrix(map(pick, pick(td.qL.entries)), KIND_R, KIND_L), predicted,
-            split_pair=k1,
+            td.qL, predicted, split_pair=k1,
         )
         if not res.passed:
             return res
         res = _compare(
             "block_decomposition", f"signed degree vector restriction at pair {k1}",
-            Vector(pick(td.mu(mt.l_vertex(k1)).entries), KIND_R),
-            Vector((*mu1, *[ZERO] * (mt.p - len(mu1))), KIND_R), split_pair=k1,
+            td.mu(mt.l_vertex(k1)), mu1, split_pair=k1,
         )
         if not res.passed:
             return res
@@ -721,6 +698,7 @@ def check_block_decomposition(mt: MatchedTree | TreeData) -> CheckResult:
 
 
 def check_q1_properties(mt: MatchedTree | TreeData) -> CheckResult:
+    """Specialization at q=1: sums, adjugate, rank, symmetry, inverse."""
     td = TreeData.of(mt)
     p = td.mt.p
     ints = td.qL.map(lambda e: sum(e.coeffs))  # qL at q = 1
@@ -745,7 +723,8 @@ def check_q1_properties(mt: MatchedTree | TreeData) -> CheckResult:
 
 
 def check_full_dq_ed(tree: treecore.Tree | TreeData) -> CheckResult:
-    """qD and eD of the whole tree, both from one distance table.
+    """Full-matrix determinants of the vertex-indexed distance analogues qD
+    and eD, both from one distance table.
 
     A TreeData lends its table; a bare Tree (which needs no perfect matching)
     gets one distances call.
@@ -770,14 +749,10 @@ def check_full_dq_ed(tree: treecore.Tree | TreeData) -> CheckResult:
 # suite runners
 # ---------------------------------------------------------------------------
 
-ORACLE_MAX_P = 5
-
-
-def run_suite(mt: MatchedTree | TreeData, oracle: bool | None = None) -> VerificationReport:
-    """Every applicable symbolic check on one tree, in registry order."""
+def run_suite(mt: MatchedTree | TreeData) -> VerificationReport:
+    """The thirteen symbolic checks on one tree, in the order listed here;
+    this list is the suite."""
     td = TreeData.of(mt)
-    if oracle is None:
-        oracle = td.mt.p <= ORACLE_MAX_P
     results = (
         check_det_E(td),
         check_det_qL(td),
@@ -786,8 +761,8 @@ def run_suite(mt: MatchedTree | TreeData, oracle: bool | None = None) -> Verific
         check_row_col_sums(td),
         check_B_tau(td),
         check_lemma_111(td),
-        check_inverse_E(td, oracle=oracle),
-        check_inverse_qB(td, oracle=oracle),
+        check_inverse_E(td),
+        check_inverse_qB(td),
         check_attach_update(td),
         check_block_decomposition(td),
         check_q1_properties(td),
@@ -799,16 +774,19 @@ def run_suite(mt: MatchedTree | TreeData, oracle: bool | None = None) -> Verific
 
 
 def run_enumerated(max_vertices: int, threads: int = 1):
-    """Symbolic suite over every nonsingular tree with 2p <= max_vertices."""
+    """Symbolic suite over every nonsingular tree with 2p <= max_vertices.
+
+    The reports come in enumerate_upto's order, by p then canonical code,
+    which pool.map keeps.
+    """
     trees = list(treecore.enumerate_upto(max_vertices))
     workers = min(threads, os.cpu_count() or 1, len(trees))
-    if workers > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-            reports = list(pool.map(run_suite, trees, chunksize=4))
-    else:
-        reports = [run_suite(t) for t in trees]
-    reports.sort(key=lambda r: (r.p, r.tree_code))
-    return reports
+    if workers <= 1:
+        return [run_suite(t) for t in trees]
+    import concurrent.futures  # only a parallel run pays for the import
+
+    with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(run_suite, trees, chunksize=4))
 
 
 def summary_line(reports) -> str:

@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from qbip import exactla, qmatrices, treecore, verify
 from qbip.cli import main
+from qbip.polyalg import Q
 
 
 @pytest.fixture
@@ -198,6 +199,32 @@ def test_verify_single_tree(capsys, p4_file):
     assert out.startswith("TREES 1 CHECKS 13 FAIL 0")
 
 
+def _compact(line: str) -> dict:
+    """The JSON object on line, which must be in the CLI's compact encoding."""
+    data = json.loads(line)
+    assert line == json.dumps(data, sort_keys=True, separators=(",", ":"))
+    return data
+
+
+def test_verify_failing_check_exits_1_with_its_witness(
+    capsys, monkeypatch, p4_file, p4_attach
+):
+    # the recursion off by q: bdq is the one check that compares it
+    recursive = qmatrices.bdq_recursive
+    monkeypatch.setattr(qmatrices, "bdq_recursive", lambda mt: recursive(mt) + Q)
+    code, out, _ = run_cli(capsys, "verify", "--tree", p4_file)
+    summary, line = out.splitlines()
+    assert code == 1 and summary == "TREES 1 CHECKS 13 FAIL 1"
+    data = _compact(line)
+    assert data["tree"] == treecore.canonical_code(p4_attach.tree).hex()
+    assert data["check"] == "bdq"
+    want = qmatrices.bdq_det(p4_attach)
+    assert data["witness"] == {
+        "identity": "bd_q determinant route equals recursion",
+        "got": want.to_json(), "want": (want + Q).to_json(), "residual": ["0", "-1"],
+    }
+
+
 def test_verify_star_is_usage_error(capsys, star_file):
     code, _, err = run_cli(capsys, "verify", "--tree", star_file)
     assert code == 2
@@ -381,6 +408,19 @@ def test_conjecture_pretty(capsys):
 def test_conjecture_bound(capsys):
     assert run_cli(capsys, "conjecture", "--upto", "99")[0] == 2
     assert run_cli(capsys, "conjecture")[0] == 2
+
+
+def test_conjecture_counterexample_exits_1_with_its_tree(capsys, monkeypatch):
+    # evidence forced negative on the p = 2 tree only
+    evidence = exactla.conjecture_evidence
+    monkeypatch.setattr(exactla, "conjecture_evidence",
+                        lambda lap: dict(evidence(lap), all_eigen_nonneg=lap.rows != 2))
+    code, out, err = run_cli(capsys, "conjecture", "--upto", "4")
+    assert code == 1 and len(out.strip().splitlines()) == 2
+    data = _compact(err.strip())
+    (p2_tree,) = treecore.enumerate_nonsingular(2)
+    assert data["p"] == 2 and not data["all_eigen_nonneg"]
+    assert data["witness_tree"] == json.loads(json.dumps(p2_tree.to_json()))
 
 
 def test_conjecture_computes_one_charpoly_per_tree(capsys, monkeypatch):

@@ -69,6 +69,32 @@ def test_every_definition_is_referenced():
     assert unused == []
 
 
+def test_every_method_is_reached_by_attribute():
+    # a method no code reaches as x.name outside its own body is dead: its
+    # name may still occur elsewhere as a variable, a label or in a string,
+    # so only attribute access counts
+    root = SRC.parent.parent
+    methods = []  # (file, class name, method node)
+    by_name = {}  # attribute name -> (file, line) of each access
+    for folder in (SRC, root / "tests", root / "bench"):
+        for path in sorted(folder.glob("*.py")):
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Attribute):
+                    by_name.setdefault(node.attr, []).append((path, node.lineno))
+                elif isinstance(node, ast.ClassDef) and path.parent == SRC:
+                    methods += [(path, node.name, m) for m in node.body
+                                if isinstance(m, (ast.FunctionDef, ast.AsyncFunctionDef))
+                                and not (m.name.startswith("__") and m.name.endswith("__"))]
+    unreached = [
+        f"{path.name}: {cls}.{m.name}"
+        for path, cls, m in methods
+        if not any(other != path or not m.lineno <= line <= m.end_lineno
+                   for other, line in by_name.get(m.name, ()))
+    ]
+    assert unreached == []
+
+
 class _ReadLog(argparse.Namespace):
     """A namespace that records every attribute read from it."""
 

@@ -1,14 +1,14 @@
+import concurrent.futures
 import json
 from collections import Counter
 from fractions import Fraction
 
 import pytest
 
-from qbip import exactla, qmatrices, treecore, verify
+from qbip import exactla, polyalg, qmatrices, treecore, verify
 from qbip.exactla import KIND_L, KIND_R, Matrix
 from qbip.polyalg import ONE, ONE_MINUS_Q2, ONE_PLUS_Q, Poly, Q, Q_ONE_PLUS_Q, ZERO
 from qbip.verify import (
-    CHECKS,
     CheckResult,
     evaluate_identities_at,
     run_enumerated,
@@ -18,25 +18,43 @@ from qbip.verify import (
 )
 
 
-def test_registry_names_are_unique():
-    names = [c.name for c in CHECKS]
-    assert len(names) == len(set(names))
-    assert {c.scope for c in CHECKS} <= {
-        "single-tree", "per-vertex", "attachment-pair"
-    }
+SUITE = [
+    "det_E", "det_qL", "bdq", "sum_mu", "row_col_sums", "B_tau", "lemma_111",
+    "inverse_E", "inverse_qB", "attach_update", "block_decomposition",
+    "q1_properties", "full_dq_ed",
+]
 
 
 def test_suite_passes_on_p4(p4_attach):
     report = run_suite(p4_attach)
     assert report.passed
-    assert len(report.results) == len(CHECKS)
-    assert [r.name for r in report.results] == [c.name for c in CHECKS]
+    assert [r.name for r in report.results] == SUITE
     assert report.first_failure() is None
 
 
-def test_suite_passes_with_and_without_oracle(p6_attach):
-    assert run_suite(p6_attach, oracle=True).passed
-    assert run_suite(p6_attach, oracle=False).passed
+def test_oracle_runs_exactly_up_to_its_bound(monkeypatch):
+    # both inverse checks consult the elimination oracle at p <= 5, never above
+    assert verify.ORACLE_MAX_P == 5
+    calls = _count_calls(monkeypatch, exactla, ("inverse_gauss",))
+    for p, oracle_calls in ((5, 2), (6, 0)):
+        calls.clear()
+        assert run_suite(treecore.random_nonsingular(p, 1)).passed
+        assert calls["inverse_gauss"] == oracle_calls, p
+
+
+def test_oracle_mismatch_is_witnessed(monkeypatch, p4_attach):
+    # E^-1 from the formula off in one entry: qL.E still holds, the oracle does not
+    formula = qmatrices.inverse_E_formula
+    monkeypatch.setattr(qmatrices, "inverse_E_formula", lambda td: _bump(
+        formula(td), 1, 0, polyalg.RatFun(Q)))
+    report = run_suite(p4_attach)
+    bad = report.first_failure()
+    assert [r.name for r in report.results if not r.passed] == ["inverse_E"]
+    assert bad.witness["identity"] == "formula inverse equals elimination oracle"
+    assert bad.witness["entry"] == [1, 0]
+    got, want, residual = (polyalg.RatFun.from_json(bad.witness[k])
+                           for k in ("got", "want", "residual"))
+    assert got - want == residual == polyalg.RatFun(Q)
 
 
 def test_suite_is_deterministic(p4_attach):
@@ -78,15 +96,16 @@ def test_vector_witness():
 def test_summary_line_format(p2, p4_attach):
     reports = [run_suite(p2), run_suite(p4_attach)]
     line = summary_line(reports)
-    assert line == f"TREES 2 CHECKS {2 * len(CHECKS)} FAIL 0"
+    assert line == f"TREES 2 CHECKS {2 * len(SUITE)} FAIL 0"
 
 
 def test_run_enumerated_counts_and_order():
-    reports = run_enumerated(8)
-    assert len(reports) == 1 + 1 + 2 + 5
-    assert all(r.passed for r in reports)
-    keys = [(r.p, r.tree_code) for r in reports]
-    assert keys == sorted(keys)
+    for threads in (1, 2):
+        reports = run_enumerated(8, threads=threads)
+        assert len(reports) == 1 + 1 + 2 + 5
+        assert all(r.passed for r in reports)
+        keys = [(r.p, r.tree_code) for r in reports]
+        assert keys == sorted(keys), threads
 
 
 def test_run_enumerated_thread_determinism():
@@ -119,7 +138,7 @@ def test_run_enumerated_caps_workers(monkeypatch, threads, cpus, workers):
         def map(self, fn, items, chunksize=1):
             return map(fn, items)
 
-    monkeypatch.setattr(verify.concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
     monkeypatch.setattr(verify.os, "cpu_count", lambda: cpus)
     assert [r.to_json() for r in run_enumerated(6, threads=threads)] == expected
     assert made == ([] if workers is None else [workers])
@@ -276,16 +295,16 @@ def test_attach_update_witness_on_each_side(monkeypatch, p4_path, side, vertex, 
 
 def test_block_decomposition_witness_at_a_split_with_two_branches(monkeypatch):
     # L-vertex 0 has partner 1 and the two branches at R-vertices 2 and 4;
-    # pair (6, 7) hangs off 1, so home holds pairs 3 and 0, in that order
+    # pair (6, 7) hangs off 1, so home holds pairs 0 and 3
     mt = treecore.standard_labeling(treecore.Tree(
         [(0, 1), (0, 2), (2, 3), (0, 4), (4, 5), (1, 6), (6, 7)]))
-    assert verify.predicted_block_qL(mt, 0)[0] == [3, 0, 1, 2]
+    assert verify.predicted_block_qL(mt, 0)[1] == [0, 3]
     build_qL = qmatrices.build_qL  # perturbed on the p = 4 tree, not on its subtrees
     monkeypatch.setattr(qmatrices, "build_qL", lambda t: _bump(
         build_qL(t), 2, 1, ONE) if t.p >= 4 else build_qL(t))
     res = verify.check_block_decomposition(mt)
     assert res.to_json() == {"name": "block_decomposition", "pass": False, "witness": {
-        "identity": "qL block reassembly at pair 0", "entry": [3, 2],
+        "identity": "qL block reassembly at pair 0", "entry": [2, 1],
         "got": ["1"], "want": [], "residual": ["1"], "split_pair": 0,
     }}
 
