@@ -202,7 +202,6 @@ def _as_poly(x):
 ZERO = Poly()
 ONE = Poly((1,))
 Q = Poly((0, 1))
-Q2 = Poly((0, 0, 1))
 ONE_PLUS_Q = Poly((1, 1))
 ONE_MINUS_Q2 = Poly((1, 0, -1))
 Q_ONE_PLUS_Q = Poly((0, 1, 1))

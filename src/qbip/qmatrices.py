@@ -11,11 +11,12 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property
+from typing import NamedTuple
 
 from . import exactla, treecore
 from .exactla import KIND_L, KIND_R, KIND_VERTEX, Matrix, Vector
 from .polyalg import (
-    ONE, ONE_MINUS_Q2, ONE_PLUS_Q, Q, Q2, Q_ONE_PLUS_Q, Poly, PoleAtPoint, RatFun,
+    ONE, ONE_MINUS_Q2, ONE_PLUS_Q, Q, Q_ONE_PLUS_Q, Poly, PoleAtPoint, RatFun,
     ZERO, divexact, qdeg, qint,
 )
 from .treecore import MatchedTree, Tree
@@ -80,23 +81,71 @@ def build_E(mt: MatchedTree | TreeData) -> Matrix:
     return distance_block(mt, _monomial)
 
 
+class Laplacian(NamedTuple):
+    """qL = D_R.S.D_L - q^2 A_RL as integer data, D = diag(1 + (d(v) - 1) q^2).
+
+    S holds +1/-1 at (r_i, l_j) when the r_i-l_j path is odd/even
+    alternating, else 0; A_RL is the adjacency, matching edges included.
+    ``rows`` and ``tau_r`` read the data through ``value``, a map from
+    coefficient tuples (ascending) to a ring, by sums and products alone:
+    ``Poly`` gives qL itself, a value at q = B its integer rows at B, and the
+    coefficient 1-norm a bound on each entry's.
+    """
+
+    deg_r: list  # d(r_i)
+    deg_l: list  # d(l_j)
+    odd: list  # row i: j of each l_j with an odd alternating path from r_i
+    even: list  # row i: j of each l_j with an even one
+    adj: list  # row i: j of each neighbour l_j
+
+    def rows(self, value) -> list:
+        minus, zero, off = value((-1,)), value(()), value((0, 0, -1))  # off: -q^2
+        dl = [value((1, 0, d - 1)) for d in self.deg_l]
+        rows = []
+        for d, odd, even, adj in zip(self.deg_r, self.odd, self.even, self.adj):
+            dr = value((1, 0, d - 1))
+            row = [zero] * len(dl)
+            for j in odd:
+                row[j] = dr * dl[j]
+            dr = minus * dr
+            for j in even:
+                row[j] = dr * dl[j]
+            for j in adj:
+                row[j] = row[j] + off
+            rows.append(row)
+        return rows
+
+    def tau_r(self, value) -> list:
+        """tau over the R side; diff(r_i) is row i's even endpoints minus its odd."""
+        return [value(tau_coeffs(d, len(even) - len(odd)))
+                for d, odd, even in zip(self.deg_r, self.odd, self.even)]
+
+    def norm(self) -> int:
+        """Bounds every entry's norm: qL's by d(r) d(l) + 1, tau_r's as |diff| <= p."""
+        p, d = len(self.deg_l), max(self.deg_r)
+        return max(d * max(self.deg_l) + 1, p + (d - 1) * (p + 1))
+
+
+def laplacian(mt: MatchedTree) -> Laplacian:
+    """qL's integer data, from one alternating_reach walk per R-vertex."""
+    index_of, adj, rs = mt.index_of, mt.tree.adj, mt.r_vertices
+    odd, even = [], []
+    for r in rs:
+        reach = treecore.alternating_reach(mt, r).items()
+        odd.append([index_of[w] for w, k in reach if k % 2])
+        even.append([index_of[w] for w, k in reach if not k % 2])
+    return Laplacian([len(adj[r]) for r in rs], [len(adj[l]) for l in mt.l_vertices],
+                     odd, even, [[index_of[l] for l in adj[r]] for r in rs])
+
+
 def build_qL(mt: MatchedTree) -> Matrix:
-    """R x L bipartite q-Laplacian.
+    """R x L bipartite q-Laplacian, ``laplacian(mt)`` read in Z[q].
 
     Entry (i,j): d(r_i)_q d(l_i)_q - q^2 on the diagonal; +/- d(r_i)_q d(l_j)_q
     when the r_i-l_j path is odd/even alternating; -q^2 when r_i is adjacent
-    to l_j off the matching; 0 otherwise.  The cases are mutually exclusive,
-    so row i is d(r_i)_q times r_i's signed degree vector, minus q^2 at each
-    neighbour of r_i (the partner included).
+    to l_j off the matching; 0 otherwise.
     """
-    rows = []
-    for r in mt.r_vertices:
-        dr = qdeg(mt.tree.degree(r))
-        row = [dr * m if m else m for m in _signed_degrees(mt, r)]
-        for l in mt.tree.adj[r]:
-            row[mt.index_of[l]] = row[mt.index_of[l]] - Q2
-        rows.append(row)
-    return Matrix(rows, KIND_R, KIND_L)
+    return Matrix(laplacian(mt).rows(Poly), KIND_R, KIND_L)
 
 
 def build_full_qD(tree: Tree | list) -> Matrix:
@@ -120,23 +169,22 @@ def qsigned_degree_vector(mt: MatchedTree, v: int) -> Vector:
     Entry i is +d(w_i)_q / -d(w_i)_q when the v-w_i path is odd/even
     alternating (w_i running over the opposite side), else 0.
     """
-    return Vector(_signed_degrees(mt, v), KIND_R if mt.side_of[v] == "L" else KIND_L)
-
-
-def _signed_degrees(mt: MatchedTree, v: int) -> list[Poly]:
     # every alternating path from v ends on the side opposite v
     entries = [ZERO] * mt.p
     for w, k in treecore.alternating_reach(mt, v).items():
         val = qdeg(mt.tree.degree(w))
         entries[mt.index_of[w]] = val if k % 2 else -val
-    return entries
+    return Vector(entries, KIND_R if mt.side_of[v] == "L" else KIND_L)
+
+
+def tau_coeffs(d: int, f: int) -> tuple:
+    """The weight (1 - d)(1 + f) q^2 - f of a vertex of degree d and diff f."""
+    return -f, 0, (1 - d) * (1 + f)
 
 
 def tau_at(mt: MatchedTree, v: int) -> Poly:
     """Vertex weight (1 - d(v)) (1 + diff(v)) q^2 - diff(v)."""
-    d = mt.tree.degree(v)
-    f = treecore.diff(mt, v)
-    return Poly((-f, 0, (1 - d) * (1 + f)))
+    return Poly(tau_coeffs(mt.tree.degree(v), treecore.diff(mt, v)))
 
 
 def qtau(mt: MatchedTree):

@@ -3,8 +3,7 @@
 A tree on 2p vertices with a perfect matching (necessarily unique) is held as
 a MatchedTree: the underlying tree, the matching as an ordered list of pairs
 (l_i, r_i), and the induced bipartition sides.  Pair order is the labeling
-authority for every matrix built downstream, so all relabeling helpers live
-here.
+authority for every matrix built downstream.
 
 The alternation convention used throughout: a u-v path is alternating when its
 edges strictly alternate matching / non-matching AND both terminal edges are
@@ -17,8 +16,6 @@ from __future__ import annotations
 
 import functools
 import random
-from enum import Enum
-from typing import NamedTuple
 
 
 class NotATree(ValueError):
@@ -200,9 +197,6 @@ class MatchedTree:
     def matching_edges(self):
         return tuple(sorted(tuple(sorted(p)) for p in self.pairs))
 
-    def is_matching_edge(self, u: int, v: int) -> bool:
-        return self.index_of[u] == self.index_of[v]
-
     def __eq__(self, other):
         if not isinstance(other, MatchedTree):
             return NotImplemented
@@ -303,59 +297,6 @@ def distances(tree: Tree):
 # ---------------------------------------------------------------------------
 
 
-class PathKind(Enum):
-    ODD_ALTERNATING = "odd"
-    EVEN_ALTERNATING = "even"
-    NOT_ALTERNATING = "none"
-
-
-class PathClass(NamedTuple):
-    kind: PathKind
-    adjacent: bool
-    matching_edge: bool
-
-
-def classify_path(mt: MatchedTree, u: int, v: int) -> PathClass:
-    """Classify the unique u-v path by walking it edge by edge."""
-    if u == v:
-        raise ValueError("classify_path needs distinct endpoints")
-    path = _tree_path(mt.tree, u, v)
-    flags = [mt.is_matching_edge(a, b) for a, b in zip(path, path[1:])]
-    adjacent = len(flags) == 1
-    matching_edge = adjacent and flags[0]
-    alternating = (
-        flags[0]
-        and flags[-1]
-        and all(a != b for a, b in zip(flags, flags[1:]))
-    )
-    if not alternating:
-        return PathClass(PathKind.NOT_ALTERNATING, adjacent, matching_edge)
-    kind = (
-        PathKind.ODD_ALTERNATING
-        if sum(flags) % 2
-        else PathKind.EVEN_ALTERNATING
-    )
-    return PathClass(kind, adjacent, matching_edge)
-
-
-def _tree_path(tree: Tree, u: int, v: int):
-    parent = {u: None}
-    stack = [u]
-    while stack:
-        x = stack.pop()
-        if x == v:
-            break
-        for y in tree.adj[x]:
-            if y not in parent:
-                parent[y] = x
-                stack.append(y)
-    path = [v]
-    while path[-1] != u:
-        path.append(parent[path[-1]])
-    path.reverse()
-    return path
-
-
 def alternating_reach(mt: MatchedTree, v: int) -> dict[int, int]:
     """Endpoints of all alternating paths starting at v.
 
@@ -407,13 +348,7 @@ def attach_p2(mt: MatchedTree, v: int) -> MatchedTree:
     return MatchedTree(tree, list(mt.pairs) + [new_pair])
 
 
-class DetachResult(NamedTuple):
-    tree: MatchedTree
-    site: int
-    removed_index: int
-
-
-def detach_p2(mt: MatchedTree) -> DetachResult:
+def detach_p2(mt: MatchedTree) -> tuple:
     """Remove a pendant matched pair; inverse of attach_p2 up to relabeling.
 
     Picks the smallest-id leaf whose matching partner has degree 2 (one
@@ -433,25 +368,7 @@ def detach_p2(mt: MatchedTree) -> DetachResult:
     site = next(x for x in tree.adj[u] if x != w)
     removed_index = mt.index_of[w]
     smaller, relabel = sub_matched_tree(mt, [i for i in range(mt.p) if i != removed_index])
-    return DetachResult(smaller, relabel[site], removed_index)
-
-
-# ---------------------------------------------------------------------------
-# relabeling helpers
-# ---------------------------------------------------------------------------
-
-
-def permute_pairs(mt: MatchedTree, order) -> MatchedTree:
-    """Reindex the matching pairs; order[i] is the old index of new pair i."""
-    if sorted(order) != list(range(mt.p)):
-        raise ValueError("order must be a permutation of the pair indices")
-    return MatchedTree(mt.tree, [mt.pairs[i] for i in order])
-
-
-def relabel_vertices(mt: MatchedTree, mapping) -> MatchedTree:
-    """Apply a vertex-id permutation, keeping pair order and sides."""
-    tree = Tree([(mapping[a], mapping[b]) for a, b in mt.tree.edges])
-    return MatchedTree(tree, [(mapping[l], mapping[r]) for l, r in mt.pairs])
+    return smaller, relabel[site], removed_index
 
 
 def sub_matched_tree(mt: MatchedTree, pair_indices):

@@ -4,26 +4,19 @@ Every check compares both sides of one identity exactly; a failure carries
 the offending index and the nonzero residual so it can be replayed
 standalone.  A suite run wraps its tree once in a ``qmatrices.TreeData`` and
 every check reads the distances, qL, qB, E, tau, mu and bd_q from it, so
-each is built once per tree; only the trees grown or split by the attachment
-checks get their own builds.
+each is built once per tree.
 
-The five product identities (B_tau, row_col_sums, lemma_111, inverse_E,
-inverse_qB) are stated once each, in ``IDENTITIES``, as Z[q] matrix
-equations with every denominator cleared.  One engine checks them: it
-evaluates each factor at q = a/b as an integer matrix scaled by b^deg and
-compares plain integers.  A vector side is compared entry by entry, after
-exactla's matrix-vector products.  A matrix side M is compared as M.v, with
-v = (1, B, ..., B^(n-1)): each row packs into one integer, so a product
-costs one big-integer operation per nonzero of its left factor.  B is
-chosen from a bound C on every entry so that 4C < B, which makes equal
-packed rows mean equal rows and lets a failing row be read back for its
-witness (see the comment on ``IDENTITIES``).  The enumerated suite runs the
-engine at one integer point q = 2^k per tree, shared by all five identities,
-k read from the factors' coefficients so that the sides of every equation
-are equal in Z[q] iff they are equal there: a pass is a proof in Z[q]; the
-random large-tree suite runs the same engine at the user's rational points.
-The other checks compare Z[q] canonical forms directly.  Nothing is ever
-approximate.
+Most checks decide their identities in Z[q] at one integer point q = B = 2^k
+per tree, B past twice a bound on the coefficients of both sides read from
+the data: the sides are then equal in Z[q] iff equal at B (Kronecker
+substitution), and a failing entry reads back as its balanced base-B digits.
+The five product identities are stated once each, in ``IDENTITIES``, with
+denominators cleared; one engine packs their matrix sides into one integer
+per row (see the comment there), and the random large-tree suite runs it at
+the user's rational points.  The two attachment checks share
+``_join_point``: the trees they grow and split have qL only as integers at
+B, from their own reach walks.  The other checks compare Z[q] canonical
+forms directly.  Nothing is ever approximate.
 """
 
 from __future__ import annotations
@@ -35,12 +28,13 @@ from functools import cached_property, lru_cache
 from itertools import accumulate, compress, count, repeat
 from math import prod
 from operator import add, mul
+from types import SimpleNamespace
 from typing import Callable, NamedTuple
 
 from . import exactla, qmatrices, treecore
 from .exactla import KIND_L, KIND_R, Matrix, Vector, entry_json
 from .polyalg import (
-    ONE, ONE_MINUS_Q2, ONE_PLUS_Q, Q, Q2, Q_ONE_PLUS_Q, Poly, ZERO,
+    ONE, ONE_MINUS_Q2, ONE_PLUS_Q, Q, Q_ONE_PLUS_Q, Poly,
 )
 from .qmatrices import TreeData
 from .treecore import MatchedTree
@@ -185,7 +179,7 @@ def _poly_factor(x) -> _Factor:
     if isinstance(x, Poly):
         deg = max(0, x.degree())
         return _Factor(deg, lambda a, b: sum(map(mul, x.coeffs, _monomials(a, b, deg))),
-                       lambda: sum(map(abs, x.coeffs)))
+                       lambda: _norm(x.coeffs))
     rows = (x.entries,) if isinstance(x, Vector) else x.entries
     support = [[(j, e.coeffs) for j, e in enumerate(row) if e.coeffs] for row in rows]
     deg = max((len(c) - 1 for nonzeros in support for _, c in nonzeros), default=0)
@@ -203,7 +197,7 @@ def _poly_factor(x) -> _Factor:
         monomials = _monomials(a, b, deg)
         return fill(lambda coeffs: sum(map(mul, coeffs, monomials)))
 
-    return _Factor(deg, at, lambda: fill(lambda coeffs: sum(map(abs, coeffs))))
+    return _Factor(deg, at, lambda: fill(_norm))
 
 
 def _monomials(a: int, b: int, deg: int) -> list:
@@ -542,94 +536,79 @@ def check_inverse_qB(mt: MatchedTree | TreeData) -> CheckResult:
     )
 
 
-def joined_qL(pieces, size: int) -> Matrix:
-    """qL of matched trees joined by edges from one L-vertex a to R-vertices b.
+def joined_qL(pieces, size: int, value) -> list:
+    """qL's rows, read through ``value`` (see ``qmatrices.Laplacian``), of
+    matched trees joined by edges from one L-vertex a to R-vertices b.
 
-    Each piece is (qL, mu of its join vertex, k, at): the join vertex is in
-    the piece's pair k, and its pair i is pair at[i] of the result's size
-    pairs.  pieces[0] holds a, every other piece one b.  The result is the
-    pieces' blocks plus, for the branches joined at a, (#branches) q^2 mu_a
-    on a's column of the home block; and for each b, q^2 mu_b on b's row,
-    -mu_a mu_b^t on the home rows x b's columns and -q^2 at (b, a).
-    """
-    rows = [[ZERO] * size for _ in range(size)]
+    Each piece is (qL's rows, mu of its join vertex, k, at), so read: the
+    join vertex is in the piece's pair k, and its pair i is pair at[i] of the
+    result's size pairs.  pieces[0] holds a, every other piece one b.  The
+    result is the pieces' blocks plus, for the branches joined at a,
+    (#branches) q^2 mu_a on a's column of the home block; and for each b, q^2
+    mu_b on b's row, -mu_a mu_b^t on the home rows x b's columns and -q^2 at
+    (b, a)."""
+    minus, q2, zero = value((-1,)), value((0, 0, 1)), value(())
+    rows = [[zero] * size for _ in range(size)]
     for qL, _, _, at in pieces:
-        for i, row in zip(at, qL.entries):
+        for i, row in zip(at, qL):
             out = rows[i]
             for j, e in zip(at, row):
                 out[j] = e
     (_, mu_a, k_a, home), *branches = pieces
     a = home[k_a]
     for i, m in zip(home, mu_a):
-        rows[i][a] += len(branches) * Q2 * m
+        rows[i][a] += len(branches) * q2 * m
     for _, mu_b, k_b, at in branches:
         row_b = rows[at[k_b]]
         for j, m in zip(at, mu_b):
-            row_b[j] += Q2 * m
-        row_b[a] -= Q2
+            row_b[j] += q2 * m
+        row_b[a] += minus * q2
         for i, m in zip(home, mu_a):
-            out = rows[i]
             for j, m_b in zip(at, mu_b):
-                out[j] = -m * m_b
-    return Matrix(rows, KIND_R, KIND_L)
+                rows[i][j] = minus * m * m_b
+    return rows
 
 
-# a lone matched pair: qL = [1 - q^2], and mu = (1) at either vertex
-_PAIR_QL = Matrix([[ONE_MINUS_Q2]], KIND_R, KIND_L)
-_PAIR_MU = (ONE,)
+def _norm(coeffs) -> int:
+    """Coefficients read as their 1-norm (see ``qmatrices.Laplacian``)."""
+    return sum(map(abs, coeffs))
 
 
-def predicted_attach_qL(mt: MatchedTree | TreeData, v: int) -> Matrix:
-    """qL of attach_p2(mt, v): mt joined at v to a lone pair, pair last."""
-    td = TreeData.of(mt)
-    p = td.mt.p
-    tree = (td.qL, td.mu(v), td.mt.index_of[v], range(p))
-    pair = (_PAIR_QL, _PAIR_MU, 0, (p,))
-    return joined_qL((tree, pair) if td.mt.side_of[v] == "L" else (pair, tree), p + 1)
+def _read(td: TreeData, value) -> SimpleNamespace:
+    """The tree's qL rows, tau_r and each vertex's mu, read through value."""
+    def read(entries):
+        return [value(e.coeffs) for e in entries]
+    return SimpleNamespace(td=td, value=value, qL=[read(row) for row in td.qL.entries],
+                           tau_r=read(td.tau[1]), mu=[read(td.mu(v)) for v in range(td.mt.tree.n)])
 
 
-def predicted_attach_tau_r(mt: MatchedTree | TreeData, v: int) -> Vector:
-    """tau_r of attach_p2(mt, v) from mt's tau_r and signed degree data.
+def predicted_attach_qL(reading: SimpleNamespace, v: int) -> list:
+    """qL's rows of attach_p2(mt, v), read as ``reading`` is (see ``_read``):
+    mt joined at v to a lone pair, pair last."""
+    mt, value = reading.td.mt, reading.value
+    p = mt.p
+    tree = (reading.qL, reading.mu[v], mt.index_of[v], range(p))
+    pair = ([[value((1, 0, -1))]], [value((1,))], 0, (p,))  # qL = [1 - q^2], mu = (1)
+    return joined_qL((tree, pair) if mt.side_of[v] == "L" else (pair, tree), p + 1, value)
+
+
+def predicted_attach_tau_r(reading: SimpleNamespace, v: int) -> list:
+    """tau_r of attach_p2(mt, v) from mt's tau_r and mu, read as ``reading`` is.
 
     For an R-side attachment the correction on the existing entry carries a
     q^2 factor (forced by the row-sum identity; checked against the direct
     computation on every enumerated tree).
     """
-    td = TreeData.of(mt)
-    _, tau_r = td.tau
-    k = td.mt.index_of[v]
-    if td.mt.side_of[v] == "R":
-        scale = 1 + treecore.diff(td.mt, v)
-        entries = [
-            t - scale * Q2 if i == k else t for i, t in enumerate(tau_r)
-        ]
-        entries.append(Poly((scale,)))
+    mt, value = reading.td.mt, reading.value
+    entries = list(reading.tau_r)
+    if mt.side_of[v] == "R":
+        scale = 1 + treecore.diff(mt, v)
+        entries[mt.index_of[v]] += value((0, 0, -scale))
+        entries.append(value((scale,)))
     else:
-        entries = [t - m for t, m in zip(tau_r, td.mu(v))]
-        entries.append(ONE)
-    return Vector(entries, KIND_R)
-
-
-def check_attach_update(mt: MatchedTree | TreeData) -> CheckResult:
-    """Block update formulas for qL and tau_r under pair attachment, at
-    every vertex."""
-    td = TreeData.of(mt)
-    for v in range(td.mt.tree.n):
-        grown = treecore.attach_p2(td.mt, v)
-        res = _compare(
-            "attach_update", f"qL block update at vertex {v}",
-            qmatrices.build_qL(grown), predicted_attach_qL(td, v), vertex=v,
-        )
-        if not res.passed:
-            return res
-        tau_r = Vector((qmatrices.tau_at(grown, r) for r in grown.r_vertices), KIND_R)
-        res = _compare(
-            "attach_update", f"tau_r update at vertex {v}",
-            tau_r, predicted_attach_tau_r(td, v), vertex=v,
-        )
-        if not res.passed:
-            return res
-    return CheckResult("attach_update", True)
+        entries = [t + value((-1,)) * m for t, m in zip(entries, reading.mu[v])]
+        entries.append(value((1,)))
+    return entries
 
 
 def block_split_vertices(mt: MatchedTree):
@@ -638,13 +617,14 @@ def block_split_vertices(mt: MatchedTree):
 
 def predicted_block_qL(mt: MatchedTree, k1: int):
     """qL reassembled by joined_qL from the subtrees split off at the L-vertex
-    v of pair k1 (degree >= 2).
+    v of pair k1 (degree >= 2), each with its own ``qmatrices.laplacian``.
 
     Cutting v from its neighbours but its partner leaves the home component,
     which holds pair k1, and one branch per cut neighbour w.  Returns
-    (predicted, home, mu1), all in mt's pair order: predicted is qL; home
-    lists the home component's pair indices, ascending; mu1 is v's signed
-    degree vector in the home subtree, at home's pairs and zero elsewhere.
+    (predicted, home, bound): home lists the home component's pair indices,
+    ascending; predicted(value) is (qL's rows, mu1) read through value in mt's
+    pair order, mu1 being v's signed degree vector in the home subtree (zero
+    off home); bound bounds the norm of each of their entries.
     """
     v, partner = mt.pairs[k1]
     joins = [v, *sorted(w for w in mt.tree.adj[v] if w != partner)]  # of each piece
@@ -662,39 +642,96 @@ def predicted_block_qL(mt: MatchedTree, k1: int):
     pieces = []
     for join, at in zip(joins, ats):
         sub, relabel = treecore.sub_matched_tree(mt, at)
-        pieces.append((qmatrices.build_qL(sub),
+        pieces.append((qmatrices.laplacian(sub),
                        qmatrices.qsigned_degree_vector(sub, relabel[join]),
                        at.index(mt.index_of[join]), at))
-    _, mu_home, _, home = pieces[0]
-    mu1 = [ZERO] * mt.p
-    for k, m in zip(home, mu_home):
-        mu1[k] = m
-    return joined_qL(pieces, mt.p), home, Vector(mu1, KIND_R)
+
+    def predicted(value):
+        read = [(lap.rows(value), [value(m.coeffs) for m in mu], k, at)
+                for lap, mu, k, at in pieces]
+        home = dict(zip(ats[0], read[0][1]))
+        return joined_qL(read, mt.p, value), [home.get(k, value(())) for k in range(mt.p)]
+
+    # mu1's entries are among the home block's
+    bound = _joined_bound([(max(map(max, lap.rows(_norm))), max(_norm(m.coeffs) for m in mu))
+                           for lap, mu, _, _ in pieces])
+    return predicted, ats[0], bound
+
+
+def _joined_bound(pieces) -> int:
+    """A bound on the norm of every entry that joined_qL gives for pieces with
+    qL and mu entries of norm at most pieces[i] = (qL, mu): joined_qL read as
+    norms on the pieces collapsed to one pair each, where every kind of entry
+    (home block, a's column, b's row, (b, a), home x b) takes its terms."""
+    collapsed = [([[q]], [m], 0, (i,)) for i, (q, m) in enumerate(pieces)]
+    return max(map(max, joined_qL(collapsed, len(collapsed), _norm)))
+
+
+@lru_cache(maxsize=1)  # the last tree's: both checks share it
+def _join_point(td: TreeData) -> tuple:
+    """(grown, splits, reading, B): the Laplacian of the tree grown at each
+    vertex, predicted_block_qL at each split pair, and the tree read at B.
+
+    B = 2^k > 2(C_got + C_want).  C_got bounds the coefficient 1-norm of every
+    entry read off a tree: the grown trees' by ``Laplacian.norm``, this one's
+    as read.  C_want bounds every prediction's: each join's by
+    ``_joined_bound``, each tau_r update's read as norms.
+    """
+    grown = [qmatrices.laplacian(treecore.attach_p2(td.mt, v)) for v in range(td.mt.tree.n)]
+    splits = {k1: predicted_block_qL(td.mt, k1) for k1 in block_split_vertices(td.mt)}
+    norms = _read(td, _norm)
+    qL, mu = max(map(max, norms.qL)), max(map(max, norms.mu))
+    got = max(qL, mu, *(lap.norm() for lap in grown))
+    # an attachment joins the tree to a lone pair, with qL [1 - q^2] and mu
+    # (1); a join of two pieces has the same largest entry in either order
+    want = max(_joined_bound([(qL, mu), (2, 1)]),
+               *(max(predicted_attach_tau_r(norms, v)) for v in range(td.mt.tree.n)),
+               *(bound for _, _, bound in splits.values()))
+    base = 1 << (2 * (got + want)).bit_length()
+    # coefficients (ascending) read as their value at base, each tuple once
+    value = lru_cache(maxsize=None)(lambda coeffs: sum(c * base**i for i, c in enumerate(coeffs)))
+    return grown, splits, _read(td, value), base
+
+
+def _compare_at(name: str, label: str, base: int, got, want, **where) -> CheckResult:
+    """_compare of two vectors or matrices given by their values at q = base,
+    each entry read back into Z[q] as its balanced base digits."""
+    def zq(x):
+        x = Matrix(x, KIND_R, KIND_L) if isinstance(x[0], list) else Vector(x, KIND_R)
+        return x.map(lambda e: exactla.balanced_digits(e, base))
+    return CheckResult(name, True) if got == want else _compare(
+        name, label, zq(got), zq(want), **where)
+
+
+def _first_failure(name: str, results) -> CheckResult:
+    return next((r for r in results if not r.passed), CheckResult(name, True))
+
+
+def check_attach_update(mt: MatchedTree | TreeData) -> CheckResult:
+    """Block update formulas for qL and tau_r under pair attachment, at every
+    vertex, decided at the tree's ``_join_point``."""
+    grown, _, reading, base = _join_point(TreeData.of(mt))
+    name, value = "attach_update", reading.value
+    return _first_failure(name, (res for v, lap in enumerate(grown) for res in (
+        _compare_at(name, f"qL block update at vertex {v}", base,
+                    lap.rows(value), predicted_attach_qL(reading, v), vertex=v),
+        _compare_at(name, f"tau_r update at vertex {v}", base,
+                    lap.tau_r(value), predicted_attach_tau_r(reading, v), vertex=v))))
 
 
 def check_block_decomposition(mt: MatchedTree | TreeData) -> CheckResult:
-    """qL reassembles from the split subtrees at any branching L-vertex."""
-    td = TreeData.of(mt)
-    mt = td.mt
-    splits = block_split_vertices(mt)
-    if not splits:
-        return CheckResult("block_decomposition", True,
-                           skipped="no L-vertex of degree >= 2")
-    for k1 in splits:
-        predicted, _, mu1 = predicted_block_qL(mt, k1)
-        res = _compare(
-            "block_decomposition", f"qL block reassembly at pair {k1}",
-            td.qL, predicted, split_pair=k1,
-        )
-        if not res.passed:
-            return res
-        res = _compare(
-            "block_decomposition", f"signed degree vector restriction at pair {k1}",
-            td.mu(mt.l_vertex(k1)), mu1, split_pair=k1,
-        )
-        if not res.passed:
-            return res
-    return CheckResult("block_decomposition", True)
+    """qL reassembles from the split subtrees at any branching L-vertex,
+    decided at the tree's ``_join_point``."""
+    td, name = TreeData.of(mt), "block_decomposition"
+    if not block_split_vertices(td.mt):
+        return CheckResult(name, True, skipped="no L-vertex of degree >= 2")
+    _, splits, reading, base = _join_point(td)
+    predictions = ((k1, *predicted(reading.value)) for k1, (predicted, _, _) in splits.items())
+    return _first_failure(name, (res for k1, qL, mu1 in predictions for res in (
+        _compare_at(name, f"qL block reassembly at pair {k1}", base,
+                    reading.qL, qL, split_pair=k1),
+        _compare_at(name, f"signed degree vector restriction at pair {k1}", base,
+                    reading.mu[td.mt.l_vertex(k1)], mu1, split_pair=k1))))
 
 
 def check_q1_properties(mt: MatchedTree | TreeData) -> CheckResult:
@@ -706,7 +743,7 @@ def check_q1_properties(mt: MatchedTree | TreeData) -> CheckResult:
     # one side suffices: for square matrices over Q, B.X = I gives X.B = I
     product = qmatrices.eval_matrix(td.qB, Fraction(1)) @ qmatrices.inverse_B_q1(td)
     name = "q1_properties"
-    results = (
+    return _first_failure(name, (
         _compare(name, "row sums of the q=1 Laplacian",
                  Vector(map(sum, ints.entries), KIND_R), Vector([0] * p, KIND_R)),
         _compare(name, "column sums of the q=1 Laplacian",
@@ -717,9 +754,7 @@ def check_q1_properties(mt: MatchedTree | TreeData) -> CheckResult:
         _compare(name, "symmetry iff corona", ints.entries == ints.transpose().entries,
                  qmatrices.is_corona(td.mt)),
         _compare(name, "B . inverse_B = I at q=1", product, Matrix.identity(
-            p, KIND_L, KIND_L, one=Fraction(1), zero=Fraction(0))),
-    )
-    return next((r for r in results if not r.passed), CheckResult(name, True))
+            p, KIND_L, KIND_L, one=Fraction(1), zero=Fraction(0)))))
 
 
 def check_full_dq_ed(tree: treecore.Tree | TreeData) -> CheckResult:

@@ -4,16 +4,22 @@ Nothing here shares algorithmic code with the package: matchings are found by
 brute force over edge subsets, isomorphism classes are keyed by a
 min-over-all-rootings encoding (the package roots at centroids), labeled trees
 come from Prufer sequences, determinants expand by cofactors, ranks are
-read off those determinants of minors, and inverses come from Gauss-Jordan
+read off those determinants of minors, inverses come from Gauss-Jordan
 over the rational-function field, one RatFun operation at a time (the
-package eliminates over Z at one Kronecker point instead).
+package eliminates over Z at one Kronecker point instead), and alternating
+paths are classified by walking each u-v path edge by edge (the package
+reads every endpoint off one walk per vertex).  The relabeling helpers build
+their trees through the package's validating constructors.
 """
 
 import heapq
 import itertools
+from enum import Enum
+from typing import NamedTuple
 
 from qbip.exactla import DimensionMismatch, Matrix, SingularMatrix
 from qbip.polyalg import ONE, ZERO, Poly, RatFun
+from qbip.treecore import MatchedTree, Tree
 
 
 def prufer_to_edges(seq, n):
@@ -155,3 +161,69 @@ def _as_field(e):
     if isinstance(e, (Poly, int)):
         return RatFun(e)
     raise TypeError(f"field elimination needs RatFun/Poly/int entries, got {type(e)}")
+
+
+class PathKind(Enum):
+    ODD_ALTERNATING = "odd"
+    EVEN_ALTERNATING = "even"
+    NOT_ALTERNATING = "none"
+
+
+class PathClass(NamedTuple):
+    kind: PathKind
+    adjacent: bool
+    matching_edge: bool
+
+
+def classify_path(mt: MatchedTree, u: int, v: int) -> PathClass:
+    """Classify the unique u-v path by walking it edge by edge."""
+    if u == v:
+        raise ValueError("classify_path needs distinct endpoints")
+    path = _tree_path(mt.tree, u, v)
+    flags = [mt.index_of[a] == mt.index_of[b] for a, b in zip(path, path[1:])]
+    adjacent = len(flags) == 1
+    matching_edge = adjacent and flags[0]
+    alternating = (
+        flags[0]
+        and flags[-1]
+        and all(a != b for a, b in zip(flags, flags[1:]))
+    )
+    if not alternating:
+        return PathClass(PathKind.NOT_ALTERNATING, adjacent, matching_edge)
+    kind = (
+        PathKind.ODD_ALTERNATING
+        if sum(flags) % 2
+        else PathKind.EVEN_ALTERNATING
+    )
+    return PathClass(kind, adjacent, matching_edge)
+
+
+def _tree_path(tree: Tree, u: int, v: int):
+    parent = {u: None}
+    stack = [u]
+    while stack:
+        x = stack.pop()
+        if x == v:
+            break
+        for y in tree.adj[x]:
+            if y not in parent:
+                parent[y] = x
+                stack.append(y)
+    path = [v]
+    while path[-1] != u:
+        path.append(parent[path[-1]])
+    path.reverse()
+    return path
+
+
+def permute_pairs(mt: MatchedTree, order) -> MatchedTree:
+    """Reindex the matching pairs; order[i] is the old index of new pair i."""
+    if sorted(order) != list(range(mt.p)):
+        raise ValueError("order must be a permutation of the pair indices")
+    return MatchedTree(mt.tree, [mt.pairs[i] for i in order])
+
+
+def relabel_vertices(mt: MatchedTree, mapping) -> MatchedTree:
+    """Apply a vertex-id permutation, keeping pair order and sides."""
+    tree = Tree([(mapping[a], mapping[b]) for a, b in mt.tree.edges])
+    return MatchedTree(tree, [(mapping[l], mapping[r]) for l, r in mt.pairs])

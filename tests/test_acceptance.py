@@ -71,10 +71,10 @@ def test_criterion_2_oracle_equivalence():
 
 
 def test_criterion_3_attachment_lemmas():
-    """Block updates at every (tree, vertex) with 2p <= 10, and the block
+    """Block updates at every (tree, vertex) with 2p <= 12, and the block
     decomposition at every applicable split vertex."""
     ok = True
-    for mt in all_trees(5):
+    for mt in all_trees(6):
         res = verify.check_attach_update(mt)
         if not res.passed:
             ok = False
@@ -85,7 +85,7 @@ def test_criterion_3_attachment_lemmas():
             ok = False
             print("block decomposition failed:", res.witness)
             break
-    report("3 attachment-lemmas (2p<=10)", ok)
+    report("3 attachment-lemmas (2p<=12)", ok)
 
 
 def test_criterion_4_q1_specialization():

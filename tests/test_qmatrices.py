@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import det_cofactor
+from oracles import PathKind, classify_path, det_cofactor
 from qbip import exactla, treecore
 from qbip.exactla import KIND_L, KIND_R, Matrix, Vector, det_bareiss, mat_mul
 from qbip.polyalg import ONE, Poly, PoleAtPoint, RatFun, ZERO, Q
@@ -21,6 +21,7 @@ from qbip.qmatrices import (
     inverse_E_formula,
     inverse_qB_formula,
     is_corona,
+    laplacian,
     qsigned_degree_vector,
     qtau,
     tau_at,
@@ -102,6 +103,39 @@ def test_qL_at_one_is_bipartite_laplacian(p4_attach):
 
 
 # -- full vertex-indexed matrices ---------------------------------------------------
+
+
+SIGN = {PathKind.ODD_ALTERNATING: 1, PathKind.EVEN_ALTERNATING: -1,
+        PathKind.NOT_ALTERNATING: 0}
+
+
+def test_laplacian_data_matches_the_path_walk_oracle():
+    # S and A_RL entry by entry from classify_path's walk along each r-l path;
+    # the rows and tau_r read at two points are build_qL's and tau_at's values
+    for p in range(1, 6):
+        for mt in treecore.enumerate_nonsingular(p):
+            lap = laplacian(mt)
+            assert lap.deg_r == [mt.tree.degree(r) for r in mt.r_vertices]
+            assert lap.deg_l == [mt.tree.degree(l) for l in mt.l_vertices]
+            for i, r in enumerate(mt.r_vertices):
+                for j, l in enumerate(mt.l_vertices):
+                    path = classify_path(mt, r, l)
+                    assert (j in lap.odd[i]) - (j in lap.even[i]) == SIGN[path.kind]
+                    assert (j in lap.adj[i]) == path.adjacent
+            qL = build_qL(mt)
+            for x in (2**12, 3**5):
+                def value(coeffs):
+                    return sum(c * x**k for k, c in enumerate(coeffs))
+                assert lap.rows(value) == [[e.eval_at(x) for e in row] for row in qL.entries]
+                assert lap.tau_r(value) == [tau_at(mt, r).eval_at(x) for r in mt.r_vertices]
+
+
+def test_laplacian_norm_bounds_every_entry():
+    for mt in treecore.enumerate_nonsingular(5):
+        lap = laplacian(mt)
+        norms = [sum(map(abs, e.coeffs)) for row in build_qL(mt).entries for e in row]
+        norms += [sum(map(abs, tau_at(mt, r).coeffs)) for r in mt.r_vertices]
+        assert max(norms) <= lap.norm()
 
 
 def test_qD_p3():

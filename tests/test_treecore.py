@@ -5,26 +5,30 @@ import random
 import networkx as nx
 import pytest
 
-from oracles import all_perfect_matchings, count_nonsingular_prufer, min_rooting_code
+from oracles import (
+    PathKind,
+    all_perfect_matchings,
+    classify_path,
+    count_nonsingular_prufer,
+    min_rooting_code,
+    permute_pairs,
+    relabel_vertices,
+)
 from qbip import treecore
 from qbip.treecore import (
     MatchedTree,
     NotATree,
     NotNonsingular,
-    PathKind,
     Tree,
     attach_p2,
     canonical_code,
-    classify_path,
     detach_p2,
     diff,
     distances,
     enumerate_nonsingular,
     enumerate_upto,
     perfect_matching,
-    permute_pairs,
     random_nonsingular,
-    relabel_vertices,
     standard_labeling,
 )
 
@@ -201,7 +205,7 @@ def test_classification_total_and_exclusive():
                         assert got.kind is PathKind.NOT_ALTERNATING
                     assert got.adjacent == (d[v][u] == 1)
                     assert got.matching_edge == (
-                        got.adjacent and mt.is_matching_edge(u, v)
+                        got.adjacent and mt.index_of[u] == mt.index_of[v]
                     )
                     if got.adjacent and got.kind is PathKind.ODD_ALTERNATING:
                         assert got.matching_edge

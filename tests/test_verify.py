@@ -157,7 +157,7 @@ def _count_calls(monkeypatch, module, names):
 def test_run_suite_builds_each_quantity_once(monkeypatch):
     mt = treecore.random_nonsingular(6, 1)
     built = _count_calls(monkeypatch, qmatrices, (
-        "build_qL", "build_qB", "build_E", "bdq_det", "qtau", "tau_at",
+        "build_qL", "laplacian", "build_qB", "build_E", "bdq_det", "qtau", "tau_at",
         "qsigned_degree_vector",
     ))
     made = _count_calls(monkeypatch, treecore, ("attach_p2", "sub_matched_tree", "detach_p2"))
@@ -167,10 +167,12 @@ def test_run_suite_builds_each_quantity_once(monkeypatch):
     assert made["detach_p2"] == mt.p - 1
     assert grown == mt.tree.n and split > 0
     assert built["bdq_det"] == built["build_qB"] == built["build_E"] == 1
-    assert built["build_qL"] == 1 + grown + split
-    # each grown tree's check builds its tau_r, one weight per R-vertex, and no tau_l
+    # the tree's Poly qL once; every grown and split tree's qL data from its
+    # own walks, once, with the grown tree's tau_r from the same walks
+    assert built["build_qL"] == 1
+    assert built["laplacian"] == 1 + grown + split
     assert built["qtau"] == 1
-    assert built["tau_at"] == mt.tree.n + grown * (mt.p + 1)
+    assert built["tau_at"] == mt.tree.n
     assert built["qsigned_degree_vector"] == mt.tree.n + split
 
 
@@ -257,7 +259,8 @@ def test_attach_tau_r_update_needs_q2_on_existing_entry(p4_path):
     grown = treecore.attach_p2(p4_path, v)
     _, tau_r = qmatrices.qtau(grown)
     assert tuple(tau_r) == (ONE, Poly((0, 0, -1)), ONE)
-    predicted = verify.predicted_attach_tau_r(p4_path, v)
+    predicted = verify.predicted_attach_tau_r(
+        verify._read(qmatrices.TreeData(p4_path), Poly), v)
     assert tuple(predicted) == tuple(tau_r)
     naive = list(qmatrices.qtau(p4_path)[1])
     k = p4_path.index_of[v]
@@ -293,11 +296,15 @@ def test_attach_update_witness_on_each_side(monkeypatch, p4_path, side, vertex, 
     }}
 
 
-def test_block_decomposition_witness_at_a_split_with_two_branches(monkeypatch):
+def _two_branches():
     # L-vertex 0 has partner 1 and the two branches at R-vertices 2 and 4;
     # pair (6, 7) hangs off 1, so home holds pairs 0 and 3
-    mt = treecore.standard_labeling(treecore.Tree(
+    return treecore.standard_labeling(treecore.Tree(
         [(0, 1), (0, 2), (2, 3), (0, 4), (4, 5), (1, 6), (6, 7)]))
+
+
+def test_block_decomposition_witness_at_a_split_with_two_branches(monkeypatch):
+    mt = _two_branches()
     assert verify.predicted_block_qL(mt, 0)[1] == [0, 3]
     build_qL = qmatrices.build_qL  # perturbed on the p = 4 tree, not on its subtrees
     monkeypatch.setattr(qmatrices, "build_qL", lambda t: _bump(
@@ -307,6 +314,93 @@ def test_block_decomposition_witness_at_a_split_with_two_branches(monkeypatch):
         "identity": "qL block reassembly at pair 0", "entry": [2, 1],
         "got": ["1"], "want": [], "residual": ["1"], "split_pair": 0,
     }}
+
+
+def _join_base(mt) -> int:
+    """The point q = B at which the tree's attachment checks are decided."""
+    return verify._join_point(qmatrices.TreeData(mt))[3]
+
+
+def _vanishing_at(b: int) -> Poly:
+    """(q - b)(q - 0)(q - 1)...(q - 39): zero at b, its coefficients past 2^150."""
+    poly = Poly((-b, 1))
+    for x in range(40):
+        poly = poly * Poly((-x, 1))
+    return poly
+
+
+def _bump_laplacians(monkeypatch, delta, entry, when):
+    """Add delta to entry (i, j) of the qL data of each tree `when` accepts,
+    in every reading of it."""
+    laplacian = qmatrices.laplacian
+
+    class Bumped(qmatrices.Laplacian):
+        __slots__ = ()
+
+        def rows(self, value):
+            rows = super().rows(value)
+            i, j = entry
+            rows[i][j] = rows[i][j] + value(delta.coeffs)
+            return rows
+
+    monkeypatch.setattr(qmatrices, "laplacian",
+                        lambda mt: Bumped(*laplacian(mt)) if when(mt) else laplacian(mt))
+
+
+def _residual(res) -> Poly:
+    got, want, residual = (Poly.from_json(res.witness[k]) for k in ("got", "want", "residual"))
+    assert got - want == residual
+    return residual
+
+
+def test_block_bound_is_read_from_the_split_pieces(monkeypatch):
+    # the pieces' qL entry (0, 0) off by a polynomial that vanishes at the
+    # unperturbed point: the point grows past its coefficients, and the
+    # witness reads the whole polynomial back; in mt that entry is (0, 0)
+    mt = _two_branches()
+    b0 = _join_base(mt)
+    delta = _vanishing_at(b0)
+    assert delta.eval_at(b0) == 0 and max(map(abs, delta.coeffs)) > 2**150
+    _bump_laplacians(monkeypatch, delta, (0, 0), lambda t: t.p < mt.p)
+    res = verify.check_block_decomposition(mt)
+    assert not res.passed and _join_base(mt) > b0
+    assert res.witness["entry"] == [0, 0] and res.witness["split_pair"] == 0
+    assert _residual(res) == -delta
+    assert verify.check_attach_update(mt).passed  # the grown trees are not split
+
+
+def test_attach_bound_is_read_from_the_prediction(monkeypatch, p4_path):
+    # mu entry 0 of the tree off by a polynomial vanishing at the unperturbed
+    # point: at vertex 0 the prediction's entry (0, 0) takes q^2 times it
+    b0 = _join_base(p4_path)
+    delta = _vanishing_at(b0)
+    mu = qmatrices.qsigned_degree_vector
+
+    def perturbed(mt, v):
+        vec = mu(mt, v)
+        if mt.p != p4_path.p:
+            return vec
+        return exactla.Vector((vec[0] + delta, *vec.entries[1:]), vec.kind)
+
+    monkeypatch.setattr(qmatrices, "qsigned_degree_vector", perturbed)
+    res = verify.check_attach_update(p4_path)
+    assert not res.passed and _join_base(p4_path) > b0
+    assert res.witness["entry"] == [0, 0] and res.witness["vertex"] == 0
+    assert _residual(res) == -(Poly((0, 0, 1)) * delta)
+
+
+def test_attachment_witnesses_read_back_a_large_q4_coefficient(monkeypatch):
+    # qL entry (1, 0) of the tree off by c q^4, c past any fixed point: the
+    # attach prediction at vertex 0 copies it, the block check reads it
+    mt = _two_branches()
+    delta = Poly((0, 0, 0, 0, 2**70 + 1))
+    build_qL = qmatrices.build_qL
+    monkeypatch.setattr(qmatrices, "build_qL", lambda t: _bump(
+        build_qL(t), 1, 0, delta) if t.p == mt.p else build_qL(t))
+    attach, block = verify.check_attach_update(mt), verify.check_block_decomposition(mt)
+    assert attach.witness["vertex"] == 0 and block.witness["split_pair"] == 0
+    assert attach.witness["entry"] == block.witness["entry"] == [1, 0]
+    assert _residual(attach) == -delta and _residual(block) == delta
 
 
 # -- mutation tests for the product-identity engine ---------------------------------
