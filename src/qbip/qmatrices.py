@@ -39,7 +39,7 @@ class TreeData:
 
     def __init__(self, mt: MatchedTree):
         self.mt = mt
-        self._mu = {}
+        self._mu, self._diff = {}, {}
 
     @classmethod
     def of(cls, x) -> "TreeData":
@@ -51,13 +51,18 @@ class TreeData:
     qB = cached_property(lambda self: build_qB(self))
     E = cached_property(lambda self: build_E(self))
     qL = cached_property(lambda self: build_qL(self.mt))
-    tau = cached_property(lambda self: qtau(self.mt))
+    tau = cached_property(lambda self: qtau(self))
     bd = cached_property(lambda self: bdq_det(self))
 
     def mu(self, v: int) -> Vector:
         if v not in self._mu:
             self._mu[v] = qsigned_degree_vector(self.mt, v)
         return self._mu[v]
+
+    def diff(self, v: int) -> int:
+        if v not in self._diff:
+            self._diff[v] = treecore.diff(self.mt, v)
+        return self._diff[v]
 
 
 def distance_block(mt: MatchedTree | TreeData, entry=int) -> Matrix:
@@ -119,6 +124,13 @@ class Laplacian(NamedTuple):
         """tau over the R side; diff(r_i) is row i's even endpoints minus its odd."""
         return [value(tau_coeffs(d, len(even) - len(odd)))
                 for d, odd, even in zip(self.deg_r, self.odd, self.even)]
+
+    def mu(self, k: int, side: str, value) -> list:
+        """mu of r_k, S's row k times D_L, if side is "R", else of l_k, S's column k times D_R."""
+        cells = ((k, j) if side == "R" else (j, k) for j in range(len(self.deg_l)))  # S's (i, j)
+        signs = [(j in self.odd[i]) - (j in self.even[i]) for i, j in cells]
+        deg = self.deg_l if side == "R" else self.deg_r
+        return [value((s, 0, s * (d - 1))) for s, d in zip(signs, deg)]
 
     def norm(self) -> int:
         """Bounds every entry's norm: qL's by d(r) d(l) + 1, tau_r's as |diff| <= p."""
@@ -182,15 +194,17 @@ def tau_coeffs(d: int, f: int) -> tuple:
     return -f, 0, (1 - d) * (1 + f)
 
 
-def tau_at(mt: MatchedTree, v: int) -> Poly:
+def tau_at(mt: MatchedTree | TreeData, v: int) -> Poly:
     """Vertex weight (1 - d(v)) (1 + diff(v)) q^2 - diff(v)."""
-    return Poly(tau_coeffs(mt.tree.degree(v), treecore.diff(mt, v)))
+    d = TreeData.of(mt)
+    return Poly(tau_coeffs(d.mt.tree.degree(v), d.diff(v)))
 
 
-def qtau(mt: MatchedTree):
+def qtau(mt: MatchedTree | TreeData):
     """The tau vector restricted to each side: (tau_l, tau_r)."""
-    tau_l = Vector((tau_at(mt, l) for l in mt.l_vertices), KIND_L)
-    tau_r = Vector((tau_at(mt, r) for r in mt.r_vertices), KIND_R)
+    d = TreeData.of(mt)
+    tau_l = Vector((tau_at(d, l) for l in d.mt.l_vertices), KIND_L)
+    tau_r = Vector((tau_at(d, r) for r in d.mt.r_vertices), KIND_R)
     return tau_l, tau_r
 
 

@@ -15,8 +15,9 @@ denominators cleared; one engine packs their matrix sides into one integer
 per row (see the comment there), and the random large-tree suite runs it at
 the user's rational points.  The two attachment checks share
 ``_join_point``: the trees they grow and split have qL only as integers at
-B, from their own reach walks.  The other checks compare Z[q] canonical
-forms directly.  Nothing is ever approximate.
+B, from their own reach walks; ``check_full_dq_ed`` proves its determinants
+by a certificate at such a point.  The other checks compare Z[q], Q or Z
+values directly.  Nothing is ever approximate.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import accumulate, compress, count, repeat
-from math import prod
+from math import lcm, prod
 from operator import add, mul
 from types import SimpleNamespace
 from typing import Callable, NamedTuple
@@ -478,13 +479,9 @@ def check_sum_mu(mt: MatchedTree | TreeData) -> CheckResult:
     """At every vertex, the entries of the signed degree vector sum to
     (diff+1)q^2 - diff."""
     td = TreeData.of(mt)
-    for v in range(td.mt.tree.n):
-        f = treecore.diff(td.mt, v)
-        res = _compare("sum_mu", "ones^t mu_v = (diff+1)q^2 - diff",
-                       td.mu(v).sum(), Poly((-f, 0, f + 1)), vertex=v)
-        if not res.passed:
-            return res
-    return CheckResult("sum_mu", True)
+    return _first_failure("sum_mu", (
+        _compare("sum_mu", "ones^t mu_v = (diff+1)q^2 - diff", td.mu(v).sum(),
+                 Poly((-td.diff(v), 0, td.diff(v) + 1)), vertex=v) for v in range(td.mt.tree.n)))
 
 
 def check_row_col_sums(mt: MatchedTree | TreeData) -> CheckResult:
@@ -602,7 +599,7 @@ def predicted_attach_tau_r(reading: SimpleNamespace, v: int) -> list:
     mt, value = reading.td.mt, reading.value
     entries = list(reading.tau_r)
     if mt.side_of[v] == "R":
-        scale = 1 + treecore.diff(mt, v)
+        scale = 1 + reading.td.diff(v)
         entries[mt.index_of[v]] += value((0, 0, -scale))
         entries.append(value((scale,)))
     else:
@@ -639,22 +636,17 @@ def predicted_block_qL(mt: MatchedTree, k1: int):
     ats = [[] for _ in joins]
     for k in range(mt.p):
         ats[piece[mt.l_vertex(k)]].append(k)
-    pieces = []
-    for join, at in zip(joins, ats):
-        sub, relabel = treecore.sub_matched_tree(mt, at)
-        pieces.append((qmatrices.laplacian(sub),
-                       qmatrices.qsigned_degree_vector(sub, relabel[join]),
-                       at.index(mt.index_of[join]), at))
+    pieces = [(qmatrices.laplacian(treecore.sub_matched_tree(mt, at)[0]), mt.side_of[join],
+               at.index(mt.index_of[join]), at) for join, at in zip(joins, ats)]
 
     def predicted(value):
-        read = [(lap.rows(value), [value(m.coeffs) for m in mu], k, at)
-                for lap, mu, k, at in pieces]
+        read = [(lap.rows(value), lap.mu(k, side, value), k, at) for lap, side, k, at in pieces]
         home = dict(zip(ats[0], read[0][1]))
         return joined_qL(read, mt.p, value), [home.get(k, value(())) for k in range(mt.p)]
 
     # mu1's entries are among the home block's
-    bound = _joined_bound([(max(map(max, lap.rows(_norm))), max(_norm(m.coeffs) for m in mu))
-                           for lap, mu, _, _ in pieces])
+    bound = _joined_bound([(max(map(max, lap.rows(_norm))), max(lap.mu(k, side, _norm)))
+                           for lap, side, k, _ in pieces])
     return predicted, ats[0], bound
 
 
@@ -735,13 +727,17 @@ def check_block_decomposition(mt: MatchedTree | TreeData) -> CheckResult:
 
 
 def check_q1_properties(mt: MatchedTree | TreeData) -> CheckResult:
-    """Specialization at q=1: sums, adjugate, rank, symmetry, inverse."""
+    """Specialization at q=1: sums, adjugate, rank, symmetry, inverse; the last
+    as B.(D inverse_B_q1) = D I over Z, D the lcm of inverse_B_q1's denominators."""
     td = TreeData.of(mt)
     p = td.mt.p
     ints = td.qL.map(lambda e: sum(e.coeffs))  # qL at q = 1
     adj = exactla.adjugate_int(ints)
+    inverse = qmatrices.inverse_B_q1(td)
+    den = lcm(*(x.denominator for row in inverse.entries for x in row))
     # one side suffices: for square matrices over Q, B.X = I gives X.B = I
-    product = qmatrices.eval_matrix(td.qB, Fraction(1)) @ qmatrices.inverse_B_q1(td)
+    product = exactla.mat_mul(qmatrices.distance_block(td),
+                              inverse.map(lambda x: x.numerator * (den // x.denominator)))
     name = "q1_properties"
     return _first_failure(name, (
         _compare(name, "row sums of the q=1 Laplacian",
@@ -753,31 +749,80 @@ def check_q1_properties(mt: MatchedTree | TreeData) -> CheckResult:
         _compare(name, "rank of the q=1 Laplacian", exactla.rank_int(ints), p - 1),
         _compare(name, "symmetry iff corona", ints.entries == ints.transpose().entries,
                  qmatrices.is_corona(td.mt)),
-        _compare(name, "B . inverse_B = I at q=1", product, Matrix.identity(
-            p, KIND_L, KIND_L, one=Fraction(1), zero=Fraction(0)))))
+        CheckResult(name, True) if product == Matrix.identity(p, KIND_L, KIND_L, den, 0)
+        else _compare(name, "B . inverse_B = I at q=1", product.map(lambda x: Fraction(x, den)),
+                      Matrix.identity(p, KIND_L, KIND_L, Fraction(1), Fraction(0)))))
 
 
 def check_full_dq_ed(tree: treecore.Tree | TreeData) -> CheckResult:
     """Full-matrix determinants of the vertex-indexed distance analogues qD
-    and eD, both from one distance table.
+    and eD, built from one distance table: a TreeData lends its table, a bare
+    Tree (which needs no perfect matching) gets one distances call.
 
-    A TreeData lends its table; a bare Tree (which needs no perfect matching)
-    gets one distances call.
+    With L_q = I - qA + q^2 (Deg - I), tau(v) = 1 + q - q deg(v) and M =
+    -(n-1) L_q + tau tau^t, read from the adjacency: L_q.eD = (1-q^2) I and
+    want_ed det L_q = (1-q^2)^n give det eD = want_ed and adj L_q = eD, so
+    det M = (-(n-1))^n det L_q + (-(n-1))^(n-1) tau^t eD tau (determinant
+    lemma); M.qD = (n-1)(1+q) I, det M != 0 and want_qd det M = ((n-1)(1+q))^n
+    then give det qD = want_qd.  This certificate is decided at q = b = 2^k
+    past twice the sum of both sides' coefficient bounds, read from the
+    degrees and the built qD and eD.  Only if it fails are the two dense
+    determinants taken, qD's first, for the verdict and witness.
     """
-    dist = tree.dist if isinstance(tree, TreeData) else treecore.distances(tree)
-    n = len(dist)
-    det_qd = exactla.det_bareiss(qmatrices.build_full_qD(dist))
-    sign = -1 if (n - 1) % 2 else 1
-    want_qd = (sign * (n - 1)) * ONE_PLUS_Q ** (n - 2)
-    res = _compare(
-        "full_dq_ed", "det qD = (-1)^(n-1) (n-1) (1+q)^(n-2)", det_qd, want_qd
-    )
-    if not res.passed:
-        return res
-    det_ed = exactla.det_bareiss(qmatrices.build_full_eD(dist))
-    return _compare(
-        "full_dq_ed", "det eD = (1-q^2)^(n-1)", det_ed, ONE_MINUS_Q2 ** (n - 1)
-    )
+    dist, adj = ((tree.dist, tree.mt.tree.adj) if isinstance(tree, TreeData)
+                 else (treecore.distances(tree), tree.adj))
+    qd, ed = qmatrices.build_full_qD(dist), qmatrices.build_full_eD(dist)
+    claims = _dq_ed_claims(len(dist))
+    if _dq_ed_certificate(adj, qd, ed, *claims):
+        return CheckResult("full_dq_ed", True)
+    return _first_failure("full_dq_ed", (
+        _compare("full_dq_ed", label, exactla.det_bareiss(d), want) for label, d, want in (
+            ("det qD = (-1)^(n-1) (n-1) (1+q)^(n-2)", qd, claims[0]),
+            ("det eD = (1-q^2)^(n-1)", ed, claims[1]))))
+
+
+@lru_cache(maxsize=64)
+def _dq_ed_claims(n: int) -> tuple:
+    """want_qd, want_ed, (1-q^2)^n and ((n-1)(1+q))^n on n vertices."""
+    return ((-1) ** (n - 1) * (n - 1) * ONE_PLUS_Q ** (n - 2), ONE_MINUS_Q2 ** (n - 1),
+            ONE_MINUS_Q2**n, ((n - 1) * ONE_PLUS_Q) ** n)
+
+
+def _dq_ed_certificate(adj, qd: Matrix, ed: Matrix, want_qd, want_ed, ed_det, qd_det) -> bool:
+    """Whether the certificate of ``check_full_dq_ed`` holds."""
+    n, m, x = len(adj), len(adj) - 1, [1 - len(a) for a in adj]  # tau = 1 + xq, L_vv = 1 - xq^2
+    r = 2 * max(map(len, adj))  # bounds the norm of each row of L_q and of each tau(v)
+    coeffs = {e.coeffs for d in (qd, ed) for row in d.entries for e in row}
+    # (n r)^2 max ||entry|| + 2n bounds both sides of both products and tau^t eD tau
+    b = 1 << (2 * (n * r) ** 2 * max(map(_norm, coeffs)) + 4 * n).bit_length()
+    width = exactla.pack_width(b ** (max(map(len, coeffs)) + 2))  # past every entry at b
+    value = {cs: sum(c * b**i for i, c in enumerate(cs)) for cs in coeffs}
+    ed_b, qd_b = ([[value[e.coeffs] for e in row] for row in d.entries] for d in (ed, qd))
+    ed_p, qd_p = (exactla.pack_rows(d, width) for d in (ed_b, qd_b))  # as in IDENTITIES
+    ed_l, qd_l = ([(1 - xv * b * b) * y - b * sum(map(p.__getitem__, a))
+                   for y, xv, a in zip(p, x, adj)] for p in (ed_p, qd_p))  # L_q.eD, L_q.qD
+    t, eye = [1 + xv * b for xv in x], [1 << 8 * width * i for i in range(n)]
+    tau_qd, det_L = sum(map(mul, t, qd_p)), _det_vertex_laplacian(adj)
+    s = exactla.balanced_digits(sum(t_i * sum(map(mul, row, t)) for t_i, row in zip(t, ed_b)), b)
+    det_M = (-m) ** n * det_L + (-m) ** m * s  # s = tau^t eD tau
+    return (ed_l == [(1 - b * b) * u for u in eye]
+            and [t_i * tau_qd - m * y for t_i, y in zip(t, qd_l)] == [m * (1 + b) * u for u in eye]
+            and want_ed * det_L == ed_det and bool(det_M) and want_qd * det_M == qd_det)
+
+
+def _det_vertex_laplacian(adj) -> Poly:
+    """det L_q = f(0), f(v) = L_vv prod f(c) - q^2 sum_c g(c) prod_(c' != c) f(c')
+    and g(v) = prod f(c) over v's children c, with no division, at q = b past twice
+    the product of the row norms 2 deg(v) (see ``exactla._kronecker_rows``)."""
+    b, order, f, g = 1 << (2 * prod(2 * len(a) for a in adj)).bit_length(), [0], {}, {}
+    for v in order:
+        order.extend(c for c in adj[v] if c not in order)
+    for v in reversed(order):  # leaves first: v's children are done, its parent not
+        prod_f, sum_g = 1, 0  # prod f(c), sum_c g(c) prod_(c' != c) f(c')
+        for c in filter(f.__contains__, adj[v]):
+            prod_f, sum_g = prod_f * f[c], sum_g * f[c] + prod_f * g[c]
+        f[v], g[v] = (1 + (len(adj[v]) - 1) * b * b) * prod_f - b * b * sum_g, prod_f
+    return exactla.balanced_digits(f[0], b)
 
 
 # ---------------------------------------------------------------------------

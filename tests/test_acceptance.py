@@ -97,14 +97,16 @@ def test_criterion_4_q1_specialization():
 
 
 def test_criterion_5_full_matrix_background():
-    """Both full-matrix determinant formulas on every tree with n <= 10."""
-    ok = True
-    for n in range(2, 11):
+    """Both full-matrix determinant formulas on every tree with n <= 12."""
+    ok, trees = True, 0
+    for n in range(2, 13):
         for g in nx.nonisomorphic_trees(n):
             tree = treecore.Tree([tuple(sorted(e)) for e in g.edges()])
+            trees += 1
             if not verify.check_full_dq_ed(tree).passed:
                 ok = False
-    report("5 full-matrix-determinants (n<=10)", ok)
+    assert trees == 986  # OEIS A000055, n = 2..12; 200 of them with n <= 10
+    report("5 full-matrix-determinants (n<=12)", ok)
 
 
 def test_criterion_6_conjecture_evidence():

@@ -2,6 +2,7 @@ import concurrent.futures
 import json
 from collections import Counter
 from fractions import Fraction
+from math import prod
 
 import pytest
 
@@ -160,7 +161,8 @@ def test_run_suite_builds_each_quantity_once(monkeypatch):
         "build_qL", "laplacian", "build_qB", "build_E", "bdq_det", "qtau", "tau_at",
         "qsigned_degree_vector",
     ))
-    made = _count_calls(monkeypatch, treecore, ("attach_p2", "sub_matched_tree", "detach_p2"))
+    made = _count_calls(monkeypatch, treecore,
+                        ("attach_p2", "sub_matched_tree", "detach_p2", "diff"))
     assert run_suite(mt).passed
     # each detach_p2 (bd_q's recursion) cuts one sub_matched_tree but builds nothing
     grown, split = made["attach_p2"], made["sub_matched_tree"] - made["detach_p2"]
@@ -173,7 +175,11 @@ def test_run_suite_builds_each_quantity_once(monkeypatch):
     assert built["laplacian"] == 1 + grown + split
     assert built["qtau"] == 1
     assert built["tau_at"] == mt.tree.n
-    assert built["qsigned_degree_vector"] == mt.tree.n + split
+    # mu once per vertex of the tree; each split piece's mu is read off its own qL data
+    assert built["qsigned_degree_vector"] == mt.tree.n
+    # diff once per vertex of the tree (sum_mu, tau, the tau_r update share it),
+    # plus once per tree that bd_q's recursion peels
+    assert made["diff"] == mt.tree.n + made["detach_p2"]
 
 
 def test_full_dq_ed_reads_one_distance_table(monkeypatch):
@@ -183,6 +189,115 @@ def test_full_dq_ed_reads_one_distance_table(monkeypatch):
     star = treecore.Tree([(0, 1), (0, 2), (0, 3)])  # no perfect matching
     assert verify.check_full_dq_ed(star).passed
     assert walked["distances"] == 2
+
+
+# -- the full-matrix certificate ------------------------------------------------------
+
+FULL_LABELS = ("det qD = (-1)^(n-1) (n-1) (1+q)^(n-2)", "det eD = (1-q^2)^(n-1)")
+ODD_TREE = treecore.Tree([(0, 1), (0, 2), (2, 3), (2, 4)])  # n = 5, no perfect matching
+
+
+def _watch_full_dq_ed(monkeypatch) -> Counter:
+    """Count the det_bareiss calls made inside check_full_dq_ed, wherever it is called."""
+    calls, inside = _count_calls(monkeypatch, exactla, ("det_bareiss",)), Counter()
+    check = verify.check_full_dq_ed
+
+    def watched(tree):
+        before = calls["det_bareiss"]
+        res = check(tree)
+        inside["det_bareiss"] += calls["det_bareiss"] - before
+        return res
+
+    monkeypatch.setattr(verify, "check_full_dq_ed", watched)
+    return inside
+
+
+def _perturb_full(monkeypatch, builder, delta):
+    """Add delta to entry (0, 1) of what build_full_qD or build_full_eD builds."""
+    build = getattr(qmatrices, builder)
+    monkeypatch.setattr(qmatrices, builder, lambda dist: _bump(build(dist), 0, 1, delta))
+
+
+def _dense_witness(tree: treecore.Tree) -> dict:
+    """The witness of the first failing dense determinant, qD's first."""
+    dist, n = treecore.distances(tree), tree.n
+    wants = ((-1) ** (n - 1) * (n - 1) * ONE_PLUS_Q ** (n - 2), ONE_MINUS_Q2 ** (n - 1))
+    for label, m, want in zip(FULL_LABELS, (qmatrices.build_full_qD(dist),
+                                            qmatrices.build_full_eD(dist)), wants):
+        det = exactla.det_bareiss(m)
+        if det != want:
+            return {"identity": label, "got": det.to_json(), "want": want.to_json(),
+                    "residual": (det - want).to_json()}
+    raise AssertionError("both dense determinants hold")
+
+
+def test_full_dq_ed_passes_by_its_certificate_alone(monkeypatch):
+    inside = _watch_full_dq_ed(monkeypatch)
+    assert run_suite(treecore.random_nonsingular(6, 1)).passed
+    assert verify.check_full_dq_ed(ODD_TREE).passed
+    assert inside["det_bareiss"] == 0
+
+
+@pytest.mark.parametrize("part", ["adjacency", "det_L"])
+def test_full_dq_ed_falls_back_to_the_dense_determinants(monkeypatch, part):
+    # the certificate reads a broken L_q and tau (vertex 0 loses a neighbour),
+    # or a broken det L_q; qD and eD are right, so the dense route passes
+    if part == "adjacency":
+        certificate = verify._dq_ed_certificate
+        monkeypatch.setattr(verify, "_dq_ed_certificate",
+                            lambda adj, *rest: certificate((adj[0][1:], *adj[1:]), *rest))
+    else:
+        det_L = verify._det_vertex_laplacian
+        monkeypatch.setattr(verify, "_det_vertex_laplacian", lambda adj: det_L(adj) + Q)
+    inside = _watch_full_dq_ed(monkeypatch)
+    assert verify.check_full_dq_ed(qmatrices.TreeData(treecore.random_nonsingular(5, 1))).passed
+    assert verify.check_full_dq_ed(ODD_TREE).passed
+    assert inside["det_bareiss"] == 4
+
+
+@pytest.mark.parametrize("builder, dense_calls", [("build_full_qD", 1), ("build_full_eD", 2)])
+def test_full_dq_ed_witness_of_a_perturbed_builder(monkeypatch, builder, dense_calls):
+    # the dense route's witness, from the first determinant that fails
+    tree = treecore.random_nonsingular(4, 1).tree
+    _perturb_full(monkeypatch, builder, Q)
+    want = _dense_witness(tree)
+    assert want["identity"] == FULL_LABELS[dense_calls - 1]
+    inside = _watch_full_dq_ed(monkeypatch)
+    res = verify.check_full_dq_ed(tree)
+    assert res.to_json() == {"name": "full_dq_ed", "pass": False, "witness": want}
+    assert inside["det_bareiss"] == dense_calls
+
+
+@pytest.mark.parametrize("wrong", [0, 1])
+def test_full_dq_ed_certifies_only_the_claimed_determinants(monkeypatch, wrong):
+    # det qD (wrong = 0) or det eD (1) claimed twice its value: the certificate
+    # must reject the claim, and the dense route reports it
+    claims = verify._dq_ed_claims(ODD_TREE.n)
+    bad = tuple(2 * c if i == wrong else c for i, c in enumerate(claims))
+    monkeypatch.setattr(verify, "_dq_ed_claims", lambda n: bad)
+    det = exactla.det_bareiss(qmatrices.build_full_eD(treecore.distances(ODD_TREE)) if wrong
+                              else qmatrices.build_full_qD(treecore.distances(ODD_TREE)))
+    assert det == claims[wrong]
+    assert verify.check_full_dq_ed(ODD_TREE).witness == {
+        "identity": FULL_LABELS[wrong], "got": det.to_json(), "want": bad[wrong].to_json(),
+        "residual": (det - bad[wrong]).to_json()}
+
+
+@pytest.mark.parametrize("builder, delta", [
+    ("build_full_eD", Poly((0, 0, 0, 2**70))),
+    # zero at every q = 2^k, k <= 16, past the point the path's own entries
+    # give (2^11): decided at a point the tree alone fixes, it would pass
+    ("build_full_qD", prod((Poly((-(2**k), 1)) for k in range(1, 17)), start=ONE)),
+])
+def test_full_dq_ed_point_is_read_from_the_entries(monkeypatch, builder, delta):
+    tree = treecore.Tree([(0, 1), (1, 2), (2, 3)])
+    _perturb_full(monkeypatch, builder, delta)
+    want = _dense_witness(tree)
+    certificate = verify._dq_ed_certificate
+    monkeypatch.setattr(verify, "_dq_ed_certificate",
+                        lambda *args: pytest.fail("certificate passed") if certificate(*args)
+                        else False)
+    assert verify.check_full_dq_ed(tree).witness == want
 
 
 def test_evaluation_builds_no_symbolic_distance_matrix(monkeypatch):
@@ -693,6 +808,23 @@ def test_q1_properties_witness_replays(monkeypatch, p6_attach):
     want = Fraction(int(i == j))
     assert (Fraction(w["got"]), Fraction(w["want"])) == (product[i, j], want)
     assert Fraction(w["got"]) - Fraction(w["want"]) == Fraction(w["residual"]) != 0
+
+
+def test_q1_properties_witness_with_a_new_denominator(monkeypatch, p6_attach):
+    # an inverse_B_q1 entry off by 1/7 brings in a denominator no other entry
+    # has: the witness is still the Fraction product's first wrong entry
+    real = qmatrices.inverse_B_q1
+    monkeypatch.setattr(qmatrices, "inverse_B_q1",
+                        lambda mt: _bump(real(mt), 1, 0, Fraction(1, 7)))
+    product = (qmatrices.eval_matrix(qmatrices.build_qB(p6_attach), 1)
+               @ qmatrices.inverse_B_q1(p6_attach))
+    p = p6_attach.p
+    i, j = next((i, j) for i in range(p) for j in range(p) if product[i, j] != (i == j))
+    res = verify.check_q1_properties(p6_attach)
+    assert res.witness == {"identity": "B . inverse_B = I at q=1", "entry": [i, j],
+                           "got": str(product[i, j]), "want": str(Fraction(i == j)),
+                           "residual": str(product[i, j] - (i == j))}
+    assert Fraction(res.witness["got"]).denominator % 7 == 0
 
 
 # -- the packed rows of matrix sides --------------------------------------------------
