@@ -50,8 +50,12 @@ def _vertex_bound(text: str) -> int:
 
 
 def _read_json(path: str):
+    """The file's JSON; what the decoder rejects (syntax, bytes, depth, digits) is a UsageError."""
     with open(path) as fh:
-        return json.load(fh)
+        try:
+            return json.load(fh)
+        except (ValueError, RecursionError) as exc:
+            raise UsageError(str(exc)) from None
 
 
 def _json(obj) -> str:
@@ -402,8 +406,7 @@ def main(argv=None) -> int:
         _check_out(args.out)
         return args.fn(args)
     except (UsageError, NotATree, NotNonsingular, PoleAtPoint, BdqZero,
-            NotDivisible, SingularMatrix, OSError, UnicodeDecodeError,
-            json.JSONDecodeError) as exc:
+            NotDivisible, SingularMatrix, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

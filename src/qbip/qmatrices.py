@@ -17,7 +17,7 @@ from . import exactla, treecore
 from .exactla import KIND_L, KIND_R, KIND_VERTEX, Matrix, Vector
 from .polyalg import (
     ONE, ONE_MINUS_Q2, ONE_PLUS_Q, Q, Q_ONE_PLUS_Q, Poly, PoleAtPoint, RatFun,
-    ZERO, divexact, qdeg, qint,
+    divexact, qint,
 )
 from .treecore import MatchedTree, Tree
 
@@ -30,16 +30,17 @@ class TreeData:
     """The per-tree quantities of one MatchedTree, each built on first use and kept.
 
     A field calls its module-level builder, looked up by name when first read.
-    Functions that take a tree accept either kind and wrap it with ``of``.
-    Lifetime: one suite run, one point evaluation or one CLI command.  Nothing
-    is kept on the MatchedTree, at module level or across trees: enumeration
-    and conjecture hold every tree of a level at once, so such a cache would
-    grow with the level.
+    ``lap``, the tree's alternating-path table, is read for qL, tau, each mu
+    and each diff.  Functions that take a tree accept either kind and wrap it
+    with ``of``.  Lifetime: one suite run, one point evaluation or one CLI command.
+    Nothing is kept on the MatchedTree, at module level or across trees:
+    enumeration and conjecture hold every tree of a level at once, so such a
+    cache would grow with the level.
     """
 
     def __init__(self, mt: MatchedTree):
         self.mt = mt
-        self._mu, self._diff = {}, {}
+        self._mu = {}
 
     @classmethod
     def of(cls, x) -> "TreeData":
@@ -48,28 +49,35 @@ class TreeData:
     # each body names its builder, so the name is looked up at the first read;
     # cached_property(build_qL) would bind it once and hide a replaced builder
     dist = cached_property(lambda self: treecore.distances(self.mt.tree))
+    lap = cached_property(lambda self: laplacian(self.mt))
     qB = cached_property(lambda self: build_qB(self))
     E = cached_property(lambda self: build_E(self))
-    qL = cached_property(lambda self: build_qL(self.mt))
+    qL = cached_property(lambda self: build_qL(self))
     tau = cached_property(lambda self: qtau(self))
     bd = cached_property(lambda self: bdq_det(self))
+    diffs = cached_property(lambda self: {side: self.lap.diff(side) for side in "LR"})
 
     def mu(self, v: int) -> Vector:
         if v not in self._mu:
-            self._mu[v] = qsigned_degree_vector(self.mt, v)
+            self._mu[v] = qsigned_degree_vector(self, v)
         return self._mu[v]
 
     def diff(self, v: int) -> int:
-        if v not in self._diff:
-            self._diff[v] = treecore.diff(self.mt, v)
-        return self._diff[v]
+        return self.diffs[self.mt.side_of[v]][self.mt.index_of[v]]
+
+
+def _by_distance(dist_rows: list, entry, row_kind: str, col_kind: str) -> Matrix:
+    """entry(d) at each cell of distance d, made once per d = 0..dmax and
+    shared by its cells (a Poly is immutable)."""
+    table = list(map(entry, range(max(map(max, dist_rows)) + 1)))
+    return Matrix((map(table.__getitem__, row) for row in dist_rows), row_kind, col_kind)
 
 
 def distance_block(mt: MatchedTree | TreeData, entry=int) -> Matrix:
     """L x R matrix with entry (i,j) = entry(dist(l_i, r_j))."""
     d = TreeData.of(mt)
-    rows = ((entry(d.dist[l][r]) for r in d.mt.r_vertices) for l in d.mt.l_vertices)
-    return Matrix(rows, KIND_L, KIND_R)
+    rows = [[d.dist[l][r] for r in d.mt.r_vertices] for l in d.mt.l_vertices]
+    return _by_distance(rows, entry, KIND_L, KIND_R)
 
 
 def _monomial(d: int) -> Poly:
@@ -87,11 +95,12 @@ def build_E(mt: MatchedTree | TreeData) -> Matrix:
 
 
 class Laplacian(NamedTuple):
-    """qL = D_R.S.D_L - q^2 A_RL as integer data, D = diag(1 + (d(v) - 1) q^2).
+    """The tree's alternating-path table S, with its degrees and adjacency A_RL.
 
     S holds +1/-1 at (r_i, l_j) when the r_i-l_j path is odd/even
-    alternating, else 0; A_RL is the adjacency, matching edges included.
-    ``rows`` and ``tau_r`` read the data through ``value``, a map from
+    alternating, else 0.  qL = D_R.S.D_L - q^2 A_RL, D = diag(1 + (d(v) - 1)
+    q^2); mu of r_k is S's row k times D_L, of l_k its column k times D_R.
+    ``rows``, ``mu`` and ``tau`` read the data through ``value``, a map from
     coefficient tuples (ascending) to a ring, by sums and products alone:
     ``Poly`` gives qL itself, a value at q = B its integer rows at B, and the
     coefficient 1-norm a bound on each entry's.
@@ -99,38 +108,37 @@ class Laplacian(NamedTuple):
 
     deg_r: list  # d(r_i)
     deg_l: list  # d(l_j)
-    odd: list  # row i: j of each l_j with an odd alternating path from r_i
-    even: list  # row i: j of each l_j with an even one
+    sign: list  # row i: S's row i, one +1, -1 or 0 per l_j
     adj: list  # row i: j of each neighbour l_j
 
     def rows(self, value) -> list:
         minus, zero, off = value((-1,)), value(()), value((0, 0, -1))  # off: -q^2
         dl = [value((1, 0, d - 1)) for d in self.deg_l]
         rows = []
-        for d, odd, even, adj in zip(self.deg_r, self.odd, self.even, self.adj):
+        for d, signs, adj in zip(self.deg_r, self.sign, self.adj):
             dr = value((1, 0, d - 1))
-            row = [zero] * len(dl)
-            for j in odd:
-                row[j] = dr * dl[j]
-            dr = minus * dr
-            for j in even:
-                row[j] = dr * dl[j]
+            scale = (zero, dr, minus * dr)  # by S's entry: 1 gives dr, -1 the last
+            row = [scale[s] * x if s else zero for s, x in zip(signs, dl)]
             for j in adj:
                 row[j] = row[j] + off
             rows.append(row)
         return rows
 
-    def tau_r(self, value) -> list:
-        """tau over the R side; diff(r_i) is row i's even endpoints minus its odd."""
-        return [value(tau_coeffs(d, len(even) - len(odd)))
-                for d, odd, even in zip(self.deg_r, self.odd, self.even)]
-
     def mu(self, k: int, side: str, value) -> list:
         """mu of r_k, S's row k times D_L, if side is "R", else of l_k, S's column k times D_R."""
-        cells = ((k, j) if side == "R" else (j, k) for j in range(len(self.deg_l)))  # S's (i, j)
-        signs = [(j in self.odd[i]) - (j in self.even[i]) for i, j in cells]
-        deg = self.deg_l if side == "R" else self.deg_r
+        signs, deg = ((self.sign[k], self.deg_l) if side == "R"
+                      else ([row[k] for row in self.sign], self.deg_r))
         return [value((s, 0, s * (d - 1))) for s, d in zip(signs, deg)]
+
+    def diff(self, side: str) -> list:
+        """Each vertex's even minus odd alternating paths: minus S's row sums
+        for side "R", its column sums for "L"."""
+        return [-sum(s) for s in (self.sign if side == "R" else zip(*self.sign))]
+
+    def tau(self, side: str, value) -> list:
+        """tau over a side: (1 - d)(1 + f) q^2 - f at a vertex of degree d and diff f."""
+        deg = self.deg_r if side == "R" else self.deg_l
+        return [value((-f, 0, (1 - d) * (1 + f))) for d, f in zip(deg, self.diff(side))]
 
     def norm(self) -> int:
         """Bounds every entry's norm: qL's by d(r) d(l) + 1, tau_r's as |diff| <= p."""
@@ -139,73 +147,57 @@ class Laplacian(NamedTuple):
 
 
 def laplacian(mt: MatchedTree) -> Laplacian:
-    """qL's integer data, from one alternating_reach walk per R-vertex."""
+    """The tree's Laplacian, from one alternating_reach walk per R-vertex."""
     index_of, adj, rs = mt.index_of, mt.tree.adj, mt.r_vertices
-    odd, even = [], []
+    sign = []
     for r in rs:
-        reach = treecore.alternating_reach(mt, r).items()
-        odd.append([index_of[w] for w, k in reach if k % 2])
-        even.append([index_of[w] for w, k in reach if not k % 2])
+        row = [0] * mt.p
+        for w, k in treecore.alternating_reach(mt, r).items():
+            row[index_of[w]] = 1 if k % 2 else -1
+        sign.append(row)
     return Laplacian([len(adj[r]) for r in rs], [len(adj[l]) for l in mt.l_vertices],
-                     odd, even, [[index_of[l] for l in adj[r]] for r in rs])
+                     sign, [[index_of[l] for l in adj[r]] for r in rs])
 
 
-def build_qL(mt: MatchedTree) -> Matrix:
-    """R x L bipartite q-Laplacian, ``laplacian(mt)`` read in Z[q].
+def build_qL(mt: MatchedTree | TreeData) -> Matrix:
+    """R x L bipartite q-Laplacian, the tree's ``Laplacian`` read in Z[q].
 
     Entry (i,j): d(r_i)_q d(l_i)_q - q^2 on the diagonal; +/- d(r_i)_q d(l_j)_q
     when the r_i-l_j path is odd/even alternating; -q^2 when r_i is adjacent
     to l_j off the matching; 0 otherwise.
     """
-    return Matrix(laplacian(mt).rows(Poly), KIND_R, KIND_L)
+    return Matrix(TreeData.of(mt).lap.rows(Poly), KIND_R, KIND_L)
 
 
 def build_full_qD(tree: Tree | list) -> Matrix:
     """Vertex x Vertex matrix [dist(i,j)]_q of any tree or of its distance table."""
-    return _vertex_distances(tree).map(qint)
+    return _by_distance(_vertex_distances(tree), qint, KIND_VERTEX, KIND_VERTEX)
 
 
 def build_full_eD(tree: Tree | list) -> Matrix:
     """Vertex x Vertex matrix q^dist(i,j) of any tree or of its distance table."""
-    return _vertex_distances(tree).map(_monomial)
+    return _by_distance(_vertex_distances(tree), _monomial, KIND_VERTEX, KIND_VERTEX)
 
 
-def _vertex_distances(tree: Tree | list) -> Matrix:
-    dist = treecore.distances(tree) if isinstance(tree, Tree) else tree
-    return Matrix(dist, KIND_VERTEX, KIND_VERTEX)
+def _vertex_distances(tree: Tree | list) -> list:
+    return treecore.distances(tree) if isinstance(tree, Tree) else tree
 
 
-def qsigned_degree_vector(mt: MatchedTree, v: int) -> Vector:
-    """Signed degree-scalar vector over the side opposite v.
+def qsigned_degree_vector(mt: MatchedTree | TreeData, v: int) -> Vector:
+    """Signed degree-scalar vector over the side opposite v: ``Laplacian.mu`` in Z[q].
 
     Entry i is +d(w_i)_q / -d(w_i)_q when the v-w_i path is odd/even
     alternating (w_i running over the opposite side), else 0.
     """
-    # every alternating path from v ends on the side opposite v
-    entries = [ZERO] * mt.p
-    for w, k in treecore.alternating_reach(mt, v).items():
-        val = qdeg(mt.tree.degree(w))
-        entries[mt.index_of[w]] = val if k % 2 else -val
-    return Vector(entries, KIND_R if mt.side_of[v] == "L" else KIND_L)
-
-
-def tau_coeffs(d: int, f: int) -> tuple:
-    """The weight (1 - d)(1 + f) q^2 - f of a vertex of degree d and diff f."""
-    return -f, 0, (1 - d) * (1 + f)
-
-
-def tau_at(mt: MatchedTree | TreeData, v: int) -> Poly:
-    """Vertex weight (1 - d(v)) (1 + diff(v)) q^2 - diff(v)."""
     d = TreeData.of(mt)
-    return Poly(tau_coeffs(d.mt.tree.degree(v), d.diff(v)))
+    side = d.mt.side_of[v]
+    return Vector(d.lap.mu(d.mt.index_of[v], side, Poly), KIND_L if side == "R" else KIND_R)
 
 
 def qtau(mt: MatchedTree | TreeData):
-    """The tau vector restricted to each side: (tau_l, tau_r)."""
-    d = TreeData.of(mt)
-    tau_l = Vector((tau_at(d, l) for l in d.mt.l_vertices), KIND_L)
-    tau_r = Vector((tau_at(d, r) for r in d.mt.r_vertices), KIND_R)
-    return tau_l, tau_r
+    """The tau vector restricted to each side, (tau_l, tau_r): ``Laplacian.tau`` in Z[q]."""
+    lap = TreeData.of(mt).lap
+    return Vector(lap.tau("L", Poly), KIND_L), Vector(lap.tau("R", Poly), KIND_R)
 
 
 def bdq_det(mt: MatchedTree | TreeData) -> Poly:

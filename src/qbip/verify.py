@@ -708,7 +708,7 @@ def check_attach_update(mt: MatchedTree | TreeData) -> CheckResult:
         _compare_at(name, f"qL block update at vertex {v}", base,
                     lap.rows(value), predicted_attach_qL(reading, v), vertex=v),
         _compare_at(name, f"tau_r update at vertex {v}", base,
-                    lap.tau_r(value), predicted_attach_tau_r(reading, v), vertex=v))))
+                    lap.tau("R", value), predicted_attach_tau_r(reading, v), vertex=v))))
 
 
 def check_block_decomposition(mt: MatchedTree | TreeData) -> CheckResult:

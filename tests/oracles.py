@@ -7,8 +7,9 @@ come from Prufer sequences, determinants expand by cofactors, ranks are
 read off those determinants of minors, inverses come from Gauss-Jordan
 over the rational-function field, one RatFun operation at a time (the
 package eliminates over Z at one Kronecker point instead), and alternating
-paths are classified by walking each u-v path edge by edge (the package
-reads every endpoint off one walk per vertex).  The relabeling helpers build
+paths are classified by walking each u-v path edge by edge, and mu, tau
+and diff at a vertex are read off those classifications (the package reads
+every endpoint off one walk per R-vertex).  The relabeling helpers build
 their trees through the package's validating constructors.
 """
 
@@ -196,6 +197,29 @@ def classify_path(mt: MatchedTree, u: int, v: int) -> PathClass:
         else PathKind.EVEN_ALTERNATING
     )
     return PathClass(kind, adjacent, matching_edge)
+
+
+_SIGN = {PathKind.ODD_ALTERNATING: 1, PathKind.EVEN_ALTERNATING: -1,
+         PathKind.NOT_ALTERNATING: 0}
+
+
+def path_diff(mt: MatchedTree, v: int) -> int:
+    """Even minus odd alternating paths from v, each path to another vertex classified."""
+    return -sum(_SIGN[classify_path(mt, v, w).kind] for w in range(mt.tree.n) if w != v)
+
+
+def path_mu(mt: MatchedTree, v: int) -> list:
+    """mu_v over the side opposite v, in pair order: +/-(1 + (d(w) - 1) q^2) when
+    the v-w path is odd/even alternating, else 0."""
+    opposite = mt.r_vertices if mt.side_of[v] == "L" else mt.l_vertices
+    return [_SIGN[classify_path(mt, v, w).kind] * Poly((1, 0, mt.tree.degree(w) - 1))
+            for w in opposite]
+
+
+def path_tau(mt: MatchedTree, v: int) -> Poly:
+    """tau(v) = (1 - d(v)) (1 + diff(v)) q^2 - diff(v), diff by ``path_diff``."""
+    d, f = mt.tree.degree(v), path_diff(mt, v)
+    return Poly((-f, 0, (1 - d) * (1 + f)))
 
 
 def _tree_path(tree: Tree, u: int, v: int):

@@ -591,6 +591,9 @@ def test_unknown_subcommand_is_usage_error(capsys):
     ("[]", ["show", "--matrix", "qD"]),
     ('{"edges": [[true, 0]]}', ["verify"]),
     ('{"edges": [[0, 1], [1, 2], [2, 3]]}', ["show", "--matrix", "mu:x"]),
+    pytest.param("[" * 200000 + "]" * 200000, ["show", "--matrix", "qB"], id="too-deep"),
+    pytest.param('{"edges": [[0, 1' + "1" * 5000 + "]]}", ["show", "--matrix", "qD"],
+                 id="past-the-integer-digit-limit"),
 ])
 def test_malformed_input_is_usage_error(capsys, tmp_path, text, argv):
     # exit 1 means "a check failed"; bad input must never read that way

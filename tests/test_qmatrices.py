@@ -2,12 +2,13 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import PathKind, classify_path, det_cofactor
+from oracles import PathKind, classify_path, det_cofactor, path_diff, path_mu, path_tau
 from qbip import exactla, treecore
 from qbip.exactla import KIND_L, KIND_R, Matrix, Vector, det_bareiss, mat_mul
 from qbip.polyalg import ONE, Poly, PoleAtPoint, RatFun, ZERO, Q
 from qbip.qmatrices import (
     BdqZero,
+    TreeData,
     bdq_det,
     bdq_recursive,
     build_E,
@@ -24,7 +25,6 @@ from qbip.qmatrices import (
     laplacian,
     qsigned_degree_vector,
     qtau,
-    tau_at,
 )
 
 P = Poly
@@ -110,31 +110,38 @@ SIGN = {PathKind.ODD_ALTERNATING: 1, PathKind.EVEN_ALTERNATING: -1,
 
 
 def test_laplacian_data_matches_the_path_walk_oracle():
-    # S and A_RL entry by entry from classify_path's walk along each r-l path;
-    # the rows and tau_r read at two points are build_qL's and tau_at's values
-    for p in range(1, 6):
+    # S and A_RL entry by entry from classify_path's walk along each r-l path,
+    # and mu, tau and diff at every vertex from the oracle's walks; the rows
+    # and tau_r read at two points are build_qL's and the oracle's values
+    for p in range(1, 7):
         for mt in treecore.enumerate_nonsingular(p):
-            lap = laplacian(mt)
+            lap, td = laplacian(mt), TreeData(mt)
             assert lap.deg_r == [mt.tree.degree(r) for r in mt.r_vertices]
             assert lap.deg_l == [mt.tree.degree(l) for l in mt.l_vertices]
             for i, r in enumerate(mt.r_vertices):
                 for j, l in enumerate(mt.l_vertices):
                     path = classify_path(mt, r, l)
-                    assert (j in lap.odd[i]) - (j in lap.even[i]) == SIGN[path.kind]
+                    assert lap.sign[i][j] == SIGN[path.kind]
                     assert (j in lap.adj[i]) == path.adjacent
+            tau_l, tau_r = qtau(mt)
+            for v in range(mt.tree.n):
+                assert list(qsigned_degree_vector(mt, v)) == path_mu(mt, v)
+                tau = tau_l if mt.side_of[v] == "L" else tau_r
+                assert tau[mt.index_of[v]] == path_tau(mt, v)
+                assert td.diff(v) == path_diff(mt, v)
             qL = build_qL(mt)
             for x in (2**12, 3**5):
                 def value(coeffs):
                     return sum(c * x**k for k, c in enumerate(coeffs))
                 assert lap.rows(value) == [[e.eval_at(x) for e in row] for row in qL.entries]
-                assert lap.tau_r(value) == [tau_at(mt, r).eval_at(x) for r in mt.r_vertices]
+                assert lap.tau("R", value) == [path_tau(mt, r).eval_at(x) for r in mt.r_vertices]
 
 
 def test_laplacian_norm_bounds_every_entry():
     for mt in treecore.enumerate_nonsingular(5):
         lap = laplacian(mt)
         norms = [sum(map(abs, e.coeffs)) for row in build_qL(mt).entries for e in row]
-        norms += [sum(map(abs, tau_at(mt, r).coeffs)) for r in mt.r_vertices]
+        norms += [sum(map(abs, e.coeffs)) for e in qtau(mt)[1]]
         assert max(norms) <= lap.norm()
 
 
@@ -219,10 +226,12 @@ def test_tau_p4_attach_golden(p4_attach):
 def test_tau_at_one_matches_plain_formula():
     for p in (1, 2, 3, 4):
         for mt in treecore.enumerate_nonsingular(p):
+            tau_l, tau_r = qtau(mt)
             for v in range(mt.tree.n):
                 d = mt.tree.degree(v)
                 f = treecore.diff(mt, v)
-                assert tau_at(mt, v).eval_at(1) == 1 - d * (1 + f)
+                tau = tau_l if mt.side_of[v] == "L" else tau_r
+                assert tau[mt.index_of[v]].eval_at(1) == 1 - d * (1 + f)
 
 
 def test_tau_sums_agree():

@@ -158,11 +158,11 @@ def _count_calls(monkeypatch, module, names):
 def test_run_suite_builds_each_quantity_once(monkeypatch):
     mt = treecore.random_nonsingular(6, 1)
     built = _count_calls(monkeypatch, qmatrices, (
-        "build_qL", "laplacian", "build_qB", "build_E", "bdq_det", "qtau", "tau_at",
+        "build_qL", "laplacian", "build_qB", "build_E", "bdq_det", "qtau",
         "qsigned_degree_vector",
     ))
-    made = _count_calls(monkeypatch, treecore,
-                        ("attach_p2", "sub_matched_tree", "detach_p2", "diff"))
+    made = _count_calls(monkeypatch, treecore, (
+        "attach_p2", "sub_matched_tree", "detach_p2", "diff", "alternating_reach"))
     assert run_suite(mt).passed
     # each detach_p2 (bd_q's recursion) cuts one sub_matched_tree but builds nothing
     grown, split = made["attach_p2"], made["sub_matched_tree"] - made["detach_p2"]
@@ -174,12 +174,16 @@ def test_run_suite_builds_each_quantity_once(monkeypatch):
     assert built["build_qL"] == 1
     assert built["laplacian"] == 1 + grown + split
     assert built["qtau"] == 1
-    assert built["tau_at"] == mt.tree.n
     # mu once per vertex of the tree; each split piece's mu is read off its own qL data
     assert built["qsigned_degree_vector"] == mt.tree.n
-    # diff once per vertex of the tree (sum_mu, tau, the tau_r update share it),
-    # plus once per tree that bd_q's recursion peels
-    assert made["diff"] == mt.tree.n + made["detach_p2"]
+    # tau, mu and diff are read off the tree's Laplacian: diff walks only in
+    # bd_q's recursion, once per tree it peels
+    assert made["diff"] == made["detach_p2"]
+    # one walk per R-vertex of the tree, of each grown tree and, as the split
+    # pieces of one pair share out the p pairs, of each split's pieces
+    splits = len(verify.block_split_vertices(mt))
+    assert made["alternating_reach"] == (
+        mt.p + grown * (mt.p + 1) + splits * mt.p + made["diff"])
 
 
 def test_full_dq_ed_reads_one_distance_table(monkeypatch):
@@ -399,7 +403,7 @@ def test_attach_update_witness_on_each_side(monkeypatch, p4_path, side, vertex, 
 
     def perturbed(mt, v):
         vec = mu(mt, v)
-        if mt.side_of[v] != side:
+        if qmatrices.TreeData.of(mt).mt.side_of[v] != side:
             return vec
         return exactla.Vector((vec[0] + Q, *vec.entries[1:]), vec.kind)
 
@@ -423,7 +427,7 @@ def test_block_decomposition_witness_at_a_split_with_two_branches(monkeypatch):
     assert verify.predicted_block_qL(mt, 0)[1] == [0, 3]
     build_qL = qmatrices.build_qL  # perturbed on the p = 4 tree, not on its subtrees
     monkeypatch.setattr(qmatrices, "build_qL", lambda t: _bump(
-        build_qL(t), 2, 1, ONE) if t.p >= 4 else build_qL(t))
+        build_qL(t), 2, 1, ONE) if qmatrices.TreeData.of(t).mt.p >= 4 else build_qL(t))
     res = verify.check_block_decomposition(mt)
     assert res.to_json() == {"name": "block_decomposition", "pass": False, "witness": {
         "identity": "qL block reassembly at pair 0", "entry": [2, 1],
@@ -493,7 +497,7 @@ def test_attach_bound_is_read_from_the_prediction(monkeypatch, p4_path):
 
     def perturbed(mt, v):
         vec = mu(mt, v)
-        if mt.p != p4_path.p:
+        if qmatrices.TreeData.of(mt).mt.p != p4_path.p:
             return vec
         return exactla.Vector((vec[0] + delta, *vec.entries[1:]), vec.kind)
 
@@ -511,7 +515,7 @@ def test_attachment_witnesses_read_back_a_large_q4_coefficient(monkeypatch):
     delta = Poly((0, 0, 0, 0, 2**70 + 1))
     build_qL = qmatrices.build_qL
     monkeypatch.setattr(qmatrices, "build_qL", lambda t: _bump(
-        build_qL(t), 1, 0, delta) if t.p == mt.p else build_qL(t))
+        build_qL(t), 1, 0, delta) if qmatrices.TreeData.of(t).mt.p == mt.p else build_qL(t))
     attach, block = verify.check_attach_update(mt), verify.check_block_decomposition(mt)
     assert attach.witness["vertex"] == 0 and block.witness["split_pair"] == 0
     assert attach.witness["entry"] == block.witness["entry"] == [1, 0]
