@@ -27,55 +27,51 @@ class NotNonsingular(ValueError):
 
 
 class Tree:
-    """Connected acyclic graph on vertices 0..n-1, held immutably."""
+    """Connected acyclic graph on vertices 0..n-1, held immutably.
+
+    n - 1 distinct edges (u, v) with 0 <= u < v < n that reach every vertex
+    form a tree.  So the edges are sorted once, n is their count plus one, and
+    the only checks are those ids, a repeat of the edge before, and one walk
+    from 0 that must reach all n vertices.
+    """
 
     __slots__ = ("n", "edges", "adj")
 
     def __init__(self, edges):
         try:
-            edges = [tuple(sorted(e)) for e in edges]
+            edges = sorted(tuple(sorted(e)) for e in edges)
         except TypeError:
             raise NotATree("edges must be a list of vertex-id pairs") from None
         if not edges:
             raise NotATree("a tree needs at least one edge here")
-        seen = set()
-        verts = set()
+        n = len(edges) + 1
+        adj = [[] for _ in range(n)]
+        prev = None
         for e in edges:
             # type(), not isinstance(): a bool is not a vertex id
-            if len(e) != 2 or type(e[0]) is not int or type(e[1]) is not int or e[0] < 0:
-                raise NotATree(f"bad vertex ids in edge {e}")
-            u, v = e
-            if u == v:
-                raise NotATree(f"self-loop at {u}")
-            if (u, v) in seen:
-                raise NotATree(f"duplicate edge {(u, v)}")
-            seen.add((u, v))
-            verts.add(u)
-            verts.add(v)
-        # distinct nonnegative ids cover 0..n-1 exactly when there are n of
-        # them; counting allocates nothing however large the largest id is
-        n = max(verts) + 1
-        if len(verts) != n:
-            raise NotATree("vertex ids must cover 0..n-1")
-        if len(edges) != n - 1:
-            raise NotATree(f"{len(edges)} edges on {n} vertices")
-        adj = [[] for _ in range(n)]
-        for u, v in edges:
+            if len(e) != 2 or type(e[0]) is not int or type(e[1]) is not int \
+                    or not 0 <= e[0] < e[1] < n:
+                raise NotATree(f"bad edge {e}: {n - 1} edges need two distinct "
+                               f"integer ids in 0..{n - 1} each")
+            if e == prev:
+                raise NotATree(f"repeated edge {e}")
+            u, v = prev = e
+            # sorted edges list each vertex's smaller neighbors, then its
+            # larger ones, both ascending
             adj[u].append(v)
             adj[v].append(u)
-        # connected + n-1 edges implies acyclic
-        stack, reached = [0], {0}
-        while stack:
-            x = stack.pop()
+        reached = [True] + [False] * (n - 1)
+        order = [0]
+        for x in order:
             for y in adj[x]:
-                if y not in reached:
-                    reached.add(y)
-                    stack.append(y)
-        if len(reached) != n:
+                if not reached[y]:
+                    reached[y] = True
+                    order.append(y)
+        if len(order) != n:
             raise NotATree("graph is disconnected")
         self.n = n
-        self.edges = tuple(sorted(edges))
-        self.adj = tuple(tuple(sorted(a)) for a in adj)
+        self.edges = tuple(edges)
+        self.adj = tuple(map(tuple, adj))
 
     def degree(self, v: int) -> int:
         return len(self.adj[v])
@@ -122,12 +118,7 @@ def perfect_matching(tree: Tree):
         pairs.append((v, u) if v < u else (u, v))
         alive[v] = alive[u] = False
         removed += 2
-        for w in tree.adj[u]:
-            if alive[w]:
-                deg[w] -= 1
-                if deg[w] == 1:
-                    leaves.append(w)
-        for w in tree.adj[v]:
+        for w in tree.adj[u] + tree.adj[v]:
             if alive[w]:
                 deg[w] -= 1
                 if deg[w] == 1:

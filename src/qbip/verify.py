@@ -268,7 +268,7 @@ class _Point(dict):
     def __init__(self, factors: dict, x: Fraction, equations):
         super().__init__()
         self.factors, self.x, self.equations = factors, x, equations
-        self.shapes, self.splits, self.sizes, self.bounds, self.packs = {}, {}, {}, {}, {}
+        self.sizes, self.packs = {}, {}
 
     def __missing__(self, ref):
         if not isinstance(ref, tuple):
@@ -311,27 +311,21 @@ class _Point(dict):
 
     def split(self, term, scale: int) -> tuple:
         """(coef, refs): the term's scalars times b^(scale - deg), and its other names."""
-        key = term, scale
-        if key not in self.splits:
-            coef = self.x.denominator ** (scale - _degree(term, self.factors))
-            refs = []
-            for ref in term:
-                if isinstance(self[ref], int):
-                    coef *= self[ref]
-                else:
-                    refs.append(ref)
-            self.splits[key] = coef, tuple(refs)
-        return self.splits[key]
+        coef = self.x.denominator ** (scale - _degree(term, self.factors))
+        refs = []
+        for ref in term:
+            if isinstance(self[ref], int):
+                coef *= self[ref]
+            else:
+                refs.append(ref)
+        return coef, tuple(refs)
 
     def bound(self, term, scale: int) -> int:
         """|coef| ||F_1|| ... ||F_(k-1)|| max|F_k| for split(term, scale): no
         entry of the term exceeds it."""
-        key = term, scale
-        if key not in self.bounds:
-            coef, refs = self.split(term, scale)
-            self.bounds[key] = abs(coef) * prod(self.size(refs[i:], i == len(refs) - 1)
-                                                for i in range(len(refs)))
-        return self.bounds[key]
+        coef, refs = self.split(term, scale)
+        return abs(coef) * prod(self.size(refs[i:], i == len(refs) - 1)
+                                for i in range(len(refs)))
 
     def packed(self, refs) -> list:
         """Row i of the product of refs as the integer sum_j P_ij B^j."""
@@ -348,11 +342,9 @@ class _Point(dict):
     def shape(self, equation) -> tuple:
         """(scale, vector): the largest degree of the equation's terms, and
         whether its sides are vectors (each term holds one vector)."""
-        label, lhs, rhs = equation
-        if label not in self.shapes:
-            vector = sum(isinstance(self[ref], Vector) for ref in lhs[0]) == 1
-            self.shapes[label] = max(_degree(term, self.factors) for term in lhs + rhs), vector
-        return self.shapes[label]
+        _, lhs, rhs = equation
+        vector = sum(isinstance(self[ref], Vector) for ref in lhs[0]) == 1
+        return max(_degree(term, self.factors) for term in lhs + rhs), vector
 
     @cached_property
     def width(self) -> int:
@@ -367,10 +359,10 @@ class _Point(dict):
 
 
 def _mul(x, y):
-    """x.y, exact, on a vector side (outer products only arise on matrix sides)."""
-    if isinstance(x, Matrix):
-        return exactla.mat_mul(x, y) if isinstance(y, Matrix) else exactla.mat_vec(x, y)
-    return exactla.vec_mat(x, y)
+    """x.y, exact, on a vector side: a matrix times a vector or a vector times
+    a matrix, as no term in IDENTITIES puts its vector before two matrices
+    (outer products only arise on matrix sides)."""
+    return exactla.mat_vec(x, y) if isinstance(x, Matrix) else exactla.vec_mat(x, y)
 
 
 def _side(terms, point: _Point, scale: int, vector: bool) -> list:

@@ -1,7 +1,8 @@
 """Independent test oracles.
 
-Nothing here shares algorithmic code with the package: matchings are found by
-brute force over edge subsets, isomorphism classes are keyed by a
+Nothing here shares algorithmic code with the package: an edge list is a
+tree by union-find over its edges (the package walks its adjacency once),
+matchings are found by brute force over edge subsets, isomorphism classes are keyed by a
 min-over-all-rootings encoding (the package roots at centroids), labeled trees
 come from Prufer sequences, determinants expand by cofactors, ranks are
 read off those determinants of minors, inverses come from Gauss-Jordan
@@ -40,6 +41,32 @@ def prufer_to_edges(seq, n):
     v = heapq.heappop(leaves)
     edges.append((u, v))
     return edges
+
+
+def is_tree(data) -> bool:
+    """Independent check that data["edges"] is a tree on the ids 0..n-1."""
+    edges = data.get("edges") if isinstance(data, dict) else None
+    if not isinstance(edges, list) or not edges:
+        return False
+    if not all(isinstance(e, list) and len(e) == 2
+               and all(type(v) is int for v in e) for e in edges):
+        return False
+    n = len(edges) + 1
+    if {v for e in edges for v in e} != set(range(n)):
+        return False
+    root = list(range(n))
+
+    def find(v):
+        while root[v] != v:
+            v = root[v]
+        return v
+
+    for u, v in edges:
+        ru, rv = find(u), find(v)
+        if ru == rv:
+            return False  # a cycle or a self-loop
+        root[ru] = rv
+    return True
 
 
 def all_perfect_matchings(n, edges):

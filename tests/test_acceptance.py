@@ -75,12 +75,13 @@ def test_criterion_3_attachment_lemmas():
     decomposition at every applicable split vertex."""
     ok = True
     for mt in all_trees(6):
-        res = verify.check_attach_update(mt)
+        td = qmatrices.TreeData(mt)  # both checks share its grown and split trees
+        res = verify.check_attach_update(td)
         if not res.passed:
             ok = False
             print("attach update failed:", res.witness)
             break
-        res = verify.check_block_decomposition(mt)
+        res = verify.check_block_decomposition(td)
         if not res.passed:
             ok = False
             print("block decomposition failed:", res.witness)

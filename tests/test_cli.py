@@ -9,6 +9,7 @@ import tempfile
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from oracles import is_tree
 from qbip import exactla, qmatrices, treecore, verify
 from qbip.cli import main
 from qbip.polyalg import Q
@@ -606,6 +607,19 @@ def test_malformed_input_is_usage_error(capsys, tmp_path, text, argv):
             treecore.MatchedTree.from_json(json.loads(text))
 
 
+@pytest.mark.parametrize("edges, pair", [
+    ([[0, 1], [1, 3]], "(1, 3)"),          # an id past n - 1
+    ([[0, 1], [-1, 1]], "(-1, 1)"),        # a negative id
+    ([[0, 1], [1, 1], [1, 2]], "(1, 1)"),  # a self-loop
+    ([[0, 1], [1, 2], [2, 1]], "(1, 2)"),  # a repeated edge
+])
+def test_bad_edge_message_names_the_pair(capsys, tmp_path, edges, pair):
+    path = tmp_path / "tree.json"
+    path.write_text(json.dumps({"edges": edges}))
+    code, out, err = run_cli(capsys, "verify", "--tree", str(path))
+    assert code == 2 and err.startswith("error:") and pair in err and out == ""
+
+
 def test_huge_vertex_id_is_usage_error(tmp_path):
     # the ids are counted, never enumerated; under the address-space cap any
     # allocation that grows with the largest id fails instead of exhausting memory
@@ -660,32 +674,6 @@ def _near_miss_trees(draw):
     return data
 
 
-def _is_tree(data) -> bool:
-    """Independent check that data["edges"] is a tree on the ids 0..n-1."""
-    edges = data.get("edges") if isinstance(data, dict) else None
-    if not isinstance(edges, list) or not edges:
-        return False
-    if not all(isinstance(e, list) and len(e) == 2
-               and all(type(v) is int for v in e) for e in edges):
-        return False
-    n = len(edges) + 1
-    if {v for e in edges for v in e} != set(range(n)):
-        return False
-    root = list(range(n))
-
-    def find(v):
-        while root[v] != v:
-            v = root[v]
-        return v
-
-    for u, v in edges:
-        ru, rv = find(u), find(v)
-        if ru == rv:
-            return False  # a cycle or a self-loop
-        root[ru] = rv
-    return True
-
-
 @settings(max_examples=300, deadline=None)
 @given(_JSON | _near_miss_trees())
 def test_random_tree_json_exits_2_unless_it_is_a_tree(data):
@@ -700,4 +688,4 @@ def test_random_tree_json_exits_2_unless_it_is_a_tree(data):
     if code == 2:
         assert err.getvalue().startswith("error:") and out.getvalue() == ""
     else:
-        assert code in (0, 1) and _is_tree(data), (code, data)
+        assert code in (0, 1) and is_tree(data), (code, data)

@@ -4,12 +4,14 @@ import random
 
 import networkx as nx
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from oracles import (
     PathKind,
     all_perfect_matchings,
     classify_path,
     count_nonsingular_prufer,
+    is_tree,
     min_rooting_code,
     permute_pairs,
     relabel_vertices,
@@ -61,11 +63,59 @@ def test_parse_path():
         [[0, 1], [1, 0]],              # duplicate
         [[0, 2]],                      # id gap
         [],                            # empty
+        [[0, 1], [1, 2], [2, 1]],      # a repeat among valid edges
+        [[0, 1], [1, 1], [1, 2]],      # a self-loop in a longer list
+        [[0, 1], [1, 3]],              # id n with n - 1 edges
+        [[0, 1], [True, 2]],           # bool id
+        [[0, 1, 2]],                   # three ids in one edge
+        [[0, 1], 5],                   # an edge that is no pair
+        [[0, 1], ["1", 2]],            # str and int ids in one edge
+        [[0, 1], ["1", "2"]],          # str ids beside int ones
     ],
 )
 def test_parse_rejects_non_trees(edges):
     with pytest.raises(NotATree):
         Tree(edges)
+
+
+@st.composite
+def _near_miss_edges(draw):
+    """Edges of a random tree on 2..8 vertices, often spoilt, then shuffled
+    with some pairs flipped."""
+    n = draw(st.integers(2, 8))
+    perm = draw(st.permutations(range(n)))
+    edges = [[perm[draw(st.integers(0, i - 1))], perm[i]] for i in range(1, n)]
+    i = draw(st.integers(0, n - 2))
+    ids = st.integers(-1, n + 1) | st.sampled_from([True, False, 1.5, "0", None])
+    spoil = draw(st.sampled_from(["none", "pair", "drop", "extra", "repeat", "loop"]))
+    if spoil == "pair":
+        edges[i] = draw(st.lists(ids, max_size=3))
+    elif spoil == "drop":
+        del edges[i]
+    elif spoil == "extra":
+        edges.append(draw(st.lists(ids, min_size=2, max_size=2)))
+    elif spoil == "repeat":
+        edges.append(list(edges[i]))
+    elif spoil == "loop":
+        edges[i] = [edges[i][0]] * 2
+    edges = draw(st.permutations(edges))
+    return [e[::-1] if draw(st.booleans()) else e for e in edges]
+
+
+@settings(max_examples=500, deadline=None)
+@given(_near_miss_edges())
+def test_tree_accepts_exactly_the_trees(edges):
+    try:
+        t = Tree(edges)
+    except NotATree:
+        assert not is_tree({"edges": edges}), edges
+        return
+    assert is_tree({"edges": edges}), edges
+    pairs = {tuple(sorted(e)) for e in edges}
+    for v, nbrs in enumerate(t.adj):
+        assert list(nbrs) == sorted({w for e in pairs if v in e for w in e if w != v})
+    normal = Tree(sorted(pairs))
+    assert (t.n, t.edges, t.adj) == (normal.n, normal.edges, normal.adj)
 
 
 # -- perfect matching ----------------------------------------------------------
