@@ -252,26 +252,50 @@ def inverse_qB_formula(mt: MatchedTree | TreeData) -> Matrix:
 
 
 def inverse_B_q1(mt: MatchedTree | TreeData) -> Matrix:
-    """Inverse of the plain bipartite distance matrix (everything at q = 1)."""
+    """Inverse of the plain bipartite distance matrix (everything at q = 1).
+
+    -qL/2 + tau_r tau_l^t / bd at q = 1: entry (i,j) is
+    (2 tau_r(1)_i tau_l(1)_j - bd(1) qL(1)_ij) / (2 bd(1)), one Fraction of
+    integers each.  Values at q = 1 are coefficient sums.
+    """
     d = TreeData.of(mt)
-    bd1 = d.bd.eval_at(1)
+    bd1 = sum(d.bd.coeffs)
     if bd1 == 0:
         raise BdqZero("distance index vanishes at q = 1")
-    lap = eval_matrix(d.qL, Fraction(1))
-    tau_l1, tau_r1 = (eval_vector(t, 1) for t in d.tau)
-    correction = exactla.outer(tau_r1, tau_l1).map(lambda e: e / bd1)
-    return lap.scale(Fraction(-1, 2)) + correction
+    lap = eval_matrix(d.qL, 1)
+    tau_l1, tau_r1 = (d.lap.tau(side, sum) for side in "LR")
+    return Matrix(
+        ([Fraction(2 * t * u - bd1 * x.numerator, 2 * bd1) for u, x in zip(tau_l1, row)]
+         for t, row in zip(tau_r1, lap.entries)),
+        lap.row_kind, lap.col_kind)
+
+
+def _evaluator(q0):
+    """e -> e.eval_at(q0), each distinct entry evaluated once, kept by the entry."""
+    q0 = Fraction(q0)
+    value = {}
+
+    def at(e):
+        if e not in value:
+            value[e] = e.eval_at(q0)
+        return value[e]
+    return at
 
 
 def eval_matrix(m: Matrix, q0) -> Matrix:
-    """Entrywise exact evaluation at a rational point."""
-    q0 = Fraction(q0)
+    """Entrywise exact evaluation at a rational point.
+
+    Each distinct entry is evaluated once per call, as the built matrices
+    repeat few values: one per distance in qB and E, one per degree product
+    in qL.  A pole names the first failing entry (i, j) in row-major order.
+    """
+    at = _evaluator(q0)
     rows = []
     for i, row in enumerate(m.entries):
         out = []
         for j, e in enumerate(row):
             try:
-                out.append(e.eval_at(q0))
+                out.append(at(e))
             except PoleAtPoint as exc:
                 raise PoleAtPoint(f"entry ({i}, {j}): {exc}") from None
         rows.append(out)
@@ -279,8 +303,8 @@ def eval_matrix(m: Matrix, q0) -> Matrix:
 
 
 def eval_vector(v: Vector, q0) -> Vector:
-    q0 = Fraction(q0)
-    return v.map(lambda e: e.eval_at(q0))
+    """Entrywise exact evaluation at a rational point, each distinct entry once."""
+    return v.map(_evaluator(q0))
 
 
 def is_corona(mt: MatchedTree) -> bool:

@@ -388,62 +388,62 @@ def sub_matched_tree(mt: MatchedTree, pair_indices):
 
 
 def canonical_code(tree: Tree) -> bytes:
-    """Canonical AHU encoding rooted at the centroid(s).
+    """Canonical AHU encoding of the tree rooted at its centroid(s).
 
-    Equal codes exactly characterize isomorphic trees; with two centroids the
-    lexicographically smaller rooted encoding wins.
+    Equal codes exactly characterize isomorphic trees.  The code is read off
+    the neighbour lists alone by ``_code``, which enumeration also calls on
+    each candidate's lists before building any Tree.
     """
-    cents = _centroids(tree)
-    return min(_ahu_encode(tree, c) for c in cents)
+    return _code(tree.adj)
 
 
-def _centroids(tree: Tree):
-    n = tree.n
-    size = [1] * n
-    order = []
-    parent = [-1] * n
-    stack = [0]
-    seen = [False] * n
-    seen[0] = True
-    while stack:
-        x = stack.pop()
-        order.append(x)
-        for y in tree.adj[x]:
-            if not seen[y]:
-                seen[y] = True
-                parent[y] = x
-                stack.append(y)
+def _code(adj) -> bytes:
+    """Canonical AHU encoding of the tree with neighbour lists adj.
+
+    One BFS from 0 gives each vertex's subtree size; a centroid minimises
+    worst = max(heaviest child subtree, n - size), the largest component
+    left when it is removed.  Each centroid roots one encoding, and with two
+    the lexicographically smaller wins.
+    """
+    n = len(adj)
+    order, parent = _bfs(adj, 0)
+    size, heaviest = [1] * (n + 1), [0] * (n + 1)
     for x in reversed(order):
-        if parent[x] >= 0:
-            size[parent[x]] += size[x]
-    best, cents = None, []
-    for v in range(n):
-        heaviest = max(
-            (size[y] if parent[y] == v else n - size[v] for y in tree.adj[v]),
-            default=0,
-        )
-        if best is None or heaviest < best:
-            best, cents = heaviest, [v]
-        elif heaviest == best:
-            cents.append(v)
-    return cents
+        px = parent[x]
+        size[px] += size[x]
+        if size[x] > heaviest[px]:
+            heaviest[px] = size[x]
+    worst = [max(h, n - s) for h, s in zip(heaviest[:n], size)]
+    least = min(worst)
+    return min(_rooted_code(adj, c) for c in range(n) if worst[c] == least)
 
 
-def _ahu_encode(tree: Tree, root: int) -> bytes:
-    # iterative post-order; recursion depth would track tree height
-    code: dict[int, bytes] = {}
-    stack = [(root, -1, False)]
-    while stack:
-        v, par, expanded = stack.pop()
-        if expanded:
-            kids = sorted(code[y] for y in tree.adj[v] if y != par)
-            code[v] = b"(" + b"".join(kids) + b")"
-        else:
-            stack.append((v, par, True))
-            for y in tree.adj[v]:
-                if y != par:
-                    stack.append((y, v, False))
-    return code[root]
+def _bfs(adj, root):
+    """BFS order from root, and each vertex's parent (len(adj) for the root)."""
+    parent = [-1] * len(adj)
+    parent[root] = len(adj)
+    order = [root]
+    for x in order:
+        for y in adj[x]:
+            if parent[y] < 0:
+                parent[y] = x
+                order.append(y)
+    return order, parent
+
+
+def _rooted_code(adj, root) -> bytes:
+    """AHU encoding rooted at root: "(" + the children's codes, sorted, + ")".
+
+    The reversed BFS order is a post-order, so every vertex is coded after
+    its children, without recursion; the root's code lands in the extra
+    slot len(adj).
+    """
+    order, parent = _bfs(adj, root)
+    kids = [[] for _ in range(len(adj) + 1)]
+    for x in reversed(order):
+        kids[x].sort()
+        kids[parent[x]].append(b"(" + b"".join(kids[x]) + b")")
+    return kids[-1][0]
 
 
 DEFAULT_ENUM_BOUND = 8
@@ -453,10 +453,12 @@ DEFAULT_ENUM_BOUND = 8
 def enumerate_nonsingular(p: int) -> tuple:
     """All isomorphism classes of nonsingular trees on 2p vertices.
 
-    Level p is grown from level p-1 (``enumerate_nonsingular(p - 1)``) by
-    attaching a pair at every vertex of every tree there (complete, because
-    detach_p2 inverts some attachment), then deduplicated by canonical code,
-    the first tree of each code kept.  Deterministic order: sorted by code.
+    Level p is grown from level p-1 (``enumerate_nonsingular(p - 1)``):
+    every candidate, a pair attached at a vertex of a tree there (complete,
+    because detach_p2 inverts some attachment), is coded on its neighbour
+    lists, the tree's with the pendant pair added, without building it.
+    Only the first candidate of each canonical code is built by
+    ``attach_p2`` and kept.  Deterministic order: sorted by code.
 
     The last level built is memoised, so the ascending calls of
     enumerate_upto build each level once; no other level is kept.  The
@@ -469,9 +471,15 @@ def enumerate_nonsingular(p: int) -> tuple:
         return (_P2,)
     level = {}
     for t in enumerate_nonsingular(p - 1):
-        for v in range(t.tree.n):
-            cand = attach_p2(t, v)
-            level.setdefault(canonical_code(cand.tree), cand)
+        n = t.tree.n
+        adj = [*t.tree.adj, None, (n,)]
+        for v in range(n):
+            # attach_p2(t, v)'s neighbour lists: the pair n, n + 1 hangs at v
+            adj[v], adj[n] = t.tree.adj[v] + (n,), (v, n + 1)
+            code = _code(adj)
+            adj[v] = t.tree.adj[v]
+            if code not in level:
+                level[code] = attach_p2(t, v)
     return tuple(t for _, t in sorted(level.items()))
 
 

@@ -342,6 +342,41 @@ def test_eval_vector(p4_attach):
     assert tuple(eval_vector(tau_r, Fraction(1, 2))) == (0, 1)
 
 
+def test_eval_evaluates_each_distinct_entry_once(monkeypatch):
+    # equal entries built apart: a dict keyed by the entry, not by identity
+    poly, ratfun = (lambda: P((1, 2)), lambda: RatFun(P((0, 1)), P((2, 1))))
+    rows = [[poly(), ratfun(), poly()], [ratfun(), ZERO, poly()], [ZERO, poly(), ratfun()]]
+    m = Matrix(rows, KIND_R, KIND_L)
+    v = Vector(rows[0] + rows[1], KIND_L)
+    want_m = [[e.eval_at(3) for e in row] for row in rows]
+    want_v = [e.eval_at(3) for e in v]
+
+    evaluated, open_calls = [], []  # the entries eval_matrix itself evaluated
+
+    def counted(real):
+        def eval_at(self, x):
+            if not open_calls:  # not the num or den inside a RatFun's eval_at
+                evaluated.append(self)
+            open_calls.append(self)
+            try:
+                return real(self, x)
+            finally:
+                open_calls.pop()
+        return eval_at
+
+    monkeypatch.setattr(Poly, "eval_at", counted(Poly.eval_at))
+    monkeypatch.setattr(RatFun, "eval_at", counted(RatFun.eval_at))
+    assert [list(row) for row in eval_matrix(m, 3).entries] == want_m
+    assert evaluated == [poly(), ratfun(), ZERO]
+    evaluated.clear()
+    assert list(eval_vector(v, 3)) == want_v
+    assert evaluated == [poly(), ratfun(), ZERO]
+    # 1 / (1 - q) has its pole at 1; its first cell in row-major order is named
+    pole = lambda: RatFun(ONE, P((1, -1)))  # noqa: E731
+    with pytest.raises(PoleAtPoint, match=r"^entry \(0, 2\): "):
+        eval_matrix(Matrix([[poly(), ZERO, pole()], [pole(), poly(), pole()]], KIND_R, KIND_L), 1)
+
+
 # -- corona detection ------------------------------------------------------------------------------
 
 

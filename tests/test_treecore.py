@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import json
 import random
@@ -504,18 +505,57 @@ def test_enumerate_upto_is_every_level():
 
 
 def test_enumerate_upto_builds_each_level_once(monkeypatch):
-    # level k is grown once, by 2k attachments per tree: sum over k = 1..7 of
-    # 2k * |level k| with levels 1, 1, 2, 5, 15, 49, 180 is 3316
-    calls = []
+    # level k is grown once: each of its trees codes its 2k candidates, sum
+    # over k = 1..7 of 2k * |level k| with levels 1, 1, 2, 5, 15, 49, 180 is
+    # 3316; only the first candidate of each code is built, one per tree of
+    # levels 2..8: 1 + 2 + 5 + 15 + 49 + 180 + 701 = 953
+    coded, built = [], []
+    code, attach = treecore._code, attach_p2
 
-    def counted(mt, v):
-        calls.append(v)
-        return attach_p2(mt, v)
+    def counted_code(adj):
+        coded.append(len(adj))
+        return code(adj)
 
-    monkeypatch.setattr(treecore, "attach_p2", counted)
+    def counted_attach(mt, v):
+        built.append(v)
+        return attach(mt, v)
+
+    monkeypatch.setattr(treecore, "_code", counted_code)
+    monkeypatch.setattr(treecore, "attach_p2", counted_attach)
     # whichever level is memoised, the walk from level 1 up rebuilds each once
     assert len(list(enumerate_upto(16))) == 954
-    assert len(calls) == 3316
+    assert (len(coded), len(built)) == (3316, 953)
+
+
+def test_candidates_are_coded_on_their_neighbour_lists():
+    # reference: build every candidate, keep the first tree of each code
+    for p in range(1, 7):
+        level = {}
+        for t in enumerate_nonsingular(p):
+            n = t.tree.n
+            for v in range(n):
+                adj = [list(a) for a in t.tree.adj] + [[v, n + 1], [n]]
+                adj[v].append(n)
+                grown = attach_p2(t, v)
+                assert treecore._code(adj) == canonical_code(grown.tree)
+                level.setdefault(canonical_code(grown.tree), grown)
+        want = [t for _, t in sorted(level.items())]
+        assert [t.to_json() for t in enumerate_nonsingular(p + 1)] == [t.to_json() for t in want]
+
+
+@pytest.mark.parametrize("p", [7, 8])  # p <= 6: test_enumeration_counts
+def test_enumeration_codes_strictly_increase(p):
+    codes = [canonical_code(t.tree) for t in enumerate_nonsingular(p)]
+    assert all(a < b for a, b in zip(codes, codes[1:]))
+
+
+def test_p8_codes_are_frozen():
+    # sha256 of the 701 sorted codes joined by newlines, recorded from an
+    # earlier implementation of the coding: a change that renames a class shows
+    codes = sorted(canonical_code(t.tree) for t in enumerate_nonsingular(8))
+    assert len(codes) == 701
+    assert hashlib.sha256(b"\n".join(codes)).hexdigest() == (
+        "eb5740754bc21976ec5204c0d1808aeafa2e79959370873598294d8428775c75")
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7])
