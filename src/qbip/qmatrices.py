@@ -31,8 +31,11 @@ class TreeData:
 
     A field calls its module-level builder, looked up by name when first read.
     ``lap``, the tree's alternating-path table, is read for qL, tau, each mu
-    and each diff.  Functions that take a tree accept either kind and wrap it
-    with ``of``.  Lifetime: one suite run, one point evaluation or one CLI command.
+    and each diff.  It is ``laplacian`` of the tree's neighbour lists and
+    pairs; the trees that the attachment checks grow and split get only such
+    a table, from their own lists, and no TreeData.  Functions that take a
+    tree accept either kind and wrap it with ``of``.  Lifetime: one suite
+    run, one point evaluation or one CLI command.
     Nothing is kept on the MatchedTree, at module level or across trees:
     enumeration and conjecture hold every tree of a level at once, so such a
     cache would grow with the level.
@@ -49,7 +52,7 @@ class TreeData:
     # each body names its builder, so the name is looked up at the first read;
     # cached_property(build_qL) would bind it once and hide a replaced builder
     dist = cached_property(lambda self: treecore.distances(self.mt.tree))
-    lap = cached_property(lambda self: laplacian(self.mt))
+    lap = cached_property(lambda self: laplacian(self.mt.tree.adj, self.mt.pairs))
     qB = cached_property(lambda self: build_qB(self))
     E = cached_property(lambda self: build_E(self))
     qL = cached_property(lambda self: build_qL(self))
@@ -146,17 +149,28 @@ class Laplacian(NamedTuple):
         return max(d * max(self.deg_l) + 1, p + (d - 1) * (p + 1))
 
 
-def laplacian(mt: MatchedTree) -> Laplacian:
-    """The tree's Laplacian, from one alternating_reach walk per R-vertex."""
-    index_of, adj, rs = mt.index_of, mt.tree.adj, mt.r_vertices
+def laplacian(adj, pairs) -> Laplacian:
+    """The Laplacian of the matched tree with neighbour lists adj and pairs
+    (l_i, r_i) in order, from one alternating_reach walk per R-vertex.
+
+    Nothing is validated here.  A MatchedTree passes its ``tree.adj`` and
+    ``pairs``; the attachment checks pass the lists of the trees they derive
+    from one (``treecore.grown_lists``, ``treecore.sub_lists``), which are
+    trees with perfect matchings in a kept pair order because a splice or a
+    connected restriction of a validated tree is one.
+    """
+    partner, index = [0] * len(adj), [0] * len(adj)
+    for i, (l, r) in enumerate(pairs):
+        partner[l], partner[r] = r, l
+        index[l] = index[r] = i
     sign = []
-    for r in rs:
-        row = [0] * mt.p
-        for w, k in treecore.alternating_reach(mt, r).items():
-            row[index_of[w]] = 1 if k % 2 else -1
+    for _, r in pairs:
+        row = [0] * len(pairs)
+        for w, k in treecore.alternating_reach(adj, partner, r).items():
+            row[index[w]] = 1 if k % 2 else -1
         sign.append(row)
-    return Laplacian([len(adj[r]) for r in rs], [len(adj[l]) for l in mt.l_vertices],
-                     sign, [[index_of[l] for l in adj[r]] for r in rs])
+    return Laplacian([len(adj[r]) for _, r in pairs], [len(adj[l]) for l, _ in pairs],
+                     sign, [[index[l] for l in adj[r]] for _, r in pairs])
 
 
 def build_qL(mt: MatchedTree | TreeData) -> Matrix:

@@ -135,7 +135,7 @@ class MatchedTree:
     set of first components is the L side.
     """
 
-    __slots__ = ("tree", "pairs", "side_of", "index_of")
+    __slots__ = ("tree", "pairs", "side_of", "index_of", "partner")
 
     def __init__(self, tree: Tree, pairs):
         pairs = tuple((l, r) for l, r in pairs)
@@ -145,6 +145,7 @@ class MatchedTree:
             raise NotNonsingular("pair list does not cover the tree")
         side = {}
         index = {}
+        partner = [0] * tree.n
         for i, (l, r) in enumerate(pairs):
             # range guard first: adj[-1] would wrap and adj[n] would raise
             if not (0 <= min(l, r) and max(l, r) < tree.n and r in tree.adj[l]):
@@ -153,6 +154,8 @@ class MatchedTree:
             side[r] = "R"
             index[l] = i
             index[r] = i
+            partner[l] = r
+            partner[r] = l
         if len(side) != tree.n:
             raise NotNonsingular("pairs overlap or miss vertices")
         for u, v in tree.edges:
@@ -162,6 +165,7 @@ class MatchedTree:
         self.pairs = pairs
         self.side_of = side
         self.index_of = index
+        self.partner = tuple(partner)  # partner[v]: v's matched vertex
 
     @property
     def p(self) -> int:
@@ -180,10 +184,6 @@ class MatchedTree:
     @property
     def r_vertices(self):
         return tuple(r for _, r in self.pairs)
-
-    def partner(self, v: int) -> int:
-        l, r = self.pairs[self.index_of[v]]
-        return r if v == l else l
 
     def matching_edges(self):
         return tuple(sorted(tuple(sorted(p)) for p in self.pairs))
@@ -288,25 +288,27 @@ def distances(tree: Tree):
 # ---------------------------------------------------------------------------
 
 
-def alternating_reach(mt: MatchedTree, v: int) -> dict[int, int]:
+def alternating_reach(adj, partner, v: int) -> dict[int, int]:
     """Endpoints of all alternating paths starting at v.
 
+    The tree is given by its neighbour lists adj and its matching by
+    partner, partner[x] being x's matched vertex: a MatchedTree's
+    ``tree.adj`` and ``partner``, or the lists of a tree derived from one.
     Maps each reachable endpoint u to the number of matching edges on the
     alternating v-u path.  An alternating path from v must open with the
     matching edge at v, then each continuation is forced: one non-matching
     step followed by the new vertex's matching edge.  Single O(n) walk.
     """
-    reach = {}
-    first = mt.partner(v)
-    reach[first] = 1
+    first = partner[v]
+    reach = {first: 1}
     stack = [(first, 1)]
     while stack:
         x, k = stack.pop()
-        px = mt.partner(x)
-        for w in mt.tree.adj[x]:
+        px = partner[x]
+        for w in adj[x]:
             if w == px:
                 continue
-            y = mt.partner(w)
+            y = partner[w]
             if y not in reach:
                 reach[y] = k + 1
                 stack.append((y, k + 1))
@@ -318,7 +320,8 @@ def diff(mt: MatchedTree, v: int) -> int:
 
     The length-0 path does not count.
     """
-    return sum(1 if k % 2 == 0 else -1 for k in alternating_reach(mt, v).values())
+    reach = alternating_reach(mt.tree.adj, mt.partner, v)
+    return sum(1 if k % 2 == 0 else -1 for k in reach.values())
 
 
 # ---------------------------------------------------------------------------
@@ -327,16 +330,20 @@ def diff(mt: MatchedTree, v: int) -> int:
 
 
 def attach_p2(mt: MatchedTree, v: int) -> MatchedTree:
-    """Attach a new matched pair at v: add u, w with edges [v,u], [u,w].
+    """Attach a new matched pair at v: add u = n, w = n + 1 with edges [v,u], [u,w].
 
     The bridging vertex u lands on the side opposite v, the new leaf w on
     v's side, and the new pair takes the last index.
     """
     n = mt.tree.n
-    u, w = n, n + 1
-    tree = Tree(list(mt.tree.edges) + [(v, u), (u, w)])
-    new_pair = (w, u) if mt.side_of[v] == "L" else (u, w)
-    return MatchedTree(tree, list(mt.pairs) + [new_pair])
+    tree = Tree(list(mt.tree.edges) + [(v, n), (n, n + 1)])
+    return MatchedTree(tree, list(mt.pairs) + [attached_pair(mt, v)])
+
+
+def attached_pair(mt: MatchedTree, v: int) -> tuple:
+    """The pair that attach_p2(mt, v) appends, (l, r) of u = n and w = n + 1."""
+    n = mt.tree.n
+    return (n + 1, n) if mt.side_of[v] == "L" else (n, n + 1)
 
 
 def detach_p2(mt: MatchedTree) -> tuple:
@@ -350,12 +357,13 @@ def detach_p2(mt: MatchedTree) -> tuple:
     if mt.p < 2:
         raise ValueError("detach_p2 needs p >= 2")
     tree = mt.tree
+    partner = mt.partner
     w = next(
         v
         for v in range(tree.n)
-        if tree.degree(v) == 1 and tree.degree(mt.partner(v)) == 2
+        if tree.degree(v) == 1 and tree.degree(partner[v]) == 2
     )
-    u = mt.partner(w)
+    u = partner[w]
     site = next(x for x in tree.adj[u] if x != w)
     removed_index = mt.index_of[w]
     smaller, relabel = sub_matched_tree(mt, [i for i in range(mt.p) if i != removed_index])
@@ -366,20 +374,60 @@ def sub_matched_tree(mt: MatchedTree, pair_indices):
     """Induced MatchedTree on the given pairs, in the given order.
 
     The pairs must induce a connected subtree.  Returns the compacted
-    MatchedTree and the old-to-new vertex map.
+    MatchedTree, validated from ``_restriction``'s edges, and the old-to-new
+    vertex map.
     """
-    verts = set()
-    for i in pair_indices:
-        verts.update(mt.pairs[i])
-    keep = sorted(verts)
-    relabel = {old: new for new, old in enumerate(keep)}
+    edges, pairs, relabel = _restriction(mt, pair_indices)
+    return MatchedTree(Tree(edges), pairs), relabel
+
+
+def sub_lists(mt: MatchedTree, pair_indices) -> tuple:
+    """(adj, pairs): the neighbour lists and pairs of sub_matched_tree(mt,
+    pair_indices), from the same ``_restriction``, without building it.
+
+    When the pairs induce a connected subtree the lists are that tree's and
+    need no check: a connected induced subgraph of a tree is a tree, and the
+    given pairs are a perfect matching of it.  The restricted edges come
+    sorted, so each list is ascending, as the Tree's own.
+    """
+    edges, pairs, _ = _restriction(mt, pair_indices)
+    adj = [[] for _ in range(2 * len(pairs))]
+    for u, v in edges:
+        adj[u].append(v)
+        adj[v].append(u)
+    return adj, pairs
+
+
+def _restriction(mt: MatchedTree, pair_indices) -> tuple:
+    """(edges, pairs, relabel) of mt restricted to the given pairs: their
+    vertices compacted to 0.. in id order by relabel, the edges between them
+    in mt's (sorted) order, and the pairs in the given order."""
+    verts = {v for i in pair_indices for v in mt.pairs[i]}
+    relabel = {old: new for new, old in enumerate(sorted(verts))}
     edges = [
         (relabel[a], relabel[b])
         for a, b in mt.tree.edges
         if a in verts and b in verts
     ]
     pairs = [(relabel[mt.pairs[i][0]], relabel[mt.pairs[i][1]]) for i in pair_indices]
-    return MatchedTree(Tree(edges), pairs), relabel
+    return edges, pairs, relabel
+
+
+def grown_lists(adj):
+    """For each vertex v, (v, the neighbour lists of attach_p2 at v): the
+    pendant pair n, n + 1 spliced in at v, with n = len(adj).
+
+    The lists are attach_p2's tree's own (each stays ascending, as n and
+    n + 1 exceed every old id), and a tree with a pendant path hung at one
+    vertex is a tree, so they need no check.  One list is changed in place
+    and yielded for every v: read it before the next step.
+    """
+    n = len(adj)
+    lists = [*adj, None, (n,)]
+    for v in range(n):
+        lists[v], lists[n] = adj[v] + (n,), (v, n + 1)
+        yield v, lists
+        lists[v] = adj[v]
 
 
 # ---------------------------------------------------------------------------
@@ -471,13 +519,8 @@ def enumerate_nonsingular(p: int) -> tuple:
         return (_P2,)
     level = {}
     for t in enumerate_nonsingular(p - 1):
-        n = t.tree.n
-        adj = [*t.tree.adj, None, (n,)]
-        for v in range(n):
-            # attach_p2(t, v)'s neighbour lists: the pair n, n + 1 hangs at v
-            adj[v], adj[n] = t.tree.adj[v] + (n,), (v, n + 1)
+        for v, adj in grown_lists(t.tree.adj):
             code = _code(adj)
-            adj[v] = t.tree.adj[v]
             if code not in level:
                 level[code] = attach_p2(t, v)
     return tuple(t for _, t in sorted(level.items()))

@@ -14,10 +14,12 @@ The five product identities are stated once each, in ``IDENTITIES``, with
 denominators cleared; one engine packs their matrix sides into one integer
 per row (see the comment there), and the random large-tree suite runs it at
 the user's rational points.  The two attachment checks share
-``_join_point``: the trees they grow and split have qL only as integers at
-B, from their own reach walks; ``check_full_dq_ed`` proves its determinants
-by a certificate at such a point.  The other checks compare Z[q], Q or Z
-values directly.  Nothing is ever approximate.
+``_join_point``: the trees they grow and split are neighbour lists and pair
+lists spliced or restricted from the validated tree's, never rebuilt as
+Tree objects, and have qL only as integers at B, from their own reach walks;
+``check_full_dq_ed`` proves its determinants by a certificate at such a
+point.  The other checks compare Z[q], Q or Z values directly.  Nothing is
+ever approximate.
 """
 
 from __future__ import annotations
@@ -609,7 +611,10 @@ def predicted_block_qL(mt: MatchedTree, k1: int):
     v of pair k1 (degree >= 2), each with its own ``qmatrices.laplacian``.
 
     Cutting v from its neighbours but its partner leaves the home component,
-    which holds pair k1, and one branch per cut neighbour w.  Returns
+    which holds pair k1, and one branch per cut neighbour w.  Each piece is
+    mt's lists restricted to its pairs (``treecore.sub_lists``), pairs in mt's
+    order: a connected piece of a tree is a tree, and the cut edges are off
+    the matching, so it needs no validation.  Returns
     (predicted, home, bound): home lists the home component's pair indices,
     ascending; predicted(value) is (qL's rows, mu1) read through value in mt's
     pair order, mu1 being v's signed degree vector in the home subtree (zero
@@ -628,7 +633,7 @@ def predicted_block_qL(mt: MatchedTree, k1: int):
     ats = [[] for _ in joins]
     for k in range(mt.p):
         ats[piece[mt.l_vertex(k)]].append(k)
-    pieces = [(qmatrices.laplacian(treecore.sub_matched_tree(mt, at)[0]), mt.side_of[join],
+    pieces = [(qmatrices.laplacian(*treecore.sub_lists(mt, at)), mt.side_of[join],
                at.index(mt.index_of[join]), at) for join, at in zip(joins, ats)]
 
     def predicted(value):
@@ -656,20 +661,28 @@ def _join_point(td: TreeData) -> tuple:
     """(grown, splits, reading, B): the Laplacian of the tree grown at each
     vertex, predicted_block_qL at each split pair, and the tree read at B.
 
+    The tree grown at v is attach_p2(mt, v) as lists alone: the pendant pair
+    spliced into mt's neighbour lists (``treecore.grown_lists``) and its pair
+    appended last.  A validated tree with a pendant path hung at one vertex
+    is a tree, and its pairs a perfect matching in attach_p2's order, so no
+    Tree or MatchedTree is built or checked.
+
     B = 2^k > 2(C_got + C_want).  C_got bounds the coefficient 1-norm of every
     entry read off a tree: the grown trees' by ``Laplacian.norm``, this one's
     as read.  C_want bounds every prediction's: each join's by
     ``_joined_bound``, each tau_r update's read as norms.
     """
-    grown = [qmatrices.laplacian(treecore.attach_p2(td.mt, v)) for v in range(td.mt.tree.n)]
-    splits = {k1: predicted_block_qL(td.mt, k1) for k1 in block_split_vertices(td.mt)}
+    mt = td.mt
+    grown = [qmatrices.laplacian(adj, (*mt.pairs, treecore.attached_pair(mt, v)))
+             for v, adj in treecore.grown_lists(mt.tree.adj)]
+    splits = {k1: predicted_block_qL(mt, k1) for k1 in block_split_vertices(mt)}
     norms = _read(td, _norm)
     qL, mu = max(map(max, norms.qL)), max(map(max, norms.mu))
     got = max(qL, mu, *(lap.norm() for lap in grown))
     # an attachment joins the tree to a lone pair, with qL [1 - q^2] and mu
     # (1); a join of two pieces has the same largest entry in either order
     want = max(_joined_bound([(qL, mu), (2, 1)]),
-               *(max(predicted_attach_tau_r(norms, v)) for v in range(td.mt.tree.n)),
+               *(max(predicted_attach_tau_r(norms, v)) for v in range(mt.tree.n)),
                *(bound for _, _, bound in splits.values()))
     base = 1 << (2 * (got + want)).bit_length()
     # coefficients (ascending) read as their value at base, each tuple once

@@ -115,7 +115,7 @@ def test_laplacian_data_matches_the_path_walk_oracle():
     # and tau_r read at two points are build_qL's and the oracle's values
     for p in range(1, 7):
         for mt in treecore.enumerate_nonsingular(p):
-            lap, td = laplacian(mt), TreeData(mt)
+            lap, td = laplacian(mt.tree.adj, mt.pairs), TreeData(mt)
             assert lap.deg_r == [mt.tree.degree(r) for r in mt.r_vertices]
             assert lap.deg_l == [mt.tree.degree(l) for l in mt.l_vertices]
             for i, r in enumerate(mt.r_vertices):
@@ -139,7 +139,7 @@ def test_laplacian_data_matches_the_path_walk_oracle():
 
 def test_laplacian_norm_bounds_every_entry():
     for mt in treecore.enumerate_nonsingular(5):
-        lap = laplacian(mt)
+        lap = laplacian(mt.tree.adj, mt.pairs)
         norms = [sum(map(abs, e.coeffs)) for row in build_qL(mt).entries for e in row]
         norms += [sum(map(abs, e.coeffs)) for e in qtau(mt)[1]]
         assert max(norms) <= lap.norm()
@@ -199,7 +199,7 @@ def test_mu_at_one_is_signed_degrees():
                 opposite = (
                     mt.r_vertices if mt.side_of[v] == "L" else mt.l_vertices
                 )
-                reach = treecore.alternating_reach(mt, v)
+                reach = treecore.alternating_reach(mt.tree.adj, mt.partner, v)
                 for w, e in zip(opposite, mu):
                     d = mt.tree.degree(w)
                     want = (

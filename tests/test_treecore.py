@@ -240,7 +240,7 @@ def test_classification_total_and_exclusive():
         for mt in enumerate_nonsingular(p):
             d = distances(mt.tree)
             for v in range(mt.tree.n):
-                reach = treecore.alternating_reach(mt, v)
+                reach = treecore.alternating_reach(mt.tree.adj, mt.partner, v)
                 for u in range(mt.tree.n):
                     if u == v or mt.side_of[u] == mt.side_of[v]:
                         continue
@@ -287,8 +287,8 @@ def test_diff_of_leaf_counts_its_matching_edge():
         for mt in enumerate_nonsingular(p):
             for v in range(mt.tree.n):
                 if mt.tree.degree(v) == 1:
-                    reach = treecore.alternating_reach(mt, v)
-                    assert reach[mt.partner(v)] == 1  # odd, so A- is nonempty
+                    reach = treecore.alternating_reach(mt.tree.adj, mt.partner, v)
+                    assert reach[mt.partner[v]] == 1  # odd, so A- is nonempty
 
 
 # -- attach / detach -----------------------------------------------------------------

@@ -1,10 +1,13 @@
 import concurrent.futures
 import json
+import random
 from collections import Counter
 from fractions import Fraction
 from math import prod
 
+import networkx as nx
 import pytest
+from oracles import permute_pairs, relabel_vertices
 
 from qbip import exactla, polyalg, qmatrices, treecore, verify
 from qbip.exactla import KIND_L, KIND_R, Matrix
@@ -163,11 +166,18 @@ def test_run_suite_builds_each_quantity_once(monkeypatch):
     ))
     made = _count_calls(monkeypatch, treecore, (
         "attach_p2", "sub_matched_tree", "detach_p2", "diff", "alternating_reach"))
+    trees = _count_calls(monkeypatch, treecore.Tree, ("__init__",))
+    matched = _count_calls(monkeypatch, treecore.MatchedTree, ("__init__",))
     assert run_suite(mt).passed
-    # each detach_p2 (bd_q's recursion) cuts one sub_matched_tree but builds nothing
-    grown, split = made["attach_p2"], made["sub_matched_tree"] - made["detach_p2"]
-    assert made["detach_p2"] == mt.p - 1
-    assert grown == mt.tree.n and split > 0
+    # the grown and split trees are neighbour lists, not objects: the only
+    # trees built are bd_q's recursion's, one sub_matched_tree per detach_p2
+    assert made["attach_p2"] == 0
+    assert made["detach_p2"] == made["sub_matched_tree"] == mt.p - 1
+    assert trees["__init__"] == matched["__init__"] == mt.p - 1
+    splits = verify.block_split_vertices(mt)
+    # a split at l cuts it from each neighbour but its partner: deg(l) pieces
+    grown, split = mt.tree.n, sum(mt.tree.degree(mt.l_vertex(k)) for k in splits)
+    assert split > 0
     assert built["bdq_det"] == built["build_qB"] == built["build_E"] == 1
     # the tree's Poly qL once; every grown and split tree's qL data from its
     # own walks, once, with the grown tree's tau_r from the same walks
@@ -181,9 +191,8 @@ def test_run_suite_builds_each_quantity_once(monkeypatch):
     assert made["diff"] == made["detach_p2"]
     # one walk per R-vertex of the tree, of each grown tree and, as the split
     # pieces of one pair share out the p pairs, of each split's pieces
-    splits = len(verify.block_split_vertices(mt))
     assert made["alternating_reach"] == (
-        mt.p + grown * (mt.p + 1) + splits * mt.p + made["diff"])
+        mt.p + grown * (mt.p + 1) + len(splits) * mt.p + made["diff"])
 
 
 def test_full_dq_ed_reads_one_distance_table(monkeypatch):
@@ -389,6 +398,49 @@ def test_attach_tau_r_update_needs_q2_on_existing_entry(p4_path):
     assert tuple(naive) != tuple(tau_r)
 
 
+# -- the attachment checks' derived trees ----------------------------------------------
+
+
+def _split_pieces(mt, k1) -> list:
+    """The pair indices, ascending, of each component left when l_k1 is cut
+    from its neighbours but its partner."""
+    l, r = mt.pairs[k1]
+    g = nx.Graph(mt.tree.edges)
+    g.remove_edges_from((l, w) for w in mt.tree.adj[l] if w != r)
+    return [sorted(mt.index_of[v] for v in c if mt.side_of[v] == "L")
+            for c in nx.connected_components(g)]
+
+
+def test_join_point_lists_are_the_derived_objects(monkeypatch):
+    # every tree with 2p <= 12, as enumerated and with its vertex ids and pair
+    # order shuffled: _join_point hands laplacian the lists of attach_p2 at
+    # each vertex in turn, then those of sub_matched_tree on each split piece,
+    # and each gives the object's Laplacian
+    rng = random.Random(21)
+    laplacian, fed = qmatrices.laplacian, []
+    monkeypatch.setattr(qmatrices, "laplacian", lambda adj, pairs: fed.append(
+        (tuple(map(tuple, adj)), tuple(pairs))) or laplacian(adj, pairs))
+    for listed in treecore.enumerate_upto(12):
+        shuffled = permute_pairs(relabel_vertices(listed, rng.sample(range(listed.tree.n),
+                                                                     listed.tree.n)),
+                                 rng.sample(range(listed.p), listed.p))
+        for mt in (listed, shuffled):
+            td = qmatrices.TreeData(mt)
+            td.lap  # the tree's own, not a derived one
+            fed.clear()
+            verify._join_point(td)
+            grown = [treecore.attach_p2(mt, v) for v in range(mt.tree.n)]
+            pieces = [treecore.sub_matched_tree(mt, at)[0]
+                      for k1 in verify.block_split_vertices(mt) for at in _split_pieces(mt, k1)]
+            n = len(grown)
+            assert len(fed) == n + len(pieces)
+            assert fed[:n] == [(t.tree.adj, t.pairs) for t in grown]
+            pieces.sort(key=lambda t: (t.tree.adj, t.pairs))
+            assert sorted(fed[n:]) == [(t.tree.adj, t.pairs) for t in pieces]
+            for (adj, pairs), t in zip(fed[:n] + sorted(fed[n:]), grown + pieces):
+                assert laplacian(adj, pairs) == qmatrices.TreeData(t).lap
+
+
 # -- the attachment checks' witnesses -------------------------------------------------
 
 
@@ -449,8 +501,8 @@ def _vanishing_at(b: int) -> Poly:
 
 
 def _bump_laplacians(monkeypatch, delta, entry, when):
-    """Add delta to entry (i, j) of the qL data of each tree `when` accepts,
-    in every reading of it."""
+    """Add delta to entry (i, j) of the qL data of each tree whose pair list
+    `when` accepts, in every reading of it."""
     laplacian = qmatrices.laplacian
 
     class Bumped(qmatrices.Laplacian):
@@ -462,8 +514,8 @@ def _bump_laplacians(monkeypatch, delta, entry, when):
             rows[i][j] = rows[i][j] + value(delta.coeffs)
             return rows
 
-    monkeypatch.setattr(qmatrices, "laplacian",
-                        lambda mt: Bumped(*laplacian(mt)) if when(mt) else laplacian(mt))
+    monkeypatch.setattr(qmatrices, "laplacian", lambda adj, pairs: (
+        Bumped(*laplacian(adj, pairs)) if when(pairs) else laplacian(adj, pairs)))
 
 
 def _residual(res) -> Poly:
@@ -480,7 +532,7 @@ def test_block_bound_is_read_from_the_split_pieces(monkeypatch):
     b0 = _join_base(mt)
     delta = _vanishing_at(b0)
     assert delta.eval_at(b0) == 0 and max(map(abs, delta.coeffs)) > 2**150
-    _bump_laplacians(monkeypatch, delta, (0, 0), lambda t: t.p < mt.p)
+    _bump_laplacians(monkeypatch, delta, (0, 0), lambda pairs: len(pairs) < mt.p)
     res = verify.check_block_decomposition(mt)
     assert not res.passed and _join_base(mt) > b0
     assert res.witness["entry"] == [0, 0] and res.witness["split_pair"] == 0
