@@ -233,13 +233,19 @@ def bdq_recursive(mt: MatchedTree) -> Poly:
     """Distance index by peeling pendant pairs.
 
     Each detachment site v in the smaller tree contributes
-    (1+q)(1 + diff(v)); the base pair contributes 1.
+    (1+q)(1 + diff(v)); the base pair contributes 1.  The peel runs on
+    neighbour lists and pairs, from the tree's own through each
+    ``treecore.detach_p2``, and builds no Tree: each peeled tree is one, and
+    its pairs a perfect matching, by construction.
     """
     total = ONE
-    cur = mt
-    while cur.p > 1:
-        cur, site, _ = treecore.detach_p2(cur)
-        total = total + ONE_PLUS_Q * (1 + treecore.diff(cur, site))
+    adj, pairs = mt.tree.adj, mt.pairs
+    while len(pairs) > 1:
+        adj, pairs, site, _ = treecore.detach_p2(adj, pairs)
+        partner = [0] * len(adj)
+        for l, r in pairs:
+            partner[l], partner[r] = r, l
+        total = total + ONE_PLUS_Q * (1 + treecore.diff(adj, partner, site))
     return total
 
 

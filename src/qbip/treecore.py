@@ -315,12 +315,13 @@ def alternating_reach(adj, partner, v: int) -> dict[int, int]:
     return reach
 
 
-def diff(mt: MatchedTree, v: int) -> int:
+def diff(adj, partner, v: int) -> int:
     """Even-minus-odd count of alternating paths starting at v.
 
-    The length-0 path does not count.
+    The tree is given as to alternating_reach: neighbour lists adj and
+    partner[x], x's matched vertex.  The length-0 path does not count.
     """
-    reach = alternating_reach(mt.tree.adj, mt.partner, v)
+    reach = alternating_reach(adj, partner, v)
     return sum(1 if k % 2 == 0 else -1 for k in reach.values())
 
 
@@ -346,71 +347,61 @@ def attached_pair(mt: MatchedTree, v: int) -> tuple:
     return (n + 1, n) if mt.side_of[v] == "L" else (n, n + 1)
 
 
-def detach_p2(mt: MatchedTree) -> tuple:
+def detach_p2(adj, pairs) -> tuple:
     """Remove a pendant matched pair; inverse of attach_p2 up to relabeling.
 
-    Picks the smallest-id leaf whose matching partner has degree 2 (one
-    always exists for p >= 2: take an endpoint of a longest path).  Returns
-    the compacted smaller tree, the attachment site in its new ids, and the
-    index of the removed pair.
+    Takes a matched tree's neighbour lists and pairs in order: a
+    MatchedTree's ``tree.adj`` and ``pairs``, or what detach_p2 returned.
+    Picks the smallest-id leaf w whose neighbour u, necessarily its
+    partner, has degree 2 (one always exists for p >= 2: take an endpoint
+    of a longest path).  Returns (adj, pairs, site, removed_index): the
+    smaller tree's lists and pairs, the attachment site, u's other
+    neighbour, in its new ids, and the index of the removed pair.
+
+    The other ids close up by the monotone shift x - (x > lo) - (x > hi),
+    {lo, hi} = {w, u}, so each list stays ascending and the kept pairs keep
+    their order: the lists and pairs are those of the validated compaction
+    in id order.  They need no check, as a tree with a pendant matched pair
+    removed is a tree, and the other pairs are a perfect matching of it.
     """
-    if mt.p < 2:
+    if len(pairs) < 2:
         raise ValueError("detach_p2 needs p >= 2")
-    tree = mt.tree
-    partner = mt.partner
-    w = next(
-        v
-        for v in range(tree.n)
-        if tree.degree(v) == 1 and tree.degree(partner[v]) == 2
-    )
-    u = partner[w]
-    site = next(x for x in tree.adj[u] if x != w)
-    removed_index = mt.index_of[w]
-    smaller, relabel = sub_matched_tree(mt, [i for i in range(mt.p) if i != removed_index])
-    return smaller, relabel[site], removed_index
-
-
-def sub_matched_tree(mt: MatchedTree, pair_indices):
-    """Induced MatchedTree on the given pairs, in the given order.
-
-    The pairs must induce a connected subtree.  Returns the compacted
-    MatchedTree, validated from ``_restriction``'s edges, and the old-to-new
-    vertex map.
-    """
-    edges, pairs, relabel = _restriction(mt, pair_indices)
-    return MatchedTree(Tree(edges), pairs), relabel
+    n = len(adj)
+    w = next(v for v in range(n) if len(adj[v]) == 1 and len(adj[adj[v][0]]) == 2)
+    u = adj[w][0]
+    a, b = adj[u]
+    site = b if a == w else a
+    lo, hi = (w, u) if w < u else (u, w)
+    shift = [*range(lo), None, *range(lo, hi - 1), None, *range(hi - 1, n - 2)]  # new ids
+    # a list whose largest id is below lo is kept as it is
+    rows = [row if row[-1] < lo else tuple(map(shift.__getitem__, row)) for row in adj]
+    rows[site] = tuple(shift[x] for x in adj[site] if x != u)
+    del rows[hi], rows[lo]
+    removed_index = next(i for i, pair in enumerate(pairs) if w in pair)
+    kept = [(shift[l], shift[r]) for l, r in pairs]
+    del kept[removed_index]
+    return rows, kept, shift[site], removed_index
 
 
 def sub_lists(mt: MatchedTree, pair_indices) -> tuple:
-    """(adj, pairs): the neighbour lists and pairs of sub_matched_tree(mt,
-    pair_indices), from the same ``_restriction``, without building it.
+    """(adj, pairs): the neighbour lists and pairs of mt restricted to the
+    given pairs, their vertices compacted to 0.. in id order and the pairs
+    in the given order.
 
     When the pairs induce a connected subtree the lists are that tree's and
     need no check: a connected induced subgraph of a tree is a tree, and the
-    given pairs are a perfect matching of it.  The restricted edges come
-    sorted, so each list is ascending, as the Tree's own.
+    given pairs are a perfect matching of it.  The restricted edges are
+    taken in mt's sorted order, so each list is ascending, as a Tree's own.
     """
-    edges, pairs, _ = _restriction(mt, pair_indices)
-    adj = [[] for _ in range(2 * len(pairs))]
-    for u, v in edges:
-        adj[u].append(v)
-        adj[v].append(u)
-    return adj, pairs
-
-
-def _restriction(mt: MatchedTree, pair_indices) -> tuple:
-    """(edges, pairs, relabel) of mt restricted to the given pairs: their
-    vertices compacted to 0.. in id order by relabel, the edges between them
-    in mt's (sorted) order, and the pairs in the given order."""
     verts = {v for i in pair_indices for v in mt.pairs[i]}
     relabel = {old: new for new, old in enumerate(sorted(verts))}
-    edges = [
-        (relabel[a], relabel[b])
-        for a, b in mt.tree.edges
-        if a in verts and b in verts
-    ]
-    pairs = [(relabel[mt.pairs[i][0]], relabel[mt.pairs[i][1]]) for i in pair_indices]
-    return edges, pairs, relabel
+    adj = [[] for _ in verts]
+    for a, b in mt.tree.edges:
+        if a in verts and b in verts:
+            u, v = relabel[a], relabel[b]
+            adj[u].append(v)
+            adj[v].append(u)
+    return adj, [(relabel[mt.pairs[i][0]], relabel[mt.pairs[i][1]]) for i in pair_indices]
 
 
 def grown_lists(adj):

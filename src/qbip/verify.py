@@ -18,7 +18,8 @@ the user's rational points.  The two attachment checks share
 lists spliced or restricted from the validated tree's, never rebuilt as
 Tree objects, and have qL only as integers at B, from their own reach walks;
 ``check_full_dq_ed`` proves its determinants by a certificate at such a
-point.  The other checks compare Z[q], Q or Z values directly.  Nothing is
+point.  bd_q's recursion peels lists as well, so a suite builds no Tree.
+The other checks compare Z[q], Q or Z values directly.  Nothing is
 ever approximate.
 """
 

@@ -10,8 +10,10 @@ over the rational-function field, one RatFun operation at a time (the
 package eliminates over Z at one Kronecker point instead), and alternating
 paths are classified by walking each u-v path edge by edge, and mu, tau
 and diff at a vertex are read off those classifications (the package reads
-every endpoint off one walk per R-vertex).  The relabeling helpers build
-their trees through the package's validating constructors.
+every endpoint off one walk per R-vertex).  The relabeling helpers, the
+restriction to a set of pairs and the peel of one pendant pair build their
+trees through the package's validating constructors; the package restricts
+and peels neighbour lists without building any.
 """
 
 import heapq
@@ -278,3 +280,34 @@ def relabel_vertices(mt: MatchedTree, mapping) -> MatchedTree:
     """Apply a vertex-id permutation, keeping pair order and sides."""
     tree = Tree([(mapping[a], mapping[b]) for a, b in mt.tree.edges])
     return MatchedTree(tree, [(mapping[l], mapping[r]) for l, r in mt.pairs])
+
+
+def sub_matched_tree(mt: MatchedTree, pair_indices):
+    """Induced MatchedTree on the given pairs, in the given order, and the
+    old-to-new vertex map, which compacts their vertices to 0.. in id order.
+
+    The pairs must induce a connected subtree; the constructors check it.
+    The reference for ``treecore.sub_lists`` and, through ``peel``, for
+    ``treecore.detach_p2``.
+    """
+    verts = sorted({v for i in pair_indices for v in mt.pairs[i]})
+    relabel = {old: new for new, old in enumerate(verts)}
+    tree = Tree([(relabel[a], relabel[b]) for a, b in mt.tree.edges
+                 if a in relabel and b in relabel])
+    pairs = [(relabel[l], relabel[r]) for l, r in (mt.pairs[i] for i in pair_indices)]
+    return MatchedTree(tree, pairs), relabel
+
+
+def peel(mt: MatchedTree):
+    """(smaller, site, removed index): ``treecore.detach_p2``'s rule on the
+    objects.  The smallest-id leaf whose partner has degree 2 is removed with
+    its partner by ``sub_matched_tree``; site is the partner's other
+    neighbour, in the smaller tree's ids."""
+    tree, partner = mt.tree, mt.partner
+    w = next(v for v in range(tree.n)
+             if tree.degree(v) == 1 and tree.degree(partner[v]) == 2)
+    u = partner[w]
+    site = next(x for x in tree.adj[u] if x != w)
+    removed = mt.index_of[w]
+    smaller, relabel = sub_matched_tree(mt, [i for i in range(mt.p) if i != removed])
+    return smaller, relabel[site], removed

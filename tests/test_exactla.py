@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import product
 from operator import mul
 
 import pytest
@@ -605,6 +606,10 @@ def test_pack_rows_reads_back_at_the_digit_limits(width):
     lo, hi = -base // 2, base // 2 - 1
     rng = random.Random(width)
     rows = [[lo, hi, 0], [hi, lo, -1], [rng.randrange(lo, hi + 1) for _ in range(3)]]
+    # repeated entries, as in every matrix packed: one value, and every row of
+    # three values that include both limits
+    rows.append([hi] * 3)
+    rows += [list(row) for row in product((lo, 0, hi), repeat=3)]
     packed = exactla.pack_rows(rows, width)
     assert packed == [sum(x * base**j for j, x in enumerate(row)) for row in rows]
     # digits within [-C, C], 4C < B, read back as balanced digits

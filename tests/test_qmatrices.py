@@ -229,7 +229,7 @@ def test_tau_at_one_matches_plain_formula():
             tau_l, tau_r = qtau(mt)
             for v in range(mt.tree.n):
                 d = mt.tree.degree(v)
-                f = treecore.diff(mt, v)
+                f = treecore.diff(mt.tree.adj, mt.partner, v)
                 tau = tau_l if mt.side_of[v] == "L" else tau_r
                 assert tau[mt.index_of[v]].eval_at(1) == 1 - d * (1 + f)
 

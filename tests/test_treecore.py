@@ -14,8 +14,10 @@ from oracles import (
     count_nonsingular_prufer,
     is_tree,
     min_rooting_code,
+    peel,
     permute_pairs,
     relabel_vertices,
+    sub_matched_tree,
 )
 from qbip import treecore
 from qbip.treecore import (
@@ -265,20 +267,24 @@ def test_classification_total_and_exclusive():
 # -- diff ---------------------------------------------------------------------------
 
 
+def _diff(mt, v):
+    return diff(mt.tree.adj, mt.partner, v)
+
+
 def test_diff_p2(p2):
-    assert diff(p2, p2.l_vertex(0)) == -1
-    assert diff(p2, p2.r_vertex(0)) == -1
+    assert _diff(p2, p2.l_vertex(0)) == -1
+    assert _diff(p2, p2.r_vertex(0)) == -1
 
 
 def test_diff_p4_attach(p4_attach):
-    assert diff(p4_attach, p4_attach.l_vertex(0)) == -1
-    assert diff(p4_attach, p4_attach.r_vertex(0)) == 0
-    assert diff(p4_attach, p4_attach.l_vertex(1)) == 0
-    assert diff(p4_attach, p4_attach.r_vertex(1)) == -1
+    assert _diff(p4_attach, p4_attach.l_vertex(0)) == -1
+    assert _diff(p4_attach, p4_attach.r_vertex(0)) == 0
+    assert _diff(p4_attach, p4_attach.l_vertex(1)) == 0
+    assert _diff(p4_attach, p4_attach.r_vertex(1)) == -1
 
 
 def test_diff_p4_path_multiset(p4_path):
-    values = sorted(diff(p4_path, v) for v in range(4))
+    values = sorted(_diff(p4_path, v) for v in range(4))
     assert values == [-1, -1, 0, 0]
 
 
@@ -322,35 +328,64 @@ def test_attach_preserves_standard_labeling():
         assert mt == standard_labeling(mt.tree)
 
 
+def _detach(mt):
+    return detach_p2(mt.tree.adj, mt.pairs)
+
+
+def _matched(adj, pairs):
+    """The validated MatchedTree of neighbour lists and pairs."""
+    return MatchedTree(Tree([(u, v) for u, row in enumerate(adj) for v in row if u < v]),
+                       pairs)
+
+
 def test_detach_p4(p4_attach):
-    smaller, site, removed = detach_p2(p4_attach)
-    assert smaller.p == 1
+    adj, pairs, site, removed = _detach(p4_attach)
+    assert len(adj) == 2 and len(pairs) == 1
     assert removed == 0  # smallest eligible leaf is vertex 1, i.e. pair 0
     assert site in (0, 1)
 
 
 def test_detach_p6(p6_attach):
-    smaller, site, _ = detach_p2(p6_attach)
-    assert smaller.p == 2
-    assert smaller.tree.degree(site) in (1, 2)
+    adj, pairs, site, _ = _detach(p6_attach)
+    assert len(pairs) == 2
+    assert len(adj[site]) in (1, 2)
 
 
 def test_detach_then_attach_round_trip():
     # detach reports its site, so regrowing there recovers the tree shape
     for p in range(2, 6):
         for mt in enumerate_nonsingular(p):
-            smaller, site, _ = detach_p2(mt)
-            regrown = attach_p2(smaller, site)
+            adj, pairs, site, _ = _detach(mt)
+            regrown = attach_p2(_matched(adj, pairs), site)
             assert canonical_code(regrown.tree) == canonical_code(mt.tree)
     mt = random_nonsingular(40, 3)
-    smaller, site, _ = detach_p2(mt)
-    regrown = attach_p2(smaller, site)
+    adj, pairs, site, _ = _detach(mt)
+    regrown = attach_p2(_matched(adj, pairs), site)
     assert canonical_code(regrown.tree) == canonical_code(mt.tree)
 
 
 def test_detach_requires_p_at_least_two(p2):
     with pytest.raises(ValueError):
-        detach_p2(p2)
+        _detach(p2)
+
+
+def test_list_peel_steps_as_the_object_peel():
+    # every tree with 2p <= 12, as enumerated and with its vertex ids and pair
+    # order shuffled, and random trees at p = 60, peeled down to one pair: at
+    # each step detach_p2's lists, pairs, site and removed index are the
+    # validated smaller tree's, its site and index, as the oracle peels it
+    rng = random.Random(22)
+    trees = [random_nonsingular(60, seed) for seed in (1, 2, 3)]
+    for mt in enumerate_upto(12):
+        trees += [mt, permute_pairs(relabel_vertices(mt, rng.sample(range(mt.tree.n), mt.tree.n)),
+                                    rng.sample(range(mt.p), mt.p))]
+    for mt in trees:
+        adj, pairs, obj = mt.tree.adj, mt.pairs, mt
+        while obj.p > 1:
+            adj, pairs, site, removed = detach_p2(adj, pairs)
+            obj, obj_site, obj_removed = peel(obj)
+            assert (tuple(map(tuple, adj)), tuple(pairs), site, removed) == (
+                obj.tree.adj, obj.pairs, obj_site, obj_removed)
 
 
 # -- enumeration ----------------------------------------------------------------------
@@ -468,11 +503,14 @@ def test_permute_pairs_keeps_structure(p4_attach):
 
 
 def test_sub_matched_tree(p6_attach):
-    sub, mapping = treecore.sub_matched_tree(p6_attach, [1, 2])
+    sub, mapping = sub_matched_tree(p6_attach, [1, 2])
     assert sub.p == 2
     assert set(mapping) == set(
         p6_attach.pairs[1] + p6_attach.pairs[2]
     )
+    # sub_lists gives the same tree's lists and pairs without building it
+    adj, pairs = treecore.sub_lists(p6_attach, [1, 2])
+    assert (tuple(map(tuple, adj)), tuple(pairs)) == (sub.tree.adj, sub.pairs)
 
 
 # -- JSON ---------------------------------------------------------------------------------------

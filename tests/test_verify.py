@@ -7,7 +7,7 @@ from math import prod
 
 import networkx as nx
 import pytest
-from oracles import permute_pairs, relabel_vertices
+from oracles import permute_pairs, relabel_vertices, sub_matched_tree
 
 from qbip import exactla, polyalg, qmatrices, treecore, verify
 from qbip.exactla import KIND_L, KIND_R, Matrix
@@ -165,19 +165,20 @@ def test_run_suite_builds_each_quantity_once(monkeypatch):
         "qsigned_degree_vector",
     ))
     made = _count_calls(monkeypatch, treecore, (
-        "attach_p2", "sub_matched_tree", "detach_p2", "diff", "alternating_reach"))
+        "attach_p2", "sub_lists", "detach_p2", "diff", "alternating_reach"))
     trees = _count_calls(monkeypatch, treecore.Tree, ("__init__",))
     matched = _count_calls(monkeypatch, treecore.MatchedTree, ("__init__",))
     assert run_suite(mt).passed
-    # the grown and split trees are neighbour lists, not objects: the only
-    # trees built are bd_q's recursion's, one sub_matched_tree per detach_p2
+    # the grown and split trees and bd_q's peeled ones are neighbour lists,
+    # not objects: the suite builds no tree, and peels p - 1 times
     assert made["attach_p2"] == 0
-    assert made["detach_p2"] == made["sub_matched_tree"] == mt.p - 1
-    assert trees["__init__"] == matched["__init__"] == mt.p - 1
+    assert made["detach_p2"] == mt.p - 1
+    assert trees["__init__"] == matched["__init__"] == 0
     splits = verify.block_split_vertices(mt)
     # a split at l cuts it from each neighbour but its partner: deg(l) pieces
     grown, split = mt.tree.n, sum(mt.tree.degree(mt.l_vertex(k)) for k in splits)
     assert split > 0
+    assert made["sub_lists"] == split
     assert built["bdq_det"] == built["build_qB"] == built["build_E"] == 1
     # the tree's Poly qL once; every grown and split tree's qL data from its
     # own walks, once, with the grown tree's tau_r from the same walks
@@ -392,7 +393,7 @@ def test_attach_tau_r_update_needs_q2_on_existing_entry(p4_path):
     assert tuple(predicted) == tuple(tau_r)
     naive = list(qmatrices.qtau(p4_path)[1])
     k = p4_path.index_of[v]
-    scale = 1 + treecore.diff(p4_path, v)
+    scale = 1 + treecore.diff(p4_path.tree.adj, p4_path.partner, v)
     naive[k] = naive[k] - Poly((scale,))
     naive.append(Poly((scale,)))
     assert tuple(naive) != tuple(tau_r)
@@ -414,8 +415,8 @@ def _split_pieces(mt, k1) -> list:
 def test_join_point_lists_are_the_derived_objects(monkeypatch):
     # every tree with 2p <= 12, as enumerated and with its vertex ids and pair
     # order shuffled: _join_point hands laplacian the lists of attach_p2 at
-    # each vertex in turn, then those of sub_matched_tree on each split piece,
-    # and each gives the object's Laplacian
+    # each vertex in turn, then those of the oracle's sub_matched_tree on each
+    # split piece, and each gives the object's Laplacian
     rng = random.Random(21)
     laplacian, fed = qmatrices.laplacian, []
     monkeypatch.setattr(qmatrices, "laplacian", lambda adj, pairs: fed.append(
@@ -430,7 +431,7 @@ def test_join_point_lists_are_the_derived_objects(monkeypatch):
             fed.clear()
             verify._join_point(td)
             grown = [treecore.attach_p2(mt, v) for v in range(mt.tree.n)]
-            pieces = [treecore.sub_matched_tree(mt, at)[0]
+            pieces = [sub_matched_tree(mt, at)[0]
                       for k1 in verify.block_split_vertices(mt) for at in _split_pieces(mt, k1)]
             n = len(grown)
             assert len(fed) == n + len(pieces)
