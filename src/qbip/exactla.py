@@ -503,7 +503,7 @@ def pack_rows(rows, width: int) -> list:
     into a table the rows are read through.  That pays when entries repeat,
     as in every matrix packed here: a distance-type matrix at a point has at
     most diameter + 1 distinct entries, I and the all-ones matrix two.  On
-    rows of all-distinct entries it is up to 2-3x slower than encoding each.
+    rows of all-distinct entries it is about 2x slower than encoding each.
     """
     half = 1 << (8 * width - 1)
     offset = int.from_bytes(half.to_bytes(width, "little") * len(rows[0]), "little")
