@@ -328,6 +328,15 @@ def _ring_coeffs(e) -> tuple:
     raise TypeError(f"ring elimination needs Poly or int entries, got {type(e)}")
 
 
+def kronecker_base(bound: int) -> int:
+    """B = 2^k > 2C, C = bound.  A Poly with coefficients in [-C, C] is the
+    balanced base-B digits of its value at B (Kronecker substitution), so
+    ``balanced_digits`` reads it back, and it is 0 iff that value is.
+    Callers bound two sides together, C_L + C_R, which bounds each
+    coefficient of their difference."""
+    return 1 << (2 * bound).bit_length()
+
+
 def balanced_digits(v: int, base: int) -> Poly:
     """The Poly with digits in [-(base // 2), base // 2] whose value at base is v."""
     digits = []

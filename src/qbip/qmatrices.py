@@ -52,6 +52,7 @@ class TreeData:
     # each body names its builder, so the name is looked up at the first read;
     # cached_property(build_qL) would bind it once and hide a replaced builder
     dist = cached_property(lambda self: treecore.distances(self.mt.tree))
+    dist_lr = cached_property(lambda self: lr_distances(self))
     lap = cached_property(lambda self: laplacian(self.mt.tree.adj, self.mt.pairs))
     qB = cached_property(lambda self: build_qB(self))
     E = cached_property(lambda self: build_E(self))
@@ -76,11 +77,15 @@ def _by_distance(dist_rows: list, entry, row_kind: str, col_kind: str) -> Matrix
     return Matrix((map(table.__getitem__, row) for row in dist_rows), row_kind, col_kind)
 
 
-def distance_block(mt: MatchedTree | TreeData, entry=int) -> Matrix:
-    """L x R matrix with entry (i,j) = entry(dist(l_i, r_j))."""
+def lr_distances(mt: MatchedTree | TreeData) -> list:
+    """The integer L x R distance block: row i holds dist(l_i, r_j) over j."""
     d = TreeData.of(mt)
-    rows = [[d.dist[l][r] for r in d.mt.r_vertices] for l in d.mt.l_vertices]
-    return _by_distance(rows, entry, KIND_L, KIND_R)
+    return [[d.dist[l][r] for r in d.mt.r_vertices] for l in d.mt.l_vertices]
+
+
+def distance_block(mt: MatchedTree | TreeData, entry=int) -> Matrix:
+    """L x R matrix with entry (i,j) = entry(dist(l_i, r_j)), mapped from ``TreeData.dist_lr``."""
+    return _by_distance(TreeData.of(mt).dist_lr, entry, KIND_L, KIND_R)
 
 
 def _monomial(d: int) -> Poly:
@@ -230,23 +235,17 @@ def bdq_det(mt: MatchedTree | TreeData) -> Poly:
 
 
 def bdq_recursive(mt: MatchedTree) -> Poly:
-    """Distance index by peeling pendant pairs.
+    """Distance index by peeling pendant pairs: 1 + (1+q) sum (1 + diff(v)).
 
-    Each detachment site v in the smaller tree contributes
-    (1+q)(1 + diff(v)); the base pair contributes 1.  The peel runs on
-    neighbour lists and pairs, from the tree's own through each
-    ``treecore.detach_p2``, and builds no Tree: each peeled tree is one, and
-    its pairs a perfect matching, by construction.
+    v runs over the sites of p - 1 ``treecore.detach_p2`` calls, each diff
+    taken in the tree the call leaves.  The peel runs in place on one copy
+    of the tree's neighbour lists, in the tree's own ids, so the tree's
+    partner table serves every step, and builds no Tree.
     """
-    total = ONE
-    adj, pairs = mt.tree.adj, mt.pairs
-    while len(pairs) > 1:
-        adj, pairs, site, _ = treecore.detach_p2(adj, pairs)
-        partner = [0] * len(adj)
-        for l, r in pairs:
-            partner[l], partner[r] = r, l
-        total = total + ONE_PLUS_Q * (1 + treecore.diff(adj, partner, site))
-    return total
+    adj, total = [list(row) for row in mt.tree.adj], 0
+    for _ in range(mt.p - 1):
+        total += 1 + treecore.diff(adj, mt.partner, treecore.detach_p2(adj))
+    return ONE + ONE_PLUS_Q * total
 
 
 def inverse_E_formula(mt: MatchedTree | TreeData) -> Matrix:

@@ -334,7 +334,8 @@ def attach_p2(mt: MatchedTree, v: int) -> MatchedTree:
     """Attach a new matched pair at v: add u = n, w = n + 1 with edges [v,u], [u,w].
 
     The bridging vertex u lands on the side opposite v, the new leaf w on
-    v's side, and the new pair takes the last index.
+    v's side, and the new pair takes the last index.  detach_p2 removes a
+    pendant pair in place, not always this one.
     """
     n = mt.tree.n
     tree = Tree(list(mt.tree.edges) + [(v, n), (n, n + 1)])
@@ -347,40 +348,29 @@ def attached_pair(mt: MatchedTree, v: int) -> tuple:
     return (n + 1, n) if mt.side_of[v] == "L" else (n, n + 1)
 
 
-def detach_p2(adj, pairs) -> tuple:
-    """Remove a pendant matched pair; inverse of attach_p2 up to relabeling.
+def detach_p2(adj) -> int:
+    """Remove a pendant matched pair in place, the ids of the rest kept.
 
-    Takes a matched tree's neighbour lists and pairs in order: a
-    MatchedTree's ``tree.adj`` and ``pairs``, or what detach_p2 returned.
-    Picks the smallest-id leaf w whose neighbour u, necessarily its
-    partner, has degree 2 (one always exists for p >= 2: take an endpoint
-    of a longest path).  Returns (adj, pairs, site, removed_index): the
-    smaller tree's lists and pairs, the attachment site, u's other
-    neighbour, in its new ids, and the index of the removed pair.
-
-    The other ids close up by the monotone shift x - (x > lo) - (x > hi),
-    {lo, hi} = {w, u}, so each list stays ascending and the kept pairs keep
-    their order: the lists and pairs are those of the validated compaction
-    in id order.  They need no check, as a tree with a pendant matched pair
+    adj is a matched tree's neighbour lists as mutable lists: a copy of a
+    MatchedTree's ``tree.adj``, or what earlier calls left of one.  The
+    smallest-id leaf w whose neighbour u, its partner, has degree 2 (one
+    exists for p >= 2: an endpoint of a longest path) goes with u: their
+    lists are emptied and u leaves the list of its other neighbour, the
+    site, which is returned; attach_p2 there regrows the tree up to
+    isomorphism.  The tree's partner table holds for the vertices left, and
+    the non-empty lists, still ascending, compacted in id order, are the
+    smaller tree's.  It needs no check: a tree with a pendant matched pair
     removed is a tree, and the other pairs are a perfect matching of it.
     """
-    if len(pairs) < 2:
+    w = next((v for v, row in enumerate(adj) if len(row) == 1 and len(adj[row[0]]) == 2), None)
+    if w is None:
         raise ValueError("detach_p2 needs p >= 2")
-    n = len(adj)
-    w = next(v for v in range(n) if len(adj[v]) == 1 and len(adj[adj[v][0]]) == 2)
     u = adj[w][0]
     a, b = adj[u]
     site = b if a == w else a
-    lo, hi = (w, u) if w < u else (u, w)
-    shift = [*range(lo), None, *range(lo, hi - 1), None, *range(hi - 1, n - 2)]  # new ids
-    # a list whose largest id is below lo is kept as it is
-    rows = [row if row[-1] < lo else tuple(map(shift.__getitem__, row)) for row in adj]
-    rows[site] = tuple(shift[x] for x in adj[site] if x != u)
-    del rows[hi], rows[lo]
-    removed_index = next(i for i, pair in enumerate(pairs) if w in pair)
-    kept = [(shift[l], shift[r]) for l, r in pairs]
-    del kept[removed_index]
-    return rows, kept, shift[site], removed_index
+    adj[site].remove(u)
+    del adj[w][:], adj[u][:]
+    return site
 
 
 def sub_lists(mt: MatchedTree, pair_indices) -> tuple:

@@ -7,9 +7,9 @@ every check reads the distances, qL, qB, E, tau, mu and bd_q from it, so
 each is built once per tree.
 
 Most checks decide their identities in Z[q] at one integer point q = B = 2^k
-per tree, B past twice a bound on the coefficients of both sides read from
-the data: the sides are then equal in Z[q] iff equal at B (Kronecker
-substitution), and a failing entry reads back as its balanced base-B digits.
+per tree, ``exactla.kronecker_base`` of a bound on the coefficients of both
+sides read from the data: the sides are then equal in Z[q] iff equal at B,
+and a failing entry reads back as its balanced base-B digits.
 The five product identities are stated once each, in ``IDENTITIES``, with
 denominators cleared; one engine packs their matrix sides into one integer
 per row (see the comment there), and the random large-tree suite runs it at
@@ -137,11 +137,9 @@ def _compare(name: str, label: str, got, want, **where) -> CheckResult:
 # The same bound, run at q = 1 on each factor's norm (the sum of
 # |coefficients| of each entry), bounds the coefficient 1-norm of every entry
 # of a side by C, as that norm is submultiplicative.  With C_L and C_R for
-# the two sides, an entry of lhs - rhs has coefficients in [-(C_L + C_R),
-# C_L + C_R], so at q = 2^k > 2(C_L + C_R) it is 0 only if it is 0 in Z[q]
-# (Kronecker substitution), and else it reads back as its base-2^k digits.
-# One such point, past 2(C_L + C_R) of every equation, proves all of a tree's
-# identities (_proof_point).
+# the two sides, each entry of lhs - rhs is decided and read back at q = B =
+# exactla.kronecker_base(C_L + C_R).  One such point, past every equation's,
+# proves all of a tree's identities (_proof_point).
 IDENTITIES = {
     "B_tau": (
         ("qB tau_r = bd_q ones", [("qB", "tau_r")], [("bd", "ones_L")]),
@@ -212,10 +210,10 @@ def _monomials(a: int, b: int, deg: int) -> list:
 def _distance_factors(mt: MatchedTree | TreeData):
     """qB = [dist] and E = q^dist over L x R, read straight from the distance table.
 
-    The integer L x R block is read once; at a point each entry d is looked up
-    in a table of the values at d = 0..dmax.
+    The tree's integer L x R block is mapped: at a point each entry d is
+    looked up in a table of the values at d = 0..dmax.
     """
-    block = qmatrices.distance_block(TreeData.of(mt)).entries
+    block = TreeData.of(mt).dist_lr
     dmax = max(map(max, block))
 
     def lookup(table):
@@ -421,7 +419,7 @@ def _proof_point(td: TreeData) -> _Point:
     norms = {ref: _Factor(0, lambda a, b, f=f: f.norm()) for ref, f in factors.items()}
     at_one = _Point(norms, Fraction(1), _EQUATIONS)
     bound = max(sum(at_one.bound(term, 0) for term in lhs + rhs) for _, lhs, rhs in _EQUATIONS)
-    return _Point(factors, Fraction(1 << (2 * bound).bit_length()), _EQUATIONS)
+    return _Point(factors, Fraction(exactla.kronecker_base(bound)), _EQUATIONS)
 
 
 def _prove(name: str, mt: MatchedTree | TreeData) -> CheckResult:
@@ -685,7 +683,7 @@ def _join_point(td: TreeData) -> tuple:
     want = max(_joined_bound([(qL, mu), (2, 1)]),
                *(max(predicted_attach_tau_r(norms, v)) for v in range(mt.tree.n)),
                *(bound for _, _, bound in splits.values()))
-    base = 1 << (2 * (got + want)).bit_length()
+    base = exactla.kronecker_base(got + want)
     # coefficients (ascending) read as their value at base, each tuple once
     value = lru_cache(maxsize=None)(lambda coeffs: sum(c * base**i for i, c in enumerate(coeffs)))
     return grown, splits, _read(td, value), base
@@ -800,7 +798,7 @@ def _dq_ed_certificate(adj, qd: Matrix, ed: Matrix, want_qd, want_ed, ed_det, qd
     r = 2 * max(map(len, adj))  # bounds the norm of each row of L_q and of each tau(v)
     coeffs = {e.coeffs for d in (qd, ed) for row in d.entries for e in row}
     # (n r)^2 max ||entry|| + 2n bounds both sides of both products and tau^t eD tau
-    b = 1 << (2 * (n * r) ** 2 * max(map(_norm, coeffs)) + 4 * n).bit_length()
+    b = exactla.kronecker_base((n * r) ** 2 * max(map(_norm, coeffs)) + 2 * n)
     width = exactla.pack_width(b ** (max(map(len, coeffs)) + 2))  # past every entry at b
     value = {cs: sum(c * b**i for i, c in enumerate(cs)) for cs in coeffs}
     ed_b, qd_b = ([[value[e.coeffs] for e in row] for row in d.entries] for d in (ed, qd))
@@ -818,9 +816,10 @@ def _dq_ed_certificate(adj, qd: Matrix, ed: Matrix, want_qd, want_ed, ed_det, qd
 
 def _det_vertex_laplacian(adj) -> Poly:
     """det L_q = f(0), f(v) = L_vv prod f(c) - q^2 sum_c g(c) prod_(c' != c) f(c')
-    and g(v) = prod f(c) over v's children c, with no division, at q = b past twice
-    the product of the row norms 2 deg(v) (see ``exactla._kronecker_rows``)."""
-    b, order, f, g = 1 << (2 * prod(2 * len(a) for a in adj)).bit_length(), [0], {}, {}
+    and g(v) = prod f(c) over v's children c, with no division, at q = b, the
+    ``exactla.kronecker_base`` of the product of the row norms 2 deg(v), which
+    bounds det L_q's coefficients (see ``exactla._kronecker_rows``)."""
+    b, order, f, g = exactla.kronecker_base(prod(2 * len(a) for a in adj)), [0], {}, {}
     for v in order:
         order.extend(c for c in adj[v] if c not in order)
     for v in reversed(order):  # leaves first: v's children are done, its parent not

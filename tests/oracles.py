@@ -302,7 +302,9 @@ def peel(mt: MatchedTree):
     """(smaller, site, removed index): ``treecore.detach_p2``'s rule on the
     objects.  The smallest-id leaf whose partner has degree 2 is removed with
     its partner by ``sub_matched_tree``; site is the partner's other
-    neighbour, in the smaller tree's ids."""
+    neighbour, in the smaller tree's ids.  detach_p2 keeps every id and
+    empties the removed pair's lists instead, so its lists and site match
+    these once the non-empty lists are compacted in id order."""
     tree, partner = mt.tree, mt.partner
     w = next(v for v in range(tree.n)
              if tree.degree(v) == 1 and tree.degree(partner[v]) == 2)

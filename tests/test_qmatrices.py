@@ -266,6 +266,16 @@ def test_bdq_routes_agree_everywhere():
             assert bdq_det(mt) == bdq_recursive(mt)
 
 
+def test_bdq_recursive_peels_a_copy():
+    # the peel empties lists of its own copy: the tree's lists and partner
+    # table are left as they were, so a second call peels the same tree
+    for mt in (*treecore.enumerate_nonsingular(4), treecore.random_nonsingular(30, 5)):
+        adj, partner = [list(row) for row in mt.tree.adj], list(mt.partner)
+        first = bdq_recursive(mt)
+        assert [list(row) for row in mt.tree.adj] == adj and list(mt.partner) == partner
+        assert bdq_recursive(mt) == first
+
+
 # -- closed-form inverses --------------------------------------------------------------------
 
 

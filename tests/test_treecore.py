@@ -329,7 +329,17 @@ def test_attach_preserves_standard_labeling():
 
 
 def _detach(mt):
-    return detach_p2(mt.tree.adj, mt.pairs)
+    """(lists, site): one detach_p2 call on a copy of mt's lists."""
+    adj = [list(row) for row in mt.tree.adj]
+    return adj, detach_p2(adj)
+
+
+def _compacted(adj, pairs):
+    """(lists, pairs, relabel): the non-empty lists and the pairs on them,
+    their vertices compacted to 0.. in id order by relabel."""
+    relabel = {old: new for new, old in enumerate(v for v, row in enumerate(adj) if row)}
+    return (tuple(tuple(map(relabel.__getitem__, row)) for row in adj if row),
+            tuple((relabel[l], relabel[r]) for l, r in pairs if adj[l]), relabel)
 
 
 def _matched(adj, pairs):
@@ -338,30 +348,32 @@ def _matched(adj, pairs):
                        pairs)
 
 
+def _emptied(adj, pairs):
+    return [pair for pair in pairs if not adj[pair[0]] and not adj[pair[1]]]
+
+
 def test_detach_p4(p4_attach):
-    adj, pairs, site, removed = _detach(p4_attach)
-    assert len(adj) == 2 and len(pairs) == 1
-    assert removed == 0  # smallest eligible leaf is vertex 1, i.e. pair 0
-    assert site in (0, 1)
+    adj, site = _detach(p4_attach)
+    assert sum(map(bool, adj)) == 2
+    # smallest eligible leaf is vertex 1, i.e. pair 0
+    assert _emptied(adj, p4_attach.pairs) == [p4_attach.pairs[0]]
+    assert site in p4_attach.pairs[1]
 
 
 def test_detach_p6(p6_attach):
-    adj, pairs, site, _ = _detach(p6_attach)
-    assert len(pairs) == 2
+    adj, site = _detach(p6_attach)
+    assert len(_emptied(adj, p6_attach.pairs)) == 1
     assert len(adj[site]) in (1, 2)
 
 
 def test_detach_then_attach_round_trip():
     # detach reports its site, so regrowing there recovers the tree shape
-    for p in range(2, 6):
-        for mt in enumerate_nonsingular(p):
-            adj, pairs, site, _ = _detach(mt)
-            regrown = attach_p2(_matched(adj, pairs), site)
-            assert canonical_code(regrown.tree) == canonical_code(mt.tree)
-    mt = random_nonsingular(40, 3)
-    adj, pairs, site, _ = _detach(mt)
-    regrown = attach_p2(_matched(adj, pairs), site)
-    assert canonical_code(regrown.tree) == canonical_code(mt.tree)
+    trees = [mt for p in range(2, 6) for mt in enumerate_nonsingular(p)]
+    for mt in trees + [random_nonsingular(40, 3)]:
+        adj, site = _detach(mt)
+        lists, pairs, relabel = _compacted(adj, mt.pairs)
+        regrown = attach_p2(_matched(lists, pairs), relabel[site])
+        assert canonical_code(regrown.tree) == canonical_code(mt.tree)
 
 
 def test_detach_requires_p_at_least_two(p2):
@@ -369,23 +381,42 @@ def test_detach_requires_p_at_least_two(p2):
         _detach(p2)
 
 
+def test_detach_changes_only_the_lists_it_names():
+    # the emptied pair's two lists and the site's, from which u goes; the
+    # other lists are left as they were, and stay the same objects
+    for mt in [mt for mt in enumerate_upto(10) if mt.p > 1] + [random_nonsingular(30, 4)]:
+        before = mt.tree.adj
+        adj = [list(row) for row in before]
+        rows = list(adj)
+        site = detach_p2(adj)
+        [(l, r)] = _emptied(adj, mt.pairs)
+        u = r if len(before[l]) == 1 else l
+        assert adj[l] == adj[r] == []
+        assert adj[site] == [x for x in before[site] if x != u] != list(before[site])
+        assert all(adj[v] == list(before[v]) and adj[v] is rows[v]
+                   for v in range(mt.tree.n) if v not in (l, r, site))
+
+
 def test_list_peel_steps_as_the_object_peel():
     # every tree with 2p <= 12, as enumerated and with its vertex ids and pair
     # order shuffled, and random trees at p = 60, peeled down to one pair: at
-    # each step detach_p2's lists, pairs, site and removed index are the
-    # validated smaller tree's, its site and index, as the oracle peels it
+    # each step detach_p2's non-empty lists, compacted in id order, and the
+    # pairs left are the validated smaller tree's, and its site and emptied
+    # pair are the site and removed pair as the oracle peels it
     rng = random.Random(22)
     trees = [random_nonsingular(60, seed) for seed in (1, 2, 3)]
     for mt in enumerate_upto(12):
         trees += [mt, permute_pairs(relabel_vertices(mt, rng.sample(range(mt.tree.n), mt.tree.n)),
                                     rng.sample(range(mt.p), mt.p))]
     for mt in trees:
-        adj, pairs, obj = mt.tree.adj, mt.pairs, mt
+        adj, obj = [list(row) for row in mt.tree.adj], mt
         while obj.p > 1:
-            adj, pairs, site, removed = detach_p2(adj, pairs)
+            pairs = [pair for pair in mt.pairs if adj[pair[0]]]
+            site = detach_p2(adj)
+            lists, kept, relabel = _compacted(adj, mt.pairs)
             obj, obj_site, obj_removed = peel(obj)
-            assert (tuple(map(tuple, adj)), tuple(pairs), site, removed) == (
-                obj.tree.adj, obj.pairs, obj_site, obj_removed)
+            assert (lists, kept, relabel[site], _emptied(adj, pairs)) == (
+                obj.tree.adj, obj.pairs, obj_site, [pairs[obj_removed]])
 
 
 # -- enumeration ----------------------------------------------------------------------

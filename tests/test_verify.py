@@ -162,7 +162,7 @@ def test_run_suite_builds_each_quantity_once(monkeypatch):
     mt = treecore.random_nonsingular(6, 1)
     built = _count_calls(monkeypatch, qmatrices, (
         "build_qL", "laplacian", "build_qB", "build_E", "bdq_det", "qtau",
-        "qsigned_degree_vector",
+        "qsigned_degree_vector", "lr_distances",
     ))
     made = _count_calls(monkeypatch, treecore, (
         "attach_p2", "sub_lists", "detach_p2", "diff", "alternating_reach"))
@@ -180,6 +180,8 @@ def test_run_suite_builds_each_quantity_once(monkeypatch):
     assert split > 0
     assert made["sub_lists"] == split
     assert built["bdq_det"] == built["build_qB"] == built["build_E"] == 1
+    # the integer L x R distance block once, for qB, E, the proof point and q = 1
+    assert built["lr_distances"] == 1
     # the tree's Poly qL once; every grown and split tree's qL data from its
     # own walks, once, with the grown tree's tau_r from the same walks
     assert built["build_qL"] == 1
