@@ -569,7 +569,10 @@ def conjecture_evidence(m: Matrix) -> dict:
     """Exact spectral evidence for an integer matrix.
 
     diagonalizable: the squarefree part of the characteristic polynomial
-    annihilates the matrix.  all_eigen_nonneg: every eigenvalue is real
+    annihilates the matrix.  When it keeps the degree, it is the monic
+    characteristic polynomial itself, which annihilates the matrix by
+    Cayley-Hamilton, so only a charpoly with a repeated root is tested by
+    ``annihilates``.  all_eigen_nonneg: every eigenvalue is real
     (the squarefree part has as many distinct real roots as its degree)
     and none lies in (-oo, 0); both root counts read one Sturm chain.  Both
     tests are exact; no roots are isolated numerically.  The characteristic
@@ -577,7 +580,7 @@ def conjecture_evidence(m: Matrix) -> dict:
     """
     cp = charpoly_exact(m)
     sf = squarefree_part(cp)
-    diag = annihilates(m, sf)
+    diag = sf.degree() == cp.degree() or annihilates(m, sf)
     chain = sturm_chain(sf)
     real_roots = count_real_roots(sf, chain=chain)
     all_real = real_roots == sf.degree()

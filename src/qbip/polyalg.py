@@ -253,17 +253,37 @@ def divexact(a: Poly, b: Poly) -> Poly:
 def poly_gcd(a: Poly, b: Poly) -> Poly:
     """Primitive gcd with positive leading coefficient.
 
-    Primitive-part Euclidean remainder sequence; integer content is stripped
-    at every step, so intermediate coefficients stay small at these degrees.
+    Two nonzero operands are first tested for coprimality at one integer
+    point, as the heuristic gcd does (Char, Geddes & Gonnet, GCDHEU, 1989):
+    with M the smaller of their largest absolute coefficients and
+    x = 2M + 4, gcd(a(x), b(x)) <= x/2 means gcd(a, b) = 1.  For let g of
+    degree >= 1 divide both, and so the operand c of norm M.  By Cauchy's
+    bound each root of c, so of g, has modulus at most M + 1 = x/2 - 1, and
+    |g(x)| >= (x/2 + 1)^deg g > x/2.  By Gauss's lemma g(x) divides a(x) and
+    b(x), hence their gcd, which is nonzero since c(x) is.  Otherwise a
+    primitive-part Euclidean remainder sequence runs; integer content is
+    stripped at every step, so intermediate coefficients stay small at
+    these degrees.
     """
     if not a and not b:
         raise ValueError("gcd(0, 0) is undefined")
     a, b = a.primitive_part(), b.primitive_part()
+    if a and b:
+        x = 2 * min(max(map(abs, a.coeffs)), max(map(abs, b.coeffs))) + 4
+        if 2 * math.gcd(_horner(a, x), _horner(b, x)) <= x:
+            return ONE
     if a.degree() < b.degree():
         a, b = b, a
     while b:
         a, b = b, prem(a, b).primitive_part()
     return a
+
+
+def _horner(p: Poly, x: int) -> int:
+    v = 0
+    for c in reversed(p.coeffs):
+        v = v * x + c
+    return v
 
 
 def prem(a: Poly, b: Poly) -> Poly:

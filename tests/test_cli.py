@@ -437,6 +437,22 @@ def test_conjecture_computes_one_charpoly_per_tree(capsys, monkeypatch):
     assert len(out.strip().splitlines()) == len(calls) == 9
 
 
+def test_conjecture_tests_annihilation_only_for_repeated_roots(capsys, monkeypatch):
+    # a squarefree charpoly annihilates its matrix by Cayley-Hamilton; of
+    # the 9 trees with 2p <= 8 one has a repeated eigenvalue
+    calls = []
+
+    def counted(m, p, _fn=exactla.annihilates):
+        calls.append(p)
+        return _fn(m, p)
+
+    monkeypatch.setattr(exactla, "annihilates", counted)
+    code, out, _ = run_cli(capsys, "conjecture", "--upto", "8")
+    assert code == 0
+    assert len(out.strip().splitlines()) == 9
+    assert len(calls) == 1
+
+
 def test_conjecture_builds_one_sturm_chain_per_tree(capsys, monkeypatch):
     # both root counts of a tree (all real roots, then those <= 0) read one chain
     calls = []

@@ -718,6 +718,24 @@ def test_evidence_counts_a_negative_beside_a_zero_eigenvalue():
     assert got["real_root_count"] == 3
 
 
+def test_diagonalizable_is_the_annihilation_test():
+    # a squarefree charpoly settles it by Cayley-Hamilton: the q = 1
+    # Laplacian of every tree with 2p <= 14, and small integer matrices,
+    # many with repeated eigenvalues, some of them not diagonalizable
+    rng = random.Random(24)
+    laplacians = [qmatrices.eval_matrix(qmatrices.build_qL(mt), Fraction(1)).map(int)
+                  for mt in treecore.enumerate_upto(14)]
+    small = []
+    for _ in range(300):
+        n = rng.randint(1, 4)
+        small.append(Matrix([[rng.choice((0, 0, 0, 1, -1, 2)) for _ in range(n)]
+                             for _ in range(n)], KIND_R, KIND_L))
+    for mats in (laplacians, small):
+        got = [conjecture_evidence(m)["diagonalizable"] for m in mats]
+        assert got == [annihilates(m, squarefree_part(charpoly_exact(m))) for m in mats]
+    assert not all(got)
+
+
 def test_evidence_flags_non_diagonalizable():
     got = conjecture_evidence(Matrix([[0, 1], [0, 0]], KIND_R, KIND_L))
     assert not got["diagonalizable"]

@@ -1,9 +1,11 @@
 import math
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
+from qbip import polyalg
 from qbip.polyalg import (
     ONE,
     Poly,
@@ -155,6 +157,52 @@ def test_gcd_returns_primitive_part():
 def test_gcd_of_zeros_rejected():
     with pytest.raises(ValueError):
         poly_gcd(ZERO, ZERO)
+
+
+def test_gcd_with_zero_is_the_other_primitive_part():
+    # one point decides coprimality only for two nonzero operands: at
+    # x = 4 the value 2 of q - 2 would pass for a unit
+    assert poly_gcd(ZERO, Poly((-2, 1))) == Poly((-2, 1))
+    assert poly_gcd(Poly((4, -2)), ZERO) == Poly((-2, 1))
+
+
+def test_gcd_matches_sympy():
+    # random products, and common factors with roots at Cauchy's bound of
+    # cofactors of norm k: q +- (k+1), then k q +- 1 and q^2 - k
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    rng = random.Random(24)
+
+    def of_norm(k, deg):
+        coeffs = [rng.randint(-k, k) for _ in range(deg)] + [rng.choice((-k, k))]
+        rng.shuffle(coeffs)
+        return Poly(coeffs + [rng.randint(1, k)])
+
+    pairs = []
+    for _ in range(200):
+        f, g, h = (of_norm(rng.randint(1, 9), rng.randint(0, 4)) for _ in range(3))
+        pairs.append((f * h, g * h))
+    for k in range(1, 51):
+        for common in (Poly((k + 1, 1)), Poly((-k - 1, 1)), Poly((1, k)), Poly((-1, k)),
+                       Poly((-k, 0, 1))):
+            f, g = of_norm(k, rng.randint(0, 3)), of_norm(k, rng.randint(0, 3))
+            pairs += [(common, common * f), (common * f, common * g), (common * f, g)]
+    for a, b in pairs:
+        want = sympy.gcd(sympy.Poly(a.coeffs[::-1], x), sympy.Poly(b.coeffs[::-1], x))
+        assert poly_gcd(a, b) == Poly(map(int, want.all_coeffs()[::-1])).primitive_part(), (a, b)
+
+
+def test_coprime_pair_takes_no_remainder_step(monkeypatch):
+    # at x = 2 * 1 + 4 the values are 55987 and 2372, whose gcd 1 <= x/2
+    steps = []
+
+    def counted(a, b, _fn=polyalg.prem):
+        steps.append(b)
+        return _fn(a, b)
+
+    monkeypatch.setattr(polyalg, "prem", counted)
+    assert poly_gcd(qint(7), Poly((2, -1, 0, 5, 1))) == ONE
+    assert steps == []
 
 
 @given(nonzero_polys, nonzero_polys, nonzero_polys)
