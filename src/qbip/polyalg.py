@@ -143,16 +143,21 @@ class Poly:
     def eval_at(self, x) -> Fraction:
         """Exact value at a rational point x = a/b.
 
-        Horner over the integers gives sum c_i a^i b^(d-i), d the degree, and
-        one Fraction divides it by b^d.
+        ``_horner`` over the integers gives sum c_i a^i b^(d-i), d the
+        degree, and one Fraction divides it by b^d.
         """
         x = Fraction(x)
-        a, b = x.numerator, x.denominator
+        b = x.denominator
+        num, scale = self._horner(x.numerator, b)
+        return Fraction(num * b, scale)
+
+    def _horner(self, a: int, b: int = 1) -> tuple:
+        """(sum c_i a^i b^(d-i), b^(d+1)); with b = 1, the value at a."""
         num, scale = 0, 1
         for c in reversed(self.coeffs):
             num = num * a + c * scale
             scale *= b
-        return Fraction(num * b, scale)  # scale = b^(d+1)
+        return num, scale
 
     # -- presentation --------------------------------------------------------
 
@@ -270,20 +275,13 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
     a, b = a.primitive_part(), b.primitive_part()
     if a and b:
         x = 2 * min(max(map(abs, a.coeffs)), max(map(abs, b.coeffs))) + 4
-        if 2 * math.gcd(_horner(a, x), _horner(b, x)) <= x:
+        if 2 * math.gcd(a._horner(x)[0], b._horner(x)[0]) <= x:
             return ONE
     if a.degree() < b.degree():
         a, b = b, a
     while b:
         a, b = b, prem(a, b).primitive_part()
     return a
-
-
-def _horner(p: Poly, x: int) -> int:
-    v = 0
-    for c in reversed(p.coeffs):
-        v = v * x + c
-    return v
 
 
 def prem(a: Poly, b: Poly) -> Poly:

@@ -240,13 +240,11 @@ def bdq_recursive(mt: MatchedTree) -> Poly:
     v runs over the sites of p - 1 ``treecore.detach_p2`` calls, each diff
     taken in the tree the call leaves.  The peel runs in place on one copy
     of the tree's neighbour lists, in the tree's own ids, so the tree's
-    partner table serves every step, and builds no Tree; one heap of
-    candidate leaves serves every call.
+    partner table serves every step, and builds no Tree.
     """
     adj, total = [list(row) for row in mt.tree.adj], 0
-    heap = treecore.pendant_leaves(adj)
     for _ in range(mt.p - 1):
-        total += 1 + treecore.diff(adj, mt.partner, treecore.detach_p2(adj, heap))
+        total += 1 + treecore.diff(adj, mt.partner, treecore.detach_p2(adj))
     return ONE + ONE_PLUS_Q * total
 
 

@@ -15,7 +15,6 @@ opposite sides.  Odd/even refers to the parity of k.
 from __future__ import annotations
 
 import functools
-import heapq
 import random
 
 
@@ -349,17 +348,7 @@ def attached_pair(mt: MatchedTree, v: int) -> tuple:
     return (n + 1, n) if mt.side_of[v] == "L" else (n, n + 1)
 
 
-def pendant_leaves(adj) -> list:
-    """The leaves w whose one neighbour, w's partner, has degree 2, in
-    ascending id order, so a heap: the candidates ``detach_p2`` removes."""
-    return [w for w in range(len(adj)) if _pendant(adj, w)]
-
-
-def _pendant(adj, w: int) -> bool:
-    return len(adj[w]) == 1 and len(adj[adj[w][0]]) == 2
-
-
-def detach_p2(adj, heap=None) -> int:
+def detach_p2(adj) -> int:
     """Remove a pendant matched pair in place, the ids of the rest kept.
 
     adj is a matched tree's neighbour lists as mutable lists: a copy of a
@@ -372,31 +361,15 @@ def detach_p2(adj, heap=None) -> int:
     the non-empty lists, still ascending, compacted in id order, are the
     smaller tree's.  It needs no check: a tree with a pendant matched pair
     removed is a tree, and the other pairs are a perfect matching of it.
-
-    w is popped from heap, a min-heap that holds every such leaf: by default
-    ``pendant_leaves(adj)``, or the heap earlier calls on adj left, so that
-    a peel of p - 1 calls takes O(p log p).  Of the vertices left only the
-    site changes degree, so only it (at degree 1) and its leaf neighbours
-    (when it has degree 2) can become candidates, and they are pushed when
-    they do.  An entry that is no longer a candidate when popped is dropped.
     """
-    if heap is None:
-        heap = pendant_leaves(adj)
-    while heap:
-        w = heapq.heappop(heap)
-        if _pendant(adj, w):
-            break
-    else:
+    w = next((v for v, row in enumerate(adj) if len(row) == 1 and len(adj[row[0]]) == 2), None)
+    if w is None:
         raise ValueError("detach_p2 needs p >= 2")
     u = adj[w][0]
     a, b = adj[u]
     site = b if a == w else a
     adj[site].remove(u)
     del adj[w][:], adj[u][:]
-    if len(adj[site]) <= 2:
-        for x in (site, *adj[site]):
-            if _pendant(adj, x):
-                heapq.heappush(heap, x)
     return site
 
 

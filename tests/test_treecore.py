@@ -32,7 +32,6 @@ from qbip.treecore import (
     distances,
     enumerate_nonsingular,
     enumerate_upto,
-    pendant_leaves,
     perfect_matching,
     random_nonsingular,
     standard_labeling,
@@ -382,18 +381,6 @@ def test_detach_requires_p_at_least_two(p2):
         _detach(p2)
 
 
-def test_detach_past_the_last_pair_raises():
-    # the heap a whole peel leaves may still hold the last pair's leaf,
-    # whose partner has degree 1: it is no candidate, and one more call raises
-    for mt in [mt for mt in enumerate_upto(10) if mt.p > 1] + [random_nonsingular(30, 4)]:
-        adj = [list(row) for row in mt.tree.adj]
-        heap = pendant_leaves(adj)
-        for _ in range(mt.p - 1):
-            detach_p2(adj, heap)
-        with pytest.raises(ValueError, match="p >= 2"):
-            detach_p2(adj, heap)
-
-
 def test_detach_changes_only_the_lists_it_names():
     # the emptied pair's two lists and the site's, from which u goes; the
     # other lists are left as they were, and stay the same objects
@@ -423,10 +410,9 @@ def test_list_peel_steps_as_the_object_peel():
                                     rng.sample(range(mt.p), mt.p))]
     for mt in trees:
         adj, obj = [list(row) for row in mt.tree.adj], mt
-        heap = pendant_leaves(adj)
         while obj.p > 1:
             pairs = [pair for pair in mt.pairs if adj[pair[0]]]
-            site = detach_p2(adj, heap)
+            site = detach_p2(adj)
             lists, kept, relabel = _compacted(adj, mt.pairs)
             obj, obj_site, obj_removed = peel(obj)
             assert (lists, kept, relabel[site], _emptied(adj, pairs)) == (
