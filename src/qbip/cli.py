@@ -64,17 +64,23 @@ def _json(obj) -> str:
                       default=lambda x: x.to_json())
 
 
-def _check_out(path: str | None) -> None:
-    """Raise UsageError if --out names a path that cannot be written.
+def _check_output(args) -> None:
+    """Raise UsageError if --out names a path that cannot be written, or if
+    csv is asked for without --at or of more than one matrix or vector.
 
     main calls it before the command runs, so a long run never ends on it.
     """
-    if not path:
-        return
-    parent = os.path.dirname(os.path.abspath(path))
-    target = path if os.path.exists(path) else parent
-    if os.path.isdir(path) or not os.path.isdir(parent) or not os.access(target, os.W_OK):
-        raise UsageError(f"cannot write --out {path}")
+    path = args.out
+    if path:
+        parent = os.path.dirname(os.path.abspath(path))
+        target = path if os.path.exists(path) else parent
+        if os.path.isdir(path) or not os.path.isdir(parent) or not os.access(target, os.W_OK):
+            raise UsageError(f"cannot write --out {path}")
+    if getattr(args, "format", None) == "csv":
+        if not args.at:
+            raise UsageError("csv output needs --at (cells are exact rationals)")
+        if args.matrix == "tau" or getattr(args, "oracle", False):
+            raise UsageError("csv output applies to matrices and vectors")
 
 
 def _dump(text: str, out_path: str | None = None) -> None:
@@ -107,18 +113,12 @@ def _evaluated(obj, at: Fraction | None):
 def _emit(obj, fmt: str, at: Fraction | None, out_path: str | None) -> None:
     """Write obj, evaluated at q = at when given, as json, csv or pretty."""
     obj = _evaluated(obj, at)
-    if fmt == "json":
-        _dump(_json(obj), out_path)
-        return
-    if fmt == "csv":
-        if at is None:
-            raise UsageError("csv output needs --at (cells are exact rationals)")
-        if not isinstance(obj, (Matrix, Vector)):
-            raise UsageError("csv output applies to matrices and vectors")
+    if fmt == "csv":  # one matrix or vector at a point, as _check_output ensures
         rows = obj.entries if isinstance(obj, Matrix) else [obj]
-        _dump("\n".join(",".join(str(e) for e in row) for row in rows), out_path)
-        return
-    _dump(_pretty(obj), out_path)
+        text = "\n".join(",".join(str(e) for e in row) for row in rows)
+    else:
+        text = _json(obj) if fmt == "json" else _pretty(obj)
+    _dump(text, out_path)
 
 
 def _pretty(obj) -> str:
@@ -171,7 +171,7 @@ def cmd_show(args) -> int:
                 raise UsageError(f"bad vertex in {name!r}") from None
             if not 0 <= v < td.mt.tree.n:
                 raise UsageError(f"vertex {v} out of range")
-            obj = td.mu(v)
+            obj = qmatrices.qsigned_degree_vector(td, v)
         else:
             raise UsageError(f"unknown matrix {name!r}")
     _emit(obj, args.format, at, args.out)
@@ -403,7 +403,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
-        _check_out(args.out)
+        _check_output(args)
         return args.fn(args)
     except (UsageError, NotATree, NotNonsingular, PoleAtPoint, BdqZero,
             NotDivisible, SingularMatrix, OSError) as exc:

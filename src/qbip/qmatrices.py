@@ -33,9 +33,10 @@ class TreeData:
     ``lap``, the tree's alternating-path table, is read for qL, tau, each mu
     and each diff.  It is ``laplacian`` of the tree's neighbour lists and
     pairs; the trees that the attachment checks grow and split get only such
-    a table, from their own lists, and no TreeData.  Functions that take a
-    tree accept either kind and wrap it with ``of``.  Lifetime: one suite
-    run, one point evaluation or one CLI command.
+    a table, from their own lists, and no TreeData.  A vertex's mu in Z[q]
+    is not kept: ``qsigned_degree_vector`` reads it off ``lap`` at each call.
+    Functions that take a tree accept either kind and wrap it with ``of``.
+    Lifetime: one suite run, one point evaluation or one CLI command.
     Nothing is kept on the MatchedTree, at module level or across trees:
     enumeration and conjecture hold every tree of a level at once, so such a
     cache would grow with the level.
@@ -43,7 +44,6 @@ class TreeData:
 
     def __init__(self, mt: MatchedTree):
         self.mt = mt
-        self._mu = {}
 
     @classmethod
     def of(cls, x) -> "TreeData":
@@ -60,11 +60,6 @@ class TreeData:
     tau = cached_property(lambda self: qtau(self))
     bd = cached_property(lambda self: bdq_det(self))
     diffs = cached_property(lambda self: {side: self.lap.diff(side) for side in "LR"})
-
-    def mu(self, v: int) -> Vector:
-        if v not in self._mu:
-            self._mu[v] = qsigned_degree_vector(self, v)
-        return self._mu[v]
 
     def diff(self, v: int) -> int:
         return self.diffs[self.mt.side_of[v]][self.mt.index_of[v]]

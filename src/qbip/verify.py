@@ -17,6 +17,7 @@ the user's rational points.  The two attachment checks share
 ``_join_point``: the trees they grow and split are neighbour lists and pair
 lists spliced or restricted from the validated tree's, never rebuilt as
 Tree objects, and have qL only as integers at B, from their own reach walks;
+the tree itself is read the same way, off its own ``Laplacian``;
 ``check_full_dq_ed`` proves its determinants by a certificate at such a
 point.  bd_q's recursion peels lists as well, so a suite builds no Tree.
 The other checks compare Z[q], Q or Z values directly.  Nothing is
@@ -471,9 +472,9 @@ def check_bdq(mt: MatchedTree | TreeData) -> CheckResult:
 def check_sum_mu(mt: MatchedTree | TreeData) -> CheckResult:
     """At every vertex, the entries of the signed degree vector sum to
     (diff+1)q^2 - diff."""
-    td = TreeData.of(mt)
+    td, mu = TreeData.of(mt), qmatrices.qsigned_degree_vector
     return _first_failure("sum_mu", (
-        _compare("sum_mu", "ones^t mu_v = (diff+1)q^2 - diff", td.mu(v).sum(),
+        _compare("sum_mu", "ones^t mu_v = (diff+1)q^2 - diff", mu(td, v).sum(),
                  Poly((-td.diff(v), 0, td.diff(v) + 1)), vertex=v) for v in range(td.mt.tree.n)))
 
 
@@ -565,21 +566,24 @@ def _norm(coeffs) -> int:
 
 
 def _read(td: TreeData, value) -> SimpleNamespace:
-    """The tree's qL rows, tau_r and each vertex's mu, read through value."""
-    def read(entries):
-        return [value(e.coeffs) for e in entries]
-    return SimpleNamespace(td=td, value=value, qL=[read(row) for row in td.qL.entries],
-                           tau_r=read(td.tau[1]), mu=[read(td.mu(v)) for v in range(td.mt.tree.n)])
+    """The tree's qL rows, tau_r and each vertex's mu, read off its Laplacian through value."""
+    lap, index, side = td.lap, td.mt.index_of, td.mt.side_of
+    return SimpleNamespace(td=td, value=value, qL=lap.rows(value), tau_r=lap.tau("R", value),
+                           mu=[lap.mu(index[v], side[v], value) for v in range(len(index))])
+
+
+# the lone pair that an attachment joins to the tree, l = 0 and r = 1
+_P2 = qmatrices.laplacian(((1,), (0,)), ((0, 1),))
 
 
 def predicted_attach_qL(reading: SimpleNamespace, v: int) -> list:
     """qL's rows of attach_p2(mt, v), read as ``reading`` is (see ``_read``):
     mt joined at v to a lone pair, pair last."""
     mt, value = reading.td.mt, reading.value
-    p = mt.p
+    p, side = mt.p, mt.side_of[v]
     tree = (reading.qL, reading.mu[v], mt.index_of[v], range(p))
-    pair = ([[value((1, 0, -1))]], [value((1,))], 0, (p,))  # qL = [1 - q^2], mu = (1)
-    return joined_qL((tree, pair) if mt.side_of[v] == "L" else (pair, tree), p + 1, value)
+    pair = (_P2.rows(value), _P2.mu(0, "R" if side == "L" else "L", value), 0, (p,))
+    return joined_qL((tree, pair) if side == "L" else (pair, tree), p + 1, value)
 
 
 def predicted_attach_tau_r(reading: SimpleNamespace, v: int) -> list:
@@ -668,8 +672,8 @@ def _join_point(td: TreeData) -> tuple:
 
     B = 2^k > 2(C_got + C_want).  C_got bounds the coefficient 1-norm of every
     entry read off a tree: the grown trees' by ``Laplacian.norm``, this one's
-    as read.  C_want bounds every prediction's: each join's by
-    ``_joined_bound``, each tau_r update's read as norms.
+    read off its ``Laplacian`` as norms.  C_want bounds every prediction's:
+    each join's by ``_joined_bound``, each tau_r update's read as norms.
     """
     mt = td.mt
     grown = [qmatrices.laplacian(adj, (*mt.pairs, treecore.attached_pair(mt, v)))
@@ -678,9 +682,9 @@ def _join_point(td: TreeData) -> tuple:
     norms = _read(td, _norm)
     qL, mu = max(map(max, norms.qL)), max(map(max, norms.mu))
     got = max(qL, mu, *(lap.norm() for lap in grown))
-    # an attachment joins the tree to a lone pair, with qL [1 - q^2] and mu
-    # (1); a join of two pieces has the same largest entry in either order
-    want = max(_joined_bound([(qL, mu), (2, 1)]),
+    # an attachment joins the tree to the lone pair: either order has the same largest entry
+    pair = max(map(max, _P2.rows(_norm))), max(_P2.mu(0, "R", _norm))
+    want = max(_joined_bound([(qL, mu), pair]),
                *(max(predicted_attach_tau_r(norms, v)) for v in range(mt.tree.n)),
                *(bound for _, _, bound in splits.values()))
     base = exactla.kronecker_base(got + want)

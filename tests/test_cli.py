@@ -65,6 +65,24 @@ def test_show_csv_needs_at(capsys, p4_file):
     assert code == 2 and "csv" in err
 
 
+@pytest.mark.parametrize("argv, tripwire, message", [
+    (("invert", "--matrix", "qB", "--oracle", "--at", "2"), (exactla, "inverse_gauss"),
+     "csv output applies to matrices and vectors"),
+    (("invert", "--matrix", "E", "--oracle"), (exactla, "inverse_gauss"),
+     "csv output needs --at (cells are exact rationals)"),
+    (("show", "--matrix", "tau", "--at", "2"), (qmatrices, "qtau"),
+     "csv output applies to matrices and vectors"),
+    (("show", "--matrix", "tau"), (qmatrices, "qtau"),
+     "csv output needs --at (cells are exact rationals)"),
+])
+def test_csv_usage_errors_exit_before_any_work(capsys, monkeypatch, p4_file, argv,
+                                               tripwire, message):
+    # the csv rules are decided before the oracle runs or tau is built
+    monkeypatch.setattr(*tripwire, lambda *args: pytest.fail(f"{tripwire[1]} ran"))
+    code, out, err = run_cli(capsys, *argv, "--tree", p4_file, "--format", "csv")
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
 def test_show_on_star_fails(capsys, star_file):
     code, _, err = run_cli(capsys, "show", "--tree", star_file, "--matrix", "qB")
     assert code == 2

@@ -187,7 +187,8 @@ def test_run_suite_builds_each_quantity_once(monkeypatch):
     assert built["build_qL"] == 1
     assert built["laplacian"] == 1 + grown + split
     assert built["qtau"] == 1
-    # mu once per vertex of the tree; each split piece's mu is read off its own qL data
+    # mu in Z[q] once per vertex of the tree, for sum_mu alone; the join
+    # checks read every mu, the tree's and each split piece's, off a Laplacian
     assert built["qsigned_degree_vector"] == mt.tree.n
     # tau, mu and diff are read off the tree's Laplacian: diff walks only in
     # bd_q's recursion, once per tree it peels
@@ -379,6 +380,24 @@ def test_run_random_deterministic():
     assert a == b
 
 
+def test_sum_mu_witness_names_the_vertex(monkeypatch, p4_path):
+    # mu entry 0 off by q at vertex 2 alone: the sum there is off by q
+    mu = qmatrices.qsigned_degree_vector
+
+    def perturbed(td, v):
+        vec = mu(td, v)
+        return exactla.Vector((vec[0] + Q, *vec.entries[1:]), vec.kind) if v == 2 else vec
+
+    monkeypatch.setattr(qmatrices, "qsigned_degree_vector", perturbed)
+    res = verify.check_sum_mu(p4_path)
+    assert not res.passed
+    assert res.witness["identity"] == "ones^t mu_v = (diff+1)q^2 - diff"
+    assert res.witness["vertex"] == 2 and _residual(res) == Q
+    want = Poly.from_json(res.witness["want"])
+    diff = treecore.diff(p4_path.tree.adj, p4_path.partner, 2)
+    assert want == Poly((-diff, 0, diff + 1))
+
+
 # -- the tau update correction ----------------------------------------------------------
 
 
@@ -444,7 +463,47 @@ def test_join_point_lists_are_the_derived_objects(monkeypatch):
                 assert laplacian(adj, pairs) == qmatrices.TreeData(t).lap
 
 
+def test_join_point_reads_the_tree_off_its_laplacian(monkeypatch):
+    # the tree's qL, tau_r and mu come from its Laplacian table, as the grown
+    # and split trees' do: no Z[q] matrix or vector of it is built
+    built = _count_calls(monkeypatch, qmatrices, (
+        "build_qL", "qtau", "qsigned_degree_vector", "laplacian"))
+    mt = _two_branches()
+    verify._join_point(qmatrices.TreeData(mt))
+    assert built["build_qL"] == built["qtau"] == built["qsigned_degree_vector"] == 0
+    assert built["laplacian"] == 1 + mt.tree.n + sum(
+        mt.tree.degree(mt.l_vertex(k)) for k in verify.block_split_vertices(mt))
+
+
 # -- the attachment checks' witnesses -------------------------------------------------
+
+
+def _bump_laplacians(monkeypatch, delta, entry, when, sides=""):
+    """Add delta to one entry of the Laplacian of each tree whose pair list
+    `when` accepts, in every reading of it: to entry (i, j) of its qL rows,
+    or, given sides ("L", "R" or "LR"), to entry (i,) of the mu of each
+    vertex on those sides instead."""
+    laplacian = qmatrices.laplacian
+
+    class Bumped(qmatrices.Laplacian):
+        __slots__ = ()
+
+        def rows(self, value):
+            rows = super().rows(value)
+            if not sides:
+                i, j = entry
+                rows[i][j] = rows[i][j] + value(delta.coeffs)
+            return rows
+
+        def mu(self, k, side, value):
+            mu = super().mu(k, side, value)
+            if side in sides:
+                (i,) = entry
+                mu[i] = mu[i] + value(delta.coeffs)
+            return mu
+
+    monkeypatch.setattr(qmatrices, "laplacian", lambda adj, pairs: (
+        Bumped(*laplacian(adj, pairs)) if when(pairs) else laplacian(adj, pairs)))
 
 
 @pytest.mark.parametrize("side, vertex, got, want", [
@@ -452,17 +511,9 @@ def test_join_point_lists_are_the_derived_objects(monkeypatch):
     ("R", 1, ["1", "0", "1"], ["1", "0", "1", "1"]),
 ])
 def test_attach_update_witness_on_each_side(monkeypatch, p4_path, side, vertex, got, want):
-    # mu entry 0 perturbed by q at the vertices of one side only: the first
-    # attachment there leaves the residual -q^3 at qL entry (0, 0)
-    mu = qmatrices.qsigned_degree_vector
-
-    def perturbed(mt, v):
-        vec = mu(mt, v)
-        if qmatrices.TreeData.of(mt).mt.side_of[v] != side:
-            return vec
-        return exactla.Vector((vec[0] + Q, *vec.entries[1:]), vec.kind)
-
-    monkeypatch.setattr(qmatrices, "qsigned_degree_vector", perturbed)
+    # the tree's mu entry 0 perturbed by q at the vertices of one side only:
+    # the first attachment there leaves the residual -q^3 at qL entry (0, 0)
+    _bump_laplacians(monkeypatch, Q, (0,), lambda pairs: len(pairs) == p4_path.p, side)
     res = verify.check_attach_update(p4_path)
     assert res.to_json() == {"name": "attach_update", "pass": False, "witness": {
         "identity": f"qL block update at vertex {vertex}", "entry": [0, 0],
@@ -480,9 +531,8 @@ def _two_branches():
 def test_block_decomposition_witness_at_a_split_with_two_branches(monkeypatch):
     mt = _two_branches()
     assert verify.predicted_block_qL(mt, 0)[1] == [0, 3]
-    build_qL = qmatrices.build_qL  # perturbed on the p = 4 tree, not on its subtrees
-    monkeypatch.setattr(qmatrices, "build_qL", lambda t: _bump(
-        build_qL(t), 2, 1, ONE) if qmatrices.TreeData.of(t).mt.p >= 4 else build_qL(t))
+    # perturbed on the p = 4 tree, not on its subtrees or the grown trees
+    _bump_laplacians(monkeypatch, ONE, (2, 1), lambda pairs: len(pairs) == mt.p)
     res = verify.check_block_decomposition(mt)
     assert res.to_json() == {"name": "block_decomposition", "pass": False, "witness": {
         "identity": "qL block reassembly at pair 0", "entry": [2, 1],
@@ -501,24 +551,6 @@ def _vanishing_at(b: int) -> Poly:
     for x in range(40):
         poly = poly * Poly((-x, 1))
     return poly
-
-
-def _bump_laplacians(monkeypatch, delta, entry, when):
-    """Add delta to entry (i, j) of the qL data of each tree whose pair list
-    `when` accepts, in every reading of it."""
-    laplacian = qmatrices.laplacian
-
-    class Bumped(qmatrices.Laplacian):
-        __slots__ = ()
-
-        def rows(self, value):
-            rows = super().rows(value)
-            i, j = entry
-            rows[i][j] = rows[i][j] + value(delta.coeffs)
-            return rows
-
-    monkeypatch.setattr(qmatrices, "laplacian", lambda adj, pairs: (
-        Bumped(*laplacian(adj, pairs)) if when(pairs) else laplacian(adj, pairs)))
 
 
 def _residual(res) -> Poly:
@@ -548,15 +580,7 @@ def test_attach_bound_is_read_from_the_prediction(monkeypatch, p4_path):
     # point: at vertex 0 the prediction's entry (0, 0) takes q^2 times it
     b0 = _join_base(p4_path)
     delta = _vanishing_at(b0)
-    mu = qmatrices.qsigned_degree_vector
-
-    def perturbed(mt, v):
-        vec = mu(mt, v)
-        if qmatrices.TreeData.of(mt).mt.p != p4_path.p:
-            return vec
-        return exactla.Vector((vec[0] + delta, *vec.entries[1:]), vec.kind)
-
-    monkeypatch.setattr(qmatrices, "qsigned_degree_vector", perturbed)
+    _bump_laplacians(monkeypatch, delta, (0,), lambda pairs: len(pairs) == p4_path.p, "LR")
     res = verify.check_attach_update(p4_path)
     assert not res.passed and _join_base(p4_path) > b0
     assert res.witness["entry"] == [0, 0] and res.witness["vertex"] == 0
@@ -568,9 +592,7 @@ def test_attachment_witnesses_read_back_a_large_q4_coefficient(monkeypatch):
     # attach prediction at vertex 0 copies it, the block check reads it
     mt = _two_branches()
     delta = Poly((0, 0, 0, 0, 2**70 + 1))
-    build_qL = qmatrices.build_qL
-    monkeypatch.setattr(qmatrices, "build_qL", lambda t: _bump(
-        build_qL(t), 1, 0, delta) if qmatrices.TreeData.of(t).mt.p == mt.p else build_qL(t))
+    _bump_laplacians(monkeypatch, delta, (1, 0), lambda pairs: len(pairs) == mt.p)
     attach, block = verify.check_attach_update(mt), verify.check_block_decomposition(mt)
     assert attach.witness["vertex"] == 0 and block.witness["split_pair"] == 0
     assert attach.witness["entry"] == block.witness["entry"] == [1, 0]
