@@ -4,7 +4,7 @@ This module is the referee for the closed-form constructions elsewhere in the
 package: it only knows generic exact algorithms (one fraction-free Bareiss loop
 over Z, which gives integer ranks and, by Kronecker substitution, Z[q]
 determinants; fraction-free Gauss-Jordan over Z at such a point, which gives
-inverses over the fraction field with one division there per entry;
+inverses over Q(q) with one division there per distinct entry;
 characteristic polynomials from one determinant; polynomials of an integer
 matrix, for adjugates and annihilation tests, from one Horner loop on a
 Kronecker-packed vector; integer rows packed into one integer each, so that
@@ -20,6 +20,7 @@ transposing.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from itertools import chain, compress, repeat
 from math import prod
 from operator import add, mul, ne
@@ -366,8 +367,10 @@ def inverse_gauss(m: Matrix) -> Matrix:
     replaced by the entry's column (Cramer).  The loop ends at [d I | X] with
     d = +-det M(B) and X = d M(B)^-1 = +-adj M(B): d and each X_ij are read
     back by their balanced base-B digits, and only the last step, scaling by
-    the pivot's inverse, is taken in Q(q): M^-1 = X / d.  No pivot at B means
-    det M(B) = 0, hence det M = 0 (a zero row has none at any point).
+    the pivot's inverse, is taken in Q(q): M^-1 = X / d.  That step reads
+    back and divides each distinct integer X_ij once, and equal entries share
+    the one RatFun, which is never changed.  No pivot at B means det M(B) = 0,
+    hence det M = 0 (a zero row has none at any point).
     """
     if not m.is_square():
         raise DimensionMismatch("inverse of a non-square matrix")
@@ -388,8 +391,8 @@ def inverse_gauss(m: Matrix) -> Matrix:
                 a[i] = [(pivot * x - f * y) // prev for x, y in zip(ai, ak)]
         prev = pivot
     inv = RatFun(balanced_digits(prev, base)).inverse()
-    entries = ([RatFun(balanced_digits(x, base)) * inv for x in row[n:]] for row in a)
-    return Matrix(entries, m.col_kind, m.row_kind)
+    entry = lru_cache(maxsize=None)(lambda x: RatFun(balanced_digits(x, base)) * inv)
+    return Matrix((map(entry, row[n:]) for row in a), m.col_kind, m.row_kind)
 
 
 def adjugate_int(m: Matrix) -> Matrix:

@@ -64,19 +64,24 @@ class Poly:
 
     def content(self) -> int:
         """Nonnegative gcd of the coefficients (0 for the zero polynomial)."""
-        g = 0
-        for c in self.coeffs:
-            g = math.gcd(g, c)
-        return g
+        return math.gcd(*self.coeffs)
 
     def primitive_part(self) -> "Poly":
-        """self divided by its content, normalized to positive leading coefficient."""
-        if not self.coeffs:
-            return self
-        c = self.content()
-        if self.coeffs[-1] < 0:
-            c = -c
-        return Poly(x // c for x in self.coeffs)
+        """self divided by its content, normalized to positive leading coefficient.
+
+        self itself when it is zero or already primitive (content 1, positive
+        leading coefficient): a Poly is never changed after ``__init__``.
+        """
+        return self.split()[1] if self.coeffs else self
+
+    def split(self) -> tuple:
+        """(c, self / c) for a nonzero self, c its content signed as its leading coefficient."""
+        c = self.content() if self.coeffs[-1] > 0 else -self.content()
+        return c, self if c == 1 else Poly(x // c for x in self.coeffs)
+
+    def scale(self, c: int) -> "Poly":
+        """c * self for an integer c, coefficient by coefficient."""
+        return self if c == 1 else Poly(c * x for x in self.coeffs)
 
     # -- ring operations ----------------------------------------------------
 
@@ -303,7 +308,11 @@ class RatFun:
 
     Canonical form: primitive parts of num and den are coprime, the integer
     contents are coprime, den has positive leading coefficient, and zero is
-    0/1.  Canonical forms are unique, so equality is structural.
+    0/1.  Canonical forms are unique, so equality is structural, and a
+    RatFun is never changed after ``__init__``: equal values may share one
+    object.  ``__init__`` takes each operand's signed content once
+    (``Poly.split``), ``poly_gcd`` gets the same primitive parts back from
+    ``primitive_part``, and ``Poly.scale`` puts the reduced contents back.
     """
 
     __slots__ = ("num", "den")
@@ -318,18 +327,12 @@ class RatFun:
         if not num:
             self.num, self.den = ZERO, ONE
             return
-        pn, pd = num.primitive_part(), den.primitive_part()
+        (cn, pn), (cd, pd) = num.split(), den.split()
         g = poly_gcd(pn, pd)
         if g != ONE:
             pn, pd = divexact(pn, g), divexact(pd, g)
-        cn = num.content() if num.leading() > 0 else -num.content()
-        cd = den.content() if den.leading() > 0 else -den.content()
-        c = math.gcd(cn, cd)
-        cn, cd = cn // c, cd // c
-        if cd < 0:
-            cn, cd = -cn, -cd
-        self.num = cn * pn
-        self.den = cd * pd
+        c = math.gcd(cn, cd) if cd > 0 else -math.gcd(cn, cd)
+        self.num, self.den = pn.scale(cn // c), pd.scale(cd // c)
 
     def __bool__(self) -> bool:
         return bool(self.num)

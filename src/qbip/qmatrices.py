@@ -10,7 +10,7 @@ transposing.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import NamedTuple
 
 from . import exactla, treecore
@@ -244,25 +244,34 @@ def bdq_recursive(mt: MatchedTree) -> Poly:
 
 
 def inverse_E_formula(mt: MatchedTree | TreeData) -> Matrix:
-    """Closed-form inverse of the exponential matrix: qL / (q (1 - q^2))."""
+    """Closed-form inverse of the exponential matrix: qL / (q (1 - q^2)).
+
+    qL repeats few values, one per degree product, so each distinct entry is
+    canonicalised once and its cells share the RatFun (never changed).
+    """
     den = Q * ONE_MINUS_Q2
-    return TreeData.of(mt).qL.map(lambda e: RatFun(e, den))
+    return TreeData.of(mt).qL.map(lru_cache(maxsize=None)(lambda e: RatFun(e, den)))
 
 
 def inverse_qB_formula(mt: MatchedTree | TreeData) -> Matrix:
     """Closed-form inverse of the q-bipartite distance matrix.
 
     -qL / (q (1+q)) plus the rank-one correction tau_r tau_l^t / (q bd_q).
-    Defined whenever bd_q is not the zero polynomial.
+    Defined whenever bd_q is not the zero polynomial.  As in
+    ``inverse_E_formula``, each distinct qL entry and each distinct product
+    tau_r tau_l^t is canonicalised once, and each distinct pair of the two
+    terms added once; equal cells share one RatFun.
     """
     d = TreeData.of(mt)
     if not d.bd:
         raise BdqZero("distance index is identically zero")
     tau_l, tau_r = d.tau
-    laplacian_term = d.qL.map(lambda e: RatFun(-e, Q_ONE_PLUS_Q))
     qbd = Q * d.bd
-    correction = exactla.outer(tau_r, tau_l).map(lambda e: RatFun(e, qbd))
-    return laplacian_term + correction
+    laplacian_term = lru_cache(maxsize=None)(lambda e: RatFun(-e, Q_ONE_PLUS_Q))
+    correction = lru_cache(maxsize=None)(lambda t: RatFun(t, qbd))
+    cell = lru_cache(maxsize=None)(lambda e, t: laplacian_term(e) + correction(t))
+    rows = zip(d.qL.entries, exactla.outer(tau_r, tau_l).entries)
+    return Matrix((map(cell, e, t) for e, t in rows), KIND_R, KIND_L)
 
 
 def inverse_B_q1(mt: MatchedTree | TreeData) -> Matrix:
@@ -287,13 +296,7 @@ def inverse_B_q1(mt: MatchedTree | TreeData) -> Matrix:
 def _evaluator(q0):
     """e -> e.eval_at(q0), each distinct entry evaluated once, kept by the entry."""
     q0 = Fraction(q0)
-    value = {}
-
-    def at(e):
-        if e not in value:
-            value[e] = e.eval_at(q0)
-        return value[e]
-    return at
+    return lru_cache(maxsize=None)(lambda e: e.eval_at(q0))
 
 
 def eval_matrix(m: Matrix, q0) -> Matrix:

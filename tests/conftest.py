@@ -10,6 +10,7 @@ SRC = str(Path(__file__).parent.parent / "src")
 os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, (SRC, os.environ.get("PYTHONPATH"))))
 
 from qbip import treecore
+from qbip.polyalg import RatFun
 
 
 @pytest.fixture
@@ -33,3 +34,17 @@ def p4_path():
 def p6_attach(p4_attach):
     # attach at l2 of the attached P4; the result is the 6-vertex path
     return treecore.attach_p2(p4_attach, p4_attach.l_vertex(1))
+
+
+@pytest.fixture
+def ratfun_inits(monkeypatch):
+    """A list that gains one item per RatFun constructed while the test runs."""
+    calls = []
+    init = RatFun.__init__
+
+    def counted(self, *args):
+        calls.append(1)
+        init(self, *args)
+
+    monkeypatch.setattr(RatFun, "__init__", counted)
+    return calls

@@ -13,16 +13,19 @@ and diff at a vertex are read off those classifications (the package reads
 every endpoint off one walk per R-vertex).  The relabeling helpers, the
 restriction to a set of pairs and the peel of one pendant pair build their
 trees through the package's validating constructors; the package restricts
-and peels neighbour lists without building any.
+and peels neighbour lists without building any.  The canonical-form reference
+is the RatFun constructor as first written, which took each content anew and
+scaled by Poly products; it shares poly_gcd and divexact with the package.
 """
 
 import heapq
 import itertools
+import math
 from enum import Enum
 from typing import NamedTuple
 
 from qbip.exactla import DimensionMismatch, Matrix, SingularMatrix
-from qbip.polyalg import ONE, ZERO, Poly, RatFun
+from qbip.polyalg import ONE, ZERO, Poly, RatFun, divexact, poly_gcd
 from qbip.treecore import MatchedTree, Tree
 
 
@@ -191,6 +194,38 @@ def _as_field(e):
     if isinstance(e, (Poly, int)):
         return RatFun(e)
     raise TypeError(f"field elimination needs RatFun/Poly/int entries, got {type(e)}")
+
+
+def primitive_part_reference(p):
+    """Primitive part by the loop first written for ``Poly.primitive_part``:
+    a new Poly, p divided by its content signed as its leading coefficient."""
+    if not p.coeffs:
+        return p
+    c = 0
+    for x in p.coeffs:
+        c = math.gcd(c, x)
+    if p.coeffs[-1] < 0:
+        c = -c
+    return Poly(x // c for x in p.coeffs)
+
+
+def canonical_form_reference(num, den):
+    """(num, den) of RatFun(num, den), by the constructor first written: the
+    primitive parts reduced by their gcd, then the signed contents by theirs.
+    It shares ``poly_gcd`` and ``divexact`` with the package."""
+    if not num:
+        return ZERO, ONE
+    pn, pd = primitive_part_reference(num), primitive_part_reference(den)
+    g = poly_gcd(pn, pd)
+    if g != ONE:
+        pn, pd = divexact(pn, g), divexact(pd, g)
+    cn = num.content() if num.leading() > 0 else -num.content()
+    cd = den.content() if den.leading() > 0 else -den.content()
+    c = math.gcd(cn, cd)
+    cn, cd = cn // c, cd // c
+    if cd < 0:
+        cn, cd = -cn, -cd
+    return cn * pn, cd * pd
 
 
 class PathKind(Enum):

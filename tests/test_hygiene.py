@@ -30,6 +30,33 @@ def test_every_import_is_used(path):
     assert sorted(imported - used) == []
 
 
+def _unbounded_cache(node) -> bool:
+    """Whether node makes an lru_cache with no maxsize bound, or a functools.cache."""
+    func = node.func if isinstance(node, ast.Call) else node
+    name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+    if name == "cache":
+        return True
+    if name != "lru_cache" or not isinstance(node, ast.Call):
+        return False  # a bare @lru_cache keeps 128 results
+    size = next((k.value for k in node.keywords if k.arg == "maxsize"),
+                node.args[0] if node.args else None)
+    return isinstance(size, ast.Constant) and size.value is None
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_unbounded_caches_live_for_one_call(path):
+    # a decorated cache lives as long as the module; one made inside a
+    # function body lives for one call, so nothing is kept across trees
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    functions = [f for f in ast.walk(tree)
+                 if isinstance(f, (ast.FunctionDef, ast.AsyncFunctionDef))]
+    decorators = [d for f in functions for d in f.decorator_list]
+    in_body = {id(n) for f in functions for stmt in f.body for n in ast.walk(stmt)}
+    assert [d.lineno for d in decorators if _unbounded_cache(d)] == []
+    assert [n.lineno for n in ast.walk(tree)
+            if isinstance(n, ast.Call) and _unbounded_cache(n) and id(n) not in in_body] == []
+
+
 _DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
 

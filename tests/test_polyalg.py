@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+from oracles import canonical_form_reference, primitive_part_reference
 from qbip import polyalg
 from qbip.polyalg import (
     ONE,
@@ -249,6 +250,36 @@ def test_rf_canonical_form_invariants():
 def test_rf_zero_is_zero_over_one():
     assert RatFun(ZERO, Poly((3, 5))) == RatFun(ZERO)
     assert RatFun(ZERO).den == ONE
+
+
+# scaled by integers of either sign, and often by a shared factor, so that
+# contents >= 2, negative leading coefficients and common factors all occur
+scales = st.integers(min_value=-12, max_value=12).filter(bool)
+
+
+@given(small_polys, nonzero_polys, st.one_of(st.just(ONE), nonzero_polys), scales, scales)
+def test_rf_matches_the_reference_canonical_form(a, b, common, ka, kb):
+    num, den = a * common * ka, b * common * kb
+    f = RatFun(num, den)
+    assert (f.num, f.den) == canonical_form_reference(num, den)
+
+
+@given(small_polys, scales)
+def test_primitive_part_matches_the_reference_and_keeps_a_primitive_self(a, k):
+    for x in (a, a * k):
+        want = primitive_part_reference(x)
+        assert x.primitive_part() == want
+        assert (x.primitive_part() is x) == (want == x)
+
+
+def test_rf_reference_cases_cover_contents_signs_and_zero():
+    cases = [(Poly((6, 4)), Poly((-9, 3))), (Poly((0, -2, -2)), Poly((2, 4, 2))),
+             (ZERO, Poly((-4, 2))), (Poly((-5,)), Poly((10, 0, -15)))]
+    for num, den in cases:
+        f = RatFun(num, den)
+        assert (f.num, f.den) == canonical_form_reference(num, den)
+    f = RatFun(Poly((0, -2, -2)), Poly((2, 4, 2)))  # -2q(1+q) / 2(1+q)^2
+    assert (f.num, f.den) == (Poly((0, -1)), Poly((1, 1)))
 
 
 @given(nonzero_polys, nonzero_polys, nonzero_polys)

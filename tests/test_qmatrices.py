@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import chain
 
 import pytest
 
@@ -311,6 +312,29 @@ def test_inverse_qB_matches_oracle_small():
             assert inverse_qB_formula(mt) == exactla.inverse_gauss(build_qB(mt))
 
 
+def test_inverse_E_formula_constructs_one_ratfun_per_distinct_qL_entry(ratfun_inits):
+    calls = ratfun_inits
+    for mt in treecore.enumerate_nonsingular(5):
+        qL = build_qL(mt)
+        calls.clear()
+        inverse_E_formula(mt)
+        assert 0 < len(calls) <= len(set(chain.from_iterable(qL.entries)))
+
+
+def test_inverse_qB_formula_constructs_one_ratfun_per_distinct_term_and_sum(ratfun_inits):
+    # one per distinct qL entry, one per distinct tau_r tau_l^t product, one
+    # per distinct (qL entry, product) cell for its sum
+    calls = ratfun_inits
+    for mt in treecore.enumerate_nonsingular(5):
+        qL, (tau_l, tau_r) = build_qL(mt), qtau(mt)
+        products = exactla.outer(tau_r, tau_l)
+        cells = set(zip(chain.from_iterable(qL.entries), chain.from_iterable(products.entries)))
+        calls.clear()
+        inverse_qB_formula(mt)
+        distinct_qL, distinct_products = {e for e, _ in cells}, {t for _, t in cells}
+        assert 0 < len(calls) <= len(distinct_qL) + len(distinct_products) + len(cells)
+
+
 def test_inverse_B_q1_p2(p2):
     assert entries(inverse_B_q1(p2)) == ((Fraction(1),),)
 
@@ -353,7 +377,7 @@ def test_eval_vector(p4_attach):
 
 
 def test_eval_evaluates_each_distinct_entry_once(monkeypatch):
-    # equal entries built apart: a dict keyed by the entry, not by identity
+    # equal entries built apart: a memo keyed by the entry, not by identity
     poly, ratfun = (lambda: P((1, 2)), lambda: RatFun(P((0, 1)), P((2, 1))))
     rows = [[poly(), ratfun(), poly()], [ratfun(), ZERO, poly()], [ZERO, poly(), ratfun()]]
     m = Matrix(rows, KIND_R, KIND_L)
