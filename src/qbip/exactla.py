@@ -505,21 +505,25 @@ def pack_width(bound: int) -> int:
     return max(1, -(-(4 * bound).bit_length() // 8))
 
 
-def pack_rows(rows, width: int) -> list:
+def pack_rows(rows, width: int, table=None) -> list:
     """Each row x of a sequence of equal-length integer rows as sum_j x_j B^j.
 
     B = 2^(8 width), and every entry must lie in [-B/2, B/2).  Offset by B/2,
     each entry is one unsigned little-endian digit of width bytes; a row's
     digits are joined and read as one integer, and the packed offset
     sum_j (B/2) B^j is taken back off.  Each distinct entry is encoded once,
-    into a table the rows are read through.  That pays when entries repeat,
-    as in every matrix packed here: a distance-type matrix at a point has at
-    most diameter + 1 distinct entries, I and the all-ones matrix two.  On
-    rows of all-distinct entries it is about 2x slower than encoding each.
+    into a table the rows are read through; given ``table``, the rows hold
+    indices into it, entry x standing for table[x], and each of its values
+    is encoded once.  That pays when entries repeat, as in a distance-type
+    matrix at a point, with at most diameter + 1 distinct entries.  On rows
+    of all-distinct entries it is about 2x slower than encoding each.
     """
     half = 1 << (8 * width - 1)
     offset = int.from_bytes(half.to_bytes(width, "little") * len(rows[0]), "little")
-    digit = {x: (x + half).to_bytes(width, "little") for x in set(chain.from_iterable(rows))}
+    if table is None:
+        digit = {x: (x + half).to_bytes(width, "little") for x in set(chain.from_iterable(rows))}
+    else:
+        digit = [(v + half).to_bytes(width, "little") for v in table]
     return [int.from_bytes(b"".join(map(digit.__getitem__, row)), "little") - offset
             for row in rows]
 
@@ -550,8 +554,10 @@ def count_real_roots(p: Poly, lo=None, hi=None, chain=None) -> int:
     """Distinct real roots of a squarefree polynomial in (lo, hi].
 
     ``None`` bounds mean -oo and +oo.  There each member f of the Sturm chain
-    has the sign of lead(f), times (-1)^deg(f) at -oo.  A caller counting
-    over several intervals passes p's ``sturm_chain`` once as ``chain``.
+    has the sign of lead(f), times (-1)^deg(f) at -oo; at x = a/b, b > 0, it
+    has the sign of the integer b^deg(f) f(x) that ``Poly._horner`` gives.
+    A caller counting over several intervals passes p's ``sturm_chain`` once
+    as ``chain``.
     """
     if not p:
         raise ValueError("root counting needs a nonzero polynomial")
@@ -560,8 +566,8 @@ def count_real_roots(p: Poly, lo=None, hi=None, chain=None) -> int:
 
     def variations(x, end: int) -> int:
         # end is the sign of the infinite bound that x = None stands for
-        values = [end ** f.degree() * f.leading() if x is None else f.eval_at(x)
-                  for f in chain]
+        ab = x is not None and Fraction(x).as_integer_ratio()
+        values = [f._horner(*ab)[0] if ab else end ** f.degree() * f.leading() for f in chain]
         signs = [v > 0 for v in values if v]
         return sum(map(ne, signs, signs[1:]))
 

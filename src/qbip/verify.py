@@ -12,8 +12,8 @@ sides read from the data: the sides are then equal in Z[q] iff equal at B,
 and a failing entry reads back as its balanced base-B digits.
 The five product identities are stated once each, in ``IDENTITIES``, with
 denominators cleared; one engine packs their matrix sides into one integer
-per row (see the comment there), and the random large-tree suite runs it at
-the user's rational points.  The two attachment checks share
+per row, building no p x p matrix at a point (see the comment there), and
+the random large-tree suite runs it at the user's rational points.  The two attachment checks share
 ``_join_point``: the trees they grow and split are neighbour lists and pair
 lists spliced or restricted from the validated tree's, never rebuilt as
 Tree objects, and have qL only as integers at B, from their own reach walks;
@@ -30,7 +30,7 @@ import os
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from itertools import accumulate, compress, count, repeat
+from itertools import accumulate, count, repeat
 from math import lcm, prod
 from operator import add, mul
 from types import SimpleNamespace
@@ -126,7 +126,14 @@ def _compare(name: str, label: str, got, want, **where) -> CheckResult:
 # by entry.  Every other side is a matrix M and is compared as M.v, with
 # v = (1, B, ..., B^(n-1)) and B = 2^(8w): row i packs into the one integer
 # sum_j M_ij B^j.  The packed rows of a product F.G are F times the packed
-# rows of G, one big-integer operation per nonzero of F.  For a term
+# rows of G, one big-integer operation per nonzero of F.  No p x p matrix
+# is built at a point: each factor keeps the form of its data.  A scalar is
+# an int and a vector a Vector; qL, I and any other Poly matrix are a
+# _Sparse of their nonzeros (qL about 6 a row, I one, so its packed rows are
+# B^i); qB and E are a _Table, dmax + 1 values by distance read through the
+# tree's one distance block, and pack with one encoded digit per value and
+# one join per row.  A vector side is exactla.mat_vec or vec_mat, p^2 integer
+# products over the rows that the forms give it one at a time.  For a term
 # c F_1 ... F_k, |c| ||F_1|| ... ||F_(k-1)|| max|F_k| bounds every entry,
 # ||.|| being the largest absolute row sum, and summing it over a side's
 # terms bounds the side.  With C the largest such bound over the matrix
@@ -174,33 +181,90 @@ class _Factor(NamedTuple):
     norm: Callable = None  # () -> the sum of |coefficients| of each entry
 
 
+@dataclass(frozen=True)
+class _Sparse:
+    """A matrix at a point as its nonzeros: nonzeros[i] maps j to entry (i, j).
+    Like ``_Table`` it has the attributes that exactla.mat_vec and vec_mat
+    read of a Matrix, ``entries`` giving its dense rows one at a time."""
+    nonzeros: list
+    cols: int
+    row_kind: str = KIND_R
+    col_kind: str = KIND_R
+
+    rows = property(lambda self: len(self.nonzeros))
+
+    @property
+    def entries(self):
+        for nonzeros in self.nonzeros:
+            row = [0] * self.cols
+            for j, v in nonzeros.items():
+                row[j] = v
+            yield row
+
+    def size(self, top: bool) -> int:
+        """Largest |entry| if top, else the largest absolute row sum."""
+        return max((max(row, default=0) if top else sum(row))
+                   for row in (list(map(abs, r.values())) for r in self.nonzeros))
+
+    def packed(self, width: int) -> list:
+        """Row i as sum_j entry_ij B^j, B = 2^(8 width)."""
+        return [sum(v << 8 * width * j for j, v in row.items()) for row in self.nonzeros]
+
+    def times(self, tail: list) -> list:
+        """Packed rows of self.G from G's packed rows, one product per nonzero."""
+        return [sum(map(mul, row.values(), map(tail.__getitem__, row)))
+                for row in self.nonzeros]
+
+
+@dataclass(frozen=True)
+class _Table:
+    """qB or E at a point: entry (i, j) is table[block[i][j]], table holding
+    the value at each distance d = 0..dmax and block being the tree's integer
+    L x R distance block, ``TreeData.dist_lr``, which every point shares.  qB
+    and E stand last in every matrix product of IDENTITIES: only packed alone."""
+    table: list
+    block: list
+    row_kind, col_kind = KIND_L, KIND_R
+
+    rows = cols = property(lambda self: len(self.block))
+    entries = property(lambda self: (map(self.table.__getitem__, row) for row in self.block))
+
+    def size(self, top: bool) -> int:
+        """As ``_Sparse.size``; the table's largest |value| bounds the block's."""
+        return (max(map(abs, self.table)) if top
+                else max(map(sum, map(map, repeat(abs), self.entries))))
+
+    def packed(self, width: int) -> list:
+        return exactla.pack_rows(self.block, width, self.table)
+
+
 def _poly_factor(x) -> _Factor:
     """A Poly, or a Vector or Matrix of them; deg is its largest entry degree.
 
-    The nonzero entries are found once; a point and the norm read only them.
+    The nonzero entries are found once per tree; a point and the norm read
+    only them, one integer Horner sum each.  At a point a Poly is an int, a
+    Vector a Vector of ints and a Matrix a ``_Sparse`` of its nonzeros.
     """
     if isinstance(x, Poly):
         deg = max(0, x.degree())
         return _Factor(deg, lambda a, b: sum(map(mul, x.coeffs, _monomials(a, b, deg))),
                        lambda: _norm(x.coeffs))
-    rows = (x.entries,) if isinstance(x, Vector) else x.entries
-    support = [[(j, e.coeffs) for j, e in enumerate(row) if e.coeffs] for row in rows]
-    deg = max((len(c) - 1 for nonzeros in support for _, c in nonzeros), default=0)
+    vector = isinstance(x, Vector)
+    support = [{j: e.coeffs for j, e in enumerate(row) if e.coeffs}
+               for row in ((x.entries,) if vector else x.entries)]
+    deg = max((len(c) - 1 for nonzeros in support for c in nonzeros.values()), default=0)
 
-    def fill(value):  # value(coeffs) at each nonzero entry, 0 elsewhere
-        values = [[0] * len(rows[0]) for _ in rows]
-        for row, nonzeros in zip(values, support):
-            for j, coeffs in nonzeros:
-                row[j] = value(coeffs)
-        if isinstance(x, Vector):
-            return Vector(values[0], x.kind)
-        return Matrix(values, x.row_kind, x.col_kind)
+    def form(value):  # value(coeffs) at each nonzero entry
+        nonzeros = [{j: value(c) for j, c in row.items()} for row in support]
+        if vector:
+            return Vector(map(nonzeros[0].get, range(len(x)), repeat(0)), x.kind)
+        return _Sparse(nonzeros, x.cols, x.row_kind, x.col_kind)
 
     def at(a, b):
         monomials = _monomials(a, b, deg)
-        return fill(lambda coeffs: sum(map(mul, coeffs, monomials)))
+        return form(lambda coeffs: sum(map(mul, coeffs, monomials)))
 
-    return _Factor(deg, at, lambda: fill(_norm))
+    return _Factor(deg, at, lambda: form(_norm))
 
 
 def _monomials(a: int, b: int, deg: int) -> list:
@@ -209,33 +273,30 @@ def _monomials(a: int, b: int, deg: int) -> list:
 
 
 def _distance_factors(mt: MatchedTree | TreeData):
-    """qB = [dist] and E = q^dist over L x R, read straight from the distance table.
+    """qB = [dist] and E = q^dist over L x R, each a ``_Table`` at a point.
 
-    The tree's integer L x R block is mapped: at a point each entry d is
-    looked up in a table of the values at d = 0..dmax.
+    A point computes the dmax + 1 values at d = 0..dmax and nothing per
+    entry: every entry is read through the tree's one integer L x R block.
     """
     block = TreeData.of(mt).dist_lr
     dmax = max(map(max, block))
 
-    def lookup(table):
-        return Matrix((map(table.__getitem__, row) for row in block), KIND_L, KIND_R)
-
     def qB(a, b):  # [d] = 1 + q + ... + q^(d-1), times b^(dmax-1)
-        return lookup([0, *accumulate(a**i * b ** (dmax - 1 - i) for i in range(dmax))])
+        return _Table([0, *accumulate(a**i * b ** (dmax - 1 - i) for i in range(dmax))], block)
 
     def E(a, b):  # q^d, times b^dmax
-        return lookup([a**d * b ** (dmax - d) for d in range(dmax + 1)])
+        return _Table([a**d * b ** (dmax - d) for d in range(dmax + 1)], block)
 
     # norms: [d] has d unit coefficients, q^d one
-    return (_Factor(dmax - 1, qB, lambda: lookup(range(dmax + 1))),
-            _Factor(dmax, E, lambda: lookup([1] * (dmax + 1))))
+    return (_Factor(dmax - 1, qB, lambda: _Table(range(dmax + 1), block)),
+            _Factor(dmax, E, lambda: _Table([1] * (dmax + 1), block)))
 
 
 def _factors(td: TreeData, bd: Poly) -> dict:
     """Every factor of the tree's product identities, by name, bd_q given."""
     p = td.mt.p
     ones_L, ones_R = Vector((1,) * p, KIND_L), Vector((1,) * p, KIND_R)
-    eye = Matrix.identity(p, KIND_R, KIND_R, one=1, zero=0)
+    eye = _Sparse([{i: 1} for i in range(p)], p)
     factors = {
         "-1": _poly_factor(-ONE),
         "1+q": _poly_factor(ONE_PLUS_Q),
@@ -260,11 +321,11 @@ def _degree(term, factors: dict) -> int:
 class _Point(dict):
     """One tree's factors at q = x, as integers scaled by b^deg, and their products.
 
-    A factor is keyed by its name and an exact product by the tuple of its
-    factor names, folded right to left.  The products on matrix sides are
-    kept as packed rows instead, all at one width fixed by the matrix sides
-    of ``equations``.  Values are built on first use and live as long as
-    the point.
+    A factor is keyed by its name, in its form at a point (see IDENTITIES),
+    and an exact product by the tuple of its factor names, folded right to
+    left.  The products on matrix sides are kept as packed rows instead, all
+    at one width fixed by the matrix sides of ``equations``.  Values are
+    built on first use and live as long as the point.
     """
 
     def __init__(self, factors: dict, x: Fraction, equations):
@@ -282,33 +343,27 @@ class _Point(dict):
         self[ref] = value
         return value
 
-    def rows(self, refs) -> tuple:
-        """Integer rows of the factor refs[0] as it stands in the product refs.
-
-        A vector is a column when a vector follows it, else a row.
-        """
+    def form(self, refs):
+        """The factor refs[0] as it stands in the product refs: a matrix's own
+        form, or a vector as a ``_Sparse`` column when a vector follows it,
+        else as a row."""
         value = self[refs[0]]
-        if isinstance(value, Matrix):
-            return value.entries
-        return tuple(zip(value.entries)) if self._column(refs) else (value.entries,)
+        if not isinstance(value, Vector):
+            return value
+        if self._column(refs):
+            return _Sparse([{0: v} if v else {} for v in value], 1)
+        return _Sparse([{j: v for j, v in enumerate(value) if v}], len(value))
 
     def _column(self, refs) -> bool:
         return len(refs) > 1 and isinstance(self[refs[1]], Vector)
 
     def size(self, refs, last: bool) -> int:
-        """Largest |entry| of rows(refs) if last, else its largest absolute row sum."""
-        value = self[refs[0]]
-        vector = isinstance(value, Vector)
-        top = last or vector and self._column(refs)  # a column's row sums are its entries
+        """Largest |entry| of form(refs) if last, else its largest absolute row sum."""
+        # a column vector's row sums are its entries
+        top = last or isinstance(self[refs[0]], Vector) and self._column(refs)
         key = refs[0], top
         if key not in self.sizes:
-            if vector:
-                v = value.entries
-                self.sizes[key] = max(max(v), -min(v)) if top else sum(map(abs, v))
-            else:
-                rows = value.entries
-                self.sizes[key] = (max(max(map(max, rows)), -min(map(min, rows))) if top
-                                   else max(map(sum, map(map, repeat(abs), rows))))
+            self.sizes[key] = self.form(refs).size(top)
         return self.sizes[key]
 
     def split(self, term, scale: int) -> tuple:
@@ -332,13 +387,9 @@ class _Point(dict):
     def packed(self, refs) -> list:
         """Row i of the product of refs as the integer sum_j P_ij B^j."""
         if refs not in self.packs:
-            rows = self.rows(refs)
-            if len(refs) == 1:
-                self.packs[refs] = exactla.pack_rows(rows, self.width)
-            else:
-                tail = self.packed(refs[1:])
-                self.packs[refs] = [sum(map(mul, filter(None, row), compress(tail, row)))
-                                    for row in rows]
+            form = self.form(refs)
+            self.packs[refs] = (form.packed(self.width) if len(refs) == 1
+                                else form.times(self.packed(refs[1:])))
         return self.packs[refs]
 
     def shape(self, equation) -> tuple:
@@ -364,7 +415,7 @@ def _mul(x, y):
     """x.y, exact, on a vector side: a matrix times a vector or a vector times
     a matrix, as no term in IDENTITIES puts its vector before two matrices
     (outer products only arise on matrix sides)."""
-    return exactla.mat_vec(x, y) if isinstance(x, Matrix) else exactla.vec_mat(x, y)
+    return exactla.vec_mat(x, y) if isinstance(x, Vector) else exactla.mat_vec(x, y)
 
 
 def _side(terms, point: _Point, scale: int, vector: bool) -> list:
@@ -377,7 +428,7 @@ def _side(terms, point: _Point, scale: int, vector: bool) -> list:
         elif point.bound(term, scale):
             rows = point.packed(refs)
         else:  # a zero coefficient or a zero factor: nothing to pack
-            rows = [0] * len(point.rows(refs))
+            rows = [0] * point.form(refs).rows
         scaled = map(mul, repeat(coef), rows)
         total = list(scaled) if total is None else list(map(add, total, scaled))
     return total

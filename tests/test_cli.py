@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 import resource
@@ -272,6 +273,28 @@ def test_verify_random(capsys):
     )
     assert code == 0
     assert out.startswith("TREES 2 CHECKS 20 FAIL 0")
+
+
+# sha256 of stdout and of --out of two random runs, which the benchmark checks
+# only for their summary; a change that alters the random output on purpose
+# updates these and names them in CHANGES.md
+RANDOM_DIGESTS = {
+    ("12,2", "--seed", "3"): (
+        "54041d1159572df6a87344841521613c8c415c05f24b9316842ff9b34f7af909",
+        "b36fa8ec131337f81a7b512daa6ba13d9c029d450579f28c0ee1233067f7c11d"),
+    ("9,1", "--seed", "2", "--at", "2", "--at", "-1/2"): (
+        "60ab3b75cbe0b77b8192daaf043b321255c1686f12e01a219308289f430481f1",
+        "6a35e3d32f5748b8217fc8e4c38a452ad9432ca18cf724358eca4d94456b3430"),
+}
+
+
+@pytest.mark.parametrize("spec", sorted(RANDOM_DIGESTS))
+def test_verify_random_output_is_pinned(capsys, tmp_path, spec):
+    out_path = tmp_path / "out.json"
+    code, out, _ = run_cli(capsys, "verify", "--random", *spec, "--out", str(out_path))
+    assert code == 0
+    assert (hashlib.sha256(out.encode()).hexdigest(),
+            hashlib.sha256(out_path.read_bytes()).hexdigest()) == RANDOM_DIGESTS[spec]
 
 
 def test_verify_random_rejects_excluded(capsys):

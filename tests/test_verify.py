@@ -330,8 +330,10 @@ def test_evaluation_builds_no_symbolic_distance_matrix(monkeypatch):
 
 
 def test_symbolic_pass_implies_evaluation_pass():
-    # spot-check the evaluated route at a few non-pole points
-    points = (Fraction(2), Fraction(1, 2), Fraction(-3), Fraction(5, 3))
+    # spot-check the evaluated route at every default point and one more; at
+    # p = 1 the distance block is the one entry 1 (dmax = 1), and qL and I
+    # have one nonzero in their one row
+    points = (*verify.DEFAULT_Q_POINTS, Fraction(-3))
     for p in (1, 2, 3):
         for mt in treecore.enumerate_nonsingular(p):
             for x in points:
@@ -776,34 +778,74 @@ def test_coefficient_bound_is_read_from_the_entries(monkeypatch, p5_random):
     _assert_witness(res)
 
 
-def _residuals(mt) -> dict:
-    """lhs - rhs of each product equation in Z[q], by label: a Matrix, or a
-    list for a vector equation."""
+def _sides(mt, bd) -> dict:
+    """(lhs, rhs) of each product equation in Z[q] with this bd_q, by label:
+    two Matrices, or two Vectors for a vector equation."""
     qL, qB, E = (build(mt) for build in (
         qmatrices.build_qL, qmatrices.build_qB, qmatrices.build_E))
     tau_l, tau_r = qmatrices.qtau(mt)
-    bd = qmatrices.bdq_det(mt)
     ones_L, ones_R = (exactla.Vector((ONE,) * mt.p, kind) for kind in (KIND_L, KIND_R))
     eye = Matrix.identity(mt.p, KIND_R, KIND_R)
-
-    def minus(got, want):
-        return [a - b for a, b in zip(got, want)]
-
     return {
-        "qB tau_r = bd_q ones": minus(exactla.mat_vec(qB, tau_r), ones_L.scale(bd)),
-        "tau_l^t qB = bd_q ones^t": minus(exactla.vec_mat(tau_l, qB), ones_R.scale(bd)),
-        "ones^t qL = (1-q^2) tau_l^t": minus(exactla.vec_mat(ones_R, qL),
-                                             tau_l.scale(ONE_MINUS_Q2)),
-        "qL ones = (1-q^2) tau_r": minus(exactla.mat_vec(qL, ones_L),
-                                         tau_r.scale(ONE_MINUS_Q2)),
+        "qB tau_r = bd_q ones": (exactla.mat_vec(qB, tau_r), ones_L.scale(bd)),
+        "tau_l^t qB = bd_q ones^t": (exactla.vec_mat(tau_l, qB), ones_R.scale(bd)),
+        "ones^t qL = (1-q^2) tau_l^t": (exactla.vec_mat(ones_R, qL),
+                                        tau_l.scale(ONE_MINUS_Q2)),
+        "qL ones = (1-q^2) tau_r": (exactla.mat_vec(qL, ones_L), tau_r.scale(ONE_MINUS_Q2)),
         "-qL.qB + (1+q) tau_r ones^t = q(1+q) I": (
-            exactla.outer(tau_r, ones_R).scale(ONE_PLUS_Q)
-            - exactla.mat_mul(qL, qB) - eye.scale(Q_ONE_PLUS_Q)),
-        "qL.E = q(1-q^2) I": exactla.mat_mul(qL, E) - eye.scale(Q * ONE_MINUS_Q2),
-        "(-bd_q qL + (1+q) tau_r tau_l^t).qB = q(1+q) bd_q I": exactla.mat_mul(
-            exactla.outer(tau_r, tau_l).scale(ONE_PLUS_Q) - qL.scale(bd), qB
-        ) - eye.scale(Q_ONE_PLUS_Q * bd),
+            exactla.outer(tau_r, ones_R).scale(ONE_PLUS_Q) - exactla.mat_mul(qL, qB),
+            eye.scale(Q_ONE_PLUS_Q)),
+        "qL.E = q(1-q^2) I": (exactla.mat_mul(qL, E), eye.scale(Q * ONE_MINUS_Q2)),
+        "(-bd_q qL + (1+q) tau_r tau_l^t).qB = q(1+q) bd_q I": (
+            exactla.mat_mul(exactla.outer(tau_r, tau_l).scale(ONE_PLUS_Q) - qL.scale(bd), qB),
+            eye.scale(Q_ONE_PLUS_Q * bd)),
     }
+
+
+def _residuals(mt) -> dict:
+    """lhs - rhs of each product equation in Z[q], by label: a Matrix, or a
+    list for a vector equation."""
+    return {label: got - want if isinstance(got, Matrix) else [a - b for a, b in zip(got, want)]
+            for label, (got, want) in _sides(mt, qmatrices.bdq_det(mt)).items()}
+
+
+def _assert_replays(res, sides, x):
+    """The witness's got and want are its entry of the Z[q] sides at q = x."""
+    w = res.witness
+    got, want = sides[w["identity"]]
+    entry = w["entry"][0] if len(w["entry"]) == 1 else tuple(w["entry"])
+    assert (Fraction(w["got"]), Fraction(w["want"])) == (
+        got[entry].eval_at(x), want[entry].eval_at(x)) and w["got"] != w["want"]
+
+
+def test_shared_distance_block_reaches_each_identity_that_reads_it(monkeypatch, p5_random):
+    # every point reads qB and E through the one integer block TreeData.dist_lr:
+    # one bumped block entry must fail exactly the identities that read qB or
+    # E, at the proof point and at each mutation point, and each witness must
+    # replay from the sides in Z[q] (built from the bumped block too)
+    lr_distances = qmatrices.lr_distances
+
+    def bumped(mt):
+        block = [list(row) for row in lr_distances(mt)]
+        block[1][0] += 2
+        return block
+
+    monkeypatch.setattr(qmatrices, "lr_distances", bumped)
+    reads_block = DEPENDS_ON["qB"] | DEPENDS_ON["E"]
+    td = qmatrices.TreeData(p5_random)
+    assert td.dist_lr[1][0] == lr_distances(p5_random)[1][0] + 2
+    proved = {name: check(td) for name, check in PRODUCT_CHECKS.items()}
+    assert {n for n, r in proved.items() if not r.passed} == reads_block
+    sides = _sides(p5_random, td.bd)
+    for name in reads_block:
+        _assert_replays(proved[name], sides, int(proved[name].witness["point"]))
+    sides = _sides(p5_random, qmatrices.bdq_recursive(p5_random))
+    for x in MUTATION_POINTS:
+        point = {r.name.split("@")[0].replace("_product", ""): r
+                 for r in evaluate_identities_at(p5_random, x)}
+        assert {n for n, r in point.items() if not r.passed} == reads_block, x
+        for name in reads_block:
+            _assert_replays(point[name], sides, x)
 
 
 def test_symbolic_witness_carries_the_residual_polynomial(monkeypatch, p5_random):
@@ -912,8 +954,9 @@ def test_q1_properties_witness_with_a_new_denominator(monkeypatch, p6_attach):
 
 
 def _constant(rows):
-    m = Matrix(rows, KIND_R, KIND_R)
-    return verify._Factor(0, lambda a, b: m)
+    """A factor with these integer entries at every point."""
+    return verify._poly_factor(Matrix([[Poly((c,)) for c in row] for row in rows],
+                                      KIND_R, KIND_R))
 
 
 def test_packed_width_holds_entries_at_the_bound():
@@ -937,6 +980,29 @@ def test_packed_width_holds_entries_at_the_bound():
         ([0, 0], str(2 * h), str(-2 * h), str(4 * h)),
         ([0, 1], str(-2 * h), str(2 * h), str(-4 * h)),
     ]
+
+
+def test_bound_of_a_matrix_times_a_vector_takes_its_row_sums():
+    # M.v with M all ones and v = (1, 1) has entries 2 = ||M|| max|v|, where
+    # max|M| max|v| is 1: only a column vector's row sums are its entries
+    factors = {"M": _constant([[1, 1], [1, 1]]),
+               "v": verify._poly_factor(exactla.Vector((ONE, ONE), KIND_R))}
+    point = verify._Point(factors, Fraction(1), [])
+    assert point.bound(("M", "v"), 0) == 2
+    assert point.bound(("v", "v"), 0) == 1
+
+
+def test_point_engine_builds_no_matrix_per_point(monkeypatch):
+    # at a point qL and I are kept as their nonzeros and qB and E as tables of
+    # values by distance: the Matrices built are the tree's, whatever the points
+    mt = treecore.random_nonsingular(30, 1)
+    built = _count_calls(monkeypatch, exactla.Matrix, ("__init__",))
+    counts = []
+    for points in (verify.DEFAULT_Q_POINTS[:1], verify.DEFAULT_Q_POINTS):
+        built.clear()
+        assert all(r.passed for r in evaluate_identities_at(mt, *points))
+        counts.append(built["__init__"])
+    assert counts[0] == counts[1]
 
 
 def test_point_engine_multiplies_no_dense_matrices(monkeypatch):
