@@ -16,6 +16,7 @@ from .polyalg import (
     poly_gcd,
     qdeg,
     qint,
+    qpow,
 )
 from .treecore import (
     MatchedTree,

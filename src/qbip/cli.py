@@ -23,8 +23,7 @@ from fractions import Fraction
 
 from . import exactla, qmatrices, treecore, verify
 from .exactla import Matrix, SingularMatrix, Vector
-from .polyalg import NotDivisible, PoleAtPoint
-from .qmatrices import BdqZero
+from .polyalg import PoleAtPoint
 from .treecore import NotATree, NotNonsingular
 
 
@@ -405,8 +404,8 @@ def main(argv=None) -> int:
     try:
         _check_output(args)
         return args.fn(args)
-    except (UsageError, NotATree, NotNonsingular, PoleAtPoint, BdqZero,
-            NotDivisible, SingularMatrix, OSError) as exc:
+    except (UsageError, NotATree, NotNonsingular, PoleAtPoint, SingularMatrix,
+            OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

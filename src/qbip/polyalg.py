@@ -224,6 +224,13 @@ def qint(k: int) -> Poly:
     return Poly((1,) * k)
 
 
+def qpow(k: int) -> Poly:
+    """The monomial q^k, k >= 0."""
+    if k < 0:
+        raise ValueError("q-power needs k >= 0")
+    return Poly((0,) * k + (1,))
+
+
 def qdeg(k: int) -> Poly:
     """Degree scalar k_q = 1 + (k-1)q^2 for k >= 1."""
     if k < 1:

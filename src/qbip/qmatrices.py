@@ -17,7 +17,7 @@ from . import exactla, treecore
 from .exactla import KIND_L, KIND_R, KIND_VERTEX, Matrix, Vector
 from .polyalg import (
     ONE, ONE_MINUS_Q2, ONE_PLUS_Q, Q, Q_ONE_PLUS_Q, Poly, PoleAtPoint, RatFun,
-    divexact, qint,
+    divexact, qint, qpow,
 )
 from .treecore import MatchedTree, Tree
 
@@ -35,6 +35,7 @@ class TreeData:
     pairs; the trees that the attachment checks grow and split get only such
     a table, from their own lists, and no TreeData.  A vertex's mu in Z[q]
     is not kept: ``qsigned_degree_vector`` reads it off ``lap`` at each call.
+    ``bd`` is the peel, ``bdq_recursive``; only ``verify.check_bdq`` takes ``bdq_det``.
     Functions that take a tree accept either kind and wrap it with ``of``.
     Lifetime: one suite run, one point evaluation or one CLI command.
     Nothing is kept on the MatchedTree, at module level or across trees:
@@ -58,7 +59,7 @@ class TreeData:
     E = cached_property(lambda self: build_E(self))
     qL = cached_property(lambda self: build_qL(self))
     tau = cached_property(lambda self: qtau(self))
-    bd = cached_property(lambda self: bdq_det(self))
+    bd = cached_property(lambda self: bdq_recursive(self.mt))
     diffs = cached_property(lambda self: {side: self.lap.diff(side) for side in "LR"})
 
     def diff(self, v: int) -> int:
@@ -83,10 +84,6 @@ def distance_block(mt: MatchedTree | TreeData, entry=int) -> Matrix:
     return _by_distance(TreeData.of(mt).dist_lr, entry, KIND_L, KIND_R)
 
 
-def _monomial(d: int) -> Poly:
-    return Poly((0,) * d + (1,))
-
-
 def build_qB(mt: MatchedTree | TreeData) -> Matrix:
     """L x R matrix of q-integers of distances: entry (i,j) = [dist(l_i, r_j)]."""
     return distance_block(mt, qint)
@@ -94,7 +91,7 @@ def build_qB(mt: MatchedTree | TreeData) -> Matrix:
 
 def build_E(mt: MatchedTree | TreeData) -> Matrix:
     """L x R matrix of distance monomials: entry (i,j) = q^dist(l_i, r_j)."""
-    return distance_block(mt, _monomial)
+    return distance_block(mt, qpow)
 
 
 class Laplacian(NamedTuple):
@@ -190,7 +187,7 @@ def build_full_qD(tree: Tree | list) -> Matrix:
 
 def build_full_eD(tree: Tree | list) -> Matrix:
     """Vertex x Vertex matrix q^dist(i,j) of any tree or of its distance table."""
-    return _by_distance(_vertex_distances(tree), _monomial, KIND_VERTEX, KIND_VERTEX)
+    return _by_distance(_vertex_distances(tree), qpow, KIND_VERTEX, KIND_VERTEX)
 
 
 def _vertex_distances(tree: Tree | list) -> list:
@@ -218,8 +215,8 @@ def bdq_det(mt: MatchedTree | TreeData) -> Poly:
     """Distance index extracted from det of the q-bipartite distance matrix.
 
     det always carries the factor q^(p-1) (1+q)^(p-1); the index is the
-    cofactor times (-1)^(p-1).  A failed division is a broken build, not a
-    recoverable condition.
+    cofactor times (-1)^(p-1).  A failed division, NotDivisible, means a
+    broken qB: ``verify.check_bdq`` reports it as a failed check.
     """
     d = TreeData.of(mt)
     p = d.mt.p

@@ -11,17 +11,18 @@ per tree, ``exactla.kronecker_base`` of a bound on the coefficients of both
 sides read from the data: the sides are then equal in Z[q] iff equal at B,
 and a failing entry reads back as its balanced base-B digits.
 The five product identities are stated once each, in ``IDENTITIES``, with
-denominators cleared; one engine packs their matrix sides into one integer
-per row, building no p x p matrix at a point (see the comment there), and
-the random large-tree suite runs it at the user's rational points.  The two attachment checks share
-``_join_point``: the trees they grow and split are neighbour lists and pair
-lists spliced or restricted from the validated tree's, never rebuilt as
-Tree objects, and have qL only as integers at B, from their own reach walks;
-the tree itself is read the same way, off its own ``Laplacian``;
-``check_full_dq_ed`` proves its determinants by a certificate at such a
-point.  bd_q's recursion peels lists as well, so a suite builds no Tree.
-The other checks compare Z[q], Q or Z values directly.  Nothing is
-ever approximate.
+denominators cleared; one engine packs their matrix sides into one integer per
+row, building no p x p matrix at a point (see the comment there), and the
+random large-tree suite runs it, on the same ``_factors``, at the user's
+rational points.  The two attachment checks share ``_join_point``: the trees
+they grow and split are neighbour lists and pair lists spliced or restricted
+from the validated tree's, never rebuilt as Tree objects, and have qL only as
+integers at B, from their own reach walks; the tree itself is read the same
+way, off its own ``Laplacian``; ``check_full_dq_ed`` proves its determinants by
+a certificate at such a point.  bd_q is read by the peel, which walks lists as
+well, so a suite builds no Tree; only ``check_bdq`` takes the dense determinant
+route.  The other checks compare Z[q], Q or Z values directly.  Nothing is ever
+approximate.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ import os
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from itertools import accumulate, count, repeat
+from itertools import count, repeat
 from math import lcm, prod
 from operator import add, mul
 from types import SimpleNamespace
@@ -39,7 +40,7 @@ from typing import Callable, NamedTuple
 from . import exactla, qmatrices, treecore
 from .exactla import KIND_L, KIND_R, Matrix, Vector, entry_json
 from .polyalg import (
-    ONE, ONE_MINUS_Q2, ONE_PLUS_Q, Q, Q_ONE_PLUS_Q, Poly,
+    ONE, ONE_MINUS_Q2, ONE_PLUS_Q, Q, Q_ONE_PLUS_Q, NotDivisible, Poly, qint, qpow,
 )
 from .qmatrices import TreeData
 from .treecore import MatchedTree
@@ -272,28 +273,24 @@ def _monomials(a: int, b: int, deg: int) -> list:
     return [a**i * b ** (deg - i) for i in range(deg + 1)]
 
 
-def _distance_factors(mt: MatchedTree | TreeData):
-    """qB = [dist] and E = q^dist over L x R, each a ``_Table`` at a point.
-
-    A point computes the dmax + 1 values at d = 0..dmax and nothing per
-    entry: every entry is read through the tree's one integer L x R block.
-    """
-    block = TreeData.of(mt).dist_lr
-    dmax = max(map(max, block))
-
-    def qB(a, b):  # [d] = 1 + q + ... + q^(d-1), times b^(dmax-1)
-        return _Table([0, *accumulate(a**i * b ** (dmax - 1 - i) for i in range(dmax))], block)
-
-    def E(a, b):  # q^d, times b^dmax
-        return _Table([a**d * b ** (dmax - d) for d in range(dmax + 1)], block)
-
-    # norms: [d] has d unit coefficients, q^d one
-    return (_Factor(dmax - 1, qB, lambda: _Table(range(dmax + 1), block)),
-            _Factor(dmax, E, lambda: _Table([1] * (dmax + 1), block)))
+@lru_cache(maxsize=64)
+def _distance_rules(dmax: int) -> tuple:
+    """_poly_factor of [d] and of q^d at d = 0..dmax, build_qB's and build_E's entry rules."""
+    return tuple(_poly_factor(Vector(map(rule, range(dmax + 1)), KIND_L)) for rule in (qint, qpow))
 
 
-def _factors(td: TreeData, bd: Poly) -> dict:
-    """Every factor of the tree's product identities, by name, bd_q given."""
+def _distance_factors(td: TreeData):
+    """qB and E, each a ``_Table`` at a point and for its norm: the values of
+    ``_distance_rules`` read through the tree's one integer L x R block."""
+    block = td.dist_lr
+    # lists: _Table maps __getitem__ over every cell, and a list's is faster than a tuple's
+    return tuple(_Factor(rule.deg, lambda a, b, rule=rule: _Table(list(rule.at(a, b)), block),
+                         lambda rule=rule: _Table(list(rule.norm()), block))
+                 for rule in _distance_rules(max(map(max, block))))
+
+
+def _factors(td: TreeData) -> dict:
+    """Every factor of the tree's product identities, by name, read off its TreeData."""
     p = td.mt.p
     ones_L, ones_R = Vector((1,) * p, KIND_L), Vector((1,) * p, KIND_R)
     eye = _Sparse([{i: 1} for i in range(p)], p)
@@ -307,7 +304,7 @@ def _factors(td: TreeData, bd: Poly) -> dict:
         "ones_R": _Factor(0, lambda a, b: ones_R, lambda: ones_R),
         "I": _Factor(0, lambda a, b: eye, lambda: eye),
         "qL": _poly_factor(td.qL),
-        "bd": _poly_factor(bd),
+        "bd": _poly_factor(td.bd),
     }
     factors["tau_l"], factors["tau_r"] = map(_poly_factor, td.tau)
     factors["qB"], factors["E"] = _distance_factors(td)
@@ -467,7 +464,7 @@ def _mismatch(equations, point: _Point) -> dict | None:
 @lru_cache(maxsize=1)  # the last tree's: a suite run packs each factor once
 def _proof_point(td: TreeData) -> _Point:
     """The tree's factors at q = B = 2^k, B > 2(C_L + C_R) for every equation."""
-    factors = _factors(td, td.bd)
+    factors = _factors(td)
     norms = {ref: _Factor(0, lambda a, b, f=f: f.norm()) for ref, f in factors.items()}
     at_one = _Point(norms, Fraction(1), _EQUATIONS)
     bound = max(sum(at_one.bound(term, 0) for term in lhs + rhs) for _, lhs, rhs in _EQUATIONS)
@@ -512,12 +509,15 @@ def check_det_qL(mt: MatchedTree | TreeData) -> CheckResult:
 
 
 def check_bdq(mt: MatchedTree | TreeData) -> CheckResult:
-    """Determinant route and recursive route agree on the distance index."""
-    # det qB = (-1)^(p-1) q^(p-1) (1+q)^(p-1) bd_q holds by construction once
-    # bdq_det's exact division succeeds, so only the two routes are compared
+    """det qB = (-1)^(p-1) q^(p-1) (1+q)^(p-1) bd_q, bd_q the peel: once ``bdq_det``
+    divides det qB exactly, its quotient and the peel are compared, else det qB."""
     td = TreeData.of(mt)
-    return _compare("bdq", "bd_q determinant route equals recursion",
-                    td.bd, qmatrices.bdq_recursive(td.mt))
+    try:
+        got = qmatrices.bdq_det(td)
+    except NotDivisible:
+        return _compare("bdq", "det qB = (-1)^(p-1) q^(p-1) (1+q)^(p-1) bd_q",
+                        exactla.det_bareiss(td.qB), (-Q_ONE_PLUS_Q) ** (td.mt.p - 1) * td.bd)
+    return _compare("bdq", "bd_q determinant route equals recursion", got, td.bd)
 
 
 def check_sum_mu(mt: MatchedTree | TreeData) -> CheckResult:
@@ -818,15 +818,16 @@ def check_full_dq_ed(tree: treecore.Tree | TreeData) -> CheckResult:
     and eD, built from one distance table: a TreeData lends its table, a bare
     Tree (which needs no perfect matching) gets one distances call.
 
-    With L_q = I - qA + q^2 (Deg - I), tau(v) = 1 + q - q deg(v) and M =
-    -(n-1) L_q + tau tau^t, read from the adjacency: L_q.eD = (1-q^2) I and
-    want_ed det L_q = (1-q^2)^n give det eD = want_ed and adj L_q = eD, so
-    det M = (-(n-1))^n det L_q + (-(n-1))^(n-1) tau^t eD tau (determinant
-    lemma); M.qD = (n-1)(1+q) I, det M != 0 and want_qd det M = ((n-1)(1+q))^n
-    then give det qD = want_qd.  This certificate is decided at q = b = 2^k
-    past twice the sum of both sides' coefficient bounds, read from the
-    degrees and the built qD and eD.  Only if it fails are the two dense
-    determinants taken, qD's first, for the verdict and witness.
+    With L_q = I - qA + q^2 (Deg - I), tau(v) = 1 + q - q deg(v), m = n - 1 and
+    M = -m L_q + tau tau^t, read from the adjacency: L_q.eD = (1-q^2) I and
+    want_ed det L_q = (1-q^2)^n give det eD = want_ed; L_q 1 = (1-q) tau and
+    sum_v tau(v) = n - (n-2) q give (1-q) det M = det L_q ((-m)^n (1-q) +
+    (-m)^m (n - (n-2) q)) = det L_q k_n, k_n = (-m)^m (1+q) (determinant
+    lemma); M.qD = m(1+q) I, det M != 0 and want_qd det M = (m(1+q))^n then
+    give det qD = want_qd.  This certificate is decided at q = b = 2^k past
+    twice the sum of both sides' coefficient bounds, read from the degrees and
+    the built qD and eD.  Only if it fails are the two dense determinants
+    taken, qD's first, for the verdict and witness.
     """
     dist, adj = ((tree.dist, tree.mt.tree.adj) if isinstance(tree, TreeData)
                  else (treecore.distances(tree), tree.adj))
@@ -842,17 +843,18 @@ def check_full_dq_ed(tree: treecore.Tree | TreeData) -> CheckResult:
 
 @lru_cache(maxsize=64)
 def _dq_ed_claims(n: int) -> tuple:
-    """want_qd, want_ed, (1-q^2)^n and ((n-1)(1+q))^n on n vertices."""
-    return ((-1) ** (n - 1) * (n - 1) * ONE_PLUS_Q ** (n - 2), ONE_MINUS_Q2 ** (n - 1),
-            ONE_MINUS_Q2**n, ((n - 1) * ONE_PLUS_Q) ** n)
+    """want_qd, want_ed, (1-q^2)^n, k_n and (1-q) (m(1+q))^n on n = m + 1 vertices."""
+    m = n - 1
+    return ((-1) ** m * m * ONE_PLUS_Q ** (n - 2), ONE_MINUS_Q2**m, ONE_MINUS_Q2**n,
+            (-m) ** m * ONE_PLUS_Q, Poly((1, -1)) * (m * ONE_PLUS_Q) ** n)
 
 
-def _dq_ed_certificate(adj, qd: Matrix, ed: Matrix, want_qd, want_ed, ed_det, qd_det) -> bool:
+def _dq_ed_certificate(adj, qd: Matrix, ed: Matrix, want_qd, want_ed, ed_det, k_n, qd_det):
     """Whether the certificate of ``check_full_dq_ed`` holds."""
     n, m, x = len(adj), len(adj) - 1, [1 - len(a) for a in adj]  # tau = 1 + xq, L_vv = 1 - xq^2
     r = 2 * max(map(len, adj))  # bounds the norm of each row of L_q and of each tau(v)
     coeffs = {e.coeffs for d in (qd, ed) for row in d.entries for e in row}
-    # (n r)^2 max ||entry|| + 2n bounds both sides of both products and tau^t eD tau
+    # (n r)^2 max ||entry|| + 2n bounds both sides of both products
     b = exactla.kronecker_base((n * r) ** 2 * max(map(_norm, coeffs)) + 2 * n)
     width = exactla.pack_width(b ** (max(map(len, coeffs)) + 2))  # past every entry at b
     value = {cs: sum(c * b**i for i, c in enumerate(cs)) for cs in coeffs}
@@ -862,8 +864,7 @@ def _dq_ed_certificate(adj, qd: Matrix, ed: Matrix, want_qd, want_ed, ed_det, qd
                    for y, xv, a in zip(p, x, adj)] for p in (ed_p, qd_p))  # L_q.eD, L_q.qD
     t, eye = [1 + xv * b for xv in x], [1 << 8 * width * i for i in range(n)]
     tau_qd, det_L = sum(map(mul, t, qd_p)), _det_vertex_laplacian(adj)
-    s = exactla.balanced_digits(sum(t_i * sum(map(mul, row, t)) for t_i, row in zip(t, ed_b)), b)
-    det_M = (-m) ** n * det_L + (-m) ** m * s  # s = tau^t eD tau
+    det_M = det_L * k_n  # times 1 - q, as is qd_det
     return (ed_l == [(1 - b * b) * u for u in eye]
             and [t_i * tau_qd - m * y for t_i, y in zip(t, qd_l)] == [m * (1 + b) * u for u in eye]
             and want_ed * det_L == ed_det and bool(det_M) and want_qd * det_M == qd_det)
@@ -960,12 +961,11 @@ def _rational_points(q_points) -> list[Fraction]:
 def evaluate_identities_at(mt: MatchedTree | TreeData, *q_points) -> list[CheckResult]:
     """The five product identities at each exact rational point, point by point.
 
-    The tree's factors are built once, bd_q by the recursion; each point's
-    evaluated matrices are dropped before the next point is evaluated.
+    The tree's factors are built once, as for the proof point; each point's
+    values are dropped before the next point is evaluated.
     """
     points = _rational_points(q_points)
-    td = TreeData.of(mt)
-    factors = _factors(td, qmatrices.bdq_recursive(td.mt))
+    factors = _factors(TreeData.of(mt))
     results = []
     for x in points:
         point = _Point(factors, x, _EQUATIONS)  # frees the previous point's matrices

@@ -13,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 from oracles import is_tree
 from qbip import exactla, qmatrices, treecore, verify
 from qbip.cli import main
-from qbip.polyalg import Q
+from qbip.polyalg import Q, Q_ONE_PLUS_Q, NotDivisible
 
 
 @pytest.fixture
@@ -229,19 +229,20 @@ def _compact(line: str) -> dict:
 def test_verify_failing_check_exits_1_with_its_witness(
     capsys, monkeypatch, p4_file, p4_attach
 ):
-    # the recursion off by q: bdq is the one check that compares it
-    recursive = qmatrices.bdq_recursive
-    monkeypatch.setattr(qmatrices, "bdq_recursive", lambda mt: recursive(mt) + Q)
+    # the determinant route off by q: bdq is the one check that takes it
+    det_route = qmatrices.bdq_det
+    monkeypatch.setattr(qmatrices, "bdq_det", lambda mt: det_route(mt) + Q)
     code, out, _ = run_cli(capsys, "verify", "--tree", p4_file)
     summary, line = out.splitlines()
     assert code == 1 and summary == "TREES 1 CHECKS 13 FAIL 1"
     data = _compact(line)
     assert data["tree"] == treecore.canonical_code(p4_attach.tree).hex()
     assert data["check"] == "bdq"
-    want = qmatrices.bdq_det(p4_attach)
+    want = qmatrices.bdq_recursive(p4_attach)
     assert data["witness"] == {
         "identity": "bd_q determinant route equals recursion",
-        "got": want.to_json(), "want": (want + Q).to_json(), "residual": ["0", "-1"],
+        "got": (det_route(p4_attach) + Q).to_json(), "want": want.to_json(),
+        "residual": ["0", "1"],
     }
 
 
@@ -276,8 +277,9 @@ def test_verify_random(capsys):
 
 
 # sha256 of stdout and of --out of two random runs, which the benchmark checks
-# only for their summary; a change that alters the random output on purpose
-# updates these and names them in CHANGES.md
+# only for their summary, and of one enumerated run, which it checks only
+# through a projection of a larger one; a change that alters the output on
+# purpose updates these and names them in CHANGES.md
 RANDOM_DIGESTS = {
     ("12,2", "--seed", "3"): (
         "54041d1159572df6a87344841521613c8c415c05f24b9316842ff9b34f7af909",
@@ -288,13 +290,30 @@ RANDOM_DIGESTS = {
 }
 
 
+ENUM_DIGESTS = {
+    "10": (
+        "9089db2f86bc3cdffa0518900bea3b9558e5d2c4ded142085220eebb64c3ff88",
+        "30b9dde4e8fdd30d2c760a693ffe70ae1e4671ee7b95e2815f894f275695e581"),
+}
+
+
+def _verify_digests(capsys, tmp_path, *argv) -> tuple:
+    """sha256 of stdout and of --out of a passing verify run."""
+    out_path = tmp_path / "out.json"
+    code, out, _ = run_cli(capsys, "verify", *argv, "--out", str(out_path))
+    assert code == 0
+    return (hashlib.sha256(out.encode()).hexdigest(),
+            hashlib.sha256(out_path.read_bytes()).hexdigest())
+
+
 @pytest.mark.parametrize("spec", sorted(RANDOM_DIGESTS))
 def test_verify_random_output_is_pinned(capsys, tmp_path, spec):
-    out_path = tmp_path / "out.json"
-    code, out, _ = run_cli(capsys, "verify", "--random", *spec, "--out", str(out_path))
-    assert code == 0
-    assert (hashlib.sha256(out.encode()).hexdigest(),
-            hashlib.sha256(out_path.read_bytes()).hexdigest()) == RANDOM_DIGESTS[spec]
+    assert _verify_digests(capsys, tmp_path, "--random", *spec) == RANDOM_DIGESTS[spec]
+
+
+@pytest.mark.parametrize("upto", sorted(ENUM_DIGESTS))
+def test_verify_enumerated_output_is_pinned(capsys, tmp_path, upto):
+    assert _verify_digests(capsys, tmp_path, "--enumerate-upto", upto) == ENUM_DIGESTS[upto]
 
 
 def test_verify_random_rejects_excluded(capsys):
@@ -559,6 +578,36 @@ def test_key_error_inside_a_command_is_not_an_input_error(monkeypatch, p4_file):
     monkeypatch.setattr(verify, "run_suite", broken)
     with pytest.raises(KeyError):
         main(["verify", "--tree", p4_file])
+
+
+def test_det_qB_without_its_factor_is_a_failed_check(capsys, monkeypatch, tmp_path):
+    # det qB short of q^(p-1) (1+q)^(p-1) fails the exact division in
+    # bdq_det: bdq fails with det qB against the peel times the factor, and
+    # the run exits 1, not 2 as for bad input
+    mt = treecore.random_nonsingular(4, 1)
+    path = tmp_path / "tree.json"
+    path.write_text(json.dumps(mt.to_json()))
+    build_qB = qmatrices.build_qB
+
+    def bumped(mt):
+        rows = [list(row) for row in build_qB(mt).entries]
+        rows[0][1] += Q
+        return exactla.Matrix(rows, exactla.KIND_L, exactla.KIND_R)
+
+    monkeypatch.setattr(qmatrices, "build_qB", bumped)
+    with pytest.raises(NotDivisible):
+        qmatrices.bdq_det(mt)
+    code, out, _ = run_cli(capsys, "verify", "--tree", str(path))
+    summary, line = out.splitlines()
+    assert code == 1 and summary == "TREES 1 CHECKS 13 FAIL 2"
+    data = _compact(line)
+    assert data["check"] == "bdq"
+    det = exactla.det_bareiss(bumped(mt))
+    want = -(Q_ONE_PLUS_Q ** (mt.p - 1)) * qmatrices.bdq_recursive(mt)  # p - 1 = 3 is odd
+    assert data["witness"] == {
+        "identity": "det qB = (-1)^(p-1) q^(p-1) (1+q)^(p-1) bd_q",
+        "got": det.to_json(), "want": want.to_json(), "residual": (det - want).to_json(),
+    }
 
 
 def test_value_error_inside_a_random_run_is_not_an_input_error(monkeypatch):

@@ -871,9 +871,9 @@ def _calls_to_factors(monkeypatch) -> list:
     built = []
     factors = verify._factors
 
-    def spy(td, bd):
+    def spy(td):
         built.append(td)
-        return factors(td, bd)
+        return factors(td)
 
     monkeypatch.setattr(verify, "_factors", spy)
     return built
@@ -906,8 +906,43 @@ def test_proof_point_is_never_shared_between_trees(monkeypatch, p5_random):
     assert built == [before, after, before]
 
 
+@pytest.mark.parametrize("route, failed", [
+    ("bdq_det", {"bdq"}),
+    ("bdq_recursive", {"bdq", "B_tau", "inverse_qB", "q1_properties"}),
+])
+def test_both_engines_read_bd_from_the_peel(monkeypatch, p5_random, route, failed):
+    # the proof point and the rational points build one factor set, bd_q from
+    # TreeData.bd, the peel: a route off by q fails the same product
+    # identities in both engines, and the determinant route only bdq
+    off = getattr(qmatrices, route)
+    monkeypatch.setattr(qmatrices, route, lambda mt: off(mt) + Q)
+    assert {r.name for r in run_suite(p5_random).results if not r.passed} == failed
+    products = failed & set(PRODUCT_CHECKS)
+    proved = {name: check(p5_random) for name, check in PRODUCT_CHECKS.items()}
+    assert {n for n, r in proved.items() if not r.passed} == products
+    for name in products:
+        _assert_witness(proved[name])
+    for x in MUTATION_POINTS:
+        point = {r.name.split("@")[0].replace("_product", ""): r
+                 for r in evaluate_identities_at(p5_random, x)}
+        assert {n for n, r in point.items() if not r.passed} == products, x
+        for name in products:
+            _assert_witness(point[name])
+
+
+def test_product_identities_take_no_determinant(monkeypatch):
+    # bd_q is the peel: the five product checks, the point engine and the
+    # closed-form qB inverse take no Z[q] determinant, whose cost grows as p^6
+    mt = treecore.random_nonsingular(30, 1)
+    calls = _count_calls(monkeypatch, exactla, ("det_bareiss",))
+    assert all(check(mt).passed for check in PRODUCT_CHECKS.values())
+    assert all(r.passed for r in evaluate_identities_at(mt, Fraction(2)))
+    qmatrices.inverse_qB_formula(mt)
+    assert calls["det_bareiss"] == 0
+
+
 def test_identically_zero_bd_is_reported(monkeypatch, p5_random):
-    monkeypatch.setattr(qmatrices, "bdq_det", lambda mt: ZERO)
+    monkeypatch.setattr(qmatrices, "bdq_recursive", lambda mt: ZERO)
     res = verify.check_inverse_qB(p5_random)
     assert not res.passed and "identically zero" in res.witness["got"]
 
