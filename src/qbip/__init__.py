@@ -33,7 +33,6 @@ from .treecore import (
     standard_labeling,
 )
 from .qmatrices import (
-    BdqZero,
     bdq_det,
     bdq_recursive,
     build_E,

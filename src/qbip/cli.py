@@ -155,8 +155,8 @@ def cmd_show(args) -> int:
     name = args.matrix
     at = _one_point(args)
     if name in ("qD", "eD"):
-        tree = treecore.Tree.from_json(_read_json(args.tree))
-        obj = qmatrices.build_full_qD(tree) if name == "qD" else qmatrices.build_full_eD(tree)
+        dist = treecore.distances(treecore.Tree.from_json(_read_json(args.tree)))
+        obj = qmatrices.build_full_qD(dist) if name == "qD" else qmatrices.build_full_eD(dist)
     else:
         td = qmatrices.TreeData(treecore.MatchedTree.from_json(_read_json(args.tree)))
         if name in ("qB", "E", "qL"):

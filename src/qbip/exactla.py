@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import chain, compress, repeat
+from itertools import compress, repeat
 from math import prod
 from operator import add, mul, ne
 
@@ -505,25 +505,19 @@ def pack_width(bound: int) -> int:
     return max(1, -(-(4 * bound).bit_length() // 8))
 
 
-def pack_rows(rows, width: int, table=None) -> list:
-    """Each row x of a sequence of equal-length integer rows as sum_j x_j B^j.
+def pack_rows(rows, width: int, table: list) -> list:
+    """Each row of indices into table as the integer sum_j table[row_j] B^j.
 
-    B = 2^(8 width), and every entry must lie in [-B/2, B/2).  Offset by B/2,
-    each entry is one unsigned little-endian digit of width bytes; a row's
-    digits are joined and read as one integer, and the packed offset
-    sum_j (B/2) B^j is taken back off.  Each distinct entry is encoded once,
-    into a table the rows are read through; given ``table``, the rows hold
-    indices into it, entry x standing for table[x], and each of its values
-    is encoded once.  That pays when entries repeat, as in a distance-type
-    matrix at a point, with at most diameter + 1 distinct entries.  On rows
-    of all-distinct entries it is about 2x slower than encoding each.
+    B = 2^(8 width), and every value of table must lie in [-B/2, B/2).
+    Offset by B/2, each value is encoded once, as one unsigned little-endian
+    digit of width bytes; a row's digits are joined and read as one integer,
+    and the packed offset sum_j (B/2) B^j is taken back off.  Numbering the
+    distinct entries pays where they repeat, as in a distance-type matrix at
+    a point, with at most diameter + 1 of them.
     """
     half = 1 << (8 * width - 1)
     offset = int.from_bytes(half.to_bytes(width, "little") * len(rows[0]), "little")
-    if table is None:
-        digit = {x: (x + half).to_bytes(width, "little") for x in set(chain.from_iterable(rows))}
-    else:
-        digit = [(v + half).to_bytes(width, "little") for v in table]
+    digit = [(v + half).to_bytes(width, "little") for v in table]
     return [int.from_bytes(b"".join(map(digit.__getitem__, row)), "little") - offset
             for row in rows]
 

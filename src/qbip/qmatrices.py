@@ -19,11 +19,7 @@ from .polyalg import (
     ONE, ONE_MINUS_Q2, ONE_PLUS_Q, Q, Q_ONE_PLUS_Q, Poly, PoleAtPoint, RatFun,
     divexact, qint, qpow,
 )
-from .treecore import MatchedTree, Tree
-
-
-class BdqZero(ArithmeticError):
-    """The distance index vanished, so the closed-form inverse is undefined."""
+from .treecore import MatchedTree
 
 
 class TreeData:
@@ -35,7 +31,9 @@ class TreeData:
     pairs; the trees that the attachment checks grow and split get only such
     a table, from their own lists, and no TreeData.  A vertex's mu in Z[q]
     is not kept: ``qsigned_degree_vector`` reads it off ``lap`` at each call.
-    ``bd`` is the peel, ``bdq_recursive``; only ``verify.check_bdq`` takes ``bdq_det``.
+    ``bd`` is the peel, ``bdq_recursive``: 1 + (1+q) t, t an integer, so never
+    zero and odd at q = 1.  Only ``verify.check_bdq`` reads ``det_qB``, through
+    ``bdq_det`` and for its witness.
     Functions that take a tree accept either kind and wrap it with ``of``.
     Lifetime: one suite run, one point evaluation or one CLI command.
     Nothing is kept on the MatchedTree, at module level or across trees:
@@ -60,6 +58,7 @@ class TreeData:
     qL = cached_property(lambda self: build_qL(self))
     tau = cached_property(lambda self: qtau(self))
     bd = cached_property(lambda self: bdq_recursive(self.mt))
+    det_qB = cached_property(lambda self: exactla.det_bareiss(self.qB))
     diffs = cached_property(lambda self: {side: self.lap.diff(side) for side in "LR"})
 
     def diff(self, v: int) -> int:
@@ -180,18 +179,14 @@ def build_qL(mt: MatchedTree | TreeData) -> Matrix:
     return Matrix(TreeData.of(mt).lap.rows(Poly), KIND_R, KIND_L)
 
 
-def build_full_qD(tree: Tree | list) -> Matrix:
-    """Vertex x Vertex matrix [dist(i,j)]_q of any tree or of its distance table."""
-    return _by_distance(_vertex_distances(tree), qint, KIND_VERTEX, KIND_VERTEX)
+def build_full_qD(dist: list) -> Matrix:
+    """Vertex x Vertex matrix [dist(i,j)]_q of any tree's ``treecore.distances``."""
+    return _by_distance(dist, qint, KIND_VERTEX, KIND_VERTEX)
 
 
-def build_full_eD(tree: Tree | list) -> Matrix:
-    """Vertex x Vertex matrix q^dist(i,j) of any tree or of its distance table."""
-    return _by_distance(_vertex_distances(tree), qpow, KIND_VERTEX, KIND_VERTEX)
-
-
-def _vertex_distances(tree: Tree | list) -> list:
-    return treecore.distances(tree) if isinstance(tree, Tree) else tree
+def build_full_eD(dist: list) -> Matrix:
+    """Vertex x Vertex matrix q^dist(i,j) of any tree's ``treecore.distances``."""
+    return _by_distance(dist, qpow, KIND_VERTEX, KIND_VERTEX)
 
 
 def qsigned_degree_vector(mt: MatchedTree | TreeData, v: int) -> Vector:
@@ -215,14 +210,13 @@ def bdq_det(mt: MatchedTree | TreeData) -> Poly:
     """Distance index extracted from det of the q-bipartite distance matrix.
 
     det always carries the factor q^(p-1) (1+q)^(p-1); the index is the
-    cofactor times (-1)^(p-1).  A failed division, NotDivisible, means a
-    broken qB: ``verify.check_bdq`` reports it as a failed check.
+    cofactor times (-1)^(p-1), det qB being ``TreeData.det_qB``.  A failed
+    division, NotDivisible, means a broken qB: ``verify.check_bdq`` reports it.
     """
     d = TreeData.of(mt)
     p = d.mt.p
-    det = exactla.det_bareiss(d.qB)
     divisor = Q ** (p - 1) * ONE_PLUS_Q ** (p - 1)
-    quotient = divexact(det, divisor)
+    quotient = divexact(d.det_qB, divisor)
     return -quotient if (p - 1) % 2 else quotient
 
 
@@ -254,14 +248,12 @@ def inverse_qB_formula(mt: MatchedTree | TreeData) -> Matrix:
     """Closed-form inverse of the q-bipartite distance matrix.
 
     -qL / (q (1+q)) plus the rank-one correction tau_r tau_l^t / (q bd_q).
-    Defined whenever bd_q is not the zero polynomial.  As in
+    bd_q is the peel, never the zero polynomial, so it is always defined.  As in
     ``inverse_E_formula``, each distinct qL entry and each distinct product
     tau_r tau_l^t is canonicalised once, and each distinct pair of the two
     terms added once; equal cells share one RatFun.
     """
     d = TreeData.of(mt)
-    if not d.bd:
-        raise BdqZero("distance index is identically zero")
     tau_l, tau_r = d.tau
     qbd = Q * d.bd
     laplacian_term = lru_cache(maxsize=None)(lambda e: RatFun(-e, Q_ONE_PLUS_Q))
@@ -279,9 +271,7 @@ def inverse_B_q1(mt: MatchedTree | TreeData) -> Matrix:
     integers each.  Values at q = 1 are coefficient sums.
     """
     d = TreeData.of(mt)
-    bd1 = sum(d.bd.coeffs)
-    if bd1 == 0:
-        raise BdqZero("distance index vanishes at q = 1")
+    bd1 = sum(d.bd.coeffs)  # odd: bd is the peel
     lap = eval_matrix(d.qL, 1)
     tau_l1, tau_r1 = (d.lap.tau(side, sum) for side in "LR")
     return Matrix(

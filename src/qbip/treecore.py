@@ -60,14 +60,7 @@ class Tree:
             # larger ones, both ascending
             adj[u].append(v)
             adj[v].append(u)
-        reached = [True] + [False] * (n - 1)
-        order = [0]
-        for x in order:
-            for y in adj[x]:
-                if not reached[y]:
-                    reached[y] = True
-                    order.append(y)
-        if len(order) != n:
+        if len(bfs(adj, 0)[0]) != n:
             raise NotATree("graph is disconnected")
         self.n = n
         self.edges = tuple(edges)
@@ -98,34 +91,21 @@ class Tree:
 
 
 def perfect_matching(tree: Tree):
-    """The unique perfect matching, by leaf stripping.
+    """The unique perfect matching, greedily from the leaves up.
 
-    A leaf is forced to match its neighbor; remove both and repeat.  This
-    consumes the whole tree exactly when a perfect matching exists.
+    In reversed BFS order from 0 each vertex comes after its children.  One
+    that no child took can only match its parent, so it takes it; at the
+    root, or with the parent taken by a sibling, no perfect matching exists.
     """
-    deg = [tree.degree(v) for v in range(tree.n)]
-    alive = [True] * tree.n
-    leaves = [v for v in range(tree.n) if deg[v] == 1]
-    pairs = []
-    removed = 0
-    while leaves:
-        v = leaves.pop()
-        if not alive[v]:
-            continue
-        if deg[v] == 0:
-            raise NotNonsingular(f"vertex {v} left unmatched")
-        u = next(w for w in tree.adj[v] if alive[w])
-        pairs.append((v, u) if v < u else (u, v))
-        alive[v] = alive[u] = False
-        removed += 2
-        for w in tree.adj[u] + tree.adj[v]:
-            if alive[w]:
-                deg[w] -= 1
-                if deg[w] == 1:
-                    leaves.append(w)
-    if removed != tree.n:
-        raise NotNonsingular("leaf stripping stalled; no perfect matching")
-    return tuple(sorted(pairs))
+    order, parent = bfs(tree.adj, 0)
+    mate = [-1] * tree.n + [tree.n]  # slot n, the root's parent, is never free
+    for v in reversed(order):
+        if mate[v] < 0:
+            u = parent[v]
+            if mate[u] >= 0:
+                raise NotNonsingular(f"vertex {v} left unmatched")
+            mate[u], mate[v] = v, u
+    return tuple((v, u) for v, u in enumerate(mate[:-1]) if v < u)
 
 
 class MatchedTree:
@@ -238,29 +218,15 @@ class MatchedTree:
         return mt
 
 
-def standard_labeling(tree: Tree, matching=None) -> MatchedTree:
-    """Canonical MatchedTree: vertex 0 on the L side, pairs by ascending L id."""
-    if matching is None:
-        matching = perfect_matching(tree)
-    side = _two_color(tree)
-    pairs = []
-    for u, v in matching:
-        l, r = (u, v) if side[u] == "L" else (v, u)
-        pairs.append((l, r))
-    pairs.sort()
-    return MatchedTree(tree, pairs)
-
-
-def _two_color(tree: Tree):
-    side = {0: "L"}
-    stack = [0]
-    while stack:
-        x = stack.pop()
-        for y in tree.adj[x]:
-            if y not in side:
-                side[y] = "R" if side[x] == "L" else "L"
-                stack.append(y)
-    return side
+def standard_labeling(tree: Tree) -> MatchedTree:
+    """Canonical MatchedTree: vertex 0 on the L side, pairs by ascending L id;
+    each other vertex's side is its parent's flipped, in one bfs from 0."""
+    order, parent = bfs(tree.adj, 0)
+    left = [True] * tree.n
+    for x in order[1:]:
+        left[x] = not left[parent[x]]
+    return MatchedTree(tree, sorted((u, v) if left[u] else (v, u)
+                                    for u, v in perfect_matching(tree)))
 
 
 def distances(tree: Tree):
@@ -435,7 +401,7 @@ def _code(adj) -> bytes:
     the lexicographically smaller wins.
     """
     n = len(adj)
-    order, parent = _bfs(adj, 0)
+    order, parent = bfs(adj, 0)
     size, heaviest = [1] * (n + 1), [0] * (n + 1)
     for x in reversed(order):
         px = parent[x]
@@ -447,8 +413,11 @@ def _code(adj) -> bytes:
     return min(_rooted_code(adj, c) for c in range(n) if worst[c] == least)
 
 
-def _bfs(adj, root):
-    """BFS order from root, and each vertex's parent (len(adj) for the root)."""
+def bfs(adj, root):
+    """(order, parent): the BFS order from root of the tree with neighbour
+    lists adj, and each vertex's parent (len(adj) for the root).  The one
+    rooted walk of the package: reversed(order) takes each vertex after its
+    children, which are its neighbours but its parent."""
     parent = [-1] * len(adj)
     parent[root] = len(adj)
     order = [root]
@@ -467,7 +436,7 @@ def _rooted_code(adj, root) -> bytes:
     its children, without recursion; the root's code lands in the extra
     slot len(adj).
     """
-    order, parent = _bfs(adj, root)
+    order, parent = bfs(adj, root)
     kids = [[] for _ in range(len(adj) + 1)]
     for x in reversed(order):
         kids[x].sort()

@@ -510,13 +510,14 @@ def check_det_qL(mt: MatchedTree | TreeData) -> CheckResult:
 
 def check_bdq(mt: MatchedTree | TreeData) -> CheckResult:
     """det qB = (-1)^(p-1) q^(p-1) (1+q)^(p-1) bd_q, bd_q the peel: once ``bdq_det``
-    divides det qB exactly, its quotient and the peel are compared, else det qB."""
+    divides det qB exactly, its quotient and the peel are compared, else the
+    ``TreeData.det_qB`` that the division took."""
     td = TreeData.of(mt)
     try:
         got = qmatrices.bdq_det(td)
     except NotDivisible:
         return _compare("bdq", "det qB = (-1)^(p-1) q^(p-1) (1+q)^(p-1) bd_q",
-                        exactla.det_bareiss(td.qB), (-Q_ONE_PLUS_Q) ** (td.mt.p - 1) * td.bd)
+                        td.det_qB, (-Q_ONE_PLUS_Q) ** (td.mt.p - 1) * td.bd)
     return _compare("bdq", "bd_q determinant route equals recursion", got, td.bd)
 
 
@@ -562,13 +563,6 @@ def check_inverse_qB(mt: MatchedTree | TreeData) -> CheckResult:
     inverse of qB with denominators cleared; for p <= ORACLE_MAX_P the
     formula inverse also equals the elimination oracle's."""
     td = TreeData.of(mt)
-    if not td.bd:
-        return CheckResult("inverse_qB", False, {
-            "identity": "closed-form inverse of qB",
-            "got": "bd_q is identically zero",
-            "want": "nonzero bd_q",
-            "residual": "0",
-        })
     res = _prove("inverse_qB", td)
     if not res.passed or td.mt.p > ORACLE_MAX_P:
         return res
@@ -665,10 +659,12 @@ def predicted_block_qL(mt: MatchedTree, k1: int):
     v of pair k1 (degree >= 2), each with its own ``qmatrices.laplacian``.
 
     Cutting v from its neighbours but its partner leaves the home component,
-    which holds pair k1, and one branch per cut neighbour w.  Each piece is
-    mt's lists restricted to its pairs (``treecore.sub_lists``), pairs in mt's
-    order: a connected piece of a tree is a tree, and the cut edges are off
-    the matching, so it needs no validation.  Returns
+    which holds pair k1, and one branch per cut neighbour w; in one
+    ``treecore.bfs`` from v, each vertex further out joins its parent's
+    piece.  Each piece is mt's lists restricted to its pairs
+    (``treecore.sub_lists``), pairs in mt's order: a connected piece of a
+    tree is a tree, and the cut edges are off the matching, so it needs no
+    validation.  Returns
     (predicted, home, bound): home lists the home component's pair indices,
     ascending; predicted(value) is (qL's rows, mu1) read through value in mt's
     pair order, mu1 being v's signed degree vector in the home subtree (zero
@@ -677,13 +673,9 @@ def predicted_block_qL(mt: MatchedTree, k1: int):
     v, partner = mt.pairs[k1]
     joins = [v, *sorted(w for w in mt.tree.adj[v] if w != partner)]  # of each piece
     piece = {v: 0, partner: 0, **{w: b for b, w in enumerate(joins[1:], 1)}}
-    stack = [partner, *joins[1:]]
-    while stack:  # one walk from v gives each vertex its piece
-        x = stack.pop()
-        for y in mt.tree.adj[x]:
-            if y not in piece:
-                piece[y] = piece[x]
-                stack.append(y)
+    order, parent = treecore.bfs(mt.tree.adj, v)
+    for x in order[1:]:
+        piece.setdefault(x, piece[parent[x]])
     ats = [[] for _ in joins]
     for k in range(mt.p):
         ats[piece[mt.l_vertex(k)]].append(k)
@@ -853,13 +845,14 @@ def _dq_ed_certificate(adj, qd: Matrix, ed: Matrix, want_qd, want_ed, ed_det, k_
     """Whether the certificate of ``check_full_dq_ed`` holds."""
     n, m, x = len(adj), len(adj) - 1, [1 - len(a) for a in adj]  # tau = 1 + xq, L_vv = 1 - xq^2
     r = 2 * max(map(len, adj))  # bounds the norm of each row of L_q and of each tau(v)
-    coeffs = {e.coeffs for d in (qd, ed) for row in d.entries for e in row}
+    index = {}  # each distinct coefficient tuple of qD and eD, numbered once
+    ed_i, qd_i = ([[index.setdefault(e.coeffs, len(index)) for e in row] for row in d.entries]
+                  for d in (ed, qd))
     # (n r)^2 max ||entry|| + 2n bounds both sides of both products
-    b = exactla.kronecker_base((n * r) ** 2 * max(map(_norm, coeffs)) + 2 * n)
-    width = exactla.pack_width(b ** (max(map(len, coeffs)) + 2))  # past every entry at b
-    value = {cs: sum(c * b**i for i, c in enumerate(cs)) for cs in coeffs}
-    ed_b, qd_b = ([[value[e.coeffs] for e in row] for row in d.entries] for d in (ed, qd))
-    ed_p, qd_p = (exactla.pack_rows(d, width) for d in (ed_b, qd_b))  # as in IDENTITIES
+    b = exactla.kronecker_base((n * r) ** 2 * max(map(_norm, index)) + 2 * n)
+    width = exactla.pack_width(b ** (max(map(len, index)) + 2))  # past every entry at b
+    table = [sum(c * b**i for i, c in enumerate(cs)) for cs in index]
+    ed_p, qd_p = (exactla.pack_rows(d, width, table) for d in (ed_i, qd_i))  # as in IDENTITIES
     ed_l, qd_l = ([(1 - xv * b * b) * y - b * sum(map(p.__getitem__, a))
                    for y, xv, a in zip(p, x, adj)] for p in (ed_p, qd_p))  # L_q.eD, L_q.qD
     t, eye = [1 + xv * b for xv in x], [1 << 8 * width * i for i in range(n)]
@@ -874,13 +867,13 @@ def _det_vertex_laplacian(adj) -> Poly:
     """det L_q = f(0), f(v) = L_vv prod f(c) - q^2 sum_c g(c) prod_(c' != c) f(c')
     and g(v) = prod f(c) over v's children c, with no division, at q = b, the
     ``exactla.kronecker_base`` of the product of the row norms 2 deg(v), which
-    bounds det L_q's coefficients (see ``exactla._kronecker_rows``)."""
-    b, order, f, g = exactla.kronecker_base(prod(2 * len(a) for a in adj)), [0], {}, {}
-    for v in order:
-        order.extend(c for c in adj[v] if c not in order)
+    bounds det L_q's coefficients (see ``exactla._kronecker_rows``).  The
+    children are v's neighbours but its parent in one ``treecore.bfs`` from 0."""
+    b = exactla.kronecker_base(prod(2 * len(a) for a in adj))
+    (order, parent), f, g = treecore.bfs(adj, 0), [0] * len(adj), [0] * len(adj)
     for v in reversed(order):  # leaves first: v's children are done, its parent not
         prod_f, sum_g = 1, 0  # prod f(c), sum_c g(c) prod_(c' != c) f(c')
-        for c in filter(f.__contains__, adj[v]):
+        for c in filter(parent[v].__ne__, adj[v]):
             prod_f, sum_g = prod_f * f[c], sum_g * f[c] + prod_f * g[c]
         f[v], g[v] = (1 + (len(adj[v]) - 1) * b * b) * prod_f - b * b * sum_g, prod_f
     return exactla.balanced_digits(f[0], b)

@@ -316,6 +316,30 @@ def test_verify_enumerated_output_is_pinned(capsys, tmp_path, upto):
     assert _verify_digests(capsys, tmp_path, "--enumerate-upto", upto) == ENUM_DIGESTS[upto]
 
 
+# sha256 of stdout of show on bare edges, whose matrices follow the derived
+# labeling: the pair order that perfect_matching and standard_labeling fix,
+# which a passing verify run, carrying no witness, does not show
+LABEL_DIGESTS = {
+    ((0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (2, 6), (6, 7), (0, 8), (8, 9)): {
+        "qL": "56946c20ed1d8f8efe838c14727ddcb42d2e3f53c4e01476b94195706bdf7bbf",
+        "tau": "7d30ad30f3cfb2e13dfecd4339a2130f169b6e58b8bca58bbe6494b84a9c5ef9"},
+    ((0, 1), (0, 3), (0, 6), (0, 7), (1, 8), (2, 3), (4, 10), (4, 13), (5, 9), (7, 11),
+     (7, 13), (9, 12), (12, 13)): {
+        "qL": "d852a48fefb05467f863f0bf892499e5bafbf42b631c032ea45723ad8fa0d6f8",
+        "tau": "7fc1f94a6e5be05ef1ecbf98d7246ed4b505d196af1c3d8d20985defa7a6eac6"},
+}
+
+
+@pytest.mark.parametrize("edges", sorted(LABEL_DIGESTS))
+@pytest.mark.parametrize("matrix", ["qL", "tau"])
+def test_derived_labeling_output_is_pinned(capsys, tmp_path, edges, matrix):
+    path = tmp_path / "tree.json"
+    path.write_text(json.dumps({"edges": [list(e) for e in edges]}))
+    code, out, _ = run_cli(capsys, "show", "--tree", str(path), "--matrix", matrix)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == LABEL_DIGESTS[edges][matrix]
+
+
 def test_verify_random_rejects_excluded(capsys):
     code, _, err = run_cli(capsys, "verify", "--random", "4,1", "--at", "1")
     assert code == 2
@@ -597,6 +621,11 @@ def test_det_qB_without_its_factor_is_a_failed_check(capsys, monkeypatch, tmp_pa
     monkeypatch.setattr(qmatrices, "build_qB", bumped)
     with pytest.raises(NotDivisible):
         qmatrices.bdq_det(mt)
+    # the failed division and the witness read one det qB
+    det_bareiss, calls = exactla.det_bareiss, []
+    monkeypatch.setattr(exactla, "det_bareiss", lambda m: calls.append(m) or det_bareiss(m))
+    assert not verify.check_bdq(mt).passed and len(calls) == 1
+    monkeypatch.setattr(exactla, "det_bareiss", det_bareiss)
     code, out, _ = run_cli(capsys, "verify", "--tree", str(path))
     summary, line = out.splitlines()
     assert code == 1 and summary == "TREES 1 CHECKS 13 FAIL 2"

@@ -253,7 +253,7 @@ def test_full_qD_det_takes_no_polynomial_division(monkeypatch):
     monkeypatch.setattr(exactla, "divexact", counted)
     monkeypatch.setattr(polyalg, "divexact", counted)
     mt = next(iter(treecore.enumerate_nonsingular(4)))
-    det = det_bareiss(qmatrices.build_full_qD(mt.tree))
+    det = det_bareiss(qmatrices.build_full_qD(treecore.distances(mt.tree)))
     assert det == -7 * Poly((1, 1)) ** 6  # (-1)^(n-1) (n-1) (1+q)^(n-2), n = 8
     assert calls == []
 
@@ -603,13 +603,17 @@ def test_pack_rows_reads_back_at_the_digit_limits(width):
     # three values that include both limits
     rows.append([hi] * 3)
     rows += [list(row) for row in product((lo, 0, hi), repeat=3)]
-    packed = exactla.pack_rows(rows, width)
-    assert packed == [sum(x * base**j for j, x in enumerate(row)) for row in rows]
+
+    def packed(rows):  # rows of indices into the table of their distinct values
+        table = sorted({x for row in rows for x in row})
+        return exactla.pack_rows([[table.index(x) for x in row] for row in rows], width, table)
+
+    assert packed(rows) == [sum(x * base**j for j, x in enumerate(row)) for row in rows]
     # digits within [-C, C], 4C < B, read back as balanced digits
     c = (base - 1) // 4
     assert exactla.pack_width(c) == width
     for row in ([c, -c, c], [-c, 0, c], [0, 0, 0]):
-        (v,) = exactla.pack_rows([row], width)
+        (v,) = packed([row])
         assert [exactla.balanced_digits(v, base)[j] for j in range(3)] == row
 
 

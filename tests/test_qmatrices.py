@@ -8,7 +8,6 @@ from qbip import exactla, treecore
 from qbip.exactla import KIND_L, KIND_R, Matrix, Vector, det_bareiss, mat_mul
 from qbip.polyalg import ONE, Poly, PoleAtPoint, RatFun, ZERO, Q
 from qbip.qmatrices import (
-    BdqZero,
     TreeData,
     bdq_det,
     bdq_recursive,
@@ -148,7 +147,7 @@ def test_laplacian_norm_bounds_every_entry():
 
 def test_qD_p3():
     t = treecore.Tree([[0, 1], [1, 2]])
-    m = build_full_qD(t)
+    m = build_full_qD(treecore.distances(t))
     assert entries(m) == (
         (ZERO, ONE, P((1, 1))),
         (ONE, ZERO, ONE),
@@ -159,19 +158,19 @@ def test_qD_p3():
 
 def test_eD_p2():
     t = treecore.Tree([[0, 1]])
-    m = build_full_eD(t)
+    m = build_full_eD(treecore.distances(t))
     assert entries(m) == ((ONE, Q), (Q, ONE))
     assert det_bareiss(m) == P((1, 0, -1))
 
 
 def test_eD_diagonal_is_ones():
     t = treecore.Tree([[0, 1], [1, 2], [1, 3]])
-    m = build_full_eD(t)
+    m = build_full_eD(treecore.distances(t))
     assert all(m[i, i] == ONE for i in range(4))
 
 
 def test_full_builders_take_unmatched_trees():
-    star = treecore.Tree([[0, 1], [0, 2], [0, 3]])
+    star = treecore.distances(treecore.Tree([[0, 1], [0, 2], [0, 3]]))
     assert det_bareiss(build_full_qD(star)) == det_cofactor(
         [list(r) for r in build_full_qD(star).entries]
     )

@@ -272,6 +272,40 @@ def test_full_dq_ed_falls_back_to_the_dense_determinants(monkeypatch, part):
     assert inside["det_bareiss"] == 4
 
 
+def test_det_vertex_laplacian_is_one_minus_q2():
+    # the leaf-to-root recursion for det L_q on every tree to 12 vertices, and
+    # on two trees of 400 vertices
+    for n in range(2, 13):
+        for g in nx.nonisomorphic_trees(n):
+            assert verify._det_vertex_laplacian([sorted(g[v]) for v in range(n)]) == ONE_MINUS_Q2
+    for seed in (1, 2):
+        adj = treecore.random_nonsingular(200, seed).tree.adj
+        assert verify._det_vertex_laplacian(adj) == ONE_MINUS_Q2
+
+
+def test_every_rooted_walk_is_one_bfs(monkeypatch):
+    # validation, the matching, the det L_q recursion and the block split
+    # each walk the tree once by treecore.bfs; standard_labeling walks it for
+    # its matching and once for the sides
+    bfs, calls = treecore.bfs, []
+    monkeypatch.setattr(treecore, "bfs", lambda adj, root: calls.append(root) or bfs(adj, root))
+
+    def walks(f, *args):
+        calls.clear()
+        f(*args)
+        return len(calls)
+
+    edges = [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (2, 6), (6, 7), (0, 8), (8, 9)]
+    tree = treecore.Tree(edges)
+    mt = treecore.standard_labeling(tree)
+    (k1, *_) = verify.block_split_vertices(mt)
+    assert walks(treecore.Tree, edges) == 1
+    assert walks(treecore.perfect_matching, tree) == 1
+    assert walks(treecore.standard_labeling, tree) == 2
+    assert walks(verify._det_vertex_laplacian, tree.adj) == 1
+    assert walks(verify.predicted_block_qL, mt, k1) == 1
+
+
 @pytest.mark.parametrize("builder, dense_calls", [("build_full_qD", 1), ("build_full_eD", 2)])
 def test_full_dq_ed_witness_of_a_perturbed_builder(monkeypatch, builder, dense_calls):
     # the dense route's witness, from the first determinant that fails
@@ -942,9 +976,16 @@ def test_product_identities_take_no_determinant(monkeypatch):
 
 
 def test_identically_zero_bd_is_reported(monkeypatch, p5_random):
+    # no input gives a zero peel; patched in, the product identity fails at
+    # its proof point and the witness's residual in Z[q] replays
     monkeypatch.setattr(qmatrices, "bdq_recursive", lambda mt: ZERO)
     res = verify.check_inverse_qB(p5_random)
-    assert not res.passed and "identically zero" in res.witness["got"]
+    w = res.witness
+    assert not res.passed and w["identity"] == verify.IDENTITIES["inverse_qB"][0][0]
+    lhs, rhs = _sides(p5_random, ZERO)[w["identity"]]
+    residual = lhs[tuple(w["entry"])] - rhs[tuple(w["entry"])]
+    assert Poly.from_json(w["residual_poly"]) == residual != ZERO
+    assert residual.eval_at(int(w["point"])) == int(w["residual"])
 
 
 def test_q1_properties_witness_replays(monkeypatch, p6_attach):
