@@ -1,16 +1,17 @@
 """Exact dense linear algebra over Z[q], its fraction field, Q, and Z.
 
 This module is the referee for the closed-form constructions elsewhere in the
-package: it only knows generic exact algorithms (one fraction-free Bareiss loop
-over Z, which gives integer ranks and, by Kronecker substitution, Z[q]
-determinants; fraction-free Gauss-Jordan over Z at such a point, which gives
-inverses over Q(q) with one division there per distinct entry;
-characteristic polynomials from one determinant; polynomials of an integer
-matrix, for adjugates and annihilation tests, from one Horner loop on a
-Kronecker-packed vector; integer rows packed into one integer each, so that
-verify compares a matrix product row by row with one big-integer operation per
-nonzero; Sturm sequences on polyalg's pseudo-remainder) and never builds any
-of the structured matrices itself.
+package: it only knows generic exact algorithms and never builds any of the
+structured matrices itself.  One fraction-free Bareiss elimination over Z
+(``_echelon``) gives integer ranks, Z[q] determinants by Kronecker
+substitution, inverses over Q(q) with one division there per distinct entry
+(its Gauss-Jordan form, at such a point) and integer adjugates (the same, at
+one shifted point); characteristic polynomials come from one determinant.
+Besides it: polynomials of an integer matrix, for annihilation tests, from
+one Horner loop on a Kronecker-packed vector; integer rows packed into one
+integer each, so that verify compares a matrix product row by row with one
+big-integer operation per nonzero; Sturm sequences on polyalg's
+pseudo-remainder.
 
 Matrices and vectors carry index-kind metadata ("L", "R", "Vertex") so that a
 product with mismatched row/column semantics fails loudly instead of silently
@@ -21,9 +22,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import compress, repeat
 from math import prod
-from operator import add, mul, ne
+from operator import mul, ne
 
 from .polyalg import ONE, ZERO, Poly, RatFun, divexact, poly_gcd, prem
 
@@ -192,7 +192,8 @@ def entry_json(e):
 
 
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    """Exact product with index-kind checking."""
+    """Exact dense product with index-kind checking: entry (i, j) is
+    sum(a[i, k] * b[k, j] for k), row by column."""
     if a.cols != b.rows:
         raise DimensionMismatch(f"{a!r} @ {b!r}")
     if a.col_kind != b.row_kind:
@@ -200,27 +201,12 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
             f"columns of {a!r} are {a.col_kind}-indexed but rows of {b!r} "
             f"are {b.row_kind}-indexed"
         )
+    cols = list(zip(*b.entries))
     return Matrix(
-        (combine_rows(row, b.entries) for row in a.entries),
+        ((sum(map(mul, row, col)) for col in cols) for row in a.entries),
         a.row_kind,
         b.col_kind,
     )
-
-
-def combine_rows(coefs, rows) -> list:
-    """Entrywise sum of c * row over the pairs of coefs and rows with c != 0.
-
-    Row i of a product A.B is combine_rows(A[i], B's rows), so it costs one
-    pass over a row of B for each nonzero of A[i], not one for each entry.
-    When every c is zero the first pair alone is taken, so the zeros are typed
-    as the dense sum's are (a zero Poly row gives Poly zeros, not the int 0).
-    """
-    pairs = zip(filter(None, coefs), compress(rows, coefs))
-    c, row = next(pairs, (coefs[0], rows[0]))
-    acc = list(map(mul, repeat(c), row))
-    for c, row in pairs:
-        acc = list(map(add, acc, map(mul, repeat(c), row)))
-    return acc
 
 
 def mat_vec(a: Matrix, v: Vector) -> Vector:
@@ -254,39 +240,42 @@ def outer(u: Vector, v: Vector) -> Matrix:
 def det_bareiss(m: Matrix) -> Poly:
     """Determinant over Z[q] by one fraction-free Bareiss elimination over Z.
 
-    The integer determinant of ``_kronecker_rows`` (every interior division
-    is exact, so ``//`` is) is read back by its balanced base-B digits.
+    ``_echelon`` of the integer rows of ``_kronecker_rows`` gives det M(B)
+    (every interior division is exact, so ``//`` is), which is read back by
+    its balanced base-B digits.
     """
     if not m.is_square():
         raise DimensionMismatch("determinant of a non-square matrix")
     rows, base = _kronecker_rows(m)
-    rank, sign, pivot = _echelon(rows)
-    return balanced_digits(sign * pivot, base) if rank == m.rows else ZERO
+    pivots, sign, pivot = _echelon(rows, m.cols)
+    return balanced_digits(sign * pivot, base) if len(pivots) == m.rows else ZERO
 
 
 def _kronecker_rows(m: Matrix) -> tuple:
     """(rows, B): m's Poly or int (or integral Fraction) entries at q = B.
 
-    B = 2C + 1, where C is the product over the rows of the sum of the
-    coefficient 1-norms of the row's entries.  Expanding over permutations,
-    the 1-norm of det m is at most the permanent of the entry 1-norms, so at
-    most C; an (n-1)-minor leaves out a row whose sum is at least 1 unless
-    C = 0.  So every coefficient of det m and of each entry of adj m lies in
-    [-C, C], and such a polynomial is the balanced base-B digits of its value
-    at B (Kronecker substitution).  C = 0 means a zero row, and m is singular
-    at every point.
+    B = ``kronecker_base(C)``, where C is the product over the rows of the
+    sum of the coefficient 1-norms of the row's entries.  Expanding over
+    permutations, the 1-norm of det m is at most the permanent of the entry
+    1-norms, so at most C; an (n-1)-minor leaves out a row whose sum is at
+    least 1 unless C = 0.  So every coefficient of det m and of each entry of
+    adj m lies in [-C, C], and such a polynomial is the balanced base-B
+    digits of its value at B.  C = 0 means a zero row, and m is singular at
+    every point.
     """
     coeffs = [[_ring_coeffs(e) for e in row] for row in m.entries]
-    bound = prod(sum(sum(map(abs, c)) for c in row) for row in coeffs)
-    base = 2 * bound + 1
+    base = kronecker_base(prod(sum(sum(map(abs, c)) for c in row) for row in coeffs))
     powers = [base**i for i in range(max(len(c) for row in coeffs for c in row))]
     return [[sum(map(mul, c, powers)) for c in row] for row in coeffs], base
 
 
-def _echelon(a: list) -> tuple:
-    """Bareiss fraction-free row echelon of the integer rows a, in place.
+def _echelon(a: list, cols: int, jordan: bool = False) -> tuple:
+    """Bareiss fraction-free elimination of the integer rows a, in place.
 
-    Returns (rank, sign, pivot): the number of pivots, the sign of the row
+    Pivots are sought in the first cols columns, in order; each clears the
+    rows below it, and with jordan those above it too.  Only the columns
+    after the pivot's are updated, as no later step reads the others.
+    Returns (pivots, sign, pivot): the pivot columns, the sign of the row
     swaps made, and the last pivot (1 if there is none).  A square matrix of
     full rank has determinant sign * pivot.
 
@@ -299,26 +288,30 @@ def _echelon(a: list) -> tuple:
     below the next pivot row is skipped rather than ending the loop: the
     minors above involve the pivot columns only, so the same identity holds
     with the pivot columns in place of the leading ones, and every column
-    after the skipped one is still searched for a pivot.
+    after the skipped one is still searched for a pivot.  With jordan and no
+    column skipped, pivot row i holds the pivot minor with column i replaced
+    by the entry's column (Cramer), again exact: on [A | I] the right half
+    ends as d A^-1, d = +-det A the last pivot.
     """
-    rows, cols = len(a), len(a[0])
-    rank, sign, prev = 0, 1, 1
+    rows, width = len(a), len(a[0])
+    pivots, sign, prev = [], 1, 1
     for c in range(cols):
-        piv = next((i for i in range(rank, rows) if a[i][c]), None)
+        k = len(pivots)
+        piv = next((i for i in range(k, rows) if a[i][c]), None)
         if piv is None:
             continue
-        if piv != rank:
-            a[rank], a[piv] = a[piv], a[rank]
+        if piv != k:
+            a[k], a[piv] = a[piv], a[k]
             sign = -sign
-        ak = a[rank]
+        ak = a[k]
         pivot = ak[c]
-        for ai in a[rank + 1:]:
+        for ai in a[k + 1:] + (a[:k] if jordan else []):
             f = ai[c]
-            for j in range(c + 1, cols):
+            for j in range(c + 1, width):
                 ai[j] = (pivot * ai[j] - f * ak[j]) // prev
         prev = pivot
-        rank += 1
-    return rank, sign, prev
+        pivots.append(c)
+    return pivots, sign, prev
 
 
 def _ring_coeffs(e) -> tuple:
@@ -360,63 +353,58 @@ def _as_int(e) -> int:
 def inverse_gauss(m: Matrix) -> Matrix:
     """Inverse over Q(q) by one fraction-free Gauss-Jordan elimination over Z.
 
-    [M(B) | I], M(B) from ``_kronecker_rows``, is reduced by the Bareiss
-    update (pivot x - f y) // prev on every other row, above the pivot too.
-    Every entry stays an integer, so every ``//`` is exact: below the pivots
-    a minor as in ``_echelon``, on pivot row i the pivot minor with column i
-    replaced by the entry's column (Cramer).  The loop ends at [d I | X] with
-    d = +-det M(B) and X = d M(B)^-1 = +-adj M(B): d and each X_ij are read
-    back by their balanced base-B digits, and only the last step, scaling by
-    the pivot's inverse, is taken in Q(q): M^-1 = X / d.  That step reads
-    back and divides each distinct integer X_ij once, and equal entries share
-    the one RatFun, which is never changed.  No pivot at B means det M(B) = 0,
-    hence det M = 0 (a zero row has none at any point).
+    ``_echelon`` with jordan on [M(B) | I], M(B) from ``_kronecker_rows``,
+    leaves X = d M(B)^-1 = +-adj M(B) in the right half, d = +-det M(B) the
+    last pivot.  d and each X_ij are read back by their balanced base-B
+    digits, and only the last step is taken in Q(q): M^-1 = X / d, reading
+    back and dividing each distinct integer X_ij once, and equal entries
+    share the one RatFun, which is never changed.  A column with no pivot at
+    B means det M(B) = 0, hence det M = 0 (a zero row has none at any
+    point); the first such column is named.
     """
     if not m.is_square():
         raise DimensionMismatch("inverse of a non-square matrix")
     n = m.rows
     rows, base = _kronecker_rows(m)
     a = [row + [int(i == j) for j in range(n)] for i, row in enumerate(rows)]
-    prev = 1
-    for col in range(n):
-        piv = next((i for i in range(col, n) if a[i][col]), None)
-        if piv is None:
-            raise SingularMatrix(f"no pivot in column {col}")
-        a[col], a[piv] = a[piv], a[col]
-        ak = a[col]
-        pivot = ak[col]
-        for i, ai in enumerate(a):
-            if i != col:
-                f = ai[col]
-                a[i] = [(pivot * x - f * y) // prev for x, y in zip(ai, ak)]
-        prev = pivot
-    inv = RatFun(balanced_digits(prev, base)).inverse()
+    pivots, _, d = _echelon(a, n, jordan=True)
+    if len(pivots) < n:
+        raise SingularMatrix(f"no pivot in column {min(set(range(n)).difference(pivots))}")
+    inv = RatFun(balanced_digits(d, base)).inverse()
     entry = lru_cache(maxsize=None)(lambda x: RatFun(balanced_digits(x, base)) * inv)
     return Matrix((map(entry, row[n:]) for row in a), m.col_kind, m.row_kind)
 
 
 def adjugate_int(m: Matrix) -> Matrix:
-    """Exact adjugate of an integer matrix by Cayley-Hamilton.
+    """Exact adjugate of an integer matrix: adj(m + tI) at t = 0, read at t = T.
 
-    With det(xI - m) = x^n + c_(n-1) x^(n-1) + ... + c_1 x + c_0, the identity
-    m (m^(n-1) + c_(n-1) m^(n-2) + ... + c_1 I) = -c_0 I = (-1)^(n-1) det(m) I
-    holds for every m, singular or not, so
-    adj(m) = (-1)^(n-1) (m^(n-1) + c_(n-1) m^(n-2) + ... + c_1 I).
-    That matrix polynomial is read from one packed Horner loop
-    (``_matrix_poly``): with N the largest absolute row sum of m and c_n = 1,
-    its entries lie in [-C, C] for C = sum over k >= 1 of |c_k| N^(k-1), so
-    each is one balanced digit in base B = 2C + 1.
+    Each entry of adj(m + tI) is +-an (n-1)-minor of m + tI, a polynomial in
+    t whose coefficient 1-norm is at most the product of the row sums of the
+    entry 1-norms, sum_j |m_ij| + 1, over the rows it keeps; so every
+    coefficient lies in [-C, C] for C the product over all rows, and with
+    T = ``kronecker_base(C)`` > 2C, adj(m)_ij is the lowest balanced base-T
+    digit of adj(m + TI)_ij.  T exceeds every row's sum_j |m_ij|, so m + TI
+    is strictly diagonally dominant with a positive diagonal: each leading
+    principal minor is nonzero, no row is swapped, and one ``_echelon`` with
+    jordan on [m + TI | I] leaves det(m + TI) (m + TI)^-1 = adj(m + TI) in
+    the right half.
     """
     if not m.is_square():
         raise DimensionMismatch("adjugate of a non-square matrix")
-    sign = (-1) ** (m.rows - 1)
-    adj = _matrix_poly(m, [sign * c for c in charpoly_exact(m).coeffs[1:]])
-    return Matrix(adj, m.col_kind, m.row_kind)
+    n = m.rows
+    rows = [[_as_int(e) for e in row] for row in m.entries]
+    t = kronecker_base(prod(sum(map(abs, row)) + 1 for row in rows))
+    a = [[x + t * (i == j) for j, x in enumerate(row)] + [int(i == j) for j in range(n)]
+         for i, row in enumerate(rows)]
+    _echelon(a, n, jordan=True)
+    half = t // 2
+    return Matrix(([(x + half) % t - half for x in row[n:]] for row in a),
+                  m.col_kind, m.row_kind)
 
 
 def rank_int(m: Matrix) -> int:
     """Rank of an integer matrix: the pivots of one ``_echelon`` over Z."""
-    return _echelon([[_as_int(e) for e in row] for row in m.entries])[0]
+    return len(_echelon([[_as_int(e) for e in row] for row in m.entries], m.cols)[0])
 
 
 def charpoly_exact(m: Matrix) -> Poly:
@@ -461,33 +449,21 @@ def annihilates(m: Matrix, p: Poly) -> bool:
     return not any(_packed_horner(m, p.coeffs)[0])
 
 
-def _matrix_poly(m: Matrix, coeffs) -> list:
-    """Rows of sum c_k m^k over the ascending coeffs, from one packed Horner.
-
-    Row i is the balanced base-B digits of entry i of ``_packed_horner``,
-    padded with zeros to the width of m.
-    """
-    n = m.rows
-    w, base = _packed_horner(m, coeffs)
-    rows = [list(balanced_digits(x, base).coeffs) for x in w]
-    return [row + [0] * (n - len(row)) for row in rows]
-
-
 def _packed_horner(m: Matrix, coeffs) -> tuple:
     """(w, B) with w = p(m) v, v = (B^0, ..., B^(n-1)), p = sum c_k x^k.
 
     Let N be the largest absolute row sum of the integer matrix m.  Then
     |(m^k)_ij| <= N^k, so every entry of p(m) lies in [-C, C] with
-    C = sum |c_k| N^k.  With B = 2C + 1 each such entry is one balanced
-    base-B digit, so w_i = sum_j p(m)_ij B^j holds row i of p(m) as its
-    digits (Kronecker substitution, as in ``det_bareiss``).  w comes from
-    Horner on one vector, w <- m w + c_k v: n dot products per step, where
-    Horner on the whole matrix takes n^2.  C = 0 means p(m) = 0, and then
+    C = sum |c_k| N^k.  With B = ``kronecker_base(C)`` each such entry is
+    one balanced base-B digit, so w_i = sum_j p(m)_ij B^j holds row i of
+    p(m) as its digits (Kronecker substitution, as in ``det_bareiss``).
+    w comes from Horner on one vector, w <- m w + c_k v: n dot products per
+    step, where Horner on the whole matrix takes n^2.  C = 0 means p(m) = 0, and then
     w = 0 whatever B is.
     """
     rows = [[_as_int(e) for e in row] for row in m.entries]
     norm = max(sum(map(abs, row)) for row in rows)
-    base = 2 * sum(abs(c) * norm**k for k, c in enumerate(coeffs)) + 1
+    base = kronecker_base(sum(abs(c) * norm**k for k, c in enumerate(coeffs)))
     v = [base**j for j in range(m.rows)]
     w = [0] * m.rows
     for c in reversed(coeffs):

@@ -665,10 +665,9 @@ def predicted_block_qL(mt: MatchedTree, k1: int):
     (``treecore.sub_lists``), pairs in mt's order: a connected piece of a
     tree is a tree, and the cut edges are off the matching, so it needs no
     validation.  Returns
-    (predicted, home, bound): home lists the home component's pair indices,
-    ascending; predicted(value) is (qL's rows, mu1) read through value in mt's
-    pair order, mu1 being v's signed degree vector in the home subtree (zero
-    off home); bound bounds the norm of each of their entries.
+    (predicted, bound): predicted(value) is (qL's rows, mu1) read through
+    value in mt's pair order, mu1 being v's signed degree vector in the home
+    subtree (zero off home); bound bounds the norm of each of their entries.
     """
     v, partner = mt.pairs[k1]
     joins = [v, *sorted(w for w in mt.tree.adj[v] if w != partner)]  # of each piece
@@ -690,7 +689,7 @@ def predicted_block_qL(mt: MatchedTree, k1: int):
     # mu1's entries are among the home block's
     bound = _joined_bound([(max(map(max, lap.rows(_norm))), max(lap.mu(k, side, _norm)))
                            for lap, side, k, _ in pieces])
-    return predicted, ats[0], bound
+    return predicted, bound
 
 
 def _joined_bound(pieces) -> int:
@@ -729,7 +728,7 @@ def _join_point(td: TreeData) -> tuple:
     pair = max(map(max, _P2.rows(_norm))), max(_P2.mu(0, "R", _norm))
     want = max(_joined_bound([(qL, mu), pair]),
                *(max(predicted_attach_tau_r(norms, v)) for v in range(mt.tree.n)),
-               *(bound for _, _, bound in splits.values()))
+               *(bound for _, bound in splits.values()))
     base = exactla.kronecker_base(got + want)
     # coefficients (ascending) read as their value at base, each tuple once
     value = lru_cache(maxsize=None)(lambda coeffs: sum(c * base**i for i, c in enumerate(coeffs)))
@@ -769,7 +768,7 @@ def check_block_decomposition(mt: MatchedTree | TreeData) -> CheckResult:
     if not block_split_vertices(td.mt):
         return CheckResult(name, True, skipped="no L-vertex of degree >= 2")
     _, splits, reading, base = _join_point(td)
-    predictions = ((k1, *predicted(reading.value)) for k1, (predicted, _, _) in splits.items())
+    predictions = ((k1, *predicted(reading.value)) for k1, (predicted, _) in splits.items())
     return _first_failure(name, (res for k1, qL, mu1 in predictions for res in (
         _compare_at(name, f"qL block reassembly at pair {k1}", base,
                     reading.qL, qL, split_pair=k1),

@@ -121,27 +121,14 @@ def test_product_of_an_all_zero_factor_keeps_the_entry_type():
     assert ints.entries == ((Fraction(0),),) and type(ints[0, 0]) is Fraction
 
 
-class _CountedInt(int):
-    """An int that counts the products taken with it on the right."""
-
-    calls = 0
-
-    def __rmul__(self, other):
-        _CountedInt.calls += 1
-        return int(other) * int(self)
-
-
-def test_product_multiplies_only_the_nonzeros_of_the_left_factor():
+def test_product_of_a_sparse_laplacian_and_a_dense_factor():
+    # a sparse left factor, about 6 nonzeros a row, times a dense one: every
+    # entry is the row-by-column sum, zeros and all
     mt = treecore.random_nonsingular(60, 3)
     qL = qmatrices.eval_matrix(qmatrices.build_qL(mt), 2).map(int)
-    nnz = sum(1 for row in qL.entries for e in row if e)
     rng = random.Random(7)
     dense = [[rng.randint(1, 9) for _ in range(mt.p)] for _ in range(mt.p)]
-    counted = Matrix([[_CountedInt(e) for e in row] for row in dense], KIND_L, KIND_R)
-    _CountedInt.calls = 0
-    got = mat_mul(qL, counted)
-    # one product per nonzero of qL and column of the right factor; dense is p^3
-    assert _CountedInt.calls == nnz * mt.p < mt.p**3
+    got = mat_mul(qL, Matrix(dense, KIND_L, KIND_R))
     assert [list(row) for row in got.entries] == _dense_product(qL.entries, dense)
 
 
@@ -307,8 +294,10 @@ def test_inverse_gauss_matches_formula_inverse(p4_attach):
 
 
 def test_inverse_gauss_singular():
-    with pytest.raises(SingularMatrix):
-        inverse_gauss(poly_m([[1, 1], [0, 0]]))
+    # the error names the first column without a pivot, though a later one has one
+    for rows in ([[1, 1], [0, 0]], [[1, 1, 0], [1, 1, 0], [0, 0, 1]]):
+        with pytest.raises(SingularMatrix, match="no pivot in column 1$"):
+            inverse_gauss(poly_m(rows))
 
 
 def test_inverse_gauss_times_matrix_is_identity():
@@ -432,6 +421,26 @@ def test_adjugate_times_matrix_is_det_identity():
             assert prod.entries == tuple(
                 tuple(d if i == j else 0 for j in range(n)) for i in range(n)
             )
+
+
+def test_each_exact_kernel_is_one_elimination_at_one_base(monkeypatch):
+    # det, rank, inverse and adjugate each run the one Bareiss loop once; the
+    # adjugate takes no characteristic polynomial and no determinant; every
+    # Kronecker point, the adjugate's shift and annihilates' base come from
+    # one kronecker_base call
+    calls = []
+    for name in ("_echelon", "kronecker_base", "charpoly_exact", "det_bareiss"):
+        monkeypatch.setattr(exactla, name, lambda *args, _name=name, _fn=getattr(exactla, name),
+                            **kwargs: calls.append(_name) or _fn(*args, **kwargs))
+    m = Matrix([[2, -1, 0], [-1, 2, -1], [0, -1, 2]], KIND_R, KIND_L)
+    for kernel, want in ((det_bareiss, ["kronecker_base", "_echelon"]),
+                         (rank_int, ["_echelon"]),
+                         (inverse_gauss, ["kronecker_base", "_echelon"]),
+                         (adjugate_int, ["kronecker_base", "_echelon"]),
+                         (lambda m: annihilates(m, Poly((1, 1))), ["kronecker_base"])):
+        calls.clear()
+        kernel(m)
+        assert calls == want
 
 
 # -- characteristic polynomials -----------------------------------------------------------
@@ -559,6 +568,13 @@ def _matrix_poly_reference(rows, coeffs):
     return acc
 
 
+def _unpacked_horner(m, coeffs):
+    """The rows of p(m) read off ``_packed_horner``: the balanced digits of
+    each packed entry, in its base."""
+    w, base = exactla._packed_horner(m, coeffs)
+    return [[exactla.balanced_digits(x, base)[j] for j in range(m.cols)] for x in w]
+
+
 def test_matrix_poly_matches_triple_loop_reference():
     rng = random.Random(53)
     cases = [([[0] * 3] * 3, [4, -1, 2]), ([[2, -1], [0, 5]], []), ([[0]], []),
@@ -570,11 +586,11 @@ def test_matrix_poly_matches_triple_loop_reference():
             cases.append((rows, coeffs))
     for rows, coeffs in cases:
         m = Matrix(rows, KIND_R, KIND_L)
-        assert exactla._matrix_poly(m, coeffs) == _matrix_poly_reference(rows, coeffs)
+        assert _unpacked_horner(m, coeffs) == _matrix_poly_reference(rows, coeffs)
 
 
 @pytest.mark.parametrize("rows,coeffs,want", [
-    # N = 3, C = 1 + 2*3 = 7: the entry is -C
+    # N = 3, C = 1 + 2*3 = 7, B = 16: the entry is -C, the lowest balanced digit
     ([[3]], [-1, -2], [[-7]]),
     ([[3]], [1, 2], [[7]]),
     # N = 3, C = 1 + 2*3 + 9 = 16: diagonal entries -C and -4 (a row-sum
@@ -586,9 +602,11 @@ def test_matrix_poly_matches_triple_loop_reference():
     ([[0, 3], [3, 0]], [2, 0, 5], [[47, 0], [0, 47]]),
 ])
 def test_matrix_poly_entries_at_the_bound(rows, coeffs, want):
-    # each digit uses the whole balanced range [-C, C] of base B = 2C + 1
+    # entries of p(m) at +-C, read back from base B = kronecker_base(C) > 2C
     m = Matrix(rows, KIND_R, KIND_L)
-    assert exactla._matrix_poly(m, coeffs) == want
+    bound = max(abs(x) for row in want for x in row)
+    assert exactla._packed_horner(m, coeffs)[1] == exactla.kronecker_base(bound)
+    assert _unpacked_horner(m, coeffs) == want
     assert annihilates(m, Poly(coeffs)) is False
 
 
@@ -619,17 +637,33 @@ def test_pack_rows_reads_back_at_the_digit_limits(width):
 
 def test_adjugate_matches_cofactor_oracle():
     rng = random.Random(61)
-    for n in range(1, 7):
-        for _ in range(5):
-            rows = [[rng.randint(-5, 5) for _ in range(n)] for _ in range(n)]
-            want = [[1]] if n == 1 else [
-                [(-1) ** (i + j) * det_cofactor(
-                    [r[:i] + r[i + 1:] for k, r in enumerate(rows) if k != j])
-                 for j in range(n)]
-                for i in range(n)
-            ]
-            got = adjugate_int(Matrix(rows, KIND_R, KIND_L))
-            assert [list(r) for r in got.entries] == want, rows
+    cases = [([[rng.randint(-5, 5) for _ in range(n)] for _ in range(n)], None)
+             for n in range(1, 7) for _ in range(5)]
+    cases += [([[0] * n for _ in range(n)], [[1]] if n == 1 else [[0] * n for _ in range(n)])
+              for n in range(1, 5)]
+    for n in range(3, 7):  # rank at most n - 2: every (n-1)-minor vanishes
+        a = [[rng.randint(-3, 3) for _ in range(n - 2)] for _ in range(n)]
+        b = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n - 2)]
+        cases.append(([[sum(map(mul, row, col)) for col in zip(*b)] for row in a],
+                      [[0] * n for _ in range(n)]))
+    for n in range(1, 5):  # large entries, and so a large shift point
+        cases.append(([[rng.choice((-1, 1)) * rng.randint(10**5, 10**6) for _ in range(n)]
+                       for _ in range(n)], None))
+    for mt in treecore.enumerate_upto(12):  # the q = 1 Laplacians: adj is all ones
+        lap = qmatrices.build_qL(mt).map(lambda e: sum(e.coeffs))
+        cases.append(([list(row) for row in lap.entries], [[1] * mt.p for _ in range(mt.p)]))
+    assert len(cases) == 30 + 4 + 4 + 4 + 73
+    for rows, known in cases:
+        n = len(rows)
+        want = [[1]] if n == 1 else [
+            [(-1) ** (i + j) * det_cofactor(
+                [r[:i] + r[i + 1:] for k, r in enumerate(rows) if k != j])
+             for j in range(n)]
+            for i in range(n)
+        ]
+        assert known is None or want == known
+        got = adjugate_int(Matrix(rows, KIND_R, KIND_L))
+        assert [list(r) for r in got.entries] == want, rows
 
 
 # -- Sturm counting ---------------------------------------------------------------------------

@@ -96,6 +96,22 @@ def test_every_definition_is_referenced():
     assert unused == []
 
 
+def test_every_quoted_private_name_is_defined():
+    # a ``_name`` quoted in a docstring or comment names a function, class or
+    # attribute of the package; one left behind by a deleted helper fails here
+    defined, quoted = set(), []
+    for path in sorted(SRC.glob("*.py")):
+        text = path.read_text(encoding="utf-8")
+        for node in ast.walk(ast.parse(text)):
+            if isinstance(node, _DEFINITIONS):
+                defined.add(node.name)
+            elif isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Store):
+                defined.add(node.id if isinstance(node, ast.Name) else node.attr)
+        quoted += [(path.name, name) for span in re.findall(r"``(.+?)``", text)
+                   for name in re.findall(r"\b_\w+", span)]
+    assert [q for q in quoted if q[1] not in defined] == []
+
+
 def test_every_method_is_reached_by_attribute():
     # a method no code reaches as x.name outside its own body is dead: its
     # name may still occur elsewhere as a variable, a label or in a string,

@@ -566,7 +566,7 @@ def _two_branches():
 
 def test_block_decomposition_witness_at_a_split_with_two_branches(monkeypatch):
     mt = _two_branches()
-    assert verify.predicted_block_qL(mt, 0)[1] == [0, 3]
+    assert next(at for at in _split_pieces(mt, 0) if 0 in at) == [0, 3]  # home's pairs
     # perturbed on the p = 4 tree, not on its subtrees or the grown trees
     _bump_laplacians(monkeypatch, ONE, (2, 1), lambda pairs: len(pairs) == mt.p)
     res = verify.check_block_decomposition(mt)
