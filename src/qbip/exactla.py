@@ -289,9 +289,9 @@ def _echelon(a: list, cols: int, jordan: bool = False) -> tuple:
     minors above involve the pivot columns only, so the same identity holds
     with the pivot columns in place of the leading ones, and every column
     after the skipped one is still searched for a pivot.  With jordan and no
-    column skipped, pivot row i holds the pivot minor with column i replaced
-    by the entry's column (Cramer), again exact: on [A | I] the right half
-    ends as d A^-1, d = +-det A the last pivot.
+    column skipped, an entry of pivot row i is the pivot minor with column i
+    replaced by the entry's column (Cramer), again exact: on [A | I] the
+    right half ends as d A^-1, d = +-det A the last pivot.
     """
     rows, width = len(a), len(a[0])
     pivots, sign, prev = [], 1, 1
