@@ -261,12 +261,16 @@ def _kronecker_rows(m: Matrix) -> tuple:
     least 1 unless C = 0.  So every coefficient of det m and of each entry of
     adj m lies in [-C, C], and such a polynomial is the balanced base-B
     digits of its value at B.  C = 0 means a zero row, and m is singular at
-    every point.
+    every point.  An int entry is its own value at B, and its absolute value
+    is its 1-norm; any other entry goes through its coefficient tuple.
     """
-    coeffs = [[_ring_coeffs(e) for e in row] for row in m.entries]
-    base = kronecker_base(prod(sum(sum(map(abs, c)) for c in row) for row in coeffs))
-    powers = [base**i for i in range(max(len(c) for row in coeffs for c in row))]
-    return [[sum(map(mul, c, powers)) for c in row] for row in coeffs], base
+    rows = [[e if type(e) is int else _ring_coeffs(e) for e in row] for row in m.entries]
+    base = kronecker_base(prod(sum(abs(c) if type(c) is int else sum(map(abs, c)) for c in row)
+                               for row in rows))
+    powers = [base**i for i in range(max((len(c) for row in rows for c in row
+                                          if type(c) is not int), default=1))]
+    return [[c if type(c) is int else sum(map(mul, c, powers)) for c in row]
+            for row in rows], base
 
 
 def _echelon(a: list, cols: int, jordan: bool = False) -> tuple:
@@ -410,15 +414,16 @@ def rank_int(m: Matrix) -> int:
 def charpoly_exact(m: Matrix) -> Poly:
     """Characteristic polynomial det(xI - m) of an integer matrix.
 
-    One ``det_bareiss`` of the Z[x] matrix xI - m.  Returned as a Poly in the
-    spectral variable (coefficients ascending).
+    One ``det_bareiss`` of the Z[x] matrix xI - m, built from one ``_as_int``
+    pass over the rows of -m: only the diagonal becomes a Poly, and the int
+    entries are packed by ``_kronecker_rows`` as they are.  Returned as a
+    Poly in the spectral variable (coefficients ascending).
     """
     if not m.is_square():
         raise DimensionMismatch("characteristic polynomial of a non-square matrix")
-    shifted = [
-        [Poly((-_as_int(e), 1)) if i == j else -_as_int(e) for j, e in enumerate(row)]
-        for i, row in enumerate(m.entries)
-    ]
+    shifted = [[-_as_int(e) for e in row] for row in m.entries]
+    for i, row in enumerate(shifted):
+        row[i] = Poly((row[i], 1))
     return det_bareiss(Matrix(shifted, m.row_kind, m.col_kind))
 
 

@@ -36,9 +36,11 @@ class TreeData:
     ``bdq_det`` and for its witness.
     Functions that take a tree accept either kind and wrap it with ``of``.
     Lifetime: one suite run, one point evaluation or one CLI command.
-    Nothing is kept on the MatchedTree, at module level or across trees:
-    enumeration and conjecture hold every tree of a level at once, so such a
-    cache would grow with the level.
+    None of these is kept on the MatchedTree, at module level or across
+    trees: enumeration and conjecture hold every tree of a level at once, so
+    such a cache would grow with the level.  The tree's canonical code is not
+    one of them: it is one short byte string per tree, which enumeration
+    computes anyway, and ``treecore.canonical_code`` keeps it as ``Tree.code``.
     """
 
     def __init__(self, mt: MatchedTree):
@@ -291,19 +293,20 @@ def eval_matrix(m: Matrix, q0) -> Matrix:
 
     Each distinct entry is evaluated once per call, as the built matrices
     repeat few values: one per distance in qB and E, one per degree product
-    in qL.  A pole names the first failing entry (i, j) in row-major order.
+    in qL.  A pole names the first failing entry (i, j) in row-major order,
+    the order the rows are mapped in: it is sought only once one is raised.
     """
     at = _evaluator(q0)
-    rows = []
-    for i, row in enumerate(m.entries):
-        out = []
-        for j, e in enumerate(row):
-            try:
-                out.append(at(e))
-            except PoleAtPoint as exc:
-                raise PoleAtPoint(f"entry ({i}, {j}): {exc}") from None
-        rows.append(out)
-    return Matrix(rows, m.row_kind, m.col_kind)
+    try:
+        return Matrix((map(at, row) for row in m.entries), m.row_kind, m.col_kind)
+    except PoleAtPoint as exc:
+        for i, row in enumerate(m.entries):
+            for j, e in enumerate(row):
+                try:
+                    at(e)
+                except PoleAtPoint:
+                    raise PoleAtPoint(f"entry ({i}, {j}): {exc}") from None
+        raise
 
 
 def eval_vector(v: Vector, q0) -> Vector:

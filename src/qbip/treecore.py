@@ -32,10 +32,12 @@ class Tree:
     n - 1 distinct edges (u, v) with 0 <= u < v < n that reach every vertex
     form a tree.  So the edges are sorted once, n is their count plus one, and
     the only checks are those ids, a repeat of the edge before, and one walk
-    from 0 that must reach all n vertices.
+    from 0 that must reach all n vertices.  Its one derived field, ``code``,
+    is the canonical code: None until ``canonical_code`` first reads it, or
+    until enumeration stores the code it computed for the tree's lists.
     """
 
-    __slots__ = ("n", "edges", "adj")
+    __slots__ = ("n", "edges", "adj", "code")
 
     def __init__(self, edges):
         try:
@@ -65,6 +67,7 @@ class Tree:
         self.n = n
         self.edges = tuple(edges)
         self.adj = tuple(map(tuple, adj))
+        self.code = None
 
     def degree(self, v: int) -> int:
         return len(self.adj[v])
@@ -386,10 +389,14 @@ def canonical_code(tree: Tree) -> bytes:
     """Canonical AHU encoding of the tree rooted at its centroid(s).
 
     Equal codes exactly characterize isomorphic trees.  The code is read off
-    the neighbour lists alone by ``_code``, which enumeration also calls on
-    each candidate's lists before building any Tree.
+    the neighbour lists alone by ``_code`` on the first call and kept as
+    ``tree.code``.  Enumeration calls ``_code`` on each candidate's lists
+    before building any Tree and stores the code on each tree it keeps, so a
+    tree of a shared level may have it filled in already.
     """
-    return _code(tree.adj)
+    if tree.code is None:
+        tree.code = _code(tree.adj)
+    return tree.code
 
 
 def _code(adj) -> bytes:
@@ -456,7 +463,10 @@ def enumerate_nonsingular(p: int) -> tuple:
     because detach_p2 inverts some attachment), is coded on its neighbour
     lists, the tree's with the pendant pair added, without building it.
     Only the first candidate of each canonical code is built by
-    ``attach_p2`` and kept.  Deterministic order: sorted by code.
+    ``attach_p2`` and kept, with that code stored as its ``tree.code``: the
+    lists that ``grown_lists`` yields are the built tree's own, so the code
+    is the one ``canonical_code`` would compute.  Deterministic order:
+    sorted by code.
 
     The last level built is memoised, so the ascending calls of
     enumerate_upto build each level once; no other level is kept.  The
@@ -472,7 +482,8 @@ def enumerate_nonsingular(p: int) -> tuple:
         for v, adj in grown_lists(t.tree.adj):
             code = _code(adj)
             if code not in level:
-                level[code] = attach_p2(t, v)
+                level[code] = grown = attach_p2(t, v)
+                grown.tree.code = code
     return tuple(t for _, t in sorted(level.items()))
 
 

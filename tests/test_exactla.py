@@ -513,6 +513,47 @@ def test_charpoly_matches_poly_reference():
             assert cp.eval_at(x) == det_bareiss(Matrix(shifted, KIND_R, KIND_L))[0]
 
 
+def test_charpoly_matches_poly_reference_on_random_matrices():
+    # xI - m packs its int entries as they are; the reference packs Poly entries
+    rng = random.Random(97)
+    for t in range(200):
+        n = rng.randint(1, 8)
+        rows = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
+        if t % 4 == 1:
+            rows[0][0] = 0  # the first pivot needs a row swap
+        elif t % 4 == 2 and n > 1:
+            rows[-1] = list(rows[0])  # singular
+        m = Matrix(rows, KIND_R, KIND_L)
+        assert charpoly_exact(m) == _charpoly_reference(m), rows
+
+
+def test_integer_kernels_take_exact_integers_only():
+    # a Fraction with a denominator or a float raises wherever it stands; an
+    # integral Fraction or a bool is read as its integer, alone or beside Poly
+    rows = [[2, -1, 0], [-1, 2, -1], [0, -1, 3]]
+    for bad in (Fraction(1, 2), 0.5, 2.0):
+        for i in range(3):
+            m = Matrix([[bad if (r, c) == (i, 2 - i) else e for c, e in enumerate(row)]
+                        for r, row in enumerate(rows)], KIND_R, KIND_L)
+            for kernel in (det_bareiss, charpoly_exact, rank_int):
+                with pytest.raises(TypeError):
+                    kernel(m)
+    bits = [[1, 0, 1], [0, 1, 1], [1, 1, 0]]
+    for ints, alike in ((rows, [[Fraction(2 * e, 2) for e in row] for row in rows]),
+                        (bits, [[bool(e) for e in row] for row in bits])):
+        want = Matrix(ints, KIND_R, KIND_L)
+        m = Matrix(alike, KIND_R, KIND_L)
+        for kernel in (det_bareiss, charpoly_exact, rank_int):
+            got = kernel(m)
+            assert got == kernel(want)
+            assert type(got) is int or all(type(c) is int for c in got.coeffs)
+        mixed = [[Poly((0, 1)) if i == j else e for j, e in enumerate(row)]
+                 for i, row in enumerate(alike)]
+        assert det_bareiss(Matrix(mixed, KIND_R, KIND_L)) == det_bareiss(poly_m(
+            [[Poly((0, 1)) if i == j else e for j, e in enumerate(row)]
+             for i, row in enumerate(ints)]))
+
+
 # -- squarefree parts and annihilation ----------------------------------------------------
 
 

@@ -426,7 +426,8 @@ def test_list_peel_steps_as_the_object_peel():
 def test_enumeration_counts(p, count):
     trees = enumerate_nonsingular(p)
     assert len(trees) == count
-    codes = [canonical_code(t.tree) for t in trees]
+    # coded afresh: canonical_code would read the code the enumeration stored
+    codes = [treecore._code(t.tree.adj) for t in trees]
     assert codes == sorted(codes)
     assert len(set(codes)) == len(codes)
 
@@ -614,17 +615,40 @@ def test_candidates_are_coded_on_their_neighbour_lists():
 
 @pytest.mark.parametrize("p", [7, 8])  # p <= 6: test_enumeration_counts
 def test_enumeration_codes_strictly_increase(p):
-    codes = [canonical_code(t.tree) for t in enumerate_nonsingular(p)]
+    codes = [treecore._code(t.tree.adj) for t in enumerate_nonsingular(p)]
     assert all(a < b for a, b in zip(codes, codes[1:]))
 
 
 def test_p8_codes_are_frozen():
     # sha256 of the 701 sorted codes joined by newlines, recorded from an
     # earlier implementation of the coding: a change that renames a class shows
-    codes = sorted(canonical_code(t.tree) for t in enumerate_nonsingular(8))
+    codes = sorted(treecore._code(t.tree.adj) for t in enumerate_nonsingular(8))
     assert len(codes) == 701
     assert hashlib.sha256(b"\n".join(codes)).hexdigest() == (
         "eb5740754bc21976ec5204c0d1808aeafa2e79959370873598294d8428775c75")
+
+
+def test_stored_codes_equal_a_fresh_coding():
+    # the code each enumerated tree carries is its own lists' code, and that
+    # of the same tree read back from its JSON, which is coded on first read
+    for t in enumerate_upto(16):
+        assert t.p == 1 or t.tree.code is not None  # stored by the enumeration
+        reread = MatchedTree.from_json(t.to_json()).tree
+        assert reread.code is None
+        assert canonical_code(t.tree) == treecore._code(t.tree.adj) == canonical_code(reread)
+
+
+def test_canonical_code_codes_each_tree_once(monkeypatch):
+    calls, code = [], treecore._code
+    monkeypatch.setattr(treecore, "_code", lambda adj: calls.append(adj) or code(adj))
+    tree = Tree([(0, 1), (1, 2), (2, 3)])
+    first = canonical_code(tree)
+    assert canonical_code(tree) is first is tree.code and len(calls) == 1
+    # an enumerated tree's code was computed by its enumeration, none after
+    trees = list(enumerate_upto(16))[1:]
+    calls.clear()
+    assert [canonical_code(t.tree) for t in trees] == [t.tree.code for t in trees]
+    assert calls == []
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7])
