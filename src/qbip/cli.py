@@ -4,8 +4,8 @@
 vertex-id pairs on the ids 0..n-1.  It may add ``labels`` ({"L": [...],
 "R": [...]}, the pair order) with ``matching`` (the same pairs as edges)
 beside it, as ``gen`` and ``enum`` write; without ``labels`` the standard
-labeling is derived.  ``show --matrix qD|eD`` takes any tree; every other
-use needs a perfect matching.
+labeling is derived.  ``show --matrix qD|eD`` takes any tree given by
+``edges`` alone; any other input or use needs a perfect matching.
 
 Exit codes: 0 = success / all checks pass, 1 = a mathematical check failed
 (witness emitted), 2 = usage or input error.  A reader that closes stdout
@@ -155,7 +155,10 @@ def cmd_show(args) -> int:
     name = args.matrix
     at = _one_point(args)
     if name in ("qD", "eD"):
-        dist = treecore.distances(treecore.Tree.from_json(_read_json(args.tree)))
+        data = _read_json(args.tree)  # labels or matching are read as every other use reads them
+        keyed = isinstance(data, dict) and data.keys() & {"labels", "matching"}
+        dist = treecore.distances(treecore.MatchedTree.from_json(data).tree if keyed
+                                  else treecore.Tree.from_json(data))
         obj = qmatrices.build_full_qD(dist) if name == "qD" else qmatrices.build_full_eD(dist)
     else:
         td = qmatrices.TreeData(treecore.MatchedTree.from_json(_read_json(args.tree)))

@@ -213,6 +213,7 @@ ZERO = Poly()
 ONE = Poly((1,))
 Q = Poly((0, 1))
 ONE_PLUS_Q = Poly((1, 1))
+Q_MINUS_ONE = Poly((-1, 1))
 ONE_MINUS_Q2 = Poly((1, 0, -1))
 Q_ONE_PLUS_Q = Poly((0, 1, 1))
 

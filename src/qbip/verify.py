@@ -18,11 +18,11 @@ rational points.  The two attachment checks share ``_join_point``: the trees
 they grow and split are neighbour lists and pair lists spliced or restricted
 from the validated tree's, never rebuilt as Tree objects, and have qL only as
 integers at B, from their own reach walks; the tree itself is read the same
-way, off its own ``Laplacian``; ``check_full_dq_ed`` proves its determinants by
-a certificate at such a point.  bd_q is read by the peel, which walks lists as
-well, so a suite builds no Tree; only ``check_bdq`` takes the dense determinant
-route.  The other checks compare Z[q], Q or Z values directly.  Nothing is ever
-approximate.
+way, off its own ``Laplacian``; ``check_full_dq_ed`` proves det eD by one
+Laplacian product at such a point, and det qD from it by (q-1) qD = eD - J in
+Z[q].  bd_q is read by the peel, which walks lists as well, so a suite builds
+no Tree; only ``check_bdq`` takes the dense determinant route.  The other
+checks compare Z[q], Q or Z values directly.  Nothing is ever approximate.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ from typing import Callable, NamedTuple
 from . import exactla, qmatrices, treecore
 from .exactla import KIND_L, KIND_R, Matrix, Vector, entry_json
 from .polyalg import (
-    ONE, ONE_MINUS_Q2, ONE_PLUS_Q, Q, Q_ONE_PLUS_Q, NotDivisible, Poly, qint, qpow,
+    ONE, ONE_MINUS_Q2, ONE_PLUS_Q, Q, Q_MINUS_ONE, Q_ONE_PLUS_Q, NotDivisible, Poly, qint, qpow,
 )
 from .qmatrices import TreeData
 from .treecore import MatchedTree
@@ -809,16 +809,16 @@ def check_full_dq_ed(tree: treecore.Tree | TreeData) -> CheckResult:
     and eD, built from one distance table: a TreeData lends its table, a bare
     Tree (which needs no perfect matching) gets one distances call.
 
-    With L_q = I - qA + q^2 (Deg - I), tau(v) = 1 + q - q deg(v), m = n - 1 and
-    M = -m L_q + tau tau^t, read from the adjacency: L_q.eD = (1-q^2) I and
-    want_ed det L_q = (1-q^2)^n give det eD = want_ed; L_q 1 = (1-q) tau and
-    sum_v tau(v) = n - (n-2) q give (1-q) det M = det L_q ((-m)^n (1-q) +
-    (-m)^m (n - (n-2) q)) = det L_q k_n, k_n = (-m)^m (1+q) (determinant
-    lemma); M.qD = m(1+q) I, det M != 0 and want_qd det M = (m(1+q))^n then
-    give det qD = want_qd.  This certificate is decided at q = b = 2^k past
-    twice the sum of both sides' coefficient bounds, read from the degrees and
-    the built qD and eD.  Only if it fails are the two dense determinants
-    taken, qD's first, for the verdict and witness.
+    With L_q = I - qA + q^2 (Deg - I) read from the adjacency, L_q.eD =
+    (1-q^2) I and want_ed det L_q = (1-q^2)^n give det eD = want_ed.  Then
+    eD^-1 = L_q/(1-q^2), 1^t L_q 1 = (1-q)(n - (n-2) q) on a tree, and
+    (q-1) qD = eD - J, J all ones, as (q-1) [d]_q = q^d - 1: the determinant
+    lemma gives (q-1)^n (1+q) det qD = (n-1)(q-1) det eD, which want_qd must
+    satisfy.  L_q.eD is decided at q = b = 2^k past twice the sum of both
+    sides' coefficient bounds, read from the degrees and the built eD, and
+    (q-1) qD = eD - J in Z[q], once per distinct pair of entries.  Only if the
+    certificate fails are the two dense determinants taken, qD's first, for
+    the verdict and witness.
     """
     dist, adj = ((tree.dist, tree.mt.tree.adj) if isinstance(tree, TreeData)
                  else (treecore.distances(tree), tree.adj))
@@ -834,32 +834,27 @@ def check_full_dq_ed(tree: treecore.Tree | TreeData) -> CheckResult:
 
 @lru_cache(maxsize=64)
 def _dq_ed_claims(n: int) -> tuple:
-    """want_qd, want_ed, (1-q^2)^n, k_n and (1-q) (m(1+q))^n on n = m + 1 vertices."""
-    m = n - 1
-    return ((-1) ** m * m * ONE_PLUS_Q ** (n - 2), ONE_MINUS_Q2**m, ONE_MINUS_Q2**n,
-            (-m) ** m * ONE_PLUS_Q, Poly((1, -1)) * (m * ONE_PLUS_Q) ** n)
+    """want_qd, want_ed, (1-q^2)^n, (q-1)^n (1+q) and (n-1)(q-1) on n vertices."""
+    return ((-1) ** (n - 1) * (n - 1) * ONE_PLUS_Q ** (n - 2), ONE_MINUS_Q2 ** (n - 1),
+            ONE_MINUS_Q2**n, Q_MINUS_ONE**n * ONE_PLUS_Q, (n - 1) * Q_MINUS_ONE)
 
 
-def _dq_ed_certificate(adj, qd: Matrix, ed: Matrix, want_qd, want_ed, ed_det, k_n, qd_det):
+def _dq_ed_certificate(adj, qd: Matrix, ed: Matrix, want_qd, want_ed, ed_det, qd_scale, ed_scale):
     """Whether the certificate of ``check_full_dq_ed`` holds."""
-    n, m, x = len(adj), len(adj) - 1, [1 - len(a) for a in adj]  # tau = 1 + xq, L_vv = 1 - xq^2
-    r = 2 * max(map(len, adj))  # bounds the norm of each row of L_q and of each tau(v)
-    index = {}  # each distinct coefficient tuple of qD and eD, numbered once
-    ed_i, qd_i = ([[index.setdefault(e.coeffs, len(index)) for e in row] for row in d.entries]
-                  for d in (ed, qd))
-    # (n r)^2 max ||entry|| + 2n bounds both sides of both products
-    b = exactla.kronecker_base((n * r) ** 2 * max(map(_norm, index)) + 2 * n)
+    pairs = {(a.coeffs, e.coeffs) for r, s in zip(qd.entries, ed.entries) for a, e in zip(r, s)}
+    index = {}  # each distinct coefficient tuple of eD, numbered once
+    ed_i = [[index.setdefault(e.coeffs, len(index)) for e in row] for row in ed.entries]
+    # row v of L_q has norm 2 deg(v): 2 max deg max ||entry|| + 2 bounds both sides
+    b = exactla.kronecker_base(2 * max(map(len, adj)) * max(map(_norm, index)) + 2)
     width = exactla.pack_width(b ** (max(map(len, index)) + 2))  # past every entry at b
-    table = [sum(c * b**i for i, c in enumerate(cs)) for cs in index]
-    ed_p, qd_p = (exactla.pack_rows(d, width, table) for d in (ed_i, qd_i))  # as in IDENTITIES
-    ed_l, qd_l = ([(1 - xv * b * b) * y - b * sum(map(p.__getitem__, a))
-                   for y, xv, a in zip(p, x, adj)] for p in (ed_p, qd_p))  # L_q.eD, L_q.qD
-    t, eye = [1 + xv * b for xv in x], [1 << 8 * width * i for i in range(n)]
-    tau_qd, det_L = sum(map(mul, t, qd_p)), _det_vertex_laplacian(adj)
-    det_M = det_L * k_n  # times 1 - q, as is qd_det
-    return (ed_l == [(1 - b * b) * u for u in eye]
-            and [t_i * tau_qd - m * y for t_i, y in zip(t, qd_l)] == [m * (1 + b) * u for u in eye]
-            and want_ed * det_L == ed_det and bool(det_M) and want_qd * det_M == qd_det)
+    ed_p = exactla.pack_rows(ed_i, width, [sum(c * b**i for i, c in enumerate(cs))
+                                           for cs in index])  # as in IDENTITIES
+    ed_l = [(1 + (len(a) - 1) * b * b) * y - b * sum(map(ed_p.__getitem__, a))
+            for y, a in zip(ed_p, adj)]  # L_q.eD, L_vv = 1 + (deg(v) - 1) q^2
+    return (all(Q_MINUS_ONE * Poly(a) == Poly(e) - ONE for a, e in pairs)
+            and ed_l == [(1 - b * b) << 8 * width * i for i in range(len(adj))]
+            and want_ed * _det_vertex_laplacian(adj) == ed_det
+            and qd_scale * want_qd == ed_scale * want_ed)
 
 
 def _det_vertex_laplacian(adj) -> Poly:

@@ -586,12 +586,17 @@ _P4 = [[0, 1], [1, 2], [2, 3]]
     ({"edges": _P4, "labels": {"L": [0, 2]}, "matching": [[0, 1], [2, 3]]}, '"R"'),
     ({"edges": _P4, "labels": {"L": [0, 2], "R": [1, 3]}}, '"matching"'),
     ({"edges": _P4, "matching": [[0, 3]]}, '"matching"'),
+    ({"edges": [[0, 1]], "matching": "x"}, '"matching"'),
+    ({"edges": _P4, "labels": {"L": [0, 5], "R": [1, 3]}, "matching": [[0, 1], [2, 3]]},
+     "(5, 3)"),
 ])
 def test_malformed_tree_field_is_named(capsys, tmp_path, data, field):
+    # show --matrix qD|eD reads any tree, but labels and matching as verify does
     path = tmp_path / "tree.json"
     path.write_text(json.dumps(data))
-    code, out, err = run_cli(capsys, "verify", "--tree", str(path))
-    assert code == 2 and err.startswith("error:") and field in err and out == ""
+    for command in (["verify"], ["show", "--matrix", "qD"], ["show", "--matrix", "eD"]):
+        code, out, err = run_cli(capsys, *command, "--tree", str(path))
+        assert code == 2 and err.startswith("error:") and field in err and out == "", command
 
 
 def test_key_error_inside_a_command_is_not_an_input_error(monkeypatch, p4_file):
@@ -812,15 +817,17 @@ def _near_miss_trees(draw):
 @settings(max_examples=300, deadline=None)
 @given(_JSON | _near_miss_trees())
 def test_random_tree_json_exits_2_unless_it_is_a_tree(data):
-    # 0 and 1 are verdicts about a tree's mathematics; anything else is input error
+    # 0 and 1 are verdicts about a tree's mathematics; anything else is input
+    # error.  show only prints, so it never exits 1
     with tempfile.TemporaryDirectory() as tmp:
         path = f"{tmp}/tree.json"
         with open(path, "w") as fh:
             json.dump(data, fh)
-        out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = main(["verify", "--tree", path])
-    if code == 2:
-        assert err.getvalue().startswith("error:") and out.getvalue() == ""
-    else:
-        assert code in (0, 1) and is_tree(data), (code, data)
+        for command, verdicts in ((["verify"], (0, 1)), (["show", "--matrix", "qD"], (0,))):
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main([*command, "--tree", path])
+            if code == 2:
+                assert err.getvalue().startswith("error:") and out.getvalue() == "", command
+            else:
+                assert code in verdicts and is_tree(data), (command, code, data)

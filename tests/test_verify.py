@@ -252,6 +252,13 @@ def test_full_dq_ed_passes_by_its_certificate_alone(monkeypatch):
     inside = _watch_full_dq_ed(monkeypatch)
     assert run_suite(treecore.random_nonsingular(6, 1)).passed
     assert verify.check_full_dq_ed(ODD_TREE).passed
+    trees = 0  # every tree with n <= 12, as acceptance criterion 5 lists them
+    for n in range(2, 13):
+        for g in nx.nonisomorphic_trees(n):
+            tree = treecore.Tree([tuple(sorted(e)) for e in g.edges()])
+            assert verify.check_full_dq_ed(tree).passed, tree.edges
+            trees += 1
+    assert trees == 986
     assert inside["det_bareiss"] == 0
 
 
@@ -336,8 +343,8 @@ def test_full_dq_ed_certifies_only_the_claimed_determinants(monkeypatch, wrong):
 
 @pytest.mark.parametrize("builder, delta", [
     ("build_full_eD", Poly((0, 0, 0, 2**70))),
-    # zero at every q = 2^k, k <= 16, past the point the path's own entries
-    # give (2^11): decided at a point the tree alone fixes, it would pass
+    # zero at every q = 2^k, k <= 16: qD never meets a point, as (q-1) qD =
+    # eD - J is decided in Z[q], so no point that the tree fixes can miss it
     ("build_full_qD", prod((Poly((-(2**k), 1)) for k in range(1, 17)), start=ONE)),
 ])
 def test_full_dq_ed_point_is_read_from_the_entries(monkeypatch, builder, delta):
@@ -574,6 +581,20 @@ def test_block_decomposition_witness_at_a_split_with_two_branches(monkeypatch):
         "identity": "qL block reassembly at pair 0", "entry": [2, 1],
         "got": ["1"], "want": [], "residual": ["1"], "split_pair": 0,
     }}
+
+
+def test_attach_update_witness_of_a_bumped_grown_tree(monkeypatch, p4_path):
+    # qL entry (0, 0) of every tree that attach_update grows (p + 1 pairs) off
+    # by q: the first attachment, at vertex 0, reads it back; the split pieces
+    # have fewer pairs, so block_decomposition still passes
+    for mt in (p4_path, _two_branches()):
+        with monkeypatch.context() as patch:
+            _bump_laplacians(patch, Q, (0, 0), lambda pairs: len(pairs) == mt.p + 1)
+            res = verify.check_attach_update(mt)
+            assert res.witness["identity"] == "qL block update at vertex 0"
+            assert res.witness["vertex"] == 0 and res.witness["entry"] == [0, 0]
+            assert res.witness["residual"] == ["0", "1"] and _residual(res) == Q
+            assert verify.check_block_decomposition(mt).passed
 
 
 def _join_base(mt) -> int:
