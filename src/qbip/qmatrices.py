@@ -77,7 +77,8 @@ def _by_distance(dist_rows: list, entry, row_kind: str, col_kind: str) -> Matrix
 def lr_distances(mt: MatchedTree | TreeData) -> list:
     """The integer L x R distance block: row i holds dist(l_i, r_j) over j."""
     d = TreeData.of(mt)
-    return [[d.dist[l][r] for r in d.mt.r_vertices] for l in d.mt.l_vertices]
+    dist, rs = d.dist, d.mt.r_vertices
+    return [list(map(dist[l].__getitem__, rs)) for l in d.mt.l_vertices]
 
 
 def distance_block(mt: MatchedTree | TreeData, entry=int) -> Matrix:

@@ -133,8 +133,9 @@ def _compare(name: str, label: str, got, want, **where) -> CheckResult:
 # _Sparse of their nonzeros (qL about 6 a row, I one, so its packed rows are
 # B^i); qB and E are a _Table, dmax + 1 values by distance read through the
 # tree's one distance block, and pack with one encoded digit per value and
-# one join per row.  A vector side is exactla.mat_vec or vec_mat, p^2 integer
-# products over the rows that the forms give it one at a time.  For a term
+# one join per row.  On a vector side (_mul) a _Sparse meets the vector one
+# product per nonzero, and a _Table goes through exactla.mat_vec or vec_mat,
+# p^2 integer products over the rows its block gives one at a time.  For a term
 # c F_1 ... F_k, |c| ||F_1|| ... ||F_(k-1)|| max|F_k| bounds every entry,
 # ||.|| being the largest absolute row sum, and summing it over a side's
 # terms bounds the side.  With C the largest such bound over the matrix
@@ -185,22 +186,14 @@ class _Factor(NamedTuple):
 @dataclass(frozen=True)
 class _Sparse:
     """A matrix at a point as its nonzeros: nonzeros[i] maps j to entry (i, j).
-    Like ``_Table`` it has the attributes that exactla.mat_vec and vec_mat
-    read of a Matrix, ``entries`` giving its dense rows one at a time."""
+    It is never expanded into dense rows: it packs, and multiplies a vector
+    (``_mul``) or packed rows (``times``), one product per nonzero."""
     nonzeros: list
     cols: int
     row_kind: str = KIND_R
     col_kind: str = KIND_R
 
     rows = property(lambda self: len(self.nonzeros))
-
-    @property
-    def entries(self):
-        for nonzeros in self.nonzeros:
-            row = [0] * self.cols
-            for j, v in nonzeros.items():
-                row[j] = v
-            yield row
 
     def size(self, top: bool) -> int:
         """Largest |entry| if top, else the largest absolute row sum."""
@@ -242,21 +235,24 @@ class _Table:
 def _poly_factor(x) -> _Factor:
     """A Poly, or a Vector or Matrix of them; deg is its largest entry degree.
 
-    The nonzero entries are found once per tree; a point and the norm read
-    only them, one integer Horner sum each.  At a point a Poly is an int, a
-    Vector a Vector of ints and a Matrix a ``_Sparse`` of its nonzeros.
+    The nonzero entries are found and their distinct coefficient tuples
+    numbered once per tree; a point and the norm take one integer Horner sum
+    per distinct tuple.  At a point a Poly is an int, a Vector a Vector of
+    ints and a Matrix a ``_Sparse`` of its nonzeros.
     """
     if isinstance(x, Poly):
         deg = max(0, x.degree())
         return _Factor(deg, lambda a, b: sum(map(mul, x.coeffs, _monomials(a, b, deg))),
                        lambda: _norm(x.coeffs))
     vector = isinstance(x, Vector)
-    support = [{j: e.coeffs for j, e in enumerate(row) if e.coeffs}
+    index = {}  # distinct nonzero coeffs -> their number
+    support = [{j: index.setdefault(e.coeffs, len(index)) for j, e in enumerate(row) if e.coeffs}
                for row in ((x.entries,) if vector else x.entries)]
-    deg = max((len(c) - 1 for nonzeros in support for c in nonzeros.values()), default=0)
+    deg = max((len(c) - 1 for c in index), default=0)
 
     def form(value):  # value(coeffs) at each nonzero entry
-        nonzeros = [{j: value(c) for j, c in row.items()} for row in support]
+        values = list(map(value, index))
+        nonzeros = [{j: values[k] for j, k in row.items()} for row in support]
         if vector:
             return Vector(map(nonzeros[0].get, range(len(x)), repeat(0)), x.kind)
         return _Sparse(nonzeros, x.cols, x.row_kind, x.col_kind)
@@ -411,8 +407,31 @@ class _Point(dict):
 def _mul(x, y):
     """x.y, exact, on a vector side: a matrix times a vector or a vector times
     a matrix, as no term in IDENTITIES puts its vector before two matrices
-    (outer products only arise on matrix sides)."""
-    return exactla.vec_mat(x, y) if isinstance(x, Vector) else exactla.mat_vec(x, y)
+    (outer products only arise on matrix sides).  A ``_Sparse`` is read by
+    its nonzeros, under exactla.mat_vec's and vec_mat's checks; a ``_Table``
+    goes through them."""
+    if isinstance(x, Vector):
+        if not isinstance(y, _Sparse):
+            return exactla.vec_mat(x, y)
+        _conform(x, y.rows, y.row_kind)
+        out = [0] * y.cols
+        for v, row in zip(x.entries, y.nonzeros):
+            for j, a in row.items():
+                out[j] += v * a
+        return Vector(out, y.col_kind)
+    if not isinstance(x, _Sparse):
+        return exactla.mat_vec(x, y)
+    _conform(y, x.cols, x.col_kind)
+    return Vector(x.times(y.entries), x.row_kind)
+
+
+def _conform(v: Vector, length: int, kind: str) -> None:
+    """exactla.mat_vec's and vec_mat's checks: v has the length and index
+    kind of the matrix indices it meets."""
+    if len(v) != length:
+        raise exactla.DimensionMismatch(f"vector of length {len(v)} against {length} indices")
+    if v.kind != kind:
+        raise exactla.IndexKindMismatch(f"{v.kind} vector against {kind} indices")
 
 
 def _side(terms, point: _Point, scale: int, vector: bool) -> list:

@@ -206,6 +206,43 @@ def test_distances_p4(p4_path):
     assert d[p4_path.l_vertex(1)][p4_path.r_vertex(0)] == 1
 
 
+def _nx_distances(tree: Tree) -> list:
+    lengths = dict(nx.all_pairs_shortest_path_length(nx.Graph(tree.edges)))
+    return [[lengths[u][v] for v in range(tree.n)] for u in range(tree.n)]
+
+
+def _assert_distances_match_networkx(tree: Tree):
+    rows = distances(tree)
+    assert rows == _nx_distances(tree)
+    # each row is a list of its own, though rows are built from their parents'
+    assert len(set(map(id, rows))) == tree.n
+
+
+def test_distances_match_networkx_at_every_root_up_to_ten_vertices():
+    # distances walks from vertex 0: swapping 0 with each vertex r roots every
+    # tree with n <= 10 at every vertex
+    for n in range(2, 11):
+        for g in nx.nonisomorphic_trees(n):
+            for r in range(n):
+                swap = {0: r, r: 0}
+                _assert_distances_match_networkx(
+                    Tree([(swap.get(u, u), swap.get(v, v)) for u, v in g.edges()]))
+
+
+@pytest.mark.parametrize("edges", [
+    [(i, i + 1) for i in range(799)],  # the deepest: every subtree a suffix
+    [(0, i) for i in range(1, 300)],  # the shallowest: every subtree one leaf
+    [(i, 299) for i in range(299)],  # a star rooted at a leaf
+])
+def test_distances_match_networkx_on_a_path_and_stars(edges):
+    _assert_distances_match_networkx(Tree(edges))
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_distances_match_networkx_on_random_trees(seed):
+    _assert_distances_match_networkx(random_nonsingular(60, seed).tree)
+
+
 def test_matching_pairs_at_distance_one():
     for p in range(1, 5):
         for mt in enumerate_nonsingular(p):

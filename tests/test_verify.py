@@ -763,6 +763,55 @@ def test_qL_perturbation_off_its_nonzeros_fails_the_dependent_identities(
     _assert_fails_exactly_the_dependent_identities(p5_random, "qL")
 
 
+# recorded before the vector sides read qL by its nonzeros: a bump of entry
+# (1, 0) fails ones^t qL at column 0; the same bump with its negative at
+# (2, 0) keeps column 0 and fails qL ones at row 1
+@pytest.mark.parametrize("bumps, x, witness", [
+    ([((1, 0), Q)], Fraction(5, 3),
+     ("ones^t qL = (1-q^2) tau_l^t", [0], "935/81", "800/81", "5/3")),
+    ([((1, 0), Q)], Fraction(-7, 2),
+     ("ones^t qL = (1-q^2) tau_l^t", [0], "2177/8", "2205/8", "-7/2")),
+    ([((1, 0), Q), ((2, 0), -Q)], Fraction(5, 3),
+     ("qL ones = (1-q^2) tau_r", [1], "-1/9", "-16/9", "5/3")),
+    ([((1, 0), Q), ((2, 0), -Q)], Fraction(-7, 2),
+     ("qL ones = (1-q^2) tau_r", [1], "-59/4", "-45/4", "-7/2")),
+])
+def test_row_col_sums_witness_of_a_perturbed_qL(monkeypatch, p5_random, bumps, x, witness):
+    for entry, delta in bumps:
+        _perturb(monkeypatch, "qL", delta, entry)
+    (res,) = [r for r in evaluate_identities_at(p5_random, x)
+              if r.name == f"row_col_sums@{x}"]
+    assert not res.passed
+    keys = ("identity", "entry", "got", "want", "residual")
+    assert tuple(res.witness[k] for k in keys) == witness
+
+
+@pytest.mark.parametrize("entries, kind, left, error", [
+    ((1, 2, 3), KIND_L, False, None),
+    ((1, 2, 3), KIND_R, False, exactla.IndexKindMismatch),
+    ((1, 2), KIND_L, False, exactla.DimensionMismatch),
+    ((4, 5), KIND_R, True, None),
+    ((4, 5), KIND_L, True, exactla.IndexKindMismatch),
+    ((4, 5, 6), KIND_R, True, exactla.DimensionMismatch),
+])
+def test_sparse_vector_product_is_exactlas(entries, kind, left, error):
+    # _mul reads a _Sparse by its nonzeros and hands a Matrix to exactla:
+    # both give the same product, or raise the same error
+    dense = Matrix([[1, 0, -2], [5, 3, 0]], KIND_R, KIND_L)
+    sparse = verify._Sparse([{0: 1, 2: -2}, {0: 5, 1: 3}], 3, KIND_R, KIND_L)
+    v = exactla.Vector(entries, kind)
+
+    def product(m):
+        return verify._mul(v, m) if left else verify._mul(m, v)
+
+    if error is None:
+        assert product(sparse) == product(dense)
+    else:
+        for m in (dense, sparse):
+            with pytest.raises(error):
+                product(m)
+
+
 def test_point_witness_replays_with_fractions(monkeypatch, p5_random):
     # lemma_111 at each point recomputed entrywise from the evaluated matrices
     _perturb(monkeypatch, "qL", ONE)
