@@ -276,8 +276,7 @@ def cmd_conjecture(args) -> int:
     rows = []
     counterexample = None
     for mt in treecore.enumerate_upto(args.upto):
-        lap = qmatrices.eval_matrix(qmatrices.build_qL(mt), Fraction(1))
-        evidence = exactla.conjecture_evidence(lap.map(int))
+        evidence = exactla.conjecture_evidence(qmatrices.eval_matrix(qmatrices.build_qL(mt), 1))
         row = {
             "tree": treecore.canonical_code(mt.tree).hex(),
             "p": mt.p,

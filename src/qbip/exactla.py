@@ -414,14 +414,15 @@ def rank_int(m: Matrix) -> int:
 def charpoly_exact(m: Matrix) -> Poly:
     """Characteristic polynomial det(xI - m) of an integer matrix.
 
-    One ``det_bareiss`` of the Z[x] matrix xI - m, built from one ``_as_int``
-    pass over the rows of -m: only the diagonal becomes a Poly, and the int
-    entries are packed by ``_kronecker_rows`` as they are.  Returned as a
-    Poly in the spectral variable (coefficients ascending).
+    One ``det_bareiss`` of the Z[x] matrix xI - m, built from one pass over
+    the rows of -m (an int entry is taken as it is, any other through
+    ``_as_int``): only the diagonal becomes a Poly, and the int entries are
+    packed by ``_kronecker_rows`` as they are.  Returned as a Poly in the
+    spectral variable (coefficients ascending).
     """
     if not m.is_square():
         raise DimensionMismatch("characteristic polynomial of a non-square matrix")
-    shifted = [[-_as_int(e) for e in row] for row in m.entries]
+    shifted = [[-(e if type(e) is int else _as_int(e)) for e in row] for row in m.entries]
     for i, row in enumerate(shifted):
         row[i] = Poly((row[i], 1))
     return det_bareiss(Matrix(shifted, m.row_kind, m.col_kind))
@@ -466,7 +467,7 @@ def _packed_horner(m: Matrix, coeffs) -> tuple:
     step, where Horner on the whole matrix takes n^2.  C = 0 means p(m) = 0, and then
     w = 0 whatever B is.
     """
-    rows = [[_as_int(e) for e in row] for row in m.entries]
+    rows = [[e if type(e) is int else _as_int(e) for e in row] for row in m.entries]
     norm = max(sum(map(abs, row)) for row in rows)
     base = kronecker_base(sum(abs(c) * norm**k for k, c in enumerate(coeffs)))
     v = [base**j for j in range(m.rows)]

@@ -7,7 +7,10 @@ Values are immutable and hashable, so equality of canonical forms is plain
 ``==`` and polynomials can key dicts and sets.
 
 Rational constants (evaluation points, specialized matrix entries) are
-``fractions.Fraction`` values throughout; no floating point is used anywhere.
+exact: an evaluation point is an ``int`` or a ``fractions.Fraction``
+(``exact_point`` rejects anything else), a Poly's value at an int is an int
+and at a Fraction a Fraction, and a RatFun's value is always a Fraction.  No
+floating point is used anywhere.
 """
 
 from __future__ import annotations
@@ -145,13 +148,15 @@ class Poly:
     def derivative(self) -> "Poly":
         return Poly(i * c for i, c in enumerate(self.coeffs) if i > 0)
 
-    def eval_at(self, x) -> Fraction:
-        """Exact value at a rational point x = a/b.
+    def eval_at(self, x) -> int | Fraction:
+        """Exact value at a point x: an int at an int x, a Fraction at a Fraction.
 
-        ``_horner`` over the integers gives sum c_i a^i b^(d-i), d the
-        degree, and one Fraction divides it by b^d.
+        At an int, ``_horner`` gives the value itself.  At x = a/b it gives
+        sum c_i a^i b^(d-i) over the integers, d the degree, and one
+        Fraction divides it by b^d.
         """
-        x = Fraction(x)
+        if isinstance(exact_point(x), int):
+            return self._horner(x)[0]
         b = x.denominator
         num, scale = self._horner(x.numerator, b)
         return Fraction(num * b, scale)
@@ -199,6 +204,17 @@ class Poly:
     @classmethod
     def from_json(cls, data) -> "Poly":
         return cls(int(c) for c in data)
+
+
+def exact_point(x):
+    """x itself if it is an int or a Fraction; TypeError otherwise.
+
+    bool is refused, as are a float (its binary value is no exact point the
+    caller meant) and a string (``Fraction`` would parse it).
+    """
+    if isinstance(x, bool) or not isinstance(x, (int, Fraction)):
+        raise TypeError(f"an evaluation point is an int or a Fraction, got {x!r}")
+    return x
 
 
 def _as_poly(x):
@@ -404,10 +420,11 @@ class RatFun:
         return other * self.inverse()
 
     def eval_at(self, x) -> Fraction:
+        """Exact value at an int or Fraction point, always a Fraction."""
         d = self.den.eval_at(x)
         if d == 0:
             raise PoleAtPoint(f"denominator ({self.den}) vanishes at q = {x}")
-        return self.num.eval_at(x) / d
+        return Fraction(self.num.eval_at(x), d)
 
     def format(self, var: str = "q") -> str:
         if self.den == ONE:

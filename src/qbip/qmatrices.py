@@ -104,8 +104,12 @@ class Laplacian(NamedTuple):
     q^2); mu of r_k is S's row k times D_L, of l_k its column k times D_R.
     ``rows``, ``mu`` and ``tau`` read the data through ``value``, a map from
     coefficient tuples (ascending) to a ring, by sums and products alone:
-    ``Poly`` gives qL itself, a value at q = B its integer rows at B, and the
-    coefficient 1-norm a bound on each entry's.
+    ``Poly`` gives qL itself, a value at q = B its integer rows at B, ``sum``
+    its integer rows at q = 1, and the coefficient 1-norm a bound on each
+    entry's.  ``rows`` takes each product d(r)_q d(l)_q, and its negative,
+    once per degree pair that S reaches, at first use; the cells of that
+    pair and sign share it, as ``_by_distance`` shares qB's and E's entries,
+    and each cell of A_RL gets its own sum.
     """
 
     deg_r: list  # d(r_i)
@@ -115,12 +119,20 @@ class Laplacian(NamedTuple):
 
     def rows(self, value) -> list:
         minus, zero, off = value((-1,)), value(()), value((0, 0, -1))  # off: -q^2
-        dl = [value((1, 0, d - 1)) for d in self.deg_l]
+        scalar = {d: value((1, 0, d - 1)) for d in {*self.deg_r, *self.deg_l}}  # d -> d_q
+        products = {}  # d(r) -> d(l) -> (zero, d(r)_q d(l)_q, its negative), by S's entry
         rows = []
-        for d, signs, adj in zip(self.deg_r, self.sign, self.adj):
-            dr = value((1, 0, d - 1))
-            scale = (zero, dr, minus * dr)  # by S's entry: 1 gives dr, -1 the last
-            row = [scale[s] * x if s else zero for s, x in zip(signs, dl)]
+        for dr, signs, adj in zip(self.deg_r, self.sign, self.adj):
+            by_dl, row = products.setdefault(dr, {}), []
+            for s, dl in zip(signs, self.deg_l):
+                if not s:
+                    row.append(zero)
+                    continue
+                cell = by_dl.get(dl)
+                if cell is None:
+                    x = scalar[dr] * scalar[dl]
+                    cell = by_dl[dl] = (zero, x, minus * x)
+                row.append(cell[s])
             for j in adj:
                 row[j] = row[j] + off
             rows.append(row)
@@ -271,31 +283,40 @@ def inverse_B_q1(mt: MatchedTree | TreeData) -> Matrix:
 
     -qL/2 + tau_r tau_l^t / bd at q = 1: entry (i,j) is
     (2 tau_r(1)_i tau_l(1)_j - bd(1) qL(1)_ij) / (2 bd(1)), one Fraction of
-    integers each.  Values at q = 1 are coefficient sums.
+    integers each.  Values at q = 1 are coefficient sums; qL(1) is read by
+    ``eval_matrix`` at the int 1, so its entries are ints.
     """
     d = TreeData.of(mt)
     bd1 = sum(d.bd.coeffs)  # odd: bd is the peel
     lap = eval_matrix(d.qL, 1)
     tau_l1, tau_r1 = (d.lap.tau(side, sum) for side in "LR")
     return Matrix(
-        ([Fraction(2 * t * u - bd1 * x.numerator, 2 * bd1) for u, x in zip(tau_l1, row)]
+        ([Fraction(2 * t * u - bd1 * x, 2 * bd1) for u, x in zip(tau_l1, row)]
          for t, row in zip(tau_r1, lap.entries)),
         lap.row_kind, lap.col_kind)
 
 
 def _evaluator(q0):
-    """e -> e.eval_at(q0), each distinct entry evaluated once, kept by the entry."""
-    q0 = Fraction(q0)
+    """e -> e.eval_at(q0), each distinct entry evaluated once, kept by the entry.
+
+    An integral Fraction is passed as its int, so a Poly entry's value there
+    is an int and no Fraction is built for it.
+    """
+    if isinstance(q0, Fraction) and q0.denominator == 1:
+        q0 = q0.numerator
     return lru_cache(maxsize=None)(lambda e: e.eval_at(q0))
 
 
 def eval_matrix(m: Matrix, q0) -> Matrix:
-    """Entrywise exact evaluation at a rational point.
+    """Entrywise exact evaluation at an int or Fraction point q0.
 
-    Each distinct entry is evaluated once per call, as the built matrices
-    repeat few values: one per distance in qB and E, one per degree product
-    in qL.  A pole names the first failing entry (i, j) in row-major order,
-    the order the rows are mapped in: it is sought only once one is raised.
+    A Poly entry's value is an int at an integral q0, else a Fraction; a
+    RatFun entry's is a Fraction (``polyalg``).  A point of any other type,
+    a float or a string, is a TypeError.  Each distinct entry is evaluated
+    once per call, as the built matrices repeat few values: one per distance
+    in qB and E, one per degree product in qL.  A pole names the first
+    failing entry (i, j) in row-major order, the order the rows are mapped
+    in: it is sought only once one is raised.
     """
     at = _evaluator(q0)
     try:
@@ -311,7 +332,8 @@ def eval_matrix(m: Matrix, q0) -> Matrix:
 
 
 def eval_vector(v: Vector, q0) -> Vector:
-    """Entrywise exact evaluation at a rational point, each distinct entry once."""
+    """Entrywise exact evaluation at an int or Fraction point, as ``eval_matrix``,
+    each distinct entry once."""
     return v.map(_evaluator(q0))
 
 

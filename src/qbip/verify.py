@@ -40,7 +40,8 @@ from typing import Callable, NamedTuple
 from . import exactla, qmatrices, treecore
 from .exactla import KIND_L, KIND_R, Matrix, Vector, entry_json
 from .polyalg import (
-    ONE, ONE_MINUS_Q2, ONE_PLUS_Q, Q, Q_MINUS_ONE, Q_ONE_PLUS_Q, NotDivisible, Poly, qint, qpow,
+    ONE, ONE_MINUS_Q2, ONE_PLUS_Q, Q, Q_MINUS_ONE, Q_ONE_PLUS_Q, NotDivisible, Poly, exact_point,
+    qint, qpow,
 )
 from .qmatrices import TreeData
 from .treecore import MatchedTree
@@ -953,7 +954,7 @@ DEFAULT_Q_POINTS = (
 
 
 def _rational_points(q_points) -> list[Fraction]:
-    points = [Fraction(x) for x in q_points]
+    points = [Fraction(exact_point(x)) for x in q_points]
     if not points:
         raise ValueError("no evaluation points")
     for i, x in enumerate(points):

@@ -315,7 +315,39 @@ def test_poly_eval_matches_fraction_horner(p, x):
     for c in reversed(p.coeffs):
         want = want * x + c
     got = p.eval_at(x)
-    assert got == want and type(got) is Fraction
+    assert got == want and type(got) is (int if type(x) is int else Fraction)
+
+
+@given(small_polys, nonzero_polys, st.integers(-5, 5))
+def test_rf_eval_at_an_integer_is_the_fraction_of_the_horner_values(n, d, x):
+    def horner(p):
+        want = Fraction(0)
+        for c in reversed(p.coeffs):
+            want = want * x + c
+        return want
+
+    f = RatFun(n, d)
+    if horner(f.den) == 0:
+        return
+    got = f.eval_at(x)
+    assert type(got) is Fraction and got == horner(f.num) / horner(f.den)
+
+
+INEXACT_POINTS = [0.5, 0.1, 2.0, "1/2", "2", True, False, None, 1j]
+
+
+@pytest.mark.parametrize("x", INEXACT_POINTS)
+def test_poly_eval_rejects_an_inexact_point(x):
+    # a float would be read at its binary value, a string parsed; bool is no point
+    for p in (Poly((1, 2)), ZERO):
+        with pytest.raises(TypeError, match="an int or a Fraction"):
+            p.eval_at(x)
+
+
+@pytest.mark.parametrize("x", INEXACT_POINTS)
+def test_rf_eval_rejects_an_inexact_point(x):
+    with pytest.raises(TypeError, match="an int or a Fraction"):
+        RatFun(Poly((1, 2)), Poly((3, 1))).eval_at(x)
 
 
 @pytest.mark.parametrize("coeffs", [

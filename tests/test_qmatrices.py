@@ -375,6 +375,46 @@ def test_eval_vector(p4_attach):
     assert tuple(eval_vector(tau_r, Fraction(1, 2))) == (0, 1)
 
 
+def test_eval_rejects_an_inexact_point(p4_attach):
+    # a float would be read at its binary value, a string parsed; bool is no point
+    _, tau_r = qtau(p4_attach)
+    for x in (0.5, "1/2", True):
+        with pytest.raises(TypeError, match="an int or a Fraction"):
+            eval_matrix(build_qB(p4_attach), x)
+        with pytest.raises(TypeError, match="an int or a Fraction"):
+            eval_vector(tau_r, x)
+
+
+def test_qL_at_one_is_the_integer_rows_of_coefficient_sums():
+    # every tree that `conjecture --upto 16` reads, at the int 1 and at Fraction(1)
+    trees = list(treecore.enumerate_upto(16))
+    assert len(trees) == 954
+    for mt in trees:
+        qL, want = build_qL(mt), laplacian(mt.tree.adj, mt.pairs).rows(sum)
+        for one in (1, Fraction(1)):
+            got = eval_matrix(qL, one)
+            assert all(type(e) is int for row in got.entries for e in row)
+            assert [list(row) for row in got.entries] == want
+
+
+def test_qL_cells_of_one_degree_pair_and_sign_share_one_entry():
+    # off A_RL a cell is s d(r)_q d(l)_q, s its entry of S: one object per (s, d(r), d(l))
+    repeated = 0
+    for p in range(1, 7):
+        for mt in treecore.enumerate_nonsingular(p):
+            lap, qL = TreeData(mt).lap, build_qL(mt)
+            first = {}
+            for i, (signs, adj) in enumerate(zip(lap.sign, lap.adj)):
+                for j, s in enumerate(signs):
+                    if s and j not in adj:
+                        key = (s, lap.deg_r[i], lap.deg_l[j])
+                        repeated += key in first
+                        e = first.setdefault(key, qL[i, j])
+                        assert e is qL[i, j]
+                        assert e == s * P((1, 0, key[1] - 1)) * P((1, 0, key[2] - 1))
+    assert repeated  # shared cells were seen
+
+
 def test_eval_evaluates_each_distinct_entry_once(monkeypatch):
     # equal entries built apart: a memo keyed by the entry, not by identity
     poly, ratfun = (lambda: P((1, 2)), lambda: RatFun(P((0, 1)), P((2, 1))))

@@ -388,6 +388,15 @@ def test_evaluation_rejects_excluded_points(p4_attach):
             evaluate_identities_at(p4_attach, Fraction(bad))
 
 
+@pytest.mark.parametrize("x", [0.5, "2", True])
+def test_evaluation_rejects_an_inexact_point(p4_attach, x):
+    # a float would be read at its binary value, a string parsed; True is no q = 1
+    with pytest.raises(TypeError, match="an int or a Fraction"):
+        evaluate_identities_at(p4_attach, Fraction(2), x)
+    with pytest.raises(TypeError, match="an int or a Fraction"):
+        run_random(p=4, trials=1, seed=1, q_points=(x,))
+
+
 def test_evaluation_rejects_a_repeated_point(p4_attach):
     with pytest.raises(ValueError, match="more than once"):
         evaluate_identities_at(p4_attach, Fraction(2), Fraction(1, 2), Fraction(2))
