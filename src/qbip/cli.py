@@ -228,8 +228,8 @@ def cmd_verify(args) -> int:
         p, trials, points = _random_spec(args)
         seed = 1 if args.seed is None else args.seed
         reports = verify.run_random(p, trials, seed, points)
-    if args.out:
-        _dump(_json(reports), args.out)
+    if args.out:  # a report is a tuple, which json.dumps writes as an array
+        _dump(_json([r.to_json() for r in reports]), args.out)
     _dump(verify.summary_line(reports))
     for report in reports:
         bad = report.first_failure()
@@ -276,7 +276,7 @@ def cmd_conjecture(args) -> int:
     rows = []
     counterexample = None
     for mt in treecore.enumerate_upto(args.upto):
-        evidence = exactla.conjecture_evidence(qmatrices.eval_matrix(qmatrices.build_qL(mt), 1))
+        evidence = exactla.conjecture_evidence(qmatrices.TreeData(mt).qL1)
         row = {
             "tree": treecore.canonical_code(mt.tree).hex(),
             "p": mt.p,

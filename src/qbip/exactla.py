@@ -209,19 +209,21 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     )
 
 
+def conform(v: Vector, length: int, kind: str) -> None:
+    """Raise unless v has the length, then the index kind, of the matrix indices it meets."""
+    if len(v) != length:
+        raise DimensionMismatch(f"vector of length {len(v)} against {length} indices")
+    if v.kind != kind:
+        raise IndexKindMismatch(f"{v.kind} vector against {kind} indices")
+
+
 def mat_vec(a: Matrix, v: Vector) -> Vector:
-    if a.cols != len(v):
-        raise DimensionMismatch(f"{a!r} @ {v!r}")
-    if a.col_kind != v.kind:
-        raise IndexKindMismatch(f"{a!r} @ {v!r}")
+    conform(v, a.cols, a.col_kind)
     return Vector((sum(map(mul, row, v.entries)) for row in a.entries), a.row_kind)
 
 
 def vec_mat(v: Vector, a: Matrix) -> Vector:
-    if a.rows != len(v):
-        raise DimensionMismatch(f"{v!r} @ {a!r}")
-    if a.row_kind != v.kind:
-        raise IndexKindMismatch(f"{v!r} @ {a!r}")
+    conform(v, a.rows, a.row_kind)
     return Vector((sum(map(mul, v.entries, col)) for col in zip(*a.entries)),
                   a.col_kind)
 

@@ -31,6 +31,8 @@ class TreeData:
     pairs; the trees that the attachment checks grow and split get only such
     a table, from their own lists, and no TreeData.  A vertex's mu in Z[q]
     is not kept: ``qsigned_degree_vector`` reads it off ``lap`` at each call.
+    ``qL1`` is qL at the int 1, a matrix of ints, which the q = 1 check,
+    ``inverse_B_q1`` and ``qbip conjecture`` read.
     ``bd`` is the peel, ``bdq_recursive``: 1 + (1+q) t, t an integer, so never
     zero and odd at q = 1.  Only ``verify.check_bdq`` reads ``det_qB``, through
     ``bdq_det`` and for its witness.
@@ -58,6 +60,7 @@ class TreeData:
     qB = cached_property(lambda self: build_qB(self))
     E = cached_property(lambda self: build_E(self))
     qL = cached_property(lambda self: build_qL(self))
+    qL1 = cached_property(lambda self: eval_matrix(self.qL, 1))
     tau = cached_property(lambda self: qtau(self))
     bd = cached_property(lambda self: bdq_recursive(self.mt))
     det_qB = cached_property(lambda self: exactla.det_bareiss(self.qB))
@@ -283,12 +286,12 @@ def inverse_B_q1(mt: MatchedTree | TreeData) -> Matrix:
 
     -qL/2 + tau_r tau_l^t / bd at q = 1: entry (i,j) is
     (2 tau_r(1)_i tau_l(1)_j - bd(1) qL(1)_ij) / (2 bd(1)), one Fraction of
-    integers each.  Values at q = 1 are coefficient sums; qL(1) is read by
-    ``eval_matrix`` at the int 1, so its entries are ints.
+    integers each.  Values at q = 1 are coefficient sums; qL(1) is the
+    tree's ``TreeData.qL1``, so its entries are ints.
     """
     d = TreeData.of(mt)
     bd1 = sum(d.bd.coeffs)  # odd: bd is the peel
-    lap = eval_matrix(d.qL, 1)
+    lap = d.qL1
     tau_l1, tau_r1 = (d.lap.tau(side, sum) for side in "LR")
     return Matrix(
         ([Fraction(2 * t * u - bd1 * x, 2 * bd1) for u, x in zip(tau_l1, row)]

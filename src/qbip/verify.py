@@ -28,7 +28,6 @@ checks compare Z[q], Q or Z values directly.  Nothing is ever approximate.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import count, repeat
@@ -47,8 +46,7 @@ from .qmatrices import TreeData
 from .treecore import MatchedTree
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     name: str
     passed: bool
     witness: dict | None = None
@@ -61,8 +59,7 @@ class CheckResult:
         return out
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(NamedTuple):
     tree_code: bytes
     p: int
     results: tuple
@@ -184,8 +181,7 @@ class _Factor(NamedTuple):
     norm: Callable = None  # () -> the sum of |coefficients| of each entry
 
 
-@dataclass(frozen=True)
-class _Sparse:
+class _Sparse(NamedTuple):
     """A matrix at a point as its nonzeros: nonzeros[i] maps j to entry (i, j).
     It is never expanded into dense rows: it packs, and multiplies a vector
     (``_mul``) or packed rows (``times``), one product per nonzero."""
@@ -211,8 +207,7 @@ class _Sparse:
                 for row in self.nonzeros]
 
 
-@dataclass(frozen=True)
-class _Table:
+class _Table(NamedTuple):
     """qB or E at a point: entry (i, j) is table[block[i][j]], table holding
     the value at each distance d = 0..dmax and block being the tree's integer
     L x R distance block, ``TreeData.dist_lr``, which every point shares.  qB
@@ -409,12 +404,12 @@ def _mul(x, y):
     """x.y, exact, on a vector side: a matrix times a vector or a vector times
     a matrix, as no term in IDENTITIES puts its vector before two matrices
     (outer products only arise on matrix sides).  A ``_Sparse`` is read by
-    its nonzeros, under exactla.mat_vec's and vec_mat's checks; a ``_Table``
-    goes through them."""
+    its nonzeros, under ``exactla.conform`` as mat_vec's and vec_mat's
+    operands are; a ``_Table`` goes through them."""
     if isinstance(x, Vector):
         if not isinstance(y, _Sparse):
             return exactla.vec_mat(x, y)
-        _conform(x, y.rows, y.row_kind)
+        exactla.conform(x, y.rows, y.row_kind)
         out = [0] * y.cols
         for v, row in zip(x.entries, y.nonzeros):
             for j, a in row.items():
@@ -422,17 +417,8 @@ def _mul(x, y):
         return Vector(out, y.col_kind)
     if not isinstance(x, _Sparse):
         return exactla.mat_vec(x, y)
-    _conform(y, x.cols, x.col_kind)
+    exactla.conform(y, x.cols, x.col_kind)
     return Vector(x.times(y.entries), x.row_kind)
-
-
-def _conform(v: Vector, length: int, kind: str) -> None:
-    """exactla.mat_vec's and vec_mat's checks: v has the length and index
-    kind of the matrix indices it meets."""
-    if len(v) != length:
-        raise exactla.DimensionMismatch(f"vector of length {len(v)} against {length} indices")
-    if v.kind != kind:
-        raise exactla.IndexKindMismatch(f"{v.kind} vector against {kind} indices")
 
 
 def _side(terms, point: _Point, scale: int, vector: bool) -> list:
@@ -630,25 +616,30 @@ def _norm(coeffs) -> int:
     return sum(map(abs, coeffs))
 
 
-def _read(td: TreeData, value) -> SimpleNamespace:
-    """The tree's qL rows, tau_r and each vertex's mu, read off its Laplacian through value."""
-    lap, index, side = td.lap, td.mt.index_of, td.mt.side_of
-    return SimpleNamespace(td=td, value=value, qL=lap.rows(value), tau_r=lap.tau("R", value),
-                           mu=[lap.mu(index[v], side[v], value) for v in range(len(index))])
-
-
 # the lone pair that an attachment joins to the tree, l = 0 and r = 1
 _P2 = qmatrices.laplacian(((1,), (0,)), ((0, 1),))
+
+
+def _read(td: TreeData, value) -> SimpleNamespace:
+    """The tree's qL rows, tau_r and each vertex's mu, read off its Laplacian
+    through value; and pair[side], the joined_qL piece of the lone pair that
+    an attachment at a vertex on that side appends.  Both pieces share one
+    reading of the pair's rows, as joined_qL never changes a piece."""
+    lap, index, side, p = td.lap, td.mt.index_of, td.mt.side_of, td.mt.p
+    pair = _P2.rows(value)
+    return SimpleNamespace(td=td, value=value, qL=lap.rows(value), tau_r=lap.tau("R", value),
+                           mu=[lap.mu(index[v], side[v], value) for v in range(len(index))],
+                           pair={s: (pair, _P2.mu(0, joined, value), 0, (p,))
+                                 for s, joined in (("L", "R"), ("R", "L"))})
 
 
 def predicted_attach_qL(reading: SimpleNamespace, v: int) -> list:
     """qL's rows of attach_p2(mt, v), read as ``reading`` is (see ``_read``):
     mt joined at v to a lone pair, pair last."""
-    mt, value = reading.td.mt, reading.value
-    p, side = mt.p, mt.side_of[v]
-    tree = (reading.qL, reading.mu[v], mt.index_of[v], range(p))
-    pair = (_P2.rows(value), _P2.mu(0, "R" if side == "L" else "L", value), 0, (p,))
-    return joined_qL((tree, pair) if side == "L" else (pair, tree), p + 1, value)
+    mt = reading.td.mt
+    side = mt.side_of[v]
+    tree, pair = (reading.qL, reading.mu[v], mt.index_of[v], range(mt.p)), reading.pair[side]
+    return joined_qL((tree, pair) if side == "L" else (pair, tree), mt.p + 1, reading.value)
 
 
 def predicted_attach_tau_r(reading: SimpleNamespace, v: int) -> list:
@@ -745,7 +736,8 @@ def _join_point(td: TreeData) -> tuple:
     qL, mu = max(map(max, norms.qL)), max(map(max, norms.mu))
     got = max(qL, mu, *(lap.norm() for lap in grown))
     # an attachment joins the tree to the lone pair: either order has the same largest entry
-    pair = max(map(max, _P2.rows(_norm))), max(_P2.mu(0, "R", _norm))
+    pair_qL, pair_mu, _, _ = norms.pair["L"]
+    pair = max(map(max, pair_qL)), max(pair_mu)
     want = max(_joined_bound([(qL, mu), pair]),
                *(max(predicted_attach_tau_r(norms, v)) for v in range(mt.tree.n)),
                *(bound for _, bound in splits.values()))
@@ -801,7 +793,7 @@ def check_q1_properties(mt: MatchedTree | TreeData) -> CheckResult:
     as B.(D inverse_B_q1) = D I over Z, D the lcm of inverse_B_q1's denominators."""
     td = TreeData.of(mt)
     p = td.mt.p
-    ints = td.qL.map(lambda e: sum(e.coeffs))  # qL at q = 1
+    ints = td.qL1
     adj = exactla.adjugate_int(ints)
     inverse = qmatrices.inverse_B_q1(td)
     den = lcm(*(x.denominator for row in inverse.entries for x in row))

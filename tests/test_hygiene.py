@@ -4,6 +4,8 @@ import argparse
 import ast
 import json
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -179,3 +181,11 @@ def test_every_option_is_read_by_its_command(tmp_path, capsys):
         for name, sub in commands.items()
     }
     assert unread == {name: [] for name in commands}
+
+
+def test_cli_import_loads_neither_dataclasses_nor_inspect():
+    # a fresh interpreter, so that pytest's own imports do not count
+    code = "import sys, qbip.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    out = subprocess.run([sys.executable, "-c", code], cwd=SRC.parent, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"

@@ -386,13 +386,13 @@ def test_eval_rejects_an_inexact_point(p4_attach):
 
 
 def test_qL_at_one_is_the_integer_rows_of_coefficient_sums():
-    # every tree that `conjecture --upto 16` reads, at the int 1 and at Fraction(1)
+    # every tree that `conjecture --upto 16` reads, at the int 1, at Fraction(1)
+    # and as the tree's TreeData.qL1
     trees = list(treecore.enumerate_upto(16))
     assert len(trees) == 954
     for mt in trees:
         qL, want = build_qL(mt), laplacian(mt.tree.adj, mt.pairs).rows(sum)
-        for one in (1, Fraction(1)):
-            got = eval_matrix(qL, one)
+        for got in (eval_matrix(qL, 1), eval_matrix(qL, Fraction(1)), TreeData(mt).qL1):
             assert all(type(e) is int for row in got.entries for e in row)
             assert [list(row) for row in got.entries] == want
 

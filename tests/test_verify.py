@@ -527,6 +527,23 @@ def test_join_point_reads_the_tree_off_its_laplacian(monkeypatch):
         mt.tree.degree(mt.l_vertex(k)) for k in verify.block_split_vertices(mt))
 
 
+def test_attach_update_reads_the_lone_pair_once_per_reading(monkeypatch):
+    # the pair's rows are read once as norms, for the bound, and once at the
+    # point, shared by every vertex's prediction
+    reads = []
+
+    class Counting(qmatrices.Laplacian):
+        __slots__ = ()
+
+        def rows(self, value):
+            reads.append(value)
+            return super().rows(value)
+
+    monkeypatch.setattr(verify, "_P2", Counting(*verify._P2))
+    assert verify.check_attach_update(_two_branches()).passed
+    assert len(reads) == 2
+
+
 # -- the attachment checks' witnesses -------------------------------------------------
 
 
@@ -1086,6 +1103,15 @@ def test_q1_properties_witness_replays(monkeypatch, p6_attach):
     want = Fraction(int(i == j))
     assert (Fraction(w["got"]), Fraction(w["want"])) == (product[i, j], want)
     assert Fraction(w["got"]) - Fraction(w["want"]) == Fraction(w["residual"]) != 0
+
+
+def test_q1_properties_reads_the_trees_qL_at_one(p6_attach):
+    # the check reads TreeData.qL1: a bumped entry there fails its row sums
+    td = qmatrices.TreeData(p6_attach)
+    assert verify.check_q1_properties(td).passed
+    td.__dict__["qL1"] = _bump(td.qL1, 0, 0, 1)
+    res = verify.check_q1_properties(td)
+    assert not res.passed and res.witness["identity"] == "row sums of the q=1 Laplacian"
 
 
 def test_q1_properties_witness_with_a_new_denominator(monkeypatch, p6_attach):
