@@ -184,7 +184,7 @@ def cmd_invert(args) -> int:
     td = qmatrices.TreeData(treecore.MatchedTree.from_json(_read_json(args.tree)))
     at = _one_point(args)
     if args.matrix == "E":
-        if at is not None and at in (0, 1, -1):
+        if at in verify.EXCLUDED_POINTS:
             raise UsageError(
                 f"q = {at} excluded: the exponential matrix "
                 "is invertible only for q != 0, 1, -1"

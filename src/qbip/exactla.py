@@ -256,15 +256,16 @@ def det_bareiss(m: Matrix) -> Poly:
 def _kronecker_rows(m: Matrix) -> tuple:
     """(rows, B): m's Poly or int (or integral Fraction) entries at q = B.
 
-    B = ``kronecker_base(C)``, where C is the product over the rows of the
-    sum of the coefficient 1-norms of the row's entries.  Expanding over
-    permutations, the 1-norm of det m is at most the permanent of the entry
-    1-norms, so at most C; an (n-1)-minor leaves out a row whose sum is at
-    least 1 unless C = 0.  So every coefficient of det m and of each entry of
-    adj m lies in [-C, C], and such a polynomial is the balanced base-B
-    digits of its value at B.  C = 0 means a zero row, and m is singular at
-    every point.  An int entry is its own value at B, and its absolute value
-    is its 1-norm; any other entry goes through its coefficient tuple.
+    B = ``kronecker_base(C)``, where C, read from m's own entries, is the
+    product over the rows of the sum of the coefficient 1-norms of the row's
+    entries.  Expanding over permutations, the 1-norm of det m is at most
+    the permanent of the entry 1-norms, so at most C; an (n-1)-minor leaves
+    out a row whose sum is at least 1 unless C = 0.  So every coefficient of
+    det m and of each entry of adj m lies in [-C, C], and such a polynomial
+    is the balanced base-B digits of its value at B.  C = 0 means a zero
+    row, and m is singular at every point.  An int entry is its own value at
+    B, and its absolute value is its 1-norm; any other entry goes through its
+    coefficient tuple.
     """
     rows = [[e if type(e) is int else _ring_coeffs(e) for e in row] for row in m.entries]
     base = kronecker_base(prod(sum(abs(c) if type(c) is int else sum(map(abs, c)) for c in row)
@@ -387,13 +388,13 @@ def adjugate_int(m: Matrix) -> Matrix:
     Each entry of adj(m + tI) is +-an (n-1)-minor of m + tI, a polynomial in
     t whose coefficient 1-norm is at most the product of the row sums of the
     entry 1-norms, sum_j |m_ij| + 1, over the rows it keeps; so every
-    coefficient lies in [-C, C] for C the product over all rows, and with
-    T = ``kronecker_base(C)`` > 2C, adj(m)_ij is the lowest balanced base-T
-    digit of adj(m + TI)_ij.  T exceeds every row's sum_j |m_ij|, so m + TI
-    is strictly diagonally dominant with a positive diagonal: each leading
-    principal minor is nonzero, no row is swapped, and one ``_echelon`` with
-    jordan on [m + TI | I] leaves det(m + TI) (m + TI)^-1 = adj(m + TI) in
-    the right half.
+    coefficient lies in [-C, C] for C the product over all rows, read from
+    m's own rows, and with T = ``kronecker_base(C)`` > 2C, adj(m)_ij is the
+    lowest balanced base-T digit of adj(m + TI)_ij.  T exceeds every row's
+    sum_j |m_ij|, so m + TI is strictly diagonally dominant with a positive
+    diagonal: each leading principal minor is nonzero, no row is swapped,
+    and one ``_echelon`` with jordan on [m + TI | I] leaves det(m + TI)
+    (m + TI)^-1 = adj(m + TI) in the right half.
     """
     if not m.is_square():
         raise DimensionMismatch("adjugate of a non-square matrix")
@@ -462,9 +463,10 @@ def _packed_horner(m: Matrix, coeffs) -> tuple:
 
     Let N be the largest absolute row sum of the integer matrix m.  Then
     |(m^k)_ij| <= N^k, so every entry of p(m) lies in [-C, C] with
-    C = sum |c_k| N^k.  With B = ``kronecker_base(C)`` each such entry is
-    one balanced base-B digit, so w_i = sum_j p(m)_ij B^j holds row i of
-    p(m) as its digits (Kronecker substitution, as in ``det_bareiss``).
+    C = sum |c_k| N^k, read from m's own rows and p's own coefficients.
+    With B = ``kronecker_base(C)`` each such entry is one balanced base-B
+    digit, so w_i = sum_j p(m)_ij B^j holds row i of p(m) as its digits
+    (Kronecker substitution, as in ``det_bareiss``).
     w comes from Horner on one vector, w <- m w + c_k v: n dot products per
     step, where Horner on the whole matrix takes n^2.  C = 0 means p(m) = 0, and then
     w = 0 whatever B is.

@@ -111,12 +111,6 @@ class Poly:
             return NotImplemented
         return self + (-other)
 
-    def __rsub__(self, other):
-        other = _as_poly(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other + (-self)
-
     def __mul__(self, other):
         other = _as_poly(other)
         if other is NotImplemented:
@@ -388,12 +382,6 @@ class RatFun:
             return NotImplemented
         return self + (-other)
 
-    def __rsub__(self, other):
-        other = _as_ratfun(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other + (-self)
-
     def __mul__(self, other):
         other = _as_ratfun(other)
         if other is NotImplemented:
@@ -406,18 +394,6 @@ class RatFun:
         if not self.num:
             raise ZeroDivisionError("inverse of the zero rational function")
         return RatFun(self.den, self.num)
-
-    def __truediv__(self, other):
-        other = _as_ratfun(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self * other.inverse()
-
-    def __rtruediv__(self, other):
-        other = _as_ratfun(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other * self.inverse()
 
     def eval_at(self, x) -> Fraction:
         """Exact value at an int or Fraction point, always a Fraction."""

@@ -157,11 +157,6 @@ class Laplacian(NamedTuple):
         deg = self.deg_r if side == "R" else self.deg_l
         return [value((-f, 0, (1 - d) * (1 + f))) for d, f in zip(deg, self.diff(side))]
 
-    def norm(self) -> int:
-        """Bounds every entry's norm: qL's by d(r) d(l) + 1, tau_r's as |diff| <= p."""
-        p, d = len(self.deg_l), max(self.deg_r)
-        return max(d * max(self.deg_l) + 1, p + (d - 1) * (p + 1))
-
 
 def laplacian(adj, pairs) -> Laplacian:
     """The Laplacian of the matched tree with neighbour lists adj and pairs
@@ -227,15 +222,13 @@ def qtau(mt: MatchedTree | TreeData):
 def bdq_det(mt: MatchedTree | TreeData) -> Poly:
     """Distance index extracted from det of the q-bipartite distance matrix.
 
-    det always carries the factor q^(p-1) (1+q)^(p-1); the index is the
-    cofactor times (-1)^(p-1), det qB being ``TreeData.det_qB``.  A failed
-    division, NotDivisible, means a broken qB: ``verify.check_bdq`` reports it.
+    det qB = (-1)^(p-1) q^(p-1) (1+q)^(p-1) bd_q, det qB being
+    ``TreeData.det_qB``: the index is its quotient by (-q(1+q))^(p-1).  A
+    failed division, NotDivisible, means a broken qB: ``verify.check_bdq``
+    reports it.
     """
     d = TreeData.of(mt)
-    p = d.mt.p
-    divisor = Q ** (p - 1) * ONE_PLUS_Q ** (p - 1)
-    quotient = divexact(d.det_qB, divisor)
-    return -quotient if (p - 1) % 2 else quotient
+    return divexact(d.det_qB, (-Q_ONE_PLUS_Q) ** (d.mt.p - 1))
 
 
 def bdq_recursive(mt: MatchedTree) -> Poly:

@@ -426,12 +426,7 @@ def _side(terms, point: _Point, scale: int, vector: bool) -> list:
     total = None
     for term in terms:
         coef, refs = point.split(term, scale)
-        if vector:
-            rows = point[refs].entries
-        elif point.bound(term, scale):
-            rows = point.packed(refs)
-        else:  # a zero coefficient or a zero factor: nothing to pack
-            rows = [0] * point.form(refs).rows
+        rows = point[refs].entries if vector else point.packed(refs)
         scaled = map(mul, repeat(coef), rows)
         total = list(scaled) if total is None else list(map(add, total, scaled))
     return total
@@ -469,7 +464,12 @@ def _mismatch(equations, point: _Point) -> dict | None:
 
 @lru_cache(maxsize=1)  # the last tree's: a suite run packs each factor once
 def _proof_point(td: TreeData) -> _Point:
-    """The tree's factors at q = B = 2^k, B > 2(C_L + C_R) for every equation."""
+    """The tree's factors at q = B = 2^k, B > 2(C_L + C_R) for every equation.
+
+    The bound is a reading of the values compared: each factor read as its
+    entries' coefficient 1-norms (``_Factor.norm``), then the bound of the
+    comment on ``IDENTITIES`` run on those norms at q = 1.
+    """
     factors = _factors(td)
     norms = {ref: _Factor(0, lambda a, b, f=f: f.norm()) for ref, f in factors.items()}
     at_one = _Point(norms, Fraction(1), _EQUATIONS)
@@ -554,28 +554,28 @@ def check_lemma_111(mt: MatchedTree | TreeData) -> CheckResult:
 def check_inverse_E(mt: MatchedTree | TreeData) -> CheckResult:
     """qL.E = q(1-q^2) I, so E^-1 = qL/(q(1-q^2)); for p <= ORACLE_MAX_P the
     formula inverse also equals the elimination oracle's."""
-    td = TreeData.of(mt)
-    res = _prove("inverse_E", td)
-    if not res.passed or td.mt.p > ORACLE_MAX_P:
-        return res
-    return _compare(
-        "inverse_E", "formula inverse equals elimination oracle",
-        qmatrices.inverse_E_formula(td), exactla.inverse_gauss(td.E),
-    )
+    return _check_inverse("inverse_E", "E", mt)
 
 
 def check_inverse_qB(mt: MatchedTree | TreeData) -> CheckResult:
     """(-bd_q qL + (1+q) tau_r tau_l^t).qB = q(1+q) bd_q I, the closed-form
     inverse of qB with denominators cleared; for p <= ORACLE_MAX_P the
     formula inverse also equals the elimination oracle's."""
+    return _check_inverse("inverse_qB", "qB", mt)
+
+
+def _check_inverse(name: str, matrix: str, mt: MatchedTree | TreeData) -> CheckResult:
+    """The inverse check `name`: its identity proved at the tree's point, then
+    for p <= ORACLE_MAX_P the closed form qmatrices.<name>_formula against
+    exactla.inverse_gauss of the tree's `matrix`, a TreeData field.  Both are
+    looked up at each call, so a replaced builder is the one compared."""
     td = TreeData.of(mt)
-    res = _prove("inverse_qB", td)
+    res = _prove(name, td)
     if not res.passed or td.mt.p > ORACLE_MAX_P:
         return res
-    return _compare(
-        "inverse_qB", "formula inverse equals elimination oracle",
-        qmatrices.inverse_qB_formula(td), exactla.inverse_gauss(td.qB),
-    )
+    return _compare(name, "formula inverse equals elimination oracle",
+                    getattr(qmatrices, f"{name}_formula")(td),
+                    exactla.inverse_gauss(getattr(td, matrix)))
 
 
 def joined_qL(pieces, size: int, value) -> list:
@@ -723,10 +723,12 @@ def _join_point(td: TreeData) -> tuple:
     is a tree, and its pairs a perfect matching in attach_p2's order, so no
     Tree or MatchedTree is built or checked.
 
-    B = 2^k > 2(C_got + C_want).  C_got bounds the coefficient 1-norm of every
-    entry read off a tree: the grown trees' by ``Laplacian.norm``, this one's
-    read off its ``Laplacian`` as norms.  C_want bounds every prediction's:
-    each join's by ``_joined_bound``, each tau_r update's read as norms.
+    B = 2^k > 2(C_got + C_want), both bounds read from the values compared.
+    C_got bounds the coefficient 1-norm of every entry read off a tree: each
+    grown tree's qL and tau_r, this one's qL and mu, all read off their
+    ``Laplacian`` as norms.  C_want bounds every prediction's: each join's by
+    ``_joined_bound`` of the norms of its pieces, each tau_r update's read as
+    norms.
     """
     mt = td.mt
     grown = [qmatrices.laplacian(adj, (*mt.pairs, treecore.attached_pair(mt, v)))
@@ -734,7 +736,8 @@ def _join_point(td: TreeData) -> tuple:
     splits = {k1: predicted_block_qL(mt, k1) for k1 in block_split_vertices(mt)}
     norms = _read(td, _norm)
     qL, mu = max(map(max, norms.qL)), max(map(max, norms.mu))
-    got = max(qL, mu, *(lap.norm() for lap in grown))
+    grown_norms = (max(*map(max, lap.rows(_norm)), *lap.tau("R", _norm)) for lap in grown)
+    got = max(qL, mu, *grown_norms)
     # an attachment joins the tree to the lone pair: either order has the same largest entry
     pair_qL, pair_mu, _, _ = norms.pair["L"]
     pair = max(map(max, pair_qL)), max(pair_mu)
@@ -852,7 +855,12 @@ def _dq_ed_claims(n: int) -> tuple:
 
 
 def _dq_ed_certificate(adj, qd: Matrix, ed: Matrix, want_qd, want_ed, ed_det, qd_scale, ed_scale):
-    """Whether the certificate of ``check_full_dq_ed`` holds."""
+    """Whether the certificate of ``check_full_dq_ed`` holds.
+
+    Its point b bounds L_q.eD by a reading of eD's entries, the coefficient
+    1-norms of the eD compared, times a formula for L_q, which this call
+    builds from adj: row v has norm 2 deg(v).
+    """
     pairs = {(a.coeffs, e.coeffs) for r, s in zip(qd.entries, ed.entries) for a, e in zip(r, s)}
     index = {}  # each distinct coefficient tuple of eD, numbered once
     ed_i = [[index.setdefault(e.coeffs, len(index)) for e in row] for row in ed.entries]
@@ -873,7 +881,8 @@ def _det_vertex_laplacian(adj) -> Poly:
     """det L_q = f(0), f(v) = L_vv prod f(c) - q^2 sum_c g(c) prod_(c' != c) f(c')
     and g(v) = prod f(c) over v's children c, with no division, at q = b, the
     ``exactla.kronecker_base`` of the product of the row norms 2 deg(v), which
-    bounds det L_q's coefficients (see ``exactla._kronecker_rows``).  The
+    bounds det L_q's coefficients (see ``exactla._kronecker_rows``): a
+    formula for the L_q that this call builds from adj and reads at b.  The
     children are v's neighbours but its parent in one ``treecore.bfs`` from 0."""
     b = exactla.kronecker_base(prod(2 * len(a) for a in adj))
     (order, parent), f, g = treecore.bfs(adj, 0), [0] * len(adj), [0] * len(adj)

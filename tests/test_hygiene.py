@@ -2,6 +2,7 @@
 
 import argparse
 import ast
+import importlib
 import json
 import re
 import subprocess
@@ -10,6 +11,7 @@ from pathlib import Path
 
 import pytest
 
+import qbip
 from qbip import cli
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "qbip"
@@ -112,6 +114,30 @@ def test_every_quoted_private_name_is_defined():
         quoted += [(path.name, name) for span in re.findall(r"``(.+?)``", text)
                    for name in re.findall(r"\b_\w+", span)]
     assert [q for q in quoted if q[1] not in defined] == []
+
+
+def test_every_quoted_dotted_name_resolves():
+    # a ``module.name`` or ``Class.name`` quoted in the package, module being
+    # a qbip module and Class a qbip class, names an attribute that exists;
+    # one left behind by a deleted function or method fails here
+    modules = {path.stem: importlib.import_module(f"qbip.{path.stem}")
+               for path in SRC.glob("*.py") if path.stem not in ("__init__", "__main__")}
+    owners = {"qbip": qbip, **modules}
+    owners.update((name, obj) for m in modules.values() for name, obj in vars(m).items()
+                  if isinstance(obj, type) and obj.__module__ == m.__name__)
+    unresolved = []
+    for path in sorted(SRC.glob("*.py")):
+        for span in re.findall(r"``(.+?)``", path.read_text(encoding="utf-8")):
+            for head, tail in re.findall(r"\b(\w+)((?:\.\w+)+)", span):
+                if head not in owners:
+                    continue
+                obj = owners[head]
+                for part in tail[1:].split("."):
+                    if not hasattr(obj, part):
+                        unresolved.append(f"{path.name}: {head}{tail}")
+                        break
+                    obj = getattr(obj, part)
+    assert unresolved == []
 
 
 def test_every_method_is_reached_by_attribute():

@@ -137,14 +137,6 @@ def test_laplacian_data_matches_the_path_walk_oracle():
                 assert lap.tau("R", value) == [path_tau(mt, r).eval_at(x) for r in mt.r_vertices]
 
 
-def test_laplacian_norm_bounds_every_entry():
-    for mt in treecore.enumerate_nonsingular(5):
-        lap = laplacian(mt.tree.adj, mt.pairs)
-        norms = [sum(map(abs, e.coeffs)) for row in build_qL(mt).entries for e in row]
-        norms += [sum(map(abs, e.coeffs)) for e in qtau(mt)[1]]
-        assert max(norms) <= lap.norm()
-
-
 def test_qD_p3():
     t = treecore.Tree([[0, 1], [1, 2]])
     m = build_full_qD(treecore.distances(t))

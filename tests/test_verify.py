@@ -658,6 +658,21 @@ def test_block_bound_is_read_from_the_split_pieces(monkeypatch):
     assert verify.check_attach_update(mt).passed  # the grown trees are not split
 
 
+def test_attach_bound_is_read_from_the_grown_trees(monkeypatch, p4_path):
+    # qL entry (0, 0) of every grown tree (p + 1 pairs) off by a polynomial
+    # that vanishes at the unperturbed point: the point grows past its
+    # coefficients, and the first attachment, at vertex 0, reads it back
+    for mt in (p4_path, _two_branches()):
+        b0 = _join_base(mt)
+        delta = _vanishing_at(b0)
+        with monkeypatch.context() as patch:
+            _bump_laplacians(patch, delta, (0, 0), lambda pairs: len(pairs) == mt.p + 1)
+            res = verify.check_attach_update(mt)
+            assert not res.passed and _join_base(mt) > b0
+            assert res.witness["entry"] == [0, 0] and res.witness["vertex"] == 0
+            assert _residual(res) == delta
+
+
 def test_attach_bound_is_read_from_the_prediction(monkeypatch, p4_path):
     # mu entry 0 of the tree off by a polynomial vanishing at the unperturbed
     # point: at vertex 0 the prediction's entry (0, 0) takes q^2 times it
@@ -896,16 +911,24 @@ def test_each_product_identity_is_decided_at_one_point(monkeypatch, p5_random, n
 
 
 def test_coefficient_bound_is_read_from_the_entries(monkeypatch, p5_random):
-    # q - B0 vanishes at the point B0 that proves the unperturbed qL.E; the
-    # coefficient bound grows with the perturbation, and the point with it
+    # each input off by a polynomial that vanishes at the point B0 proving
+    # the unperturbed tree: the coefficient bound grows with the perturbation,
+    # and the point with it, so exactly the identities that read the input
+    # fail, all at that one larger point
     points = _points_proved_at(monkeypatch)
     assert verify.check_inverse_E(p5_random).passed
     (b0,) = points
-    _perturb(monkeypatch, "qL", Poly((-int(b0), 1)))
-    res = verify.check_inverse_E(p5_random)
-    assert not res.passed
-    assert points[1:] == [Fraction(res.witness["point"])] and points[1] > b0
-    _assert_witness(res)
+    for target in sorted(DEPENDS_ON):
+        with monkeypatch.context() as patch:
+            _perturb(patch, target, _vanishing_at(int(b0)))
+            del points[1:]
+            results = {name: check(p5_random) for name, check in PRODUCT_CHECKS.items()}
+            assert {n for n, r in results.items() if not r.passed} == DEPENDS_ON[target]
+            (b1,) = set(points[1:])
+            assert b1 > b0, target
+            for name in DEPENDS_ON[target]:
+                _assert_witness(results[name])
+                assert Fraction(results[name].witness["point"]) == b1
 
 
 def _sides(mt, bd) -> dict:
