@@ -33,8 +33,10 @@ class Tree:
     form a tree.  So the edges are sorted once, n is their count plus one, and
     the only checks are those ids, a repeat of the edge before, and one walk
     from 0 that must reach all n vertices.  Its one derived field, ``code``,
-    is the canonical code: None until ``canonical_code`` first reads it, or
-    until enumeration stores the code it computed for the tree's lists.
+    is the canonical code: None until ``canonical_code`` first reads it off
+    one rooted walk of the lists, or until enumeration stores the code it
+    read off the parent tree's walk, patched on the path from the new pair
+    to 0.
     """
 
     __slots__ = ("n", "edges", "adj", "code")
@@ -400,9 +402,10 @@ def canonical_code(tree: Tree) -> bytes:
 
     Equal codes exactly characterize isomorphic trees.  The code is read off
     the neighbour lists alone by ``_code`` on the first call and kept as
-    ``tree.code``.  Enumeration calls ``_code`` on each candidate's lists
-    before building any Tree and stores the code on each tree it keeps, so a
-    tree of a shared level may have it filled in already.
+    ``tree.code``: one rooted walk from 0, rerooted at each centroid.
+    Enumeration codes each candidate by patching its parent's walk
+    (``_grown_codes``) before building any Tree, and stores the code on each
+    tree it keeps, so a tree of a shared level may have it filled in already.
     """
     if tree.code is None:
         tree.code = _code(tree.adj)
@@ -412,22 +415,16 @@ def canonical_code(tree: Tree) -> bytes:
 def _code(adj) -> bytes:
     """Canonical AHU encoding of the tree with neighbour lists adj.
 
-    One BFS from 0 gives each vertex's subtree size; a centroid minimises
-    worst = max(heaviest child subtree, n - size), the largest component
-    left when it is removed.  Each centroid roots one encoding, and with two
-    the lexicographically smaller wins.
+    A centroid minimises worst = max(heaviest child subtree, n - size), the
+    largest component left when it is removed.  One walk from 0 (``_walk``)
+    gives both, and every vertex's code rooted at 0; each centroid roots one
+    encoding, read off that walk by ``_rerooted``, and with two the
+    lexicographically smaller wins.
     """
     n = len(adj)
-    order, parent = bfs(adj, 0)
-    size, heaviest = [1] * (n + 1), [0] * (n + 1)
-    for x in reversed(order):
-        px = parent[x]
-        size[px] += size[x]
-        if size[x] > heaviest[px]:
-            heaviest[px] = size[x]
-    worst = [max(h, n - s) for h, s in zip(heaviest[:n], size)]
-    least = min(worst)
-    return min(_rooted_code(adj, c) for c in range(n) if worst[c] == least)
+    parent, size, heaviest, kids, code = _walk(adj)
+    return _centroid_code([max(h, n - s) for h, s in zip(heaviest[:n], size)],
+                          parent, kids, code)
 
 
 def bfs(adj, root):
@@ -446,19 +443,97 @@ def bfs(adj, root):
     return order, parent
 
 
-def _rooted_code(adj, root) -> bytes:
-    """AHU encoding rooted at root: "(" + the children's codes, sorted, + ")".
+def _walk(adj):
+    """(parent, size, heaviest, kids, code) of the tree rooted at 0: each
+    vertex's parent, subtree size, largest child subtree, its children's
+    AHU codes sorted, and its own, "(" + those + ")".
 
     The reversed BFS order is a post-order, so every vertex is coded after
-    its children, without recursion; the root's code lands in the extra
-    slot len(adj).
+    its children, without recursion.  size, heaviest and kids have an extra
+    slot, len(adj), the root's parent.
     """
-    order, parent = bfs(adj, root)
-    kids = [[] for _ in range(len(adj) + 1)]
+    n = len(adj)
+    order, parent = bfs(adj, 0)
+    size, heaviest = [1] * (n + 1), [0] * (n + 1)
+    kids, code = [[] for _ in range(n + 1)], [b""] * n
     for x in reversed(order):
+        px = parent[x]
+        size[px] += size[x]
+        if size[x] > heaviest[px]:
+            heaviest[px] = size[x]
         kids[x].sort()
-        kids[parent[x]].append(b"(" + b"".join(kids[x]) + b")")
-    return kids[-1][0]
+        code[x] = c = b"(" + b"".join(kids[x]) + b")"
+        kids[px].append(c)
+    return parent, size, heaviest, kids, code
+
+
+def _centroid_code(worst, parent, kids, code) -> bytes:
+    """The smaller code rooted at a vertex of least worst, one or two."""
+    least = min(worst)
+    c = worst.index(least)
+    first = _rerooted(c, parent, kids, code)
+    if worst.count(least) == 1:
+        return first
+    return min(first, _rerooted(worst.index(least, c + 1), parent, kids, code))
+
+
+def _rerooted(c, parent, kids, code) -> bytes:
+    """AHU code of the tree rooted at c, from its walk rooted at 0.
+
+    Only the vertices on the path 0 -> c change children when the root moves
+    to c: each loses the next one on the path and gains the part above it.
+    So that part is coded from 0 down, one list re-sorted per step.
+    """
+    path = [c]
+    while path[-1]:
+        path.append(parent[path[-1]])
+    above = []
+    for x, below in zip(path[:0:-1], path[-2::-1]):
+        ks = kids[x] + above
+        ks.remove(code[below])
+        ks.sort()
+        above = [b"(" + b"".join(ks) + b")"]
+    ks = kids[c] + above
+    ks.sort()
+    return b"(" + b"".join(ks) + b")"
+
+
+def _grown_codes(adj):
+    """For each vertex v, (v, ``_code`` of the lists ``grown_lists`` yields
+    at v), all read off one walk of adj.
+
+    Rooted at 0, hanging the pair n, n + 1 at v gives new descendants only
+    to the vertices on the path v -> 0, so only their sizes, heaviest
+    children and codes change: v's children gain n's code (()), and each
+    vertex above swaps its path child's old code for the new one.  The walk
+    is patched there in place for v, coded and restored.  worst holds each
+    old vertex's largest component in the grown tree, patched on the path.
+    The new vertices are left out.  The leaf n + 1 leaves n + 1 > (n + 2) / 2
+    vertices behind, so it is never a centroid; n leaves n, so it is one only
+    when the parent is P2, and then v is the other centroid of the grown P4,
+    with the same code.
+    """
+    n = len(adj)
+    parent, size, heaviest, kids, code = _walk(adj)
+    worst = [max(h, n + 2 - s) for h, s in zip(heaviest[:n], size)]
+    for v in range(n):
+        saved, x, old, new, grown = [], v, None, b"(())", 2
+        while True:
+            ks = kids[x]
+            saved.append((x, ks, code[x], worst[x]))
+            ks = ks + [new]
+            if old:
+                ks.remove(old)
+            ks.sort()
+            kids[x], old = ks, code[x]
+            code[x] = new = b"(" + b"".join(ks) + b")"
+            worst[x] = max(heaviest[x], grown, n - size[x])
+            if not x:
+                break
+            grown, x = size[x] + 2, parent[x]
+        yield v, _centroid_code(worst, parent, kids, code)
+        for x, ks, c, w in saved:
+            kids[x], code[x], worst[x] = ks, c, w
 
 
 DEFAULT_ENUM_BOUND = 8
@@ -470,13 +545,14 @@ def enumerate_nonsingular(p: int) -> tuple:
 
     Level p is grown from level p-1 (``enumerate_nonsingular(p - 1)``):
     every candidate, a pair attached at a vertex of a tree there (complete,
-    because detach_p2 inverts some attachment), is coded on its neighbour
-    lists, the tree's with the pendant pair added, without building it.
-    Only the first candidate of each canonical code is built by
-    ``attach_p2`` and kept, with that code stored as its ``tree.code``: the
-    lists that ``grown_lists`` yields are the built tree's own, so the code
-    is the one ``canonical_code`` would compute.  Deterministic order:
-    sorted by code.
+    because detach_p2 inverts some attachment), is coded without building
+    it.  ``_grown_codes`` walks each parent tree once from 0 and codes each
+    candidate by patching that walk on the path from the attachment vertex
+    to 0, the only vertices whose subtrees change, then rerooting at the
+    centroid(s).  Only the first candidate of each canonical code is built
+    by ``attach_p2`` and kept, with that code stored as its ``tree.code``:
+    the code is ``_code`` of the built tree's own lists, the one
+    ``canonical_code`` would compute.  Deterministic order: sorted by code.
 
     The last level built is memoised, so the ascending calls of
     enumerate_upto build each level once; no other level is kept.  The
@@ -489,8 +565,7 @@ def enumerate_nonsingular(p: int) -> tuple:
         return (_P2,)
     level = {}
     for t in enumerate_nonsingular(p - 1):
-        for v, adj in grown_lists(t.tree.adj):
-            code = _code(adj)
+        for v, code in _grown_codes(t.tree.adj):
             if code not in level:
                 level[code] = grown = attach_p2(t, v)
                 grown.tree.code = code

@@ -13,7 +13,11 @@ and diff at a vertex are read off those classifications (the package reads
 every endpoint off one walk per R-vertex).  The relabeling helpers, the
 restriction to a set of pairs and the peel of one pendant pair build their
 trees through the package's validating constructors; the package restricts
-and peels neighbour lists without building any.  The canonical-form reference
+and peels neighbour lists without building any.  The byte reference for
+canonical codes is the package's earlier two-walk coder, kept verbatim but
+for its own copy of the BFS: one walk for subtree sizes, then one walk and
+one AHU encoding per centroid (the package reads every centroid's code off
+one rooted walk, patched for each enumeration candidate).  The canonical-form reference
 is the RatFun constructor as first written, which took each content anew and
 scaled by Poly products; it shares poly_gcd and divexact with the package.
 """
@@ -107,6 +111,54 @@ def min_rooting_code(n, edges):
         return rec(root, -1)
 
     return min(encode(r) for r in range(n))
+
+
+def _bfs(adj, root):
+    parent = [-1] * len(adj)
+    parent[root] = len(adj)
+    order = [root]
+    for x in order:
+        for y in adj[x]:
+            if parent[y] < 0:
+                parent[y] = x
+                order.append(y)
+    return order, parent
+
+
+def two_walk_code(adj) -> bytes:
+    """Canonical AHU encoding of the tree with neighbour lists adj.
+
+    One BFS from 0 gives each vertex's subtree size; a centroid minimises
+    worst = max(heaviest child subtree, n - size), the largest component
+    left when it is removed.  Each centroid roots one encoding, and with two
+    the lexicographically smaller wins.
+    """
+    n = len(adj)
+    order, parent = _bfs(adj, 0)
+    size, heaviest = [1] * (n + 1), [0] * (n + 1)
+    for x in reversed(order):
+        px = parent[x]
+        size[px] += size[x]
+        if size[x] > heaviest[px]:
+            heaviest[px] = size[x]
+    worst = [max(h, n - s) for h, s in zip(heaviest[:n], size)]
+    least = min(worst)
+    return min(_rooted_code(adj, c) for c in range(n) if worst[c] == least)
+
+
+def _rooted_code(adj, root) -> bytes:
+    """AHU encoding rooted at root: "(" + the children's codes, sorted, + ")".
+
+    The reversed BFS order is a post-order, so every vertex is coded after
+    its children, without recursion; the root's code lands in the extra
+    slot len(adj).
+    """
+    order, parent = _bfs(adj, root)
+    kids = [[] for _ in range(len(adj) + 1)]
+    for x in reversed(order):
+        kids[x].sort()
+        kids[parent[x]].append(b"(" + b"".join(kids[x]) + b")")
+    return kids[-1][0]
 
 
 def count_nonsingular_prufer(n):

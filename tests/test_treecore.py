@@ -18,6 +18,7 @@ from oracles import (
     permute_pairs,
     relabel_vertices,
     sub_matched_tree,
+    two_walk_code,
 )
 from qbip import treecore
 from qbip.treecore import (
@@ -617,21 +618,56 @@ def test_enumerate_upto_builds_each_level_once(monkeypatch):
     # 3316; only the first candidate of each code is built, one per tree of
     # levels 2..8: 1 + 2 + 5 + 15 + 49 + 180 + 701 = 953
     coded, built = [], []
-    code, attach = treecore._code, attach_p2
+    grown_codes, attach = treecore._grown_codes, attach_p2
 
-    def counted_code(adj):
-        coded.append(len(adj))
-        return code(adj)
+    def counted_codes(adj):
+        for v, code in grown_codes(adj):
+            coded.append(len(adj))
+            yield v, code
 
     def counted_attach(mt, v):
         built.append(v)
         return attach(mt, v)
 
-    monkeypatch.setattr(treecore, "_code", counted_code)
+    monkeypatch.setattr(treecore, "_grown_codes", counted_codes)
     monkeypatch.setattr(treecore, "attach_p2", counted_attach)
     # whichever level is memoised, the walk from level 1 up rebuilds each once
     assert len(list(enumerate_upto(16))) == 954
     assert (len(coded), len(built)) == (3316, 953)
+
+
+def test_candidate_codes_equal_the_two_walk_reference():
+    # every candidate of every tree to p = 7, the P2 parent first (its new
+    # vertex n is a centroid of P4), and of random parents to p = 60
+    parents = [t for p in range(1, 8) for t in enumerate_nonsingular(p)]
+    parents += [random_nonsingular(p, s) for p in (9, 20, 33, 60) for s in (1, 2, 3)]
+    assert parents[0].p == 1 and len(parents) == 253 + 12
+    bicentroid = 0
+    for t in parents:
+        want = {}
+        for v, adj in treecore.grown_lists(t.tree.adj):
+            want[v] = two_walk_code(adj)
+            bicentroid += _cut_in_halves(adj)
+        assert dict(treecore._grown_codes(t.tree.adj)) == want
+    assert bicentroid > 1000
+    for p in (1, 2, 7, 30, 60):
+        for s in (1, 2, 3):
+            tree = Tree(random_nonsingular(p, s).tree.edges)
+            assert canonical_code(tree) == two_walk_code(tree.adj)
+
+
+def _cut_in_halves(adj):
+    # a tree has two centroids exactly when one edge cuts it into halves
+    parent, order = {0: None}, [0]
+    for x in order:
+        for y in adj[x]:
+            if y not in parent:
+                parent[y] = x
+                order.append(y)
+    size = dict.fromkeys(order, 1)
+    for x in reversed(order[1:]):
+        size[parent[x]] += size[x]
+    return any(2 * size[x] == len(adj) for x in order[1:])
 
 
 def test_candidates_are_coded_on_their_neighbour_lists():
