@@ -9,8 +9,9 @@ substitution, inverses over Q(q) with one division there per distinct entry
 one shifted point); characteristic polynomials come from one determinant.
 Besides it: polynomials of an integer matrix, for annihilation tests, from
 one Horner loop on a Kronecker-packed vector; integer rows packed into one
-integer each, so that verify compares a matrix product row by row with one
-big-integer operation per nonzero; Sturm sequences on polyalg's
+integer each, so that verify compares every side of a product identity row by
+row with one big-integer operation per nonzero, each row's values taken in one
+C-level gather by a getter built once per matrix; Sturm sequences on polyalg's
 pseudo-remainder.
 
 Matrices and vectors carry index-kind metadata ("L", "R", "Vertex") so that a
@@ -23,7 +24,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import prod
-from operator import mul, ne
+from operator import itemgetter, mul, ne
 
 from .polyalg import ONE, ZERO, Poly, RatFun, divexact, poly_gcd, prem
 
@@ -491,21 +492,32 @@ def pack_width(bound: int) -> int:
     return max(1, -(-(4 * bound).bit_length() // 8))
 
 
-def pack_rows(rows, width: int, table: list) -> list:
-    """Each row of indices into table as the integer sum_j table[row_j] B^j.
+def row_getters(rows) -> list:
+    """One ``operator.itemgetter`` per row of indices: getter i takes row i of
+    any table in one C-level gather, as a sequence.
+
+    A one-index itemgetter returns the bare item, so a one-index row gets a
+    one-item slice instead (P2's distance block is 1 x 1).
+    """
+    return [itemgetter(*row) if len(row) > 1 else itemgetter(slice(row[0], row[0] + 1))
+            for row in rows]
+
+
+def pack_rows(getters, width: int, table: list) -> list:
+    """Each row of indices into table, given as its ``row_getters`` getter, as
+    the integer sum_j table[row_j] B^j.
 
     B = 2^(8 width), and every value of table must lie in [-B/2, B/2).
     Offset by B/2, each value is encoded once, as one unsigned little-endian
-    digit of width bytes; a row's digits are joined and read as one integer,
-    and the packed offset sum_j (B/2) B^j is taken back off.  Numbering the
-    distinct entries pays where they repeat, as in a distance-type matrix at
-    a point, with at most diameter + 1 of them.
+    digit of width bytes; a row's digits are gathered and joined and read as
+    one integer, and the packed offset sum_j (B/2) B^j is taken back off.
+    Numbering the distinct entries pays where they repeat, as in a
+    distance-type matrix at a point, with at most diameter + 1 of them.
     """
     half = 1 << (8 * width - 1)
-    offset = int.from_bytes(half.to_bytes(width, "little") * len(rows[0]), "little")
+    offset = int.from_bytes(half.to_bytes(width, "little") * len(getters[0](table)), "little")
     digit = [(v + half).to_bytes(width, "little") for v in table]
-    return [int.from_bytes(b"".join(map(digit.__getitem__, row)), "little") - offset
-            for row in rows]
+    return [int.from_bytes(b"".join(get(digit)), "little") - offset for get in getters]
 
 
 def sturm_chain(p: Poly) -> list[Poly]:

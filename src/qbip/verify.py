@@ -11,18 +11,20 @@ per tree, ``exactla.kronecker_base`` of a bound on the coefficients of both
 sides read from the data: the sides are then equal in Z[q] iff equal at B,
 and a failing entry reads back as its balanced base-B digits.
 The five product identities are stated once each, in ``IDENTITIES``, with
-denominators cleared; one engine packs their matrix sides into one integer per
-row, building no p x p matrix at a point (see the comment there), and the
-random large-tree suite runs it, on the same ``_factors``, at the user's
-rational points.  The two attachment checks share ``_join_point``: the trees
-they grow and split are neighbour lists and pair lists spliced or restricted
-from the validated tree's, never rebuilt as Tree objects, and have qL only as
-integers at B, from their own reach walks; the tree itself is read the same
-way, off its own ``Laplacian``; ``check_full_dq_ed`` proves det eD by one
-Laplacian product at such a point, and det qD from it by (q-1) qD = eD - J in
-Z[q].  bd_q is read by the peel, which walks lists as well, so a suite builds
-no Tree; only ``check_bdq`` takes the dense determinant route.  The other
-checks compare Z[q], Q or Z values directly.  Nothing is ever approximate.
+denominators cleared; one engine packs every side into one integer per row, a
+vector being a single row or column, and gathers each row of qB and E through
+getters built once per tree, building no p x p matrix at a point (see the
+comment there), and the random large-tree suite runs it, on the same
+``_factors``, at the user's rational points.  The two attachment checks share
+``_join_point``: the trees they grow and split are neighbour lists and pair
+lists spliced or restricted from the validated tree's, never rebuilt as Tree
+objects, and have qL only as integers at B, from their own reach walks; the
+tree itself is read the same way, off its own ``Laplacian``;
+``check_full_dq_ed`` proves det eD by one Laplacian product at such a point,
+and det qD from it by (q-1) qD = eD - J in Z[q].  bd_q is read by the peel,
+which walks lists as well, so a suite builds no Tree; only ``check_bdq`` takes
+the dense determinant route.  The other checks compare Z[q], Q or Z values
+directly.  Nothing is ever approximate.
 """
 
 from __future__ import annotations
@@ -121,26 +123,30 @@ def _compare(name: str, label: str, got, want, **where) -> CheckResult:
 # vector next to a vector being an outer product.  An inverse is checked on
 # one side only: for square X and Y, X.Y = cI with c != 0 gives Y.X = cI.
 #
-# A side whose terms hold one vector each is a vector and is compared entry
-# by entry.  Every other side is a matrix M and is compared as M.v, with
-# v = (1, B, ..., B^(n-1)) and B = 2^(8w): row i packs into the one integer
-# sum_j M_ij B^j.  The packed rows of a product F.G are F times the packed
-# rows of G, one big-integer operation per nonzero of F.  No p x p matrix
-# is built at a point: each factor keeps the form of its data.  A scalar is
-# an int and a vector a Vector; qL, I and any other Poly matrix are a
+# Every side is a matrix M, a vector being one of a single row or column, and
+# is compared as M.v, with v = (1, B, ..., B^(n-1)) and B = 2^(8w): row i
+# packs into the one integer sum_j M_ij B^j.  The packed rows of a product
+# F.G are F times the packed rows of G, one big-integer operation per nonzero
+# of F.  No p x p matrix is built at a point: each factor keeps the form of
+# its data.  A scalar is an int; qL, I and any other Poly matrix are a
 # _Sparse of their nonzeros (qL about 6 a row, I one, so its packed rows are
-# B^i); qB and E are a _Table, dmax + 1 values by distance read through the
-# tree's one distance block, and pack with one encoded digit per value and
-# one join per row.  On a vector side (_mul) a _Sparse meets the vector one
-# product per nonzero, and a _Table goes through exactla.mat_vec or vec_mat,
-# p^2 integer products over the rows its block gives one at a time.  For a term
-# c F_1 ... F_k, |c| ||F_1|| ... ||F_(k-1)|| max|F_k| bounds every entry,
-# ||.|| being the largest absolute row sum, and summing it over a side's
-# terms bounds the side.  With C the largest such bound over the matrix
-# sides checked at a point, w is the least width with 4C < B
-# (exactla.pack_width): the two sides' rows differ entrywise by at most
-# 2C < B/2, so their packed rows are equal only if the rows are, and each
-# packed row reads back as its balanced base-B digits.
+# B^i).  A vector is a _Sparse too, of the one shape it keeps in every
+# equation: tau_l and ones_R are rows, each of which packs to one integer,
+# and tau_r and ones_L columns, whose packed rows are their entries; so
+# tau_l^t qB is taken once, on the packed rows of qB, for B_tau and for the
+# qB inverse.  qB and E are a _Table, dmax + 1 values by distance, each row
+# gathered in one call by the getters built once per tree from its one
+# distance block; they pack with one encoded digit per value and one join per
+# row, and qB tau_r, the one product with a _Table first, goes through
+# exactla.mat_vec, p^2 integer products.  For a term c F_1 ... F_k,
+# |c| ||F_1|| ... ||F_(k-1)|| max|F_k| bounds every entry, ||.|| being the
+# largest absolute row sum, and summing it over a side's terms bounds the
+# side.  With C the largest such bound over the sides checked at a point that
+# are not columns, w is the least width with 4C < B (exactla.pack_width): the
+# two sides' rows differ entrywise by at most 2C < B/2, so their packed rows
+# are equal only if the rows are, and each packed row reads back as its
+# balanced base-B digits.  A column side's packed rows are its entries, which
+# are compared as they are.
 #
 # The same bound, run at q = 1 on each factor's norm (the sum of
 # |coefficients| of each entry), bounds the coefficient 1-norm of every entry
@@ -183,12 +189,13 @@ class _Factor(NamedTuple):
 
 class _Sparse(NamedTuple):
     """A matrix at a point as its nonzeros: nonzeros[i] maps j to entry (i, j).
-    It is never expanded into dense rows: it packs, and multiplies a vector
-    (``_mul``) or packed rows (``times``), one product per nonzero."""
+    A vector is one of a single row or column, whose one index has kind None.
+    It is never expanded into dense rows: it packs, and multiplies packed
+    rows (``times``), one product per nonzero."""
     nonzeros: list
     cols: int
-    row_kind: str = KIND_R
-    col_kind: str = KIND_R
+    row_kind: str | None = KIND_R
+    col_kind: str | None = KIND_R
 
     rows = property(lambda self: len(self.nonzeros))
 
@@ -197,61 +204,72 @@ class _Sparse(NamedTuple):
         return max((max(row, default=0) if top else sum(row))
                    for row in (list(map(abs, r.values())) for r in self.nonzeros))
 
-    def packed(self, width: int) -> list:
+    def packed(self, width: int) -> Vector:
         """Row i as sum_j entry_ij B^j, B = 2^(8 width)."""
-        return [sum(v << 8 * width * j for j, v in row.items()) for row in self.nonzeros]
+        return Vector((sum(v << 8 * width * j for j, v in row.items()) for row in self.nonzeros),
+                      self.row_kind)
 
-    def times(self, tail: list) -> list:
-        """Packed rows of self.G from G's packed rows, one product per nonzero."""
-        return [sum(map(mul, row.values(), map(tail.__getitem__, row)))
-                for row in self.nonzeros]
+    def times(self, tail: Vector) -> Vector:
+        """Packed rows of self.G from G's packed rows, one product per nonzero,
+        under ``exactla.conform`` as mat_vec's operands are."""
+        exactla.conform(tail, self.cols, self.col_kind)
+        get = tail.entries.__getitem__
+        return Vector((sum(map(mul, row.values(), map(get, row))) for row in self.nonzeros),
+                      self.row_kind)
 
 
 class _Table(NamedTuple):
-    """qB or E at a point: entry (i, j) is table[block[i][j]], table holding
-    the value at each distance d = 0..dmax and block being the tree's integer
-    L x R distance block, ``TreeData.dist_lr``, which every point shares.  qB
-    and E stand last in every matrix product of IDENTITIES: only packed alone."""
+    """qB or E at a point: row i is getters[i](table), table holding the value
+    at each distance d = 0..dmax and getters[i] gathering row i of the tree's
+    integer L x R distance block, ``TreeData.dist_lr``, in one call
+    (``exactla.row_getters``, built once per tree and shared by every point).
+    It packs, and multiplies packed rows in ``exactla.mat_vec``."""
     table: list
-    block: list
+    getters: list
     row_kind, col_kind = KIND_L, KIND_R
 
-    rows = cols = property(lambda self: len(self.block))
-    entries = property(lambda self: (map(self.table.__getitem__, row) for row in self.block))
+    rows = cols = property(lambda self: len(self.getters))
+    entries = property(lambda self: (get(self.table) for get in self.getters))
 
     def size(self, top: bool) -> int:
         """As ``_Sparse.size``; the table's largest |value| bounds the block's."""
-        return (max(map(abs, self.table)) if top
-                else max(map(sum, map(map, repeat(abs), self.entries))))
+        absolute = list(map(abs, self.table))
+        return max(absolute) if top else max(sum(get(absolute)) for get in self.getters)
 
-    def packed(self, width: int) -> list:
-        return exactla.pack_rows(self.block, width, self.table)
+    def packed(self, width: int) -> Vector:
+        return Vector(exactla.pack_rows(self.getters, width, self.table), self.row_kind)
+
+    def times(self, tail: Vector) -> Vector:
+        return exactla.mat_vec(self, tail)
 
 
-def _poly_factor(x) -> _Factor:
-    """A Poly, or a Vector or Matrix of them; deg is its largest entry degree.
+def _poly_factor(x, row: bool = False) -> _Factor:
+    """A Poly, or a Matrix or Vector of them; deg is its largest entry degree.
 
     The nonzero entries are found and their distinct coefficient tuples
     numbered once per tree; a point and the norm take one integer Horner sum
-    per distinct tuple.  At a point a Poly is an int, a Vector a Vector of
-    ints and a Matrix a ``_Sparse`` of its nonzeros.
+    per distinct tuple.  At a point a Poly is an int and a Matrix a
+    ``_Sparse`` of its nonzeros; so is a Vector, of one column, or with row
+    of one row: the shape it keeps in every equation of IDENTITIES.
     """
     if isinstance(x, Poly):
         deg = max(0, x.degree())
         return _Factor(deg, lambda a, b: sum(map(mul, x.coeffs, _monomials(a, b, deg))),
                        lambda: _norm(x.coeffs))
-    vector = isinstance(x, Vector)
+    if isinstance(x, Matrix):
+        rows, shape = x.entries, (x.cols, x.row_kind, x.col_kind)
+    elif row:
+        rows, shape = (x.entries,), (len(x), None, x.kind)
+    else:
+        rows, shape = [(e,) for e in x.entries], (1, x.kind, None)
     index = {}  # distinct nonzero coeffs -> their number
-    support = [{j: index.setdefault(e.coeffs, len(index)) for j, e in enumerate(row) if e.coeffs}
-               for row in ((x.entries,) if vector else x.entries)]
+    support = [{j: index.setdefault(e.coeffs, len(index)) for j, e in enumerate(r) if e.coeffs}
+               for r in rows]
     deg = max((len(c) - 1 for c in index), default=0)
 
     def form(value):  # value(coeffs) at each nonzero entry
         values = list(map(value, index))
-        nonzeros = [{j: values[k] for j, k in row.items()} for row in support]
-        if vector:
-            return Vector(map(nonzeros[0].get, range(len(x)), repeat(0)), x.kind)
-        return _Sparse(nonzeros, x.cols, x.row_kind, x.col_kind)
+        return _Sparse([{j: values[k] for j, k in r.items()} for r in support], *shape)
 
     def at(a, b):
         monomials = _monomials(a, b, deg)
@@ -267,25 +285,34 @@ def _monomials(a: int, b: int, deg: int) -> list:
 
 @lru_cache(maxsize=64)
 def _distance_rules(dmax: int) -> tuple:
-    """_poly_factor of [d] and of q^d at d = 0..dmax, build_qB's and build_E's entry rules."""
-    return tuple(_poly_factor(Vector(map(rule, range(dmax + 1)), KIND_L)) for rule in (qint, qpow))
+    """_poly_factor of [d] and of q^d at d = 0..dmax, build_qB's and build_E's
+    entry rules, each a row."""
+    return tuple(_poly_factor(Vector(map(rule, range(dmax + 1)), KIND_L), row=True)
+                 for rule in (qint, qpow))
 
 
 def _distance_factors(td: TreeData):
     """qB and E, each a ``_Table`` at a point and for its norm: the values of
-    ``_distance_rules`` read through the tree's one integer L x R block."""
+    ``_distance_rules`` gathered through the tree's one integer L x R block,
+    by getters built here, once per tree."""
     block = td.dist_lr
-    # lists: _Table maps __getitem__ over every cell, and a list's is faster than a tuple's
-    return tuple(_Factor(rule.deg, lambda a, b, rule=rule: _Table(list(rule.at(a, b)), block),
-                         lambda rule=rule: _Table(list(rule.norm()), block))
+    getters = exactla.row_getters(block)
+
+    def table(rule: _Sparse) -> _Table:  # the rule's one row, with its zeros
+        return _Table(list(map(rule.nonzeros[0].get, range(rule.cols), repeat(0))), getters)
+
+    return tuple(_Factor(rule.deg, lambda a, b, rule=rule: table(rule.at(a, b)),
+                         lambda rule=rule: table(rule.norm()))
                  for rule in _distance_rules(max(map(max, block))))
 
 
 def _factors(td: TreeData) -> dict:
     """Every factor of the tree's product identities, by name, read off its TreeData."""
     p = td.mt.p
-    ones_L, ones_R = Vector((1,) * p, KIND_L), Vector((1,) * p, KIND_R)
+    ones_L = _Sparse([{0: 1}] * p, 1, KIND_L, None)
+    ones_R = _Sparse([dict.fromkeys(range(p), 1)], p, None, KIND_R)
     eye = _Sparse([{i: 1} for i in range(p)], p)
+    tau_l, tau_r = td.tau
     factors = {
         "-1": _poly_factor(-ONE),
         "1+q": _poly_factor(ONE_PLUS_Q),
@@ -297,8 +324,9 @@ def _factors(td: TreeData) -> dict:
         "I": _Factor(0, lambda a, b: eye, lambda: eye),
         "qL": _poly_factor(td.qL),
         "bd": _poly_factor(td.bd),
+        "tau_l": _poly_factor(tau_l, row=True),
+        "tau_r": _poly_factor(tau_r),
     }
-    factors["tau_l"], factors["tau_r"] = map(_poly_factor, td.tau)
     factors["qB"], factors["E"] = _distance_factors(td)
     return factors
 
@@ -308,13 +336,13 @@ def _degree(term, factors: dict) -> int:
 
 
 class _Point(dict):
-    """One tree's factors at q = x, as integers scaled by b^deg, and their products.
+    """One tree's factors at q = x, as integers scaled by b^deg, and the
+    packed rows of their products.
 
-    A factor is keyed by its name, in its form at a point (see IDENTITIES),
-    and an exact product by the tuple of its factor names, folded right to
-    left.  The products on matrix sides are kept as packed rows instead, all
-    at one width fixed by the matrix sides of ``equations``.  Values are
-    built on first use and live as long as the point.
+    A factor is keyed by its name, in its form at a point (see IDENTITIES).
+    A product's packed rows are kept by the tuple of its factor names, folded
+    right to left, all at one width fixed by the sides of ``equations``.
+    Values are built on first use and live as long as the point.
     """
 
     def __init__(self, factors: dict, x: Fraction, equations):
@@ -323,36 +351,15 @@ class _Point(dict):
         self.sizes, self.packs = {}, {}
 
     def __missing__(self, ref):
-        if not isinstance(ref, tuple):
-            value = self.factors[ref].at(self.x.numerator, self.x.denominator)
-        elif len(ref) == 1:
-            value = self[ref[0]]
-        else:
-            value = _mul(self[ref[0]], self[ref[1:]])
-        self[ref] = value
+        value = self[ref] = self.factors[ref].at(self.x.numerator, self.x.denominator)
         return value
 
-    def form(self, refs):
-        """The factor refs[0] as it stands in the product refs: a matrix's own
-        form, or a vector as a ``_Sparse`` column when a vector follows it,
-        else as a row."""
-        value = self[refs[0]]
-        if not isinstance(value, Vector):
-            return value
-        if self._column(refs):
-            return _Sparse([{0: v} if v else {} for v in value], 1)
-        return _Sparse([{j: v for j, v in enumerate(value) if v}], len(value))
-
-    def _column(self, refs) -> bool:
-        return len(refs) > 1 and isinstance(self[refs[1]], Vector)
-
-    def size(self, refs, last: bool) -> int:
-        """Largest |entry| of form(refs) if last, else its largest absolute row sum."""
-        # a column vector's row sums are its entries
-        top = last or isinstance(self[refs[0]], Vector) and self._column(refs)
-        key = refs[0], top
+    def size(self, ref, top: bool) -> int:
+        """Largest |entry| of the factor ref if top, else its largest absolute
+        row sum: a column's row sums are its entries."""
+        key = ref, top
         if key not in self.sizes:
-            self.sizes[key] = self.form(refs).size(top)
+            self.sizes[key] = self[ref].size(top)
         return self.sizes[key]
 
     def split(self, term, scale: int) -> tuple:
@@ -370,64 +377,43 @@ class _Point(dict):
         """|coef| ||F_1|| ... ||F_(k-1)|| max|F_k| for split(term, scale): no
         entry of the term exceeds it."""
         coef, refs = self.split(term, scale)
-        return abs(coef) * prod(self.size(refs[i:], i == len(refs) - 1)
-                                for i in range(len(refs)))
+        return abs(coef) * prod(self.size(ref, i == len(refs) - 1) for i, ref in enumerate(refs))
 
-    def packed(self, refs) -> list:
+    def packed(self, refs) -> Vector:
         """Row i of the product of refs as the integer sum_j P_ij B^j."""
         if refs not in self.packs:
-            form = self.form(refs)
-            self.packs[refs] = (form.packed(self.width) if len(refs) == 1
-                                else form.times(self.packed(refs[1:])))
+            head = self[refs[0]]
+            self.packs[refs] = (head.packed(self.width) if len(refs) == 1
+                                else head.times(self.packed(refs[1:])))
         return self.packs[refs]
 
     def shape(self, equation) -> tuple:
-        """(scale, vector): the largest degree of the equation's terms, and
-        whether its sides are vectors (each term holds one vector)."""
+        """(scale, row, column): the largest degree of the equation's terms,
+        and whether its sides are a row (their first factor is one) or a
+        column (their last factor is one)."""
         _, lhs, rhs = equation
-        vector = sum(isinstance(self[ref], Vector) for ref in lhs[0]) == 1
-        return max(_degree(term, self.factors) for term in lhs + rhs), vector
+        refs = [ref for ref in lhs[0] if not isinstance(self[ref], int)]
+        return (max(_degree(term, self.factors) for term in lhs + rhs),
+                self[refs[0]].row_kind is None, self[refs[-1]].col_kind is None)
 
     @cached_property
     def width(self) -> int:
-        """Bytes per packed digit: 4C < 2^(8 width), C bounding every matrix side."""
+        """Bytes per packed digit: 4C < 2^(8 width), C bounding every side but a column."""
         bound = 0
         for equation in self.equations:
-            scale, vector = self.shape(equation)
-            if not vector:
+            scale, _, column = self.shape(equation)
+            if not column:
                 for terms in equation[1:]:
                     bound = max(bound, sum(self.bound(term, scale) for term in terms))
         return exactla.pack_width(bound)
 
 
-def _mul(x, y):
-    """x.y, exact, on a vector side: a matrix times a vector or a vector times
-    a matrix, as no term in IDENTITIES puts its vector before two matrices
-    (outer products only arise on matrix sides).  A ``_Sparse`` is read by
-    its nonzeros, under ``exactla.conform`` as mat_vec's and vec_mat's
-    operands are; a ``_Table`` goes through them."""
-    if isinstance(x, Vector):
-        if not isinstance(y, _Sparse):
-            return exactla.vec_mat(x, y)
-        exactla.conform(x, y.rows, y.row_kind)
-        out = [0] * y.cols
-        for v, row in zip(x.entries, y.nonzeros):
-            for j, a in row.items():
-                out[j] += v * a
-        return Vector(out, y.col_kind)
-    if not isinstance(x, _Sparse):
-        return exactla.mat_vec(x, y)
-    exactla.conform(y, x.cols, x.col_kind)
-    return Vector(x.times(y.entries), x.row_kind)
-
-
-def _side(terms, point: _Point, scale: int, vector: bool) -> list:
-    """A vector side's entries, or a matrix side's packed rows, at b^scale."""
+def _side(terms, point: _Point, scale: int) -> list:
+    """A side's packed rows at b^scale."""
     total = None
     for term in terms:
         coef, refs = point.split(term, scale)
-        rows = point[refs].entries if vector else point.packed(refs)
-        scaled = map(mul, repeat(coef), rows)
+        scaled = map(mul, repeat(coef), point.packed(refs))
         total = list(scaled) if total is None else list(map(add, total, scaled))
     return total
 
@@ -436,19 +422,19 @@ def _mismatch(equations, point: _Point) -> dict | None:
     """Witness for the first entry where an equation fails at the point, or None."""
     for equation in equations:
         label, lhs, rhs = equation
-        scale, vector = point.shape(equation)
-        got, want = (_side(terms, point, scale, vector) for terms in (lhs, rhs))
+        scale, row, column = point.shape(equation)
+        got, want = (_side(terms, point, scale) for terms in (lhs, rhs))
         i = next((i for i, (g, w) in enumerate(zip(got, want)) if g != w), None)
         if i is None:
             continue
-        if vector:
+        if column:  # packed rows that are entries
             entry, got_ij, want_ij = [i], got[i], want[i]
         else:  # row i of each side from its balanced digits
             base = 1 << 8 * point.width
             got_row, want_row = (exactla.balanced_digits(v, base)
                                  for v in (got[i], want[i]))
             j = next(j for j in count() if got_row[j] != want_row[j])
-            entry, got_ij, want_ij = [i, j], got_row[j], want_row[j]
+            entry, got_ij, want_ij = [j] if row else [i, j], got_row[j], want_row[j]
         unit = point.x.denominator**scale
         got_ij, want_ij = Fraction(got_ij, unit), Fraction(want_ij, unit)
         return {
@@ -867,8 +853,8 @@ def _dq_ed_certificate(adj, qd: Matrix, ed: Matrix, want_qd, want_ed, ed_det, qd
     # row v of L_q has norm 2 deg(v): 2 max deg max ||entry|| + 2 bounds both sides
     b = exactla.kronecker_base(2 * max(map(len, adj)) * max(map(_norm, index)) + 2)
     width = exactla.pack_width(b ** (max(map(len, index)) + 2))  # past every entry at b
-    ed_p = exactla.pack_rows(ed_i, width, [sum(c * b**i for i, c in enumerate(cs))
-                                           for cs in index])  # as in IDENTITIES
+    ed_p = exactla.pack_rows(exactla.row_getters(ed_i), width,
+                             [sum(c * b**i for i, c in enumerate(cs)) for cs in index])
     ed_l = [(1 + (len(a) - 1) * b * b) * y - b * sum(map(ed_p.__getitem__, a))
             for y, a in zip(ed_p, adj)]  # L_q.eD, L_vv = 1 + (deg(v) - 1) q^2
     return (all(Q_MINUS_ONE * Poly(a) == Poly(e) - ONE for a, e in pairs)

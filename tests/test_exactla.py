@@ -665,9 +665,12 @@ def test_pack_rows_reads_back_at_the_digit_limits(width):
 
     def packed(rows):  # rows of indices into the table of their distinct values
         table = sorted({x for row in rows for x in row})
-        return exactla.pack_rows([[table.index(x) for x in row] for row in rows], width, table)
+        getters = exactla.row_getters([[table.index(x) for x in row] for row in rows])
+        return exactla.pack_rows(getters, width, table)
 
-    assert packed(rows) == [sum(x * base**j for j, x in enumerate(row)) for row in rows]
+    # and a one-column block, of one row and of three, gathered by one-index getters
+    for block in (rows, [[hi]], [[lo], [0], [hi]]):
+        assert packed(block) == [sum(x * base**j for j, x in enumerate(row)) for row in block]
     # digits within [-C, C], 4C < B, read back as balanced digits
     c = (base - 1) // 4
     assert exactla.pack_width(c) == width

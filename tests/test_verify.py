@@ -712,6 +712,8 @@ DEPENDS_ON = {
     "qB": {"B_tau", "lemma_111", "inverse_qB"},
     "E": {"inverse_E"},
     "bd": {"B_tau", "inverse_qB"},
+    "tau_l": {"B_tau", "row_col_sums", "inverse_qB"},
+    "tau_r": {"B_tau", "row_col_sums", "lemma_111", "inverse_qB"},
 }
 WITNESS_KEYS = {"identity", "entry", "point", "got", "want", "residual"}
 # two fractions and a negative integer: the point engine's scales b^deg and
@@ -731,7 +733,8 @@ def _bump(m, i, j, delta):
 
 
 def _perturb(monkeypatch, target, delta, entry=(1, 0)):
-    """Add delta to entry (i, j) of qL, to one entry of qB or E, or to bd_q.
+    """Add delta to entry (i, j) of qL, to entry i of tau_l or tau_r, to one
+    entry of qB or E, or to bd_q.
 
     The change is made wherever verify reads the quantity.
     """
@@ -739,6 +742,17 @@ def _perturb(monkeypatch, target, delta, entry=(1, 0)):
         build_qL = qmatrices.build_qL
         monkeypatch.setattr(qmatrices, "build_qL",
                             lambda mt: _bump(build_qL(mt), *entry, delta))
+    elif target in ("tau_l", "tau_r"):
+        qtau, side = qmatrices.qtau, target == "tau_r"
+
+        def perturbed_tau(mt):
+            taus = list(qtau(mt))
+            entries = list(taus[side])
+            entries[entry[0]] += delta
+            taus[side] = exactla.Vector(entries, taus[side].kind)
+            return tuple(taus)
+
+        monkeypatch.setattr(qmatrices, "qtau", perturbed_tau)
     elif target == "bd":
         for name in ("bdq_det", "bdq_recursive"):
             monkeypatch.setattr(qmatrices, name,
@@ -836,14 +850,22 @@ def test_row_col_sums_witness_of_a_perturbed_qL(monkeypatch, p5_random, bumps, x
     ((4, 5, 6), KIND_R, True, exactla.DimensionMismatch),
 ])
 def test_sparse_vector_product_is_exactlas(entries, kind, left, error):
-    # _mul reads a _Sparse by its nonzeros and hands a Matrix to exactla:
-    # both give the same product, or raise the same error
+    # a vector meets a _Sparse as the point engine shapes it, one row on the
+    # left and one column on the right, and the product is taken on packed
+    # rows under exactla.conform: it packs exactla's product, or raises the
+    # same error
     dense = Matrix([[1, 0, -2], [5, 3, 0]], KIND_R, KIND_L)
     sparse = verify._Sparse([{0: 1, 2: -2}, {0: 5, 1: 3}], 3, KIND_R, KIND_L)
     v = exactla.Vector(entries, kind)
+    shaped = verify._poly_factor(exactla.Vector([Poly((e,)) for e in entries], kind),
+                                 row=left).at(1, 1)
 
-    def product(m):
-        return verify._mul(v, m) if left else verify._mul(m, v)
+    def product(m):  # packed rows at width 1: a row packs to one integer in base 256
+        if m is sparse:
+            return list(shaped.times(m.packed(1)) if left else m.times(shaped.packed(1)))
+        if left:
+            return [sum(x << 8 * j for j, x in enumerate(exactla.vec_mat(v, m)))]
+        return list(exactla.mat_vec(m, v))
 
     if error is None:
         assert product(sparse) == product(dense)
@@ -1154,7 +1176,7 @@ def test_q1_properties_witness_with_a_new_denominator(monkeypatch, p6_attach):
     assert Fraction(res.witness["got"]).denominator % 7 == 0
 
 
-# -- the packed rows of matrix sides --------------------------------------------------
+# -- the packed rows of every side ------------------------------------------------------
 
 
 def _constant(rows):
@@ -1210,8 +1232,11 @@ def test_point_engine_builds_no_matrix_per_point(monkeypatch):
 
 
 def test_point_engine_multiplies_no_dense_matrices(monkeypatch):
-    # qL.qB and qL.E are taken on packed rows, never as exactla.mat_mul products
+    # qL.qB and qL.E are taken on packed rows, never as exactla.mat_mul
+    # products, and so is tau_l^t qB, on the packed rows of qB that the qB
+    # inverse takes too: the one dense product at a point is qB tau_r
     mt = treecore.random_nonsingular(60, 1)
-    calls = _count_calls(monkeypatch, exactla, ("mat_mul",))
+    calls = _count_calls(monkeypatch, exactla, ("mat_mul", "mat_vec", "vec_mat"))
     assert all(r.passed for r in evaluate_identities_at(mt, *verify.DEFAULT_Q_POINTS))
-    assert calls["mat_mul"] == 0
+    assert calls["mat_mul"] == calls["vec_mat"] == 0
+    assert calls["mat_vec"] == len(verify.DEFAULT_Q_POINTS)
